@@ -9,6 +9,7 @@ identities, tied together by a configuration-driven experiment runner.
 
 from .errors import (
     AlphaExceedsH,
+    BoxIndexOverflow,
     ConfigError,
     CovarianceNotPSD,
     DegenerateRange,

@@ -30,6 +30,10 @@ class DegenerateRange(NumericalError):
     """Box-count regression has no usable scale range (e.g. all counts equal)."""
 
 
+class BoxIndexOverflow(NumericalError):
+    """A box index is too large in magnitude for an exact int64 box key."""
+
+
 class AlphaExceedsH(ConfigError):
     """Holder exponent alpha must not exceed the parabolic index H."""
 

@@ -2,7 +2,15 @@
 
 Box counting uses grids anchored at 0 on the time axis and at the cloud's
 componentwise minimum on the value axes; box dimension is used as the
-computable proxy for the covering dimension it estimates.  The log-log
+computable proxy for the covering dimension it estimates.  Occupied boxes
+are counted by sorting one key per point (Liebovitch & Toth, Phys. Lett. A
+141, 1989): each point's box indices (time, value_1, ..., value_d) are
+shifted to start at 0 and packed into one int64 in mixed radix, each axis's
+index range being its radix, and distinct keys are counted as adjacent
+differences after a 1-d sort.  When the packed span would pass 2^62 the
+partial key is first replaced by its rank among its distinct values, so the
+key cannot overflow; a box index that itself reaches 2^62 in magnitude
+raises BoxIndexOverflow instead of wrapping in the int64 cast.  The log-log
 regression keeps the middle scales: the coarsest and finest octaves are
 biased (finite extent, finite path resolution), and scales whose count
 approaches the number of cloud points are resolution-limited and dropped.
@@ -13,12 +21,11 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateRange, GammaAtBoundary
+from .errors import BoxIndexOverflow, ConfigError, DegenerateRange, GammaAtBoundary
 from .fbm import validate_hurst
 
 __all__ = [
@@ -38,6 +45,9 @@ ENERGY_PAIR_CAP = 4096
 
 #: default number of sampled pairs in the subsampling regime
 ENERGY_DEFAULT_PAIRS = 10**6
+
+#: bound on box-index magnitudes and on the span of a packed box key
+_KEY_SPAN_MAX = 2**62
 
 
 @dataclass(frozen=True)
@@ -61,6 +71,8 @@ class GraphCloud:
             v = v[:, None]
         if t.ndim != 1 or t.size == 0 or v.shape[0] != t.size:
             raise ConfigError("times (n,) and values (n, d) must be non-empty and aligned")
+        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(v))):
+            raise ConfigError("cloud times and values must be finite")
         if t.min() < 0.0 or t.max() > 1.0:
             raise ConfigError("cloud times must lie in [0, 1]")
         object.__setattr__(self, "times", t)
@@ -166,6 +178,12 @@ def parabolic_box_count(cloud, delta, hurst, anchor_shift=0.0):
     value grids are anchored at the cloud minimum.  ``anchor_shift`` moves
     every anchor by that fraction of a cell, used to quantify anchor
     sensitivity.
+
+    Each point's box indices are packed into one int64 key and the distinct
+    keys are counted after a 1-d sort (see the module docstring).  Raises
+    BoxIndexOverflow when a box index reaches 2^62 in magnitude (delta below
+    about 2^-62, or values spanning about 2^62 value boxes), where an int64
+    cast would wrap and merge distinct boxes.
     """
     hurst = validate_hurst(hurst)
     if not 0.0 < delta <= 1.0:
@@ -173,13 +191,12 @@ def parabolic_box_count(cloud, delta, hurst, anchor_shift=0.0):
     side = delta**hurst
     tshift = anchor_shift * delta
     vshift = anchor_shift * side
-    ti = np.floor((cloud.times - tshift) / delta).astype(np.int64)
+    ti = np.floor((cloud.times - tshift) / delta)
     if anchor_shift == 0.0:
-        ti = np.minimum(ti, math.ceil(1.0 / delta) - 1)
+        ti = np.minimum(ti, np.ceil(1.0 / delta) - 1.0)
     origin = cloud.values.min(axis=0)
-    vi = np.floor((cloud.values - origin - vshift) / side).astype(np.int64)
-    keys = np.column_stack([ti, vi])
-    return int(np.unique(keys, axis=0).shape[0])
+    vi = np.floor((cloud.values - origin - vshift) / side)
+    return _count_distinct_rows([ti, *vi.T])
 
 
 def dyadic_deltas(coarse_exp, fine_exp, per_octave=1):
@@ -195,6 +212,41 @@ def box_count_curve(cloud, deltas, hurst, anchor_shift=0.0):
     deltas = np.sort(np.asarray(deltas, dtype=float))[::-1]
     counts = [parabolic_box_count(cloud, d, hurst, anchor_shift) for d in deltas]
     return BoxCountCurve(deltas=deltas, counts=np.asarray(counts))
+
+
+def _count_distinct_rows(columns):
+    """Number of distinct rows of integer-valued float columns, via one packed key.
+
+    Each column is shifted to start at 0 and appended to the key with its
+    index range as radix.  Before the packed span would pass 2^62, the key
+    (and, if still needed, the column) is replaced by its rank among its
+    distinct values, which is below the number of rows.
+    """
+    key = np.zeros(columns[0].size, dtype=np.int64)
+    span = 1
+    for col in columns:
+        lo, hi = col.min(), col.max()
+        if not -_KEY_SPAN_MAX < lo <= hi < _KEY_SPAN_MAX:
+            raise BoxIndexOverflow(
+                f"box indices reach [{lo:.3e}, {hi:.3e}], not inside (-2^62, 2^62); "
+                "the scale is too fine or the values too spread for int64 box keys"
+            )
+        col = col.astype(np.int64) - int(lo)
+        radix = int(hi) - int(lo) + 1
+        if span * radix > _KEY_SPAN_MAX:
+            key, span = _dense_rank(key)
+            if span * radix > _KEY_SPAN_MAX:
+                col, radix = _dense_rank(col)
+        key = key * radix + col
+        span *= radix
+    key.sort()
+    return 1 + int(np.count_nonzero(key[1:] != key[:-1]))
+
+
+def _dense_rank(x):
+    """Rank of each entry among the distinct values of x, and the number of them."""
+    uniq, rank = np.unique(x, return_inverse=True)
+    return rank.astype(np.int64, copy=False), uniq.size
 
 
 def _fit_loglog(deltas, counts):

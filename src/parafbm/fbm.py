@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import csv
 import io
-import json
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,6 +43,10 @@ MAX_CHOLESKY_N = 4096
 
 #: relative magnitude of negative circulant eigenvalues that is clamped to 0
 CIRCULANT_CLAMP_TOL = 1e-8
+
+#: total bytes of memoised circulant eigenvalue arrays; one 2^20-point grid
+#: needs 16 MiB, so this keeps two such grids or many small ones
+CIRCULANT_CACHE_BYTES = 32 * 2**20
 
 _UNIFORM_RTOL = 1e-9
 
@@ -193,12 +198,25 @@ def _increment_covariance(tpos, hurst):
     return 0.5 * (a + b - c - d)
 
 
+_circulant_cache = OrderedDict()   # (n, hurst, gap) -> read-only eigenvalues, LRU order
+_circulant_cache_lock = threading.Lock()
+
+
 def _fgn_circulant_eigenvalues(n, hurst, gap):
     """Eigenvalues of the 2n-circulant embedding of the fGn covariance.
 
     Raises CovarianceNotPSD when a negative eigenvalue exceeds the clamp
-    tolerance; small negatives (roundoff) are clamped to zero.
+    tolerance; small negatives (roundoff) are clamped to zero.  Results are
+    memoised per (n, hurst, gap) as read-only arrays, least recently used
+    first out, within CIRCULANT_CACHE_BYTES in total; failures are not
+    memoised, so each call for a bad grid raises afresh.
     """
+    key = (int(n), float(hurst), float(gap))
+    with _circulant_cache_lock:
+        lam = _circulant_cache.get(key)
+        if lam is not None:
+            _circulant_cache.move_to_end(key)
+            return lam
     k = np.arange(n + 1, dtype=float)
     h2 = 2.0 * hurst
     acov = 0.5 * ((k + 1) ** h2 - 2.0 * k**h2 + np.abs(k - 1) ** h2) * gap**h2
@@ -210,7 +228,15 @@ def _fgn_circulant_eigenvalues(n, hurst, gap):
             f"circulant embedding has eigenvalue {lam.min():.3e} below "
             f"tolerance {floor:.3e} (n={n}, H={hurst})"
         )
-    return np.maximum(lam, 0.0)
+    lam = np.maximum(lam, 0.0)
+    lam.flags.writeable = False
+    if lam.nbytes <= CIRCULANT_CACHE_BYTES:
+        with _circulant_cache_lock:
+            _circulant_cache[key] = lam
+            total = sum(a.nbytes for a in _circulant_cache.values())
+            while total > CIRCULANT_CACHE_BYTES:
+                total -= _circulant_cache.popitem(last=False)[1].nbytes
+    return lam
 
 
 def _sample_fgn_circulant(lam, rng):
@@ -365,15 +391,3 @@ def path_csv_string(path):
     buf = io.StringIO()
     path_to_csv(path, buf)
     return buf.getvalue()
-
-
-def save_path_json(path, file):
-    close = False
-    if isinstance(file, (str, bytes)):
-        file = open(file, "w")
-        close = True
-    try:
-        json.dump(path_to_json(path), file)
-    finally:
-        if close:
-            file.close()

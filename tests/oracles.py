@@ -9,17 +9,25 @@ form and a quadrature of the Mandelbrot-Van Ness kernel.
 import math
 
 
-def naive_parabolic_box_count(times, values, delta, hurst):
-    """Anchored parabolic box count by explicit iteration over points."""
+def naive_parabolic_box_count(times, values, delta, hurst, anchor_shift=0.0):
+    """Anchored parabolic box count by explicit iteration over points.
+
+    ``anchor_shift`` moves every anchor by that fraction of a cell; the
+    t = 1 cap on the time index applies only to unshifted grids.
+    """
     side = delta**hurst
+    tshift = anchor_shift * delta
+    vshift = anchor_shift * side
     d = len(values[0])
     mins = [min(v[j] for v in values) for j in range(d)]
     time_cap = math.ceil(1.0 / delta) - 1
     boxes = set()
     for t, v in zip(times, values):
-        ti = min(int(math.floor(t / delta)), time_cap)
+        ti = int(math.floor((t - tshift) / delta))
+        if anchor_shift == 0.0:
+            ti = min(ti, time_cap)
         key = (ti,) + tuple(
-            int(math.floor((v[j] - mins[j]) / side)) for j in range(d)
+            int(math.floor((v[j] - mins[j] - vshift) / side)) for j in range(d)
         )
         boxes.add(key)
     return len(boxes)

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import naive_energy_sum, naive_parabolic_box_count
-from parafbm.errors import ConfigError, DegenerateRange, GammaAtBoundary
+from parafbm.errors import BoxIndexOverflow, ConfigError, DegenerateRange, GammaAtBoundary
 from parafbm.estimators import (
     GraphCloud,
     box_count_curve,
@@ -88,6 +90,84 @@ class TestBoxCount:
             parabolic_box_count(flat_cloud(), 0.0, 0.5)
         with pytest.raises(ConfigError):
             parabolic_box_count(flat_cloud(), 1.5, 0.5)
+
+    def test_nonfinite_cloud_rejected(self):
+        for t, v in (([0.1, np.nan], [0.0, 1.0]), ([0.1, 0.2], [0.0, np.inf]),
+                     ([0.1, 0.2], [[0.0, -np.inf], [1.0, 2.0]]), ([np.inf], [0.0])):
+            with pytest.raises(ConfigError):
+                GraphCloud(times=np.array(t), values=np.array(v))
+
+    def test_index_overflow_raises(self):
+        # the int64 cast of 4e300 would wrap and merge two of the three boxes
+        c = GraphCloud(times=np.array([0.1, 0.11, 0.12]), values=np.array([0.0, 1e300, 2e300]))
+        with pytest.raises(BoxIndexOverflow):
+            parabolic_box_count(c, 0.25, 0.5)
+        with pytest.raises(BoxIndexOverflow):
+            box_count_curve(c, [0.5, 0.25], 0.5)
+        # time indices past 2^62 (infinite at 1e-310): finer than int64 keys resolve
+        c = GraphCloud(times=np.array([0.1, 0.9]), values=np.array([0.0, 1.0]))
+        for delta in (2.0**-70, 1e-310):
+            with pytest.raises(BoxIndexOverflow), np.errstate(over="ignore"):
+                parabolic_box_count(c, delta, 0.5)
+
+    @pytest.mark.parametrize("top", [1.2 * 2.0**59, 1.9 * 2.0**60])
+    def test_wide_spread_reranks_key(self, top):
+        # value indices reach 2 top at delta 1/4: four time boxes times that
+        # range passes 2^62, so the packed time key is re-ranked to its three
+        # distinct boxes, and at the wider spread the value column is too
+        t = [0.1, 0.9, 0.1, 0.9, 0.5, 0.6, 0.1]
+        v = [[0.0], [top], [top / 2], [3.0], [top], [top], [3.0]]
+        c = GraphCloud(times=np.array(t), values=np.array(v))
+        for delta in (0.25, 0.5):
+            assert parabolic_box_count(c, delta, 0.5) == naive_parabolic_box_count(
+                t, v, delta, 0.5
+            )
+
+    def test_rerank_prevents_wrapped_key_collision(self):
+        # value indices span r = 2^62 - 2^40 + 1 over five time boxes; packing
+        # without re-ranking the value column would wrap mod 2^64 and put
+        # (time box 0, value 0) and (time box 4, value 2^42 - 4) on one key
+        t = [0.01, 0.07, 0.13, 0.19, 0.26, 0.01]
+        v = [[0.0], [0.0], [0.0], [0.0], [2.0**40 - 1], [2.0**60 - 2.0**38]]
+        c = GraphCloud(times=np.array(t), values=np.array(v))
+        assert parabolic_box_count(c, 1 / 16, 0.5) == 6
+        assert naive_parabolic_box_count(t, v, 1 / 16, 0.5) == 6
+
+
+@st.composite
+def clouds(draw):
+    """Random cloud with repeated points, times at 0 and 1, and a value spread."""
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 40))
+    time = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+    spread = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    value = st.floats(-1.0, 1.0).map(lambda x: x * spread)
+    points = draw(st.lists(st.tuples(time, st.lists(value, min_size=d, max_size=d)),
+                           min_size=n, max_size=n))
+    repeats = draw(st.lists(st.integers(0, n - 1), max_size=10))
+    points += [points[i] for i in repeats]
+    return [p[0] for p in points], [p[1] for p in points]
+
+
+class TestBoxCountProperties:
+    """Packed-key counts against the pure-Python oracle on random clouds."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        cloud=clouds(),
+        deltas=st.lists(st.sampled_from([1.0, 0.5, 1.0 / 3.0, 0.25, 0.1, 2.0**-6, 2.0**-10]),
+                        min_size=1, max_size=4, unique=True),
+        hurst=st.floats(0.05, 0.95),
+        anchor_shift=st.sampled_from([0.0, 0.25, 0.5, 0.75, -0.25, -0.5]),
+    )
+    def test_counts_match_oracle(self, cloud, deltas, hurst, anchor_shift):
+        t, v = cloud
+        c = GraphCloud(times=np.array(t), values=np.array(v))
+        curve = box_count_curve(c, deltas, hurst, anchor_shift)
+        for delta, count in zip(curve.deltas, curve.counts):
+            want = naive_parabolic_box_count(t, v, float(delta), hurst, anchor_shift)
+            assert count == want
+            assert parabolic_box_count(c, float(delta), hurst, anchor_shift) == want
 
 
 class TestDimensionEstimate:

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from parafbm.errors import ConfigError
+from parafbm import fbm
+from parafbm.errors import ConfigError, CovarianceNotPSD
 from parafbm.fbm import (
     TimeGrid,
     build_covariance_matrix,
@@ -245,3 +246,57 @@ class TestSerialization:
         assert doc["alpha_p"] is None
         assert doc["seed"] == [2]
         assert doc["grid"]["kind"] == "uniform"
+
+
+@pytest.fixture
+def empty_eigen_cache():
+    fbm._circulant_cache.clear()
+    yield fbm._circulant_cache
+    fbm._circulant_cache.clear()
+
+
+class TestEigenvalueCache:
+    def test_cold_and_warm_paths_identical(self, empty_eigen_cache):
+        for n, d in ((16, 1), (2**12, 2)):
+            g = TimeGrid.regular(n)
+            empty_eigen_cache.clear()
+            cold = generate_fbm_path(0.3, g, d=d, seed=4)
+            assert len(empty_eigen_cache) == 1
+            warm = generate_fbm_path(0.3, g, d=d, seed=4)
+            assert warm.values.tobytes() == cold.values.tobytes()
+
+    def test_cached_arrays_read_only(self, empty_eigen_cache):
+        lam = fbm._fgn_circulant_eigenvalues(64, 0.7, 1.0 / 64)
+        assert fbm._fgn_circulant_eigenvalues(64, 0.7, 1.0 / 64) is lam
+        assert not lam.flags.writeable
+        with pytest.raises(ValueError):
+            lam[0] = 1.0
+
+    def test_not_psd_falls_back_on_every_call(self, empty_eigen_cache, monkeypatch):
+        # a negative tolerance puts the clamp floor above every eigenvalue,
+        # so the embedding is rejected as it would be for an indefinite one
+        monkeypatch.setattr(fbm, "CIRCULANT_CLAMP_TOL", -2.0)
+        g = TimeGrid.regular(64)
+        want = generate_fbm_path(0.6, g, d=2, seed=1, method="cholesky").values
+        for _ in range(2):
+            with pytest.raises(CovarianceNotPSD):
+                fbm._fgn_circulant_eigenvalues(63, 0.6, 1.0 / 63)
+            got = generate_fbm_path(0.6, g, d=2, seed=1).values
+            assert got.tobytes() == want.tobytes()
+            assert len(empty_eigen_cache) == 0
+
+    def test_byte_total_stays_within_bound(self, empty_eigen_cache):
+        # 2^16-point grids hold 1 MiB each, so 40 of them overflow the bound
+        n = 2**16
+        for h in np.linspace(0.05, 0.95, 40):
+            fbm._fgn_circulant_eigenvalues(n, float(h), 1.0 / n)
+            total = sum(a.nbytes for a in empty_eigen_cache.values())
+            assert total <= fbm.CIRCULANT_CACHE_BYTES
+        assert (n, 0.95, 1.0 / n) in empty_eigen_cache
+        assert (n, 0.05, 1.0 / n) not in empty_eigen_cache
+
+    def test_array_above_bound_not_cached(self, empty_eigen_cache, monkeypatch):
+        monkeypatch.setattr(fbm, "CIRCULANT_CACHE_BYTES", 1000)
+        small = fbm._fgn_circulant_eigenvalues(8, 0.4, 0.125)
+        fbm._fgn_circulant_eigenvalues(128, 0.4, 1.0 / 128)
+        assert list(empty_eigen_cache.values()) == [small]
