@@ -20,6 +20,7 @@ from .errors import (
     InfeasibleParameters,
     InvalidRatio,
     NumericalError,
+    OccupancyGridTooLarge,
     ParafbmError,
     SingularConditioning,
 )

@@ -196,7 +196,9 @@ def parabolic_box_count(cloud, delta, hurst, anchor_shift=0.0):
         ti = np.minimum(ti, np.ceil(1.0 / delta) - 1.0)
     origin = cloud.values.min(axis=0)
     vi = np.floor((cloud.values - origin - vshift) / side)
-    return _count_distinct_rows([ti, *vi.T])
+    key = pack_index_rows([ti, *vi.T])
+    key.sort()
+    return 1 + int(np.count_nonzero(key[1:] != key[:-1]))
 
 
 def dyadic_deltas(coarse_exp, fine_exp, per_octave=1):
@@ -214,13 +216,16 @@ def box_count_curve(cloud, deltas, hurst, anchor_shift=0.0):
     return BoxCountCurve(deltas=deltas, counts=np.asarray(counts))
 
 
-def _count_distinct_rows(columns):
-    """Number of distinct rows of integer-valued float columns, via one packed key.
+def pack_index_rows(columns):
+    """One int64 key per row of integer-valued float columns, in row order.
 
     Each column is shifted to start at 0 and appended to the key with its
     index range as radix.  Before the packed span would pass 2^62, the key
     (and, if still needed, the column) is replaced by its rank among its
-    distinct values, which is below the number of rows.
+    distinct values, which is below the number of rows.  Both steps keep
+    order, so equal rows get equal keys and keys sort as the rows do
+    lexicographically.  Raises BoxIndexOverflow for an index of 2^62 or more
+    in magnitude (or NaN).  Shared by box counting and occupation histograms.
     """
     key = np.zeros(columns[0].size, dtype=np.int64)
     span = 1
@@ -239,8 +244,7 @@ def _count_distinct_rows(columns):
                 col, radix = _dense_rank(col)
         key = key * radix + col
         span *= radix
-    key.sort()
-    return 1 + int(np.count_nonzero(key[1:] != key[:-1]))
+    return key
 
 
 def _dense_rank(x):

@@ -12,12 +12,14 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
 
-from .errors import ConfigError, GridMismatch
+from .errors import ConfigError, GridMismatch, OccupancyGridTooLarge
+from .estimators import pack_index_rows
 
 __all__ = [
     "OccupationHistogram",
@@ -29,6 +31,10 @@ __all__ = [
     "interior_probe",
     "interior_fraction",
 ]
+
+#: cap on the cells of the dense occupancy box that interior_probe erodes;
+#: 2^27 cells are 128 MiB of booleans, and the eroded copy needs as much again
+INTERIOR_MAX_CELLS = 2**27
 
 
 @dataclass(frozen=True)
@@ -140,10 +146,13 @@ def occupation_histogram(weights, values, epsilon, origin=None):
     """Bin weighted value vectors into cells of side epsilon.
 
     ``origin`` anchors the cell grid (default: componentwise minimum); cell
-    mass is the sum of the weights of the points it receives.
+    mass is the sum of the weights of the points it receives.  Cells are
+    grouped by one packed int64 key per point (``pack_index_rows``), which
+    sorts as the index rows do.  Raises ConfigError for NaN or infinite
+    inputs and BoxIndexOverflow for a cell index of 2^62 or more in magnitude.
     """
-    if epsilon <= 0.0:
-        raise ConfigError("epsilon must be positive")
+    if not 0.0 < epsilon < math.inf:
+        raise ConfigError("epsilon must be positive and finite")
     w = np.asarray(weights, dtype=float)
     v = np.asarray(values, dtype=float)
     if v.ndim == 1:
@@ -153,10 +162,17 @@ def occupation_histogram(weights, values, epsilon, origin=None):
     if origin is None:
         origin = v.min(axis=0)
     origin = np.atleast_1d(np.asarray(origin, dtype=float))
-    idx = np.floor((v - origin) / epsilon).astype(np.int64)
-    uniq, inv = np.unique(idx, axis=0, return_inverse=True)
-    masses = np.bincount(inv, weights=w)
-    cells = {tuple(map(int, row)): float(m) for row, m in zip(uniq, masses) if m > 0.0}
+    if not (np.isfinite(w).all() and np.isfinite(v).all() and np.isfinite(origin).all()):
+        raise ConfigError("weights, values and origin must be finite")
+    cells = {}
+    if w.size:
+        idx = np.floor((v - origin) / epsilon)
+        _, first, inv = np.unique(
+            pack_index_rows(list(idx.T)), return_index=True, return_inverse=True
+        )
+        masses = np.bincount(inv, weights=w)
+        rows = idx[first].astype(np.int64)
+        cells = {tuple(map(int, row)): float(m) for row, m in zip(rows, masses) if m > 0.0}
     return OccupationHistogram(cell_size=float(epsilon), origin=origin, cells=cells)
 
 
@@ -181,47 +197,60 @@ def l2_density_diagnostic(images, weights, radii):
     same weighted times.  A bounded sequence across shrinking radii indicates
     a square-integrable occupation density; growth like r^-d indicates none.
     The diagonal is excluded (it would contribute a spurious r^-d / m term).
+
+    The pair sums are counted by one dual-tree traversal per image over all
+    radii at once (Gray & Moore, NIPS 2000; ``cKDTree.count_neighbors``),
+    O(m log m) for well-spread points instead of O(m^2) per radius.  The
+    traversal counts pairs at distance <= r, so it is queried at the next
+    float below r, and it includes the self-pairs, whose sum of w_i^2 is
+    subtracted; a radius with no other pair inside it gives exactly 0.
+    Raises ConfigError for radii that are not positive, finite and strictly
+    decreasing, for an iterator in place of a sequence of images, for images
+    of different d or rows, and for NaN or infinite weights or values.
     """
+    from scipy.spatial import cKDTree
+
     radii = np.asarray(radii, dtype=float)
-    if radii.size < 2:
+    if radii.ndim != 1 or radii.size < 2:
         raise ConfigError("need at least 2 radii")
     if np.any(np.diff(radii) >= 0.0):
         raise ConfigError("radii must be strictly decreasing")
+    if not (np.isfinite(radii[0]) and radii[-1] > 0.0):
+        raise ConfigError("radii must be positive and finite")
     w = np.asarray(weights, dtype=float)
-    totals = np.zeros(radii.size)
-    n_seeds = 0
-    for img in images:
-        y = np.asarray(img, dtype=float)
-        if y.ndim == 1:
-            y = y[:, None]
-        m, d = y.shape
-        if m != w.size:
-            raise ConfigError("image rows must align with weights")
-        chunk = max(1, 2**22 // max(m, 1))
-        seed_tot = np.zeros(radii.size)
-        for start in range(0, m, chunk):
-            rows = np.arange(start, min(start + chunk, m))
-            dist = np.sqrt(
-                np.sum((y[rows, None, :] - y[None, :, :]) ** 2, axis=2)
-            )
-            dist[rows - start, rows] = np.inf
-            ww = w[rows, None] * w[None, :]
-            for k, r in enumerate(radii):
-                seed_tot[k] += float(np.sum(ww, where=dist < r))
-        totals += seed_tot
-        n_seeds += 1
-    if n_seeds == 0:
+    if not hasattr(images, "__len__"):
+        raise ConfigError("images must be a sequence of arrays, not an iterator")
+    ys = [np.asarray(img, dtype=float) for img in images]
+    ys = [y[:, None] if y.ndim == 1 else y for y in ys]
+    if not ys:
         raise ConfigError("need at least one image")
-    first = np.asarray(images[0], dtype=float)
-    dim = 1 if first.ndim == 1 else first.shape[1]
-    return totals / n_seeds / radii**dim
+    if any(y.ndim != 2 or y.shape[0] != w.size for y in ys):
+        raise ConfigError("image rows must align with weights")
+    d = ys[0].shape[1]
+    if any(y.shape[1] != d for y in ys):
+        raise ConfigError("images must all have the same dimension d")
+    if not (np.isfinite(w).all() and all(np.isfinite(y).all() for y in ys)):
+        raise ConfigError("weights and image values must be finite")
+    if w.size == 0:  # no pairs; count_neighbors rejects empty weight arrays
+        return np.zeros(radii.size)
+    below = np.nextafter(radii, 0.0)
+    self_pairs = float(np.dot(w, w))
+    totals = np.zeros(radii.size)
+    for y in ys:
+        tree = cKDTree(y)
+        weighted = tree.count_neighbors(tree, below, weights=(w, w), cumulative=True)
+        counts = tree.count_neighbors(tree, below, cumulative=True)
+        totals += np.where(counts > w.size, weighted - self_pairs, 0.0)
+    return totals / len(ys) / radii**d
 
 
 def interior_probe(hist, radius_cells):
     """All cells whose closed l-infinity neighborhood of the given radius is occupied.
 
     Implemented as binary erosion of the occupancy grid with a cube
-    structuring element of side 2*radius_cells + 1.
+    structuring element of side 2*radius_cells + 1.  The grid is a dense box
+    over the occupied cells' bounding box; OccupancyGridTooLarge is raised
+    before allocating one of more than INTERIOR_MAX_CELLS cells.
     """
     if radius_cells < 1:
         raise ConfigError("radius_cells must be >= 1")
@@ -233,9 +262,14 @@ def interior_probe(hist, radius_cells):
             fraction_of_seeds_with_interior=0.0,
         )
     idx = np.array(sorted(hist.cells), dtype=np.int64)
-    lo = idx.min(axis=0)
-    shape = idx.max(axis=0) - lo + 1
-    grid = np.zeros(shape, dtype=bool)
+    lo, hi = idx.min(axis=0), idx.max(axis=0)
+    n_cells = math.prod(int(b) - int(a) + 1 for a, b in zip(lo, hi))
+    if n_cells > INTERIOR_MAX_CELLS:
+        raise OccupancyGridTooLarge(
+            f"the occupancy box spans {n_cells} cells, above INTERIOR_MAX_CELLS = "
+            f"{INTERIOR_MAX_CELLS}; use a coarser cell size"
+        )
+    grid = np.zeros(hi - lo + 1, dtype=bool)
     grid[tuple((idx - lo).T)] = True
     structure = np.ones((2 * radius_cells + 1,) * hist.d, dtype=bool)
     eroded = ndimage.binary_erosion(grid, structure=structure, border_value=0)

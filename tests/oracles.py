@@ -48,6 +48,40 @@ def naive_energy_sum(times, values, weights, gamma, hurst):
     return total
 
 
+def naive_pair_sums(points, weights, radii):
+    """Per-radius sum_{i != j} w_i w_j 1{|p_i - p_j| < r} by explicit double loop.
+
+    Strict < at a tie and the diagonal excluded; no r^-d factor.
+    """
+    sums = []
+    for r in radii:
+        total = 0.0
+        for i, p in enumerate(points):
+            for j, q in enumerate(points):
+                if i != j and math.dist(p, q) < r:
+                    total += weights[i] * weights[j]
+        sums.append(total)
+    return sums
+
+
+def naive_pair_counts(points, radii):
+    """Per-radius number of ordered pairs i != j with |p_i - p_j| < r."""
+    return [
+        sum(1 for i, p in enumerate(points) for j, q in enumerate(points)
+            if i != j and math.dist(p, q) < r)
+        for r in radii
+    ]
+
+
+def naive_histogram(weights, values, epsilon, origin):
+    """Cell masses by dict accumulation in input order; zero-mass cells dropped."""
+    cells = {}
+    for w, v in zip(weights, values):
+        key = tuple(math.floor((x - o) / epsilon) for x, o in zip(v, origin))
+        cells[key] = cells.get(key, 0.0) + w
+    return {k: m for k, m in cells.items() if m > 0.0}
+
+
 def line_l2_value(r):
     """Closed form r^-1 * (nu x nu){|s-t| < r} for nu uniform on [0,1]: (2r - r^2)/r."""
     return 2.0 - r

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import line_l2_value
-from parafbm.errors import ConfigError, GridMismatch
+from oracles import line_l2_value, naive_histogram, naive_pair_counts, naive_pair_sums
+from parafbm import occupation
+from parafbm.errors import BoxIndexOverflow, ConfigError, GridMismatch, OccupancyGridTooLarge
 from parafbm.fbm import TimeGrid, generate_fbm_path
 from parafbm.fractals import WeightedTimeSet, full_interval, sample_natural_measure
 from parafbm.occupation import (
@@ -100,6 +103,55 @@ class TestHistogram:
         assert text.startswith("# config:")
         assert "i1,i2,mass" in text.splitlines()[1]
 
+    def test_index_overflow_raises(self):
+        with pytest.raises(BoxIndexOverflow):
+            occupation_histogram(np.full(3, 1 / 3), [[0.0], [1e300], [2e300]], 1.0)
+
+    @pytest.mark.parametrize("weights, values", [
+        ([1 / 3] * 3, [[0.0], [np.nan], [2.0]]),
+        ([1 / 3] * 3, [[0.0], [np.inf], [2.0]]),
+        ([np.inf, 0.0, 0.0], [[0.0], [1.0], [2.0]]),
+        ([np.nan, 0.5, 0.5], [[0.0], [1.0], [2.0]]),
+    ])
+    def test_nonfinite_rejected(self, weights, values):
+        with pytest.raises(ConfigError):
+            occupation_histogram(np.array(weights), np.array(values), 1.0)
+
+
+@st.composite
+def weighted_values(draw):
+    """Weighted value vectors in d = 1..3 with repeated points and a value spread."""
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 30))
+    spread = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    value = st.floats(-1.0, 1.0).map(lambda x: x * spread)
+    values = draw(st.lists(st.lists(value, min_size=d, max_size=d), min_size=n, max_size=n))
+    repeats = draw(st.lists(st.integers(0, n - 1), max_size=10))
+    values += [values[i] for i in repeats]
+    counts = draw(st.lists(st.integers(0, 5), min_size=len(values), max_size=len(values))
+                  .filter(lambda c: sum(c) > 0))
+    w = np.array(counts, dtype=float) / sum(counts)
+    return w, np.array(values)
+
+
+class TestHistogramProperties:
+    """Packed-key histograms against the dict oracle, duplicates included."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        data=weighted_values(),
+        epsilon=st.sampled_from([1.0, 0.5, 1.0 / 3.0, 0.1, 2.0**-6, 2.0**-10]),
+        shift=st.sampled_from([None, 0.0, 0.3, -2.5]),
+    )
+    def test_cells_match_oracle(self, data, epsilon, shift):
+        w, v = data
+        origin = None if shift is None else v.min(axis=0) - shift
+        h = occupation_histogram(w, v, epsilon, origin=origin)
+        want = naive_histogram(w.tolist(), v.tolist(), epsilon,
+                               v.min(axis=0).tolist() if origin is None else origin.tolist())
+        assert h.cells == want
+        assert list(h.cells) == sorted(want)
+
 
 class TestPositiveMeasure:
     def test_single_cell_floor_below_one(self):
@@ -177,6 +229,104 @@ class TestL2Diagnostic:
         with pytest.raises(ConfigError):
             l2_density_diagnostic([np.zeros((5, 1))], np.full(5, 0.2), np.array([0.5]))
 
+    def test_strict_radius_and_exact_zero(self):
+        # unit spacing: r = 1 is a tie and must not count; r = 0.5 has no pair
+        vals = l2_density_diagnostic([np.arange(5.0)], np.full(5, 0.25), [3.0, 1.0, 0.5])
+        assert vals[0] == 14 * 0.0625 / 3.0
+        assert vals[1] == 0.0 and vals[2] == 0.0
+        assert not np.signbit(vals[1:]).any()
+
+    def test_no_pair_inside_is_exact_zero_with_random_weights(self):
+        # the self-pair sum is summed in two orders; no residue may survive
+        w = np.random.default_rng(8).random(1000)
+        for y in (np.arange(1000.0), np.outer(np.arange(1000.0), [0.6, 0.8])):
+            vals = l2_density_diagnostic([y], w, [1.5, 0.75, 0.5])
+            assert vals[0] > 0.0
+            assert vals[1] == 0.0 and vals[2] == 0.0
+            assert not np.signbit(vals[1:]).any()
+
+    def test_fewer_than_two_points_give_zeros(self):
+        for m in (0, 1):
+            vals = l2_density_diagnostic([np.zeros((m, 2))], np.ones(m), [0.5, 0.25])
+            np.testing.assert_array_equal(vals, [0.0, 0.0])
+
+    def test_seed_mean(self):
+        w = np.full(4, 0.25)
+        a, b = np.zeros((4, 2)), np.arange(8.0).reshape(4, 2)
+        radii = np.array([1.0, 0.5])
+        both = l2_density_diagnostic([a, b], w, radii)
+        np.testing.assert_array_equal(
+            both, (l2_density_diagnostic([a], w, radii) + l2_density_diagnostic([b], w, radii)) / 2
+        )
+
+    @pytest.mark.parametrize("images, radii", [
+        ([np.zeros((5, 1))], [0.5, -1.0]),
+        ([np.zeros((5, 1))], [0.5, 0.0]),
+        ([np.zeros((5, 1))], [np.nan, 0.5]),
+        ([np.zeros((5, 1))], [np.inf, 0.5]),
+        ((np.zeros((5, 1)) for _ in range(2)), [0.5, 0.25]),
+        ([], [0.5, 0.25]),
+        ([np.zeros((5, 1)), np.zeros((5, 2))], [0.5, 0.25]),
+        ([np.zeros((4, 1))], [0.5, 0.25]),
+        ([np.zeros((5, 2, 1))], [0.5, 0.25]),
+        ([np.array([[0.0], [np.nan], [1.0], [2.0], [3.0]])], [0.5, 0.25]),
+        ([np.array([[0.0], [np.inf], [1.0], [2.0], [3.0]])], [0.5, 0.25]),
+    ])
+    def test_bad_inputs_rejected(self, images, radii):
+        with pytest.raises(ConfigError):
+            l2_density_diagnostic(images, np.full(5, 0.2), radii)
+
+    def test_nonfinite_weights_rejected(self):
+        with pytest.raises(ConfigError):
+            l2_density_diagnostic([np.zeros((3, 1))], np.array([0.5, np.nan, 0.5]), [0.5, 0.25])
+
+
+@st.composite
+def lattice_points(draw):
+    """Points of spacing 1/4 in d = 1..3 with repeats; radii k/8 hit exact ties."""
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 12))
+    coord = st.integers(-4, 4).map(lambda k: k / 4)
+    points = draw(st.lists(st.lists(coord, min_size=d, max_size=d), min_size=n, max_size=n))
+    repeats = draw(st.lists(st.integers(0, n - 1), max_size=6))
+    points += [points[i] for i in repeats]
+    ks = draw(st.lists(st.integers(1, 24), min_size=2, max_size=5, unique=True))
+    return points, np.array(sorted(ks, reverse=True)) / 8
+
+
+class TestPairSumProperties:
+    """Dual-tree pair sums against the pure-Python double loop."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=lattice_points(), data=st.data())
+    def test_dyadic_weights_bit_equal(self, case, data):
+        points, radii = case
+        w = np.array(data.draw(st.lists(st.integers(0, 16), min_size=len(points),
+                                        max_size=len(points)))) / 16
+        d = len(points[0])
+        got = l2_density_diagnostic([np.array(points)], w, radii)
+        want = np.array(naive_pair_sums(points, w.tolist(), radii.tolist())) / radii**d
+        np.testing.assert_array_equal(got, want)
+        none_inside = np.array(naive_pair_counts(points, radii.tolist())) == 0
+        assert np.all(got[none_inside] == 0.0)
+        assert not np.signbit(got[none_inside]).any()
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=lattice_points(), data=st.data())
+    def test_random_weights_close(self, case, data):
+        points, radii = case
+        w = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=len(points),
+                                        max_size=len(points))))
+        d = len(points[0])
+        got = l2_density_diagnostic([np.array(points)], w, radii)
+        want = np.array(naive_pair_sums(points, w.tolist(), radii.tolist())) / radii**d
+        # the self-pairs are summed and then subtracted, so rounding scales with them
+        scale = want + float(np.dot(w, w)) / radii**d
+        assert np.all(np.abs(got - want) <= 1e-12 * scale)
+        none_inside = np.array(naive_pair_counts(points, radii.tolist())) == 0
+        assert np.all(got[none_inside] == 0.0)
+        assert not np.signbit(got[none_inside]).any()
+
 
 class TestInteriorProbe:
     def full_grid_hist(self, k, d):
@@ -228,6 +378,21 @@ class TestInteriorProbe:
         frac, reports = interior_fraction([full, empty], 1)
         assert frac == pytest.approx(0.5)
         assert len(reports) == 2
+
+    def test_box_above_cap_raises(self):
+        # two far cells span a 2^14 x 2^14 box, 2^28 cells; refused before allocating
+        h = OccupationHistogram(cell_size=0.1, origin=np.zeros(2),
+                                cells={(0, 0): 0.5, (2**14 - 1, 2**14 - 1): 0.5})
+        with pytest.raises(OccupancyGridTooLarge):
+            interior_probe(h, 1)
+
+    def test_cap_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(occupation, "INTERIOR_MAX_CELLS", 24)
+        box = OccupationHistogram(cell_size=0.1, origin=np.zeros(2),
+                                  cells={idx: 1 / 24 for idx in np.ndindex(4, 6)})
+        assert len(interior_probe(box, 1).interior_cells) == 8
+        with pytest.raises(OccupancyGridTooLarge):
+            interior_probe(self.full_grid_hist(5, 2), 1)
 
     def test_report_json(self):
         h = self.full_grid_hist(3, 1)
