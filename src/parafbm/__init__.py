@@ -49,7 +49,6 @@ from .fractals import (
 )
 from .geometry import (
     ParabolicBox,
-    SpaceTimePoint,
     comparison_bounds,
     holder_graph_bounds,
     metric_dim_from_psi_dim,

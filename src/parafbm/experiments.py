@@ -29,7 +29,7 @@ from .estimators import (
     estimate_parabolic_dimension,
     kernel_expectation_mc,
 )
-from .fbm import TimeGrid, generate_fbm_path, generate_mixed_path
+from .fbm import TimeGrid, generate_fbm_path, generate_mixed_path, validate_integer
 from .fractals import (
     WeightedTimeSet,
     full_interval,
@@ -113,6 +113,8 @@ class ExperimentConfig:
             )
         if self.kind not in KINDS:
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
+        object.__setattr__(self, "seeds", validate_integer(self.seeds, "seeds"))
+        object.__setattr__(self, "seed_base", validate_integer(self.seed_base, "seed_base"))
         if self.seeds < 1:
             raise ConfigError("seeds must be >= 1")
         if self.seed_base < 0:
@@ -137,8 +139,8 @@ class ExperimentConfig:
         return cls(
             kind=doc["kind"],
             params=doc.get("params", {}),
-            seeds=int(doc.get("seeds", 20)),
-            seed_base=int(doc.get("seed_base", 0)),
+            seeds=doc.get("seeds", 20),
+            seed_base=doc.get("seed_base", 0),
             schema_version=int(doc.get("schema_version", SCHEMA_VERSION)),
         )
 

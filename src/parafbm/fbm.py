@@ -3,8 +3,12 @@
 Two exact samplers are provided: dense Cholesky factorization of the
 increment covariance for arbitrary grids (n <= 4096 by default) and
 circulant embedding of the stationary increment sequence for uniform grids
-(FFT, practical up to ~2^20 points).  Increments are simulated and summed,
-which conditions much better than factoring the path covariance directly.
+(Dietrich & Newsam, SIAM J. Sci. Comput. 18 (1997); practical up to ~2^20
+points).  The embedding of n increments is a real symmetric 2n-circulant,
+so both its eigenvalues and each sample come from real-output FFTs of the
+n+1 non-redundant coefficients rather than complex transforms of all 2n.
+Increments are simulated and summed, which conditions much better than
+factoring the path covariance directly.
 
 Randomness is counter-based (Philox) with one stream per
 (seed, process tag, coordinate), so d-dimensional paths are reproducible
@@ -15,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import io
+import numbers
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -25,6 +30,7 @@ from .errors import ConfigError, CovarianceNotPSD
 
 __all__ = [
     "validate_hurst",
+    "validate_integer",
     "TimeGrid",
     "SamplePath",
     "fbm_covariance",
@@ -57,6 +63,20 @@ def validate_hurst(value, name="hurst"):
     if not 0.0 < h < 1.0:
         raise ConfigError(f"{name} must lie in (0, 1), got {value}")
     return h
+
+
+def validate_integer(value, name):
+    """Return a whole number (an integer, or a float with no fractional part) as int.
+
+    Bools, fractional or non-finite numbers and non-numbers raise ConfigError
+    rather than being truncated by ``int``.
+    """
+    if not isinstance(value, (bool, np.bool_)):
+        if isinstance(value, numbers.Integral):
+            return int(value)
+        if isinstance(value, numbers.Real) and float(value).is_integer():
+            return int(value)
+    raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
 def _stream(seed, tag, coord):
@@ -220,8 +240,9 @@ def _fgn_circulant_eigenvalues(n, hurst, gap):
     k = np.arange(n + 1, dtype=float)
     h2 = 2.0 * hurst
     acov = 0.5 * ((k + 1) ** h2 - 2.0 * k**h2 + np.abs(k - 1) ** h2) * gap**h2
-    row = np.concatenate([acov[:n], acov[n:n + 1], acov[n - 1:0:-1]])
-    lam = np.fft.fft(row).real
+    # the circulant's first row is acov[0..n] followed by acov[n-1..1], the
+    # Hermitian extension of acov, so its real spectrum is hfft(acov, 2n)
+    lam = np.fft.hfft(acov, 2 * n)
     floor = -CIRCULANT_CLAMP_TOL * lam.max()
     if lam.min() < floor:
         raise CovarianceNotPSD(
@@ -240,18 +261,24 @@ def _fgn_circulant_eigenvalues(n, hurst, gap):
 
 
 def _sample_fgn_circulant(lam, rng):
-    """One exact fGn sample of length n from precomputed embedding eigenvalues."""
+    """One exact fGn sample of length n from precomputed embedding eigenvalues.
+
+    The 2n normals fill the non-redundant half of a Hermitian spectrum:
+    z[0] at frequency 0, z[1] at frequency n, and (z[k+1] + i z[n+k]) / sqrt 2
+    at frequency k for 0 < k < n.  Scaled by sqrt(lam), its orthonormal
+    Hermitian transform hfft is real and stationary with the fGn covariance;
+    it is computed as the real inverse FFT (irfft) of the conjugate half
+    spectrum, and its first n entries are the sample.
+    """
     m2 = lam.size            # 2n
     n = m2 // 2
     z = rng.standard_normal(m2)
-    zeta = np.empty(m2, dtype=complex)
-    zeta[0] = z[0]
-    zeta[n] = z[1]
-    u, v = z[2:n + 1], z[n + 1:m2]
-    zeta[1:n] = (u + 1j * v) / np.sqrt(2.0)
-    zeta[n + 1:] = np.conj(zeta[n - 1:0:-1])
-    x = np.fft.fft(np.sqrt(lam) * zeta) / np.sqrt(m2)
-    return x.real[:n]
+    half = np.empty(n + 1, dtype=complex)
+    half[0] = z[0]
+    half[n] = z[1]
+    half[1:n] = (z[2:n + 1] - 1j * z[n + 1:m2]) / np.sqrt(2.0)
+    half *= np.sqrt(lam[:n + 1])
+    return np.fft.irfft(half, m2, norm="ortho")[:n]
 
 
 def _sample_increments_cholesky(tpos, hurst, rng):
@@ -274,14 +301,18 @@ def generate_fbm_path(hurst, grid, d=1, seed=0, method="auto", _tag=0):
     ``method`` is "auto" (circulant embedding on uniform grids, Cholesky
     otherwise), "cholesky", or "circulant".
 
-    Raises CovarianceNotPSD when factorization/embedding fails beyond
-    tolerance, which signals a grid or precision problem.
+    Raises ConfigError when ``d`` or ``seed`` is not a whole number (a bool
+    or 0.7 is refused, not truncated), and CovarianceNotPSD when
+    factorization/embedding fails beyond tolerance, which signals a grid or
+    precision problem.
     """
     hurst = validate_hurst(hurst)
     if not isinstance(grid, TimeGrid):
         grid = TimeGrid(np.asarray(grid, dtype=float))
+    d = validate_integer(d, "d")
     if d < 1:
         raise ConfigError("d must be >= 1")
+    seed = validate_integer(seed, "seed")
     tpos = grid.positive_times
     n = tpos.size
     has_zero = grid.times[0] == 0.0
@@ -318,7 +349,7 @@ def generate_fbm_path(hurst, grid, d=1, seed=0, method="auto", _tag=0):
         else:
             inc = _sample_increments_cholesky(tpos, hurst, rng)
         values[j, col0:] = np.cumsum(inc)
-    return SamplePath(grid=grid, values=values, hurst_components=(hurst,), seed=(int(seed),))
+    return SamplePath(grid=grid, values=values, hurst_components=(hurst,), seed=(seed,))
 
 
 def generate_mixed_path(hurst, alpha_p, grid, d=1, seed_pair=(0, 1), method="auto"):
@@ -336,7 +367,7 @@ def generate_mixed_path(hurst, alpha_p, grid, d=1, seed_pair=(0, 1), method="aut
         grid=p1.grid,
         values=p1.values + p2.values,
         hurst_components=(hurst, alpha_p),
-        seed=(int(s1), int(s2)),
+        seed=p1.seed + p2.seed,
     )
 
 

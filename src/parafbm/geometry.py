@@ -7,7 +7,6 @@ against, so domain violations raise rather than clamp.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -15,7 +14,6 @@ from .errors import AlphaExceedsH, ConfigError, HOrderViolation
 from .fbm import validate_hurst
 
 __all__ = [
-    "SpaceTimePoint",
     "ParabolicBox",
     "rho_h",
     "theoretical_graph_dimension",
@@ -24,13 +22,6 @@ __all__ = [
     "psi_dim_from_metric_dim",
     "metric_dim_from_psi_dim",
 ]
-
-
-class SpaceTimePoint(NamedTuple):
-    """A point (t, x) with t in [0, 1] and x a d-vector."""
-
-    t: float
-    x: np.ndarray
 
 
 @dataclass(frozen=True)

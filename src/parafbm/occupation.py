@@ -149,7 +149,9 @@ def occupation_histogram(weights, values, epsilon, origin=None):
     mass is the sum of the weights of the points it receives.  Cells are
     grouped by one packed int64 key per point (``pack_index_rows``), which
     sorts as the index rows do.  Raises ConfigError for NaN or infinite
-    inputs and BoxIndexOverflow for a cell index of 2^62 or more in magnitude.
+    inputs and for an empty sample without an ``origin`` (with one, it gives
+    an empty histogram), and BoxIndexOverflow for a cell index of 2^62 or
+    more in magnitude.
     """
     if not 0.0 < epsilon < math.inf:
         raise ConfigError("epsilon must be positive and finite")
@@ -160,6 +162,9 @@ def occupation_histogram(weights, values, epsilon, origin=None):
     if w.ndim != 1 or v.shape[0] != w.size:
         raise ConfigError("weights (m,) and values (m, d) must align")
     if origin is None:
+        if w.size == 0:
+            raise ConfigError("the sample is empty, so there is no minimum to anchor "
+                              "the cells at; pass an origin")
         origin = v.min(axis=0)
     origin = np.atleast_1d(np.asarray(origin, dtype=float))
     if not (np.isfinite(w).all() and np.isfinite(v).all() and np.isfinite(origin).all()):

@@ -3,10 +3,15 @@
 Deliberately naive (pure-Python loops, no shared code with the package's
 vectorized routines) so that agreement is a genuine dual-route check.
 The fBm chain constant kappa_H has two routes here as well: its Gamma closed
-form and a quadrature of the Mandelbrot-Van Ness kernel.
+form and a quadrature of the Mandelbrot-Van Ness kernel.  The circulant fBm
+sampler has two: a pure-Python DFT and the complex-FFT route it replaced.
 """
 
+import cmath
+import itertools
 import math
+
+import numpy as np
 
 
 def naive_parabolic_box_count(times, values, delta, hurst, anchor_shift=0.0):
@@ -31,6 +36,74 @@ def naive_parabolic_box_count(times, values, delta, hurst, anchor_shift=0.0):
         )
         boxes.add(key)
     return len(boxes)
+
+
+def _philox_normals(seed, tag, coord, size):
+    """The standard normals of the (seed, process tag, coordinate) Philox stream."""
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(tag, coord))
+    return np.random.Generator(np.random.Philox(ss)).standard_normal(size)
+
+
+def naive_fgn_path(hurst, n, seed, tag=0, coord=0):
+    """fBm at the times k/n, k = 1..n, by circulant embedding with pure-Python DFTs.
+
+    The 2n-circulant's eigenvalues are cosine sums over its first row
+    (negative roundoff set to 0); the Hermitian spectrum built from the
+    stream's 2n normals (z[0] at frequency 0, z[1] at n, (z[k+1] + i z[n+k])
+    / sqrt 2 at k and its conjugate at 2n-k) is transformed term by term.
+    """
+    m = 2 * n
+    h2 = 2.0 * hurst
+    acov = [0.5 * ((k + 1) ** h2 - 2.0 * k**h2 + abs(k - 1) ** h2) * (1.0 / n) ** h2
+            for k in range(n + 1)]
+    row = acov + acov[n - 1:0:-1]
+    lam = [sum(row[j] * math.cos(2.0 * math.pi * (j * k % m) / m) for j in range(m))
+           for k in range(m)]
+    z = _philox_normals(seed, tag, coord, m).tolist()
+    zeta = [0j] * m
+    zeta[0], zeta[n] = complex(z[0]), complex(z[1])
+    for k in range(1, n):
+        zeta[k] = complex(z[k + 1], z[n + k]) / math.sqrt(2.0)
+        zeta[m - k] = zeta[k].conjugate()
+    coef = [math.sqrt(max(lam_k, 0.0)) * zeta_k for lam_k, zeta_k in zip(lam, zeta)]
+    path, total = [], 0.0
+    for j in range(n):
+        x = sum(c * cmath.exp(-2j * math.pi * (j * k % m) / m) for k, c in enumerate(coef))
+        total += x.real / math.sqrt(m)
+        path.append(total)
+    return path
+
+
+def full_complex_fgn_eigenvalues(hurst, n):
+    """Eigenvalues of the 2n-circulant for the gap 1/n by one complex FFT.
+
+    The real part of the complex FFT of the circulant's first row, negative
+    roundoff set to 0, as the sampler computed them before it used hfft.
+    """
+    # vectorised powers as in the package: at large lags and H the second
+    # difference cancels so deeply that an ulp of pow shows in the path
+    k = np.arange(n + 1, dtype=float)
+    h2 = 2.0 * hurst
+    acov = 0.5 * ((k + 1) ** h2 - 2.0 * k**h2 + np.abs(k - 1) ** h2) * np.float64(1.0 / n) ** h2
+    return np.maximum(np.fft.fft(np.concatenate([acov, acov[n - 1:0:-1]])).real, 0.0)
+
+
+def full_complex_fgn_path(hurst, n, seed, tag=0, coord=0):
+    """fBm at the times k/n, k = 1..n, by complex FFTs of the full 2n spectrum.
+
+    The sample is the real part of the complex FFT of the whole Hermitian
+    spectrum (both halves stored) scaled by the square roots of
+    :func:`full_complex_fgn_eigenvalues`, as the sampler did before it moved
+    to the half spectrum.
+    """
+    m = 2 * n
+    lam = full_complex_fgn_eigenvalues(hurst, n)
+    z = _philox_normals(seed, tag, coord, m)
+    zeta = np.empty(m, dtype=complex)
+    zeta[0], zeta[n] = z[0], z[1]
+    zeta[1:n] = (z[2:n + 1] + 1j * z[n + 1:]) / np.sqrt(2.0)
+    zeta[n + 1:] = np.conj(zeta[n - 1:0:-1])
+    return np.cumsum(np.fft.fft(np.sqrt(lam) * zeta).real[:n] / np.sqrt(m))
 
 
 def naive_energy_sum(times, values, weights, gamma, hurst):
@@ -80,6 +153,23 @@ def naive_histogram(weights, values, epsilon, origin):
         key = tuple(math.floor((x - o) / epsilon) for x, o in zip(v, origin))
         cells[key] = cells.get(key, 0.0) + w
     return {k: m for k, m in cells.items() if m > 0.0}
+
+
+def naive_has_interior(weights, values, epsilon, origin, radius):
+    """Cells whose closed l-infinity neighbourhood of ``radius`` cells is occupied.
+
+    Occupied cells are collected in a dict as points are binned (cells of
+    zero total mass dropped, as in a histogram); each one is then checked by
+    scanning its (2 radius + 1)^d neighbours.  Returns the sorted list of
+    such cells, empty (falsy) when there is no interior.
+    """
+    occupied = naive_histogram(weights, values, epsilon, origin)
+    d = len(origin)
+    offsets = list(itertools.product(range(-radius, radius + 1), repeat=d))
+    return sorted(
+        cell for cell in occupied
+        if all(tuple(c + o for c, o in zip(cell, off)) in occupied for off in offsets)
+    )
 
 
 def line_l2_value(r):

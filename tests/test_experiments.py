@@ -66,6 +66,22 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_json("{not json")
 
+    @pytest.mark.parametrize("overrides", [
+        {"seeds": 1.9}, {"seeds": True}, {"seeds": "3"},
+        {"seed_base": 2.9}, {"seed_base": False}, {"seed_base": None},
+    ])
+    def test_non_integral_seeds_rejected(self, overrides):
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_dict(small_dim_formula_config(**overrides))
+
+    def test_integer_config_hashes_unchanged(self):
+        cfg = ExperimentConfig.from_dict(small_dim_formula_config())
+        assert cfg.config_hash() == "ba87b40dfbae4811"
+        for seeds, base in ((7, 3), (7.0, 3.0), (np.int64(7), np.int64(3))):
+            cfg = ExperimentConfig.from_dict(small_dim_formula_config(seeds=seeds, seed_base=base))
+            assert cfg.config_hash() == "a0e505dbb8ed7b79"
+            assert type(cfg.seeds) is int and type(cfg.seed_base) is int
+
     def test_roundtrip_and_hash_stability(self):
         cfg = ExperimentConfig.from_dict(small_dim_formula_config())
         again = ExperimentConfig.from_dict(cfg.to_dict())

@@ -2,7 +2,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import full_complex_fgn_eigenvalues, full_complex_fgn_path, naive_fgn_path
 from parafbm import fbm
 from parafbm.errors import ConfigError, CovarianceNotPSD
 from parafbm.fbm import (
@@ -220,6 +223,68 @@ class TestGeneration:
         g = TimeGrid(np.sort(np.random.default_rng(0).uniform(0, 1, 5000)))
         with pytest.raises(ConfigError):
             generate_fbm_path(0.5, g, method="cholesky")
+
+    @pytest.mark.parametrize("kwargs", [
+        {"seed": 0.7}, {"seed": 2.5}, {"seed": True}, {"seed": "3"}, {"seed": float("nan")},
+        {"d": 1.5}, {"d": True}, {"d": "2"},
+    ])
+    def test_non_integral_seed_or_d_rejected(self, kwargs):
+        with pytest.raises(ConfigError):
+            generate_fbm_path(0.5, TimeGrid.regular(16), **kwargs)
+
+    def test_whole_number_seed_and_d_accepted(self):
+        g = TimeGrid.regular(16)
+        want = generate_fbm_path(0.5, g, d=2, seed=2)
+        for seed, d in ((2.0, 2.0), (np.int64(2), np.int32(2)), (np.float64(2.0), 2)):
+            got = generate_fbm_path(0.5, g, d=d, seed=seed)
+            assert got.values.tobytes() == want.values.tobytes()
+            assert got.seed == (2,) and type(got.seed[0]) is int
+        mixed = generate_mixed_path(0.3, 0.6, g, seed_pair=(4.0, np.int64(5)))
+        assert mixed.seed == (4, 5)
+        with pytest.raises(ConfigError):
+            generate_mixed_path(0.3, 0.6, g, seed_pair=(4, 5.5))
+
+
+class TestHalfSpectrumSampler:
+    """The half-spectrum real-FFT sampler against two independent routes."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(1, 48),
+        hurst=st.floats(0.05, 0.95),
+        seed=st.integers(0, 2**63),
+        tag=st.integers(0, 5),
+        coord=st.integers(0, 2),
+    )
+    def test_matches_pure_python_dft(self, n, hurst, seed, tag, coord):
+        g = TimeGrid.regular(n, include_zero=False)
+        got = generate_fbm_path(hurst, g, d=coord + 1, seed=seed, method="circulant",
+                                _tag=tag).values[coord]
+        want = np.array(naive_fgn_path(hurst, n, seed, tag, coord))
+        assert np.all(np.abs(got - want) <= 1e-12 + 1e-9 * np.abs(want))
+
+    @pytest.mark.parametrize("n", [2**12, 2**16 - 1])
+    @pytest.mark.parametrize("hurst", [0.05, 0.1, 0.3, 0.5, 0.7, 0.95])
+    def test_matches_full_complex_route(self, n, hurst):
+        # the routes round the eigenvalues differently, and the zero-frequency
+        # eigenvalue is the smallest: at H = 0.05 and 2^16 - 1 points it is
+        # 2.4e-6 of the largest, so its square root, which sets the path's
+        # linear trend, magnifies that rounding; 1e-11 bounds it there
+        tol = 1e-11 if (hurst, n) == (0.05, 2**16 - 1) else 1e-12
+        g = TimeGrid.regular(n, include_zero=False)
+        for seed, tag in ((0, 0), (7, 1)):
+            got = generate_fbm_path(hurst, g, d=2, seed=seed, method="circulant",
+                                    _tag=tag).values
+            for coord in (0, 1):
+                want = full_complex_fgn_path(hurst, n, seed, tag, coord)
+                assert np.abs(got[coord] - want).max() <= tol * np.abs(want).max()
+
+    def test_eigenvalues_match_full_complex_fft(self):
+        for n, hurst in ((1, 0.3), (2, 0.7), (47, 0.05), (2**12, 0.95)):
+            want = full_complex_fgn_eigenvalues(hurst, n)
+            got = fbm._fgn_circulant_eigenvalues(n, hurst, 1.0 / n)
+            assert got.shape == (2 * n,)
+            assert np.abs(got - want).max() <= 1e-14 * want.max()
 
 
 class TestSerialization:

@@ -3,7 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import line_l2_value, naive_histogram, naive_pair_counts, naive_pair_sums
+from oracles import (
+    line_l2_value,
+    naive_has_interior,
+    naive_histogram,
+    naive_pair_counts,
+    naive_pair_sums,
+)
 from parafbm import occupation
 from parafbm.errors import BoxIndexOverflow, ConfigError, GridMismatch, OccupancyGridTooLarge
 from parafbm.fbm import TimeGrid, generate_fbm_path
@@ -106,6 +112,13 @@ class TestHistogram:
     def test_index_overflow_raises(self):
         with pytest.raises(BoxIndexOverflow):
             occupation_histogram(np.full(3, 1 / 3), [[0.0], [1e300], [2e300]], 1.0)
+
+    def test_empty_sample_needs_origin(self):
+        with pytest.raises(ConfigError, match="empty"):
+            occupation_histogram(np.zeros(0), np.zeros((0, 2)), 0.1)
+        h = occupation_histogram(np.zeros(0), np.zeros((0, 2)), 0.1, origin=[0.0, 1.0])
+        assert h.cells == {}
+        assert h.d == 2 and h.total_mass == 0.0
 
     @pytest.mark.parametrize("weights, values", [
         ([1 / 3] * 3, [[0.0], [np.nan], [2.0]]),
@@ -326,6 +339,50 @@ class TestPairSumProperties:
         none_inside = np.array(naive_pair_counts(points, radii.tolist())) == 0
         assert np.all(got[none_inside] == 0.0)
         assert not np.signbit(got[none_inside]).any()
+
+
+@st.composite
+def occupied_images(draw):
+    """Points in a small lattice box in d = 1..3, with duplicates.
+
+    The cells are scattered at random, all in one cell, or the whole box
+    with a few holes, so that every radius up to 2 meets both outcomes.
+    """
+    d = draw(st.integers(1, 3))
+    side = {1: 9, 2: 6, 3: 5}[d]
+    cell = st.lists(st.integers(0, side - 1), min_size=d, max_size=d)
+    kind = draw(st.sampled_from(["scattered", "single", "holed box"]))
+    if kind == "scattered":
+        cells = draw(st.lists(cell, min_size=1, max_size=2 * side**d))
+    elif kind == "single":
+        cells = [draw(cell)] * draw(st.integers(1, 4))
+    else:
+        holes = draw(st.lists(cell, max_size=3).map(lambda c: set(map(tuple, c))))
+        cells = [list(c) for c in np.ndindex(*([side] * d)) if c not in holes] or [[0] * d]
+    repeats = draw(st.lists(st.integers(0, len(cells) - 1), max_size=8))
+    cells += [cells[i] for i in repeats]
+    offset = st.sampled_from([0.0, 0.25, 0.5, 0.75])
+    values = [[c + draw(offset) for c in row] for row in cells]
+    return np.full(len(values), 1.0 / len(values)), np.array(values, dtype=float)
+
+
+class TestInteriorProperties:
+    """Erosion of the dense occupancy box against a dict-and-scan oracle."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(image=occupied_images(), radius=st.integers(0, 2))
+    def test_interior_matches_oracle(self, image, radius):
+        w, v = image
+        origin = np.zeros(v.shape[1])
+        h = occupation_histogram(w, v, 1.0, origin=origin)
+        if radius == 0:
+            with pytest.raises(ConfigError):
+                interior_probe(h, radius)
+            return
+        rep = interior_probe(h, radius)
+        want = naive_has_interior(w.tolist(), v.tolist(), 1.0, origin.tolist(), radius)
+        assert rep.interior_cells == want
+        assert rep.fraction_of_seeds_with_interior == (1.0 if want else 0.0)
 
 
 class TestInteriorProbe:
