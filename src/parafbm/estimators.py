@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoxIndexOverflow, ConfigError, DegenerateRange, GammaAtBoundary
-from .fbm import validate_hurst
+from .fbm import philox_stream, validate_hurst, validate_seed
 
 __all__ = [
     "GraphCloud",
@@ -336,9 +336,11 @@ def energy_integral_mc(
     With n <= pair_cap all n*(n-1) ordered pairs enter and the result is
     deterministic in the points; beyond the cap, n_pairs ordered pairs are
     subsampled with a seeded counter-based stream and rescaled, trading
-    exactness for bounded cost.
+    exactness for bounded cost.  ``pair_seed`` must be a whole, non-negative
+    number in either regime (ConfigError otherwise).
     """
     hurst = validate_hurst(hurst)
+    pair_seed = validate_seed(pair_seed, "pair_seed")
     if gamma <= 0.0:
         raise ConfigError("gamma must be positive")
     times = measure_points.times
@@ -366,8 +368,7 @@ def energy_integral_mc(
             total += float(np.sum(weights[rows, None] * weights[None, :] * rho**-q))
         return total
 
-    ss = np.random.SeedSequence(entropy=int(pair_seed), spawn_key=(3,))
-    rng = np.random.Generator(np.random.Philox(ss))
+    rng = philox_stream(pair_seed, (3,))
     got = 0
     acc = 0.0
     while got < n_pairs:
@@ -401,8 +402,7 @@ def kernel_expectation_mc(t, alpha, hurst, gamma, d, n, seed=0, boundary_margin=
         )
     if n < 1:
         raise ConfigError("n must be >= 1")
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(4,))
-    rng = np.random.Generator(np.random.Philox(ss))
+    rng = philox_stream(seed, (4,))
     total = 0.0
     remaining = n
     while remaining > 0:

@@ -3,8 +3,9 @@
 Configs are versioned JSON with strict key checking (an unknown key is an
 error: a typo in a Hurst parameter must not pass silently).  Each experiment
 cell produces one or more report rows; rows are appended to report.csv as
-cells complete, in deterministic cell order, with the config hash embedded so
-reruns are comparable.  Almost-sure statements are operationalized as
+jobs complete, in deterministic cell order, with the config hash embedded so
+reruns are comparable.  A job is one cell, or a run of graph-dimension cells
+that measure the same sample paths.  Almost-sure statements are operationalized as
 seed-fraction thresholds at finite resolution; the threshold and resolution
 appear in every row.
 """
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import json
 import os
 import time
@@ -211,7 +213,11 @@ CSV_FIELDS = [
 
 
 def build_set(spec):
-    """Construct a FractalSet from its JSON spec."""
+    """Construct a FractalSet from its JSON spec.
+
+    ``generation`` and ``m`` must be whole numbers: 8.5 raises ConfigError
+    rather than being truncated.
+    """
     unknown = set(spec) - _SET_KEYS
     if unknown:
         raise ConfigError(f"unknown set keys: {sorted(unknown)}")
@@ -219,10 +225,10 @@ def build_set(spec):
     if kind in ("full", "full-interval"):
         return full_interval()
     if kind == "middle-thirds":
-        return middle_thirds_cantor(int(spec.get("generation", 8)))
+        return middle_thirds_cantor(validate_integer(spec.get("generation", 8), "generation"))
     if kind == "generalized-cantor":
-        k = int(spec.get("generation", 8))
-        m = int(spec.get("m", 2))
+        k = validate_integer(spec.get("generation", 8), "generation")
+        m = validate_integer(spec.get("m", 2), "m")
         if "dim" in spec:
             r = m ** (-1.0 / float(spec["dim"]))
         else:
@@ -248,46 +254,80 @@ def _cell_sort_key(cell):
 # ---------------------------------------------------------------------------
 # cell runners (module-level so the process pool can pickle them)
 
-def _graph_dim_cell(cell, common, seeds, seed_base):
-    """Median graph-dimension estimate of a B^alpha sample over the cell's set."""
-    alpha = cell["alpha"]
-    hurst = cell["hurst"]
-    d = int(cell["d"])
-    fset = build_set(cell.get("set", {"kind": "full"}))
+_GRAPH_KINDS = ("dim-formula", "holder-bounds", "comparison-bounds")
+
+
+def _cell_d(cell):
+    """The cell's dimension d, a whole number >= 1 (1.5 raises, not truncated)."""
+    d = validate_integer(cell["d"], "d")
+    if d < 1:
+        raise ConfigError("d must be >= 1")
+    return d
+
+
+def _path_key(cell):
+    """(alpha, d): graph-dimension cells with equal keys measure the same paths."""
+    return cell["alpha"], _cell_d(cell)
+
+
+def _graph_dim_fits(kind, cells, common, seeds, seed_base):
+    """Median box-dimension fits of graph-dimension cells sharing one path key.
+
+    Per seed, the B^alpha path and its graph cloud are made once and then
+    restricted to, and fitted over, each cell's set: the paper's setting of
+    one sample path and many sets A.  A comparison-bounds cell fits the same
+    cloud at H and at H'.  Returns, per cell, one summary per Hurst index it
+    fits, and the seconds of each cell's own work; the first cell also
+    carries the shared work (grid, paths, clouds).
+    """
+    t_start = time.perf_counter()
+    alpha, d = _path_key(cells[0])
+    fsets = [build_set(cell.get("set", {"kind": "full"})) for cell in cells]
+    if kind == "comparison-bounds":
+        hursts = [(cell["hurst"], cell["hurst_prime"]) for cell in cells]
+    else:
+        hursts = [(cell["hurst"],) for cell in cells]
     grid = TimeGrid.regular(common["grid_n"])
     deltas = dyadic_deltas(
         common["delta_coarse_exp"], common["delta_fine_exp"], common["per_octave"]
     )
-    fit_kwargs = {}
-    if "trim_octaves" in common:
-        fit_kwargs["trim_octaves"] = common["trim_octaves"]
-    if "max_count_fraction" in common:
-        fit_kwargs["max_count_fraction"] = common["max_count_fraction"]
-    exponents, r2s, npts = [], [], []
+    fit_kwargs = {
+        k: common[k] for k in ("trim_octaves", "max_count_fraction") if k in common
+    }
+    fits = [[[] for _ in hs] for hs in hursts]
+    own = [0.0] * len(cells)
     for s in range(seeds):
         path = generate_fbm_path(alpha, grid, d=d, seed=seed_base + s)
-        cloud = GraphCloud.from_path(path, h_context=hurst)
-        if fset.kind != "full-interval":
-            cloud = cloud.restrict(fset)
-        est = estimate_parabolic_dimension(cloud, deltas, hurst, **fit_kwargs)
-        exponents.append(est.exponent)
-        r2s.append(est.r_squared)
-        npts.append(est.n_points_used)
-    return {
-        "dim_a": fset.theoretical_dim,
-        "estimate": _median(exponents),
-        "r_squared": _median(r2s),
-        "n_fit_points": _median(npts),
-    }
+        cloud = GraphCloud.from_path(path)
+        for i, (fset, hs) in enumerate(zip(fsets, hursts)):
+            t0 = time.perf_counter()
+            sub = cloud if fset.kind == "full-interval" else cloud.restrict(fset)
+            for j, hurst in enumerate(hs):
+                fits[i][j].append(
+                    estimate_parabolic_dimension(sub, deltas, hurst, **fit_kwargs)
+                )
+            own[i] += time.perf_counter() - t0
+    own[0] = time.perf_counter() - t_start - sum(own[1:])
+    summaries = [
+        [
+            {
+                "dim_a": fset.theoretical_dim,
+                "estimate": _median([e.exponent for e in ests]),
+                "r_squared": _median([e.r_squared for e in ests]),
+                "n_fit_points": _median([e.n_points_used for e in ests]),
+            }
+            for ests in cell_fits
+        ]
+        for fset, cell_fits in zip(fsets, fits)
+    ]
+    return summaries, own
 
 
-def _dim_formula_cell(cell, common, seeds, seed_base, config_hash):
-    t0 = time.perf_counter()
-    out = _graph_dim_cell(cell, common, seeds, seed_base)
-    theory = theoretical_graph_dimension(
-        cell["alpha"], cell["hurst"], out["dim_a"], int(cell["d"])
-    )
-    tol = float(cell.get("tolerance", 0.1 if int(cell["d"]) == 1 else 0.15))
+def _dim_formula_row(cell, fits, common, seeds, config_hash, runtime):
+    (out,) = fits
+    d = _cell_d(cell)
+    theory = theoretical_graph_dimension(cell["alpha"], cell["hurst"], out["dim_a"], d)
+    tol = float(cell.get("tolerance", 0.1 if d == 1 else 0.15))
     diag = {
         "r_squared": out["r_squared"],
         "r_squared_ok": out["r_squared"] >= common["min_r_squared"],
@@ -295,22 +335,20 @@ def _dim_formula_cell(cell, common, seeds, seed_base, config_hash):
         "seeds": seeds,
         "dim_a": out["dim_a"],
         "grid_n": common["grid_n"],
-        "runtime_s": round(time.perf_counter() - t0, 3),
+        "runtime_s": round(runtime, 3),
     }
-    return [ReportRow(
+    return ReportRow(
         kind="dim-formula", cell=cell, theory=theory,
         estimate=out["estimate"], tolerance=tol, diagnostics=diag,
         config_hash=config_hash,
-    )]
+    )
 
 
-def _holder_bounds_cell(cell, common, seeds, seed_base, config_hash):
-    t0 = time.perf_counter()
-    out = _graph_dim_cell(cell, common, seeds, seed_base)
+def _holder_bounds_row(cell, fits, common, seeds, config_hash, runtime):
+    (out,) = fits
     dim_a = out["dim_a"]
-    alpha, hurst, d = cell["alpha"], cell["hurst"], int(cell["d"])
     lower = dim_a
-    upper = theoretical_graph_dimension(alpha, hurst, dim_a, d)
+    upper = theoretical_graph_dimension(cell["alpha"], cell["hurst"], dim_a, _cell_d(cell))
     margin = common["margin"]
     est = out["estimate"]
     ok = (lower - margin) <= est <= (upper + margin)
@@ -322,21 +360,19 @@ def _holder_bounds_cell(cell, common, seeds, seed_base, config_hash):
         "r_squared": out["r_squared"],
         "seeds": seeds,
         "grid_n": common["grid_n"],
-        "runtime_s": round(time.perf_counter() - t0, 3),
+        "runtime_s": round(runtime, 3),
     }
-    return [ReportRow(
+    return ReportRow(
         kind="holder-bounds", cell=cell, theory=None, estimate=est,
         tolerance=None, diagnostics=diag, config_hash=config_hash,
-    )]
+    )
 
 
-def _comparison_bounds_cell(cell, common, seeds, seed_base, config_hash):
-    t0 = time.perf_counter()
-    hurst, hurst_prime = cell["hurst"], cell["hurst_prime"]
-    base = {k: v for k, v in cell.items() if k != "hurst_prime"}
-    out_h = _graph_dim_cell(base, common, seeds, seed_base)
-    out_hp = _graph_dim_cell({**base, "hurst": hurst_prime}, common, seeds, seed_base)
-    lower, upper = comparison_bounds(out_h["estimate"], hurst, hurst_prime, int(cell["d"]))
+def _comparison_bounds_row(cell, fits, common, seeds, config_hash, runtime):
+    out_h, out_hp = fits
+    lower, upper = comparison_bounds(
+        out_h["estimate"], cell["hurst"], cell["hurst_prime"], _cell_d(cell)
+    )
     margin = common["margin"]
     est = out_hp["estimate"]
     ok = (lower - margin) <= est <= (upper + margin)
@@ -348,17 +384,33 @@ def _comparison_bounds_cell(cell, common, seeds, seed_base, config_hash):
         "threshold_pass": bool(ok),
         "seeds": seeds,
         "grid_n": common["grid_n"],
-        "runtime_s": round(time.perf_counter() - t0, 3),
+        "runtime_s": round(runtime, 3),
     }
-    return [ReportRow(
+    return ReportRow(
         kind="comparison-bounds", cell=cell, theory=None, estimate=est,
         tolerance=None, diagnostics=diag, config_hash=config_hash,
-    )]
+    )
+
+
+_GRAPH_ROWS = {
+    "dim-formula": _dim_formula_row,
+    "holder-bounds": _holder_bounds_row,
+    "comparison-bounds": _comparison_bounds_row,
+}
+
+
+def _graph_dim_rows(kind, cells, common, seeds, seed_base, config_hash):
+    fits, own = _graph_dim_fits(kind, cells, common, seeds, seed_base)
+    row = _GRAPH_ROWS[kind]
+    return [
+        row(cell, cell_fits, common, seeds, config_hash, runtime)
+        for cell, cell_fits, runtime in zip(cells, fits, own)
+    ]
 
 
 def _kernel_scaling_cell(cell, common, seeds, seed_base, config_hash):
     t0 = time.perf_counter()
-    alpha, hurst, gamma, d = cell["alpha"], cell["hurst"], cell["gamma"], int(cell["d"])
+    alpha, hurst, gamma, d = cell["alpha"], cell["hurst"], cell["gamma"], _cell_d(cell)
     ks = common["t_exponents"]
     ts = np.array([2.0**-k for k in ks])
     vals = [
@@ -415,7 +467,7 @@ def _snap_to_grid(samples, grid):
 
 def _occupation_l2_cell(cell, common, seeds, seed_base, config_hash):
     t0 = time.perf_counter()
-    hurst, d = cell["hurst"], int(cell["d"])
+    hurst, d = cell["hurst"], _cell_d(cell)
     fset = build_set(cell.get("set", {"kind": "full"}))
     radii = 2.0 ** -np.asarray(common["radius_exponents"], dtype=float)
     grid = TimeGrid.regular(common["grid_n"])
@@ -461,9 +513,9 @@ def _occupation_l2_cell(cell, common, seeds, seed_base, config_hash):
 
 def _interior_like_cell(kind, cell, common, seeds, seed_base, config_hash):
     t0 = time.perf_counter()
-    hurst, d = cell["hurst"], int(cell["d"])
+    hurst, d = cell["hurst"], _cell_d(cell)
     epsilon = float(cell["epsilon"])
-    radius = int(cell.get("radius_cells", 2))
+    radius = validate_integer(cell.get("radius_cells", 2), "radius_cells")
     expect = cell.get("expect", "interior")
     threshold = float(cell.get("threshold", 0.9))
     alpha_p = cell.get("alpha_p")
@@ -540,25 +592,33 @@ _COMMON_DEFAULTS = {
     "theorem41": {"n_samples": 2**14, "grid_n": 2**14},
 }
 
-_CELL_RUNNERS = {
-    "dim-formula": _dim_formula_cell,
-    "holder-bounds": _holder_bounds_cell,
-    "comparison-bounds": _comparison_bounds_cell,
-    "kernel-scaling": _kernel_scaling_cell,
-}
-
 
 def _run_one_cell(args):
-    kind, cell, common, seeds, seed_base, config_hash = args
-    if kind in _CELL_RUNNERS:
-        rows = _CELL_RUNNERS[kind](cell, common, seeds, seed_base, config_hash)
-    elif kind == "occupation-l2":
-        rows = _occupation_l2_cell(cell, common, seeds, seed_base, config_hash)
-    elif kind in ("interior", "theorem41"):
-        rows = _interior_like_cell(kind, cell, common, seeds, seed_base, config_hash)
-    else:
-        raise ConfigError(f"unknown kind {kind!r}")
-    return rows
+    """Report rows of one job, in cell order.
+
+    ``args`` is (kind, cells, common, seeds, seed_base, config_hash).  For the
+    graph-dimension kinds ``cells`` is a run of cells with one path key, which
+    share each seed's path; for the other kinds it holds one cell.
+    """
+    kind, cells, common, seeds, seed_base, config_hash = args
+    if kind in _GRAPH_KINDS:
+        return _graph_dim_rows(kind, cells, common, seeds, seed_base, config_hash)
+    (cell,) = cells
+    if kind == "kernel-scaling":
+        return _kernel_scaling_cell(cell, common, seeds, seed_base, config_hash)
+    if kind == "occupation-l2":
+        return _occupation_l2_cell(cell, common, seeds, seed_base, config_hash)
+    if kind in ("interior", "theorem41"):
+        return _interior_like_cell(kind, cell, common, seeds, seed_base, config_hash)
+    raise ConfigError(f"unknown kind {kind!r}")
+
+
+def _cell_runs(kind, cells):
+    """Sorted cells split into jobs: contiguous runs of one path key for the
+    graph-dimension kinds, one cell each otherwise."""
+    if kind in _GRAPH_KINDS:
+        return [list(run) for _, run in itertools.groupby(cells, key=_path_key)]
+    return [[cell] for cell in cells]
 
 
 def _append_rows(report_path, rows):
@@ -585,11 +645,14 @@ def _atomic_write_text(path, text):
 def run_experiment(config, out_dir=None, workers=None):
     """Run every cell of the configured experiment; returns the report rows.
 
-    Cells execute in deterministic order (sorted by their canonical JSON);
-    each completed cell is appended to <out_dir>/report.csv immediately, so
-    an abort keeps the finished rows.  ``workers`` > 1 distributes cells over
-    a process pool (default from the PARAFBM_WORKERS environment variable);
-    results are committed in cell order either way.
+    Cells execute in deterministic order (sorted by their canonical JSON).
+    Graph-dimension cells that follow each other with the same (alpha, d)
+    form one job that draws each seed's path once; every other cell is a job
+    of its own.  Each completed job's rows are appended to
+    <out_dir>/report.csv immediately, so an abort keeps the finished rows.
+    ``workers`` > 1 distributes jobs over a process pool (default from the
+    PARAFBM_WORKERS environment variable); rows are committed in cell order
+    either way.
     """
     if workers is None:
         workers = int(os.environ.get(WORKERS_ENV, "1"))
@@ -611,8 +674,8 @@ def run_experiment(config, out_dir=None, workers=None):
             report_path.unlink()
 
     jobs = [
-        (config.kind, cell, common, config.seeds, config.seed_base, chash)
-        for cell in cells
+        (config.kind, run, common, config.seeds, config.seed_base, chash)
+        for run in _cell_runs(config.kind, cells)
     ]
     all_rows = []
     if workers > 1:

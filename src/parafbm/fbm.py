@@ -31,6 +31,8 @@ from .errors import ConfigError, CovarianceNotPSD
 __all__ = [
     "validate_hurst",
     "validate_integer",
+    "validate_seed",
+    "philox_stream",
     "TimeGrid",
     "SamplePath",
     "fbm_covariance",
@@ -56,6 +58,8 @@ CIRCULANT_CACHE_BYTES = 32 * 2**20
 
 _UNIFORM_RTOL = 1e-9
 
+_INV_SQRT2 = 1.0 / np.sqrt(2.0)
+
 
 def validate_hurst(value, name="hurst"):
     """Check a Hurst index lies in the open interval (0, 1) and return it as float."""
@@ -79,11 +83,23 @@ def validate_integer(value, name):
     raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
-def _stream(seed, tag, coord):
-    """Counter-based generator for one (seed, process tag, coordinate) triple."""
+def validate_seed(value, name="seed"):
+    """Return a whole, non-negative seed as int; anything else raises ConfigError."""
+    seed = validate_integer(value, name)
     if seed < 0:
-        raise ConfigError(f"seed must be a non-negative integer, got {seed}")
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(tag), int(coord)))
+        raise ConfigError(f"{name} must be a non-negative integer, got {seed}")
+    return seed
+
+
+def philox_stream(seed, spawn_key):
+    """Counter-based Philox generator for one seed and spawn key.
+
+    The spawn key names the consumer, so streams of one seed are independent:
+    fBm (process tag, coordinate), natural measure (2,), energy pairs (3,),
+    kernel MC (4,), Gaussian sweeps (5, sweep).  The seed goes through
+    :func:`validate_seed`, so 0.7 or -1 raises rather than being truncated.
+    """
+    ss = np.random.SeedSequence(entropy=validate_seed(seed), spawn_key=spawn_key)
     return np.random.Generator(np.random.Philox(ss))
 
 
@@ -274,10 +290,15 @@ def _sample_fgn_circulant(lam, rng):
     n = m2 // 2
     z = rng.standard_normal(m2)
     half = np.empty(n + 1, dtype=complex)
-    half[0] = z[0]
-    half[n] = z[1]
-    half[1:n] = (z[2:n + 1] - 1j * z[n + 1:m2]) / np.sqrt(2.0)
-    half *= np.sqrt(lam[:n + 1])
+    re, im = half.real, half.imag
+    # filled in place, scaled by the reciprocal: numpy divides a complex by a
+    # real as a product with 1/c, so this is the complex expression bit for bit
+    re[0], re[n], im[0], im[n] = z[0], z[1], 0.0, 0.0
+    np.multiply(z[2:n + 1], _INV_SQRT2, out=re[1:n])
+    np.multiply(z[n + 1:m2], -_INV_SQRT2, out=im[1:n])
+    root = np.sqrt(lam[:n + 1], out=z[:n + 1])   # z is spent: reuse its memory
+    re *= root
+    im *= root
     return np.fft.irfft(half, m2, norm="ortho")[:n]
 
 
@@ -302,7 +323,7 @@ def generate_fbm_path(hurst, grid, d=1, seed=0, method="auto", _tag=0):
     otherwise), "cholesky", or "circulant".
 
     Raises ConfigError when ``d`` or ``seed`` is not a whole number (a bool
-    or 0.7 is refused, not truncated), and CovarianceNotPSD when
+    or 0.7 is refused, not truncated) or ``seed`` is negative, and CovarianceNotPSD when
     factorization/embedding fails beyond tolerance, which signals a grid or
     precision problem.
     """
@@ -312,7 +333,7 @@ def generate_fbm_path(hurst, grid, d=1, seed=0, method="auto", _tag=0):
     d = validate_integer(d, "d")
     if d < 1:
         raise ConfigError("d must be >= 1")
-    seed = validate_integer(seed, "seed")
+    seed = validate_seed(seed)
     tpos = grid.positive_times
     n = tpos.size
     has_zero = grid.times[0] == 0.0
@@ -343,7 +364,7 @@ def generate_fbm_path(hurst, grid, d=1, seed=0, method="auto", _tag=0):
     values = np.zeros((d, len(grid)))
     col0 = 1 if has_zero else 0
     for j in range(d):
-        rng = _stream(seed, _tag, j)
+        rng = philox_stream(seed, (_tag, j))
         if method == "circulant":
             inc = _sample_fgn_circulant(lam, rng)
         else:

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, GenerationTooLarge, InvalidRatio
+from .fbm import philox_stream
 
 __all__ = [
     "FractalSet",
@@ -178,12 +179,12 @@ def sample_natural_measure(fset, n, seed=0):
     """Draw n points from the generation-k self-similar measure of ``fset``.
 
     Intervals at generation k carry equal mass; the draw is uniform within
-    the chosen interval.  Weights are 1/n each.
+    the chosen interval.  Weights are 1/n each.  A seed that is not a whole,
+    non-negative number raises ConfigError.
     """
     if n < 1:
         raise ConfigError("n must be >= 1")
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(2,))
-    rng = np.random.Generator(np.random.Philox(ss))
+    rng = philox_stream(seed, (2,))
     iv = fset.intervals
     idx = rng.integers(0, iv.shape[0], size=n)
     u = rng.random(n)

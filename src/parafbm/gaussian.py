@@ -23,6 +23,7 @@ from .errors import AlphaExceedsH, ConfigError, SingularConditioning
 from .fbm import (
     build_covariance_matrix,
     build_mixed_covariance_matrix,
+    philox_stream,
     validate_hurst,
 )
 
@@ -233,11 +234,6 @@ def mixed_increment_variance(s, t, hurst, alpha_p):
     return gap ** (2.0 * hurst) + gap ** (2.0 * alpha_p)
 
 
-def _sweep_rng(seed, tag):
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(5, int(tag)))
-    return np.random.Generator(np.random.Philox(ss))
-
-
 def _config_hash(doc):
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()[:16]
 
@@ -249,7 +245,7 @@ def detcov_margin_sweep(n_configs, hurst_values=(0.2, 0.5, 0.8), max_points=5, s
     number of times n, and the margin.  The times are sorted, so every
     margin obeys kappa_H^(n-1) <= margin <= 1 (see verify_detcov_lower_bound).
     """
-    rng = _sweep_rng(seed, 0)
+    rng = philox_stream(seed, (5, 0))
     records = []
     for h in hurst_values:
         for _ in range(n_configs):
@@ -283,7 +279,7 @@ def lnd_margin_sweep(
     Returns the records and their empirical infimum, the reported stand-in
     for the non-constructive constant.
     """
-    rng = _sweep_rng(seed, 1)
+    rng = philox_stream(seed, (5, 1))
     lo, hi = interval
     records = []
     for _ in range(n_configs):

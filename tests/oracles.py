@@ -106,6 +106,21 @@ def full_complex_fgn_path(hurst, n, seed, tag=0, coord=0):
     return np.cumsum(np.fft.fft(np.sqrt(lam) * zeta).real[:n] / np.sqrt(m))
 
 
+def complex_half_spectrum_fgn(lam, z):
+    """fGn sample from eigenvalues ``lam`` (2n) and normals ``z`` (2n), by the
+    complex expression the half-spectrum sampler first assembled its
+    coefficients with: (z[k+1] - i z[n+k]) / sqrt 2 scaled by sqrt(lam[k]).
+    """
+    m2 = lam.size
+    n = m2 // 2
+    half = np.empty(n + 1, dtype=complex)
+    half[0] = z[0]
+    half[n] = z[1]
+    half[1:n] = (z[2:n + 1] - 1j * z[n + 1:m2]) / np.sqrt(2.0)
+    half *= np.sqrt(lam[:n + 1])
+    return np.fft.irfft(half, m2, norm="ortho")[:n]
+
+
 def naive_energy_sum(times, values, weights, gamma, hurst):
     """Ordered-pair energy sum by explicit double loop."""
     n = len(times)

@@ -1,9 +1,11 @@
 import csv
 import json
+import time
 
 import numpy as np
 import pytest
 
+from parafbm import experiments
 from parafbm.errors import ConfigError, InfeasibleParameters
 from parafbm.experiments import (
     ExperimentConfig,
@@ -314,3 +316,213 @@ def test_lipschitz_drift_shape():
     assert f.shape == (3, 8)
     steps = np.abs(np.diff(f, axis=1)) / np.diff(g.times)
     assert steps.max() <= 1.0 + 1e-12
+
+
+# -- graph-dimension cells share one path per (alpha, d) and seed --------------
+
+_GRAPH_COMMON = {
+    "grid_n": 2**10, "delta_coarse_exp": 1, "delta_fine_exp": 6, "per_octave": 2,
+    "trim_octaves": 0.0, "max_count_fraction": 0.5,
+}
+_MID = {"kind": "middle-thirds", "generation": 4}
+
+_GRAPH_CONFIGS = {
+    "dim-formula": {
+        "kind": "dim-formula", "seeds": 3, "seed_base": 4,
+        "params": {**_GRAPH_COMMON, "min_r_squared": 0.9, "cells": [
+            {"alpha": 0.5, "hurst": 0.5, "d": 1, "set": {"kind": "full"}},
+            {"alpha": 0.3, "hurst": 0.6, "d": 2, "set": _MID},
+            {"alpha": 0.5, "hurst": 0.5, "d": 1, "set": _MID},
+            {"alpha": 0.3, "hurst": 0.6, "d": 1, "set": {"kind": "full"}},
+            {"alpha": 0.3, "hurst": 0.6, "d": 2, "set": {"kind": "full"}},
+            {"alpha": 0.3, "hurst": 0.7, "d": 2, "set": {"kind": "full"}},
+        ]},
+    },
+    "holder-bounds": {
+        "kind": "holder-bounds", "seeds": 2, "seed_base": 1,
+        "params": {**_GRAPH_COMMON, "margin": 0.1, "cells": [
+            {"alpha": 0.4, "hurst": 0.6, "d": 1, "set": {"kind": "full"}},
+            {"alpha": 0.4, "hurst": 0.6, "d": 1, "set": _MID},
+            {"alpha": 0.4, "hurst": 0.8, "d": 1, "set": _MID},
+            {"alpha": 0.2, "hurst": 0.5, "d": 2},
+        ]},
+    },
+    "comparison-bounds": {
+        "kind": "comparison-bounds", "seeds": 2, "seed_base": 0,
+        "params": {**_GRAPH_COMMON, "margin": 0.1, "cells": [
+            {"alpha": 0.3, "hurst": 0.4, "hurst_prime": 0.6, "d": 1, "set": {"kind": "full"}},
+            {"alpha": 0.3, "hurst": 0.4, "hurst_prime": 0.6, "d": 1, "set": _MID},
+            {"alpha": 0.3, "hurst": 0.5, "hurst_prime": 0.7, "d": 2, "set": {"kind": "full"}},
+        ]},
+    },
+}
+
+
+def _records(rows):
+    """csv records of rows without runtime_s."""
+    out = []
+    for row in rows:
+        rec = row.csv_record()
+        rec.pop("runtime_s")
+        out.append(rec)
+    return out
+
+
+def _path_keys(cells):
+    return {(c["alpha"], c["d"]) for c in cells}
+
+
+@pytest.fixture
+def path_calls(monkeypatch):
+    """Counts the fBm paths run_experiment draws (serial runs only)."""
+    calls = []
+    real = experiments.generate_fbm_path
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "generate_fbm_path", counting)
+    return calls
+
+
+class TestSharedPaths:
+    @pytest.mark.parametrize("kind", sorted(_GRAPH_CONFIGS))
+    def test_grouped_rows_equal_one_cell_runs(self, kind):
+        doc = _GRAPH_CONFIGS[kind]
+        cfg = ExperimentConfig.from_dict(doc)
+        grouped = _records(run_experiment(cfg))
+        cells = sorted(doc["params"]["cells"], key=lambda c: json.dumps(c, sort_keys=True))
+        assert [json.loads(r["cell"]) for r in grouped] == cells
+        for rec, cell in zip(grouped, cells):
+            one = ExperimentConfig.from_dict(
+                {**doc, "params": {**doc["params"], "cells": [cell]}})
+            (alone,) = _records(run_experiment(one))
+            assert rec.pop("config_hash") == cfg.config_hash()
+            assert alone.pop("config_hash") == one.config_hash()
+            assert rec == alone
+
+    @pytest.mark.parametrize("kind", sorted(_GRAPH_CONFIGS))
+    def test_one_path_per_key_and_seed(self, kind, path_calls):
+        doc = _GRAPH_CONFIGS[kind]
+        run_experiment(ExperimentConfig.from_dict(doc))
+        assert len(path_calls) == len(_path_keys(doc["params"]["cells"])) * doc["seeds"]
+
+    def test_comparison_cell_fits_h_and_h_prime_on_one_path(self, path_calls):
+        doc = _GRAPH_CONFIGS["comparison-bounds"]
+        cell = doc["params"]["cells"][0]
+        run_experiment(ExperimentConfig.from_dict(
+            {**doc, "params": {**doc["params"], "cells": [cell]}}))
+        assert len(path_calls) == doc["seeds"]
+
+    def test_workers_keep_rows_and_report(self, tmp_path):
+        cfg = ExperimentConfig.from_dict(_GRAPH_CONFIGS["dim-formula"])
+        serial = run_experiment(cfg, out_dir=tmp_path / "serial", workers=1)
+        pooled = run_experiment(cfg, out_dir=tmp_path / "pooled", workers=2)
+        assert _records(pooled) == _records(serial)
+
+        def report(name):
+            with open(tmp_path / name / "report.csv", newline="") as fh:
+                rows = list(csv.DictReader(fh))
+            for r in rows:
+                assert float(r.pop("runtime_s")) >= 0.0
+            return rows
+
+        assert report("pooled") == report("serial") == _records(serial)
+
+    def test_non_contiguous_keys_keep_sorted_rows(self, path_calls):
+        # "batch" sorts between "alpha" and "d", so the two (0.5, 1) cells are
+        # split by a (0.5, 2) cell and run as separate jobs
+        cells = [
+            {"alpha": 0.5, "batch": 2, "d": 1, "hurst": 0.5, "set": _MID},
+            {"alpha": 0.5, "batch": 1, "d": 2, "hurst": 0.5},
+            {"alpha": 0.5, "batch": 0, "d": 1, "hurst": 0.5},
+        ]
+        doc = _GRAPH_CONFIGS["dim-formula"]
+        cfg = ExperimentConfig.from_dict(
+            {**doc, "seeds": 2, "params": {**doc["params"], "cells": cells}})
+        rows = run_experiment(cfg)
+        assert [r.cell["batch"] for r in rows] == [0, 1, 2]
+        assert len(path_calls) == 3 * 2
+        for row in rows:
+            (alone,) = run_experiment(ExperimentConfig.from_dict(
+                {**doc, "seeds": 2, "params": {**doc["params"], "cells": [row.cell]}}))
+            assert row.estimate == alone.estimate
+
+    def test_sampling_time_charged_to_first_cell(self, monkeypatch):
+        real = experiments.generate_fbm_path
+
+        def slow(*args, **kwargs):
+            time.sleep(0.1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "generate_fbm_path", slow)
+        doc = _GRAPH_CONFIGS["holder-bounds"]   # runs: (0.2, 2) alone, then three (0.4, 1)
+        rows = run_experiment(ExperimentConfig.from_dict(doc))
+        runtimes = [r.diagnostics["runtime_s"] for r in rows]
+        assert [(r.cell["alpha"], r.cell["d"]) for r in rows] == [(0.2, 2)] + [(0.4, 1)] * 3
+        assert runtimes[0] >= 0.1 * doc["seeds"] and runtimes[1] >= 0.1 * doc["seeds"]
+        assert max(runtimes[2:]) < 0.1
+
+
+# -- integer cell and set fields are read whole, before any path --------------
+
+_ONE_CELL = {
+    "dim-formula": ({"alpha": 0.5, "hurst": 0.5}, _GRAPH_CONFIGS["dim-formula"]["params"]),
+    "holder-bounds": ({"alpha": 0.5, "hurst": 0.5}, _GRAPH_CONFIGS["holder-bounds"]["params"]),
+    "comparison-bounds": ({"alpha": 0.3, "hurst": 0.4, "hurst_prime": 0.6},
+                          _GRAPH_CONFIGS["comparison-bounds"]["params"]),
+    "kernel-scaling": ({"alpha": 0.2, "hurst": 0.8, "gamma": 3.0},
+                       {"n_samples": 1000, "t_exponents": [1, 2, 3]}),
+    "occupation-l2": ({"hurst": 0.3}, {"n_samples": 64, "grid_n": 256}),
+    "interior": ({"hurst": 0.5, "epsilon": 0.0625}, {"n_samples": 64, "grid_n": 256}),
+    "theorem41": ({"hurst": 0.5, "epsilon": 0.0625}, {"n_samples": 64, "grid_n": 256}),
+}
+
+
+def _one_cell_config(kind, **cell_fields):
+    base, params = _ONE_CELL[kind]
+    params = {k: v for k, v in params.items() if k != "cells"}
+    cell = {**base, "d": 1, **cell_fields}
+    return ExperimentConfig.from_dict(
+        {"kind": kind, "seeds": 1, "params": {**params, "cells": [cell]}})
+
+
+class TestIntegerCellFields:
+    @pytest.mark.parametrize("kind", sorted(_ONE_CELL))
+    @pytest.mark.parametrize("d", [1.5, True, "2"])
+    def test_fractional_d_rejected_before_any_path(self, kind, d, path_calls):
+        with pytest.raises(ConfigError, match="d must be"):
+            run_experiment(_one_cell_config(kind, d=d))
+        assert path_calls == []
+
+    @pytest.mark.parametrize("kind", sorted(_ONE_CELL))
+    def test_whole_float_d_runs_as_int(self, kind):
+        (row,) = run_experiment(_one_cell_config(kind, d=1.0))
+        (want,) = run_experiment(_one_cell_config(kind, d=1))
+        assert row.estimate == want.estimate
+
+    @pytest.mark.parametrize("spec", [
+        {"kind": "middle-thirds", "generation": 4.5},
+        {"kind": "generalized-cantor", "dim": 0.6, "generation": 4.5},
+        {"kind": "generalized-cantor", "dim": 0.6, "m": 2.5},
+        {"kind": "generalized-cantor", "r": 0.3, "m": True},
+    ])
+    def test_fractional_set_fields_rejected(self, spec, path_calls):
+        with pytest.raises(ConfigError):
+            build_set(spec)
+        for kind in ("dim-formula", "occupation-l2", "interior"):
+            with pytest.raises(ConfigError):
+                run_experiment(_one_cell_config(kind, set=spec))
+        assert path_calls == []
+
+    def test_whole_float_generation_accepted(self):
+        assert build_set({"kind": "middle-thirds", "generation": 4.0}).generation == 4
+        s = build_set({"kind": "generalized-cantor", "dim": 0.6, "m": 3.0, "generation": 2.0})
+        assert s.intervals.shape == (9, 2)
+
+    @pytest.mark.parametrize("kind", ["interior", "theorem41"])
+    def test_fractional_radius_rejected(self, kind, path_calls):
+        with pytest.raises(ConfigError, match="radius_cells"):
+            run_experiment(_one_cell_config(kind, radius_cells=2.5))
+        assert path_calls == []

@@ -5,9 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import full_complex_fgn_eigenvalues, full_complex_fgn_path, naive_fgn_path
+from oracles import (
+    complex_half_spectrum_fgn,
+    full_complex_fgn_eigenvalues,
+    full_complex_fgn_path,
+    naive_fgn_path,
+)
 from parafbm import fbm
 from parafbm.errors import ConfigError, CovarianceNotPSD
+from parafbm.estimators import energy_integral_mc, kernel_expectation_mc
 from parafbm.fbm import (
     TimeGrid,
     build_covariance_matrix,
@@ -20,6 +26,8 @@ from parafbm.fbm import (
     path_from_json,
     path_to_json,
 )
+from parafbm.fractals import WeightedTimeSet, middle_thirds_cantor, sample_natural_measure
+from parafbm.gaussian import detcov_margin_sweep, lnd_margin_sweep
 
 
 class TestCovarianceFormulas:
@@ -279,6 +287,28 @@ class TestHalfSpectrumSampler:
                 want = full_complex_fgn_path(hurst, n, seed, tag, coord)
                 assert np.abs(got[coord] - want).max() <= tol * np.abs(want).max()
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.one_of(st.sampled_from([1, 2, 3, 16, 17, 100, 4095]), st.integers(1, 300)),
+        hurst=st.floats(0.05, 0.95),
+        seed=st.integers(0, 2**63),
+    )
+    def test_spectrum_assembly_bit_equal_to_complex_expression(self, n, hurst, seed):
+        lam = fbm._fgn_circulant_eigenvalues(n, hurst, 1.0 / n)
+        got = fbm._sample_fgn_circulant(lam, fbm.philox_stream(seed, (0, 0)))
+        z = fbm.philox_stream(seed, (0, 0)).standard_normal(2 * n)
+        want = complex_half_spectrum_fgn(lam, z)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_spectrum_assembly_bit_equal_at_2_16(self):
+        n = 2**16 - 1
+        for hurst in (0.05, 0.5, 0.95):
+            lam = fbm._fgn_circulant_eigenvalues(n, hurst, 1.0 / n)
+            got = fbm._sample_fgn_circulant(lam, fbm.philox_stream(3, (0, 0)))
+            z = fbm.philox_stream(3, (0, 0)).standard_normal(2 * n)
+            want = complex_half_spectrum_fgn(lam, z)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
     def test_eigenvalues_match_full_complex_fft(self):
         for n, hurst in ((1, 0.3), (2, 0.7), (47, 0.05), (2**12, 0.95)):
             want = full_complex_fgn_eigenvalues(hurst, n)
@@ -365,3 +395,51 @@ class TestEigenvalueCache:
         small = fbm._fgn_circulant_eigenvalues(8, 0.4, 0.125)
         fbm._fgn_circulant_eigenvalues(128, 0.4, 1.0 / 128)
         assert list(empty_eigen_cache.values()) == [small]
+
+
+def _natural_measure(seed):
+    return sample_natural_measure(middle_thirds_cantor(4), 64, seed=seed).times.tobytes()
+
+
+def _energy_pairs(seed):
+    t = np.linspace(0.0, 1.0, 40)
+    pts = WeightedTimeSet(times=t, weights=np.full(40, 1 / 40))
+    val = energy_integral_mc(pts, np.sqrt(t)[:, None], 0.5, 0.5, pair_cap=10,
+                             n_pairs=500, pair_seed=seed)
+    return np.float64(val).tobytes()
+
+
+def _kernel_mc(seed):
+    return np.float64(kernel_expectation_mc(0.25, 0.3, 0.6, 0.4, 2, 1000, seed=seed)).tobytes()
+
+
+def _detcov_sweep(seed):
+    return json.dumps(detcov_margin_sweep(4, seed=seed)).encode()
+
+
+def _lnd_sweep(seed):
+    return json.dumps(lnd_margin_sweep(4, seed=seed)).encode()
+
+
+_SEEDED = [_natural_measure, _energy_pairs, _kernel_mc, _detcov_sweep, _lnd_sweep]
+
+
+class TestSeededStreams:
+    """Every Philox consumer reads its seed whole and non-negative."""
+
+    @pytest.mark.parametrize("draw", _SEEDED, ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("seed", [0.7, 3.5, -1, True, "3", None])
+    def test_bad_seed_rejected(self, draw, seed):
+        with pytest.raises(ConfigError):
+            draw(seed)
+
+    @pytest.mark.parametrize("draw", _SEEDED, ids=lambda f: f.__name__)
+    def test_whole_float_seed_is_that_seed(self, draw):
+        assert draw(3.0) == draw(3) == draw(np.int64(3))
+        assert draw(3) != draw(0)
+
+    def test_stream_matches_seed_sequence(self):
+        ss = np.random.SeedSequence(entropy=11, spawn_key=(5, 1))
+        want = np.random.Generator(np.random.Philox(ss)).standard_normal(8)
+        got = fbm.philox_stream(11.0, (5, 1)).standard_normal(8)
+        assert np.array_equal(got, want)
