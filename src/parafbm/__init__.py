@@ -48,7 +48,6 @@ from .fractals import (
     sample_natural_measure,
 )
 from .geometry import (
-    ParabolicBox,
     comparison_bounds,
     holder_graph_bounds,
     metric_dim_from_psi_dim,

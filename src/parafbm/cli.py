@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -24,7 +23,7 @@ from .estimators import (
     energy_integral_mc,
     estimate_parabolic_dimension,
 )
-from .experiments import ExperimentConfig, gauss_sweep_csv, run_experiment
+from .experiments import ExperimentConfig, atomic_writer, run_experiment
 from .fbm import TimeGrid, generate_fbm_path, generate_mixed_path, path_to_csv, path_to_json
 from .fractals import WeightedTimeSet
 from .gaussian import detcov_margin_sweep, lnd_margin_sweep
@@ -65,13 +64,6 @@ def _parse_pow2(token):
     return int(round(-np.log2(float(token))))
 
 
-def _atomic_write(path, text):
-    path = Path(path)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
-
-
 def _read_cloud_csv(path):
     """Read a t,x1..xd CSV into (times, values)."""
     with open(path, newline="") as fh:
@@ -95,16 +87,14 @@ def _cmd_generate(args):
     else:
         path = generate_fbm_path(args.hurst, grid, d=args.d, seed=args.seed,
                                  method=args.method)
-    out = Path(args.out)
-    tmp = out.with_suffix(out.suffix + ".tmp")
-    with open(tmp, "w", newline="") as fh:
+    with atomic_writer(args.out) as fh:
         path_to_csv(path, fh)
-    os.replace(tmp, out)
     if args.meta:
         doc = path_to_json(path)
         doc.pop("values")
-        _atomic_write(Path(args.meta), json.dumps(doc, indent=2))
-    print(f"wrote {out}")
+        with atomic_writer(args.meta) as fh:
+            json.dump(doc, fh, indent=2)
+    print(f"wrote {Path(args.out)}")
     return EXIT_OK
 
 
@@ -119,10 +109,12 @@ def _cmd_boxdim(args):
     doc = est.to_json()
     print(json.dumps(doc, indent=2))
     if args.out:
-        _atomic_write(Path(args.out), json.dumps(doc, indent=2))
+        with atomic_writer(args.out) as fh:
+            json.dump(doc, fh, indent=2)
     if args.curve:
         curve = box_count_curve(cloud, deltas, args.hurst)
-        _atomic_write(Path(args.curve), curve.csv_string())
+        with atomic_writer(args.curve) as fh:
+            curve.to_csv(fh)
     return EXIT_OK
 
 
@@ -144,12 +136,13 @@ def _cmd_occupancy(args):
     config = {"input": str(args.input), "epsilon": args.epsilon,
               "radius_cells": args.radius}
     if args.out:
-        tmp = Path(args.out)
-        _atomic_write(tmp, hist.csv_string(config=config))
+        with atomic_writer(args.out) as fh:
+            hist.to_csv(fh, config=config)
     report = interior_probe(hist, args.radius)
     print(report.dumps(config=config))
     if args.interior:
-        _atomic_write(Path(args.interior), report.dumps(config=config))
+        with atomic_writer(args.interior) as fh:
+            fh.write(report.dumps(config=config))
     return EXIT_OK
 
 
@@ -166,9 +159,10 @@ def _cmd_gauss_sweep(args):
         print(json.dumps({"sweep": "lnd", "configs": len(records),
                           "inf_ratio": inf_ratio}))
     if args.out:
-        tmp = Path(args.out).with_suffix(Path(args.out).suffix + ".tmp")
-        gauss_sweep_csv(records, tmp)
-        os.replace(tmp, args.out)
+        with atomic_writer(args.out) as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(records[0]))
+            writer.writeheader()
+            writer.writerows(records)
     return EXIT_OK
 
 

@@ -129,18 +129,11 @@ class BoxCountCurve:
         object.__setattr__(self, "counts", c)
 
     def to_csv(self, file):
-        close = False
-        if isinstance(file, (str, bytes)):
-            file = open(file, "w", newline="")
-            close = True
-        try:
-            w = csv.writer(file)
-            w.writerow(["delta", "count"])
-            for delta, count in zip(self.deltas, self.counts):
-                w.writerow([repr(float(delta)), int(count)])
-        finally:
-            if close:
-                file.close()
+        """Write the curve to an open text file as CSV with columns delta, count."""
+        w = csv.writer(file)
+        w.writerow(["delta", "count"])
+        for delta, count in zip(self.deltas, self.counts):
+            w.writerow([repr(float(delta)), int(count)])
 
     def csv_string(self):
         buf = io.StringIO()

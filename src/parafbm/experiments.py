@@ -1,13 +1,16 @@
 """Configuration-driven experiments comparing estimators to closed-form predictions.
 
-Configs are versioned JSON with strict key checking (an unknown key is an
-error: a typo in a Hurst parameter must not pass silently).  Each experiment
-cell produces one or more report rows; rows are appended to report.csv as
-jobs complete, in deterministic cell order, with the config hash embedded so
-reruns are comparable.  A job is one cell, or a run of graph-dimension cells
-that measure the same sample paths.  Almost-sure statements are operationalized as
-seed-fraction thresholds at finite resolution; the threshold and resolution
-appear in every row.
+Configs are versioned JSON with strict key checking: an unknown top-level or
+``params`` key is an error, and so is a cell that lacks one of its kind's
+required keys (a typo in a Hurst parameter must not pass silently).  Any
+other cell key is a label, echoed into the report's ``cell`` column.  Each
+kind declares its defaults, keys, runner and job grouping once, in
+``_KIND_SPECS``.  Each experiment cell produces one or more report rows;
+rows are appended to report.csv as jobs complete, in deterministic cell
+order, with the config hash embedded so reruns are comparable.  A job is one
+cell, or a run of graph-dimension cells that measure the same sample paths.
+Almost-sure statements are operationalized as seed-fraction thresholds at
+finite resolution; the threshold and resolution appear in every row.
 """
 
 from __future__ import annotations
@@ -18,8 +21,11 @@ import itertools
 import json
 import os
 import time
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -51,48 +57,16 @@ __all__ = [
     "ExperimentConfig",
     "ReportRow",
     "run_experiment",
-    "run_dim_formula_experiment",
-    "run_theorem41_experiment",
-    "run_remaining_experiments",
+    "atomic_writer",
     "build_set",
     "lipschitz_drift",
 ]
 
 SCHEMA_VERSION = 1
 
-KINDS = (
-    "dim-formula",
-    "holder-bounds",
-    "comparison-bounds",
-    "kernel-scaling",
-    "occupation-l2",
-    "interior",
-    "theorem41",
-)
-
 WORKERS_ENV = "PARAFBM_WORKERS"
 
 _TOP_KEYS = {"schema_version", "kind", "seeds", "seed_base", "params"}
-
-_PARAM_KEYS = {
-    "dim-formula": {
-        "cells", "grid_n", "delta_coarse_exp", "delta_fine_exp", "per_octave",
-        "min_r_squared", "trim_octaves", "max_count_fraction",
-    },
-    "holder-bounds": {
-        "cells", "grid_n", "delta_coarse_exp", "delta_fine_exp", "per_octave",
-        "margin", "trim_octaves", "max_count_fraction",
-    },
-    "comparison-bounds": {
-        "cells", "grid_n", "delta_coarse_exp", "delta_fine_exp", "per_octave",
-        "margin", "trim_octaves", "max_count_fraction",
-    },
-    "kernel-scaling": {"cells", "n_samples", "t_exponents", "rel_tolerance"},
-    "occupation-l2": {"cells", "n_samples", "grid_n", "radius_exponents",
-                      "max_ratio", "slope_tolerance"},
-    "interior": {"cells", "n_samples", "grid_n"},
-    "theorem41": {"cells", "n_samples", "grid_n"},
-}
 
 _SET_KEYS = {"kind", "generation", "m", "r", "dim"}
 
@@ -108,28 +82,39 @@ class ExperimentConfig:
     schema_version: int = SCHEMA_VERSION
 
     def __post_init__(self):
-        if self.schema_version != SCHEMA_VERSION:
+        version = validate_integer(self.schema_version, "schema_version")
+        if version != SCHEMA_VERSION:
             raise ConfigError(
-                f"unsupported schema_version {self.schema_version} "
-                f"(expected {SCHEMA_VERSION})"
+                f"unsupported schema_version {version} (expected {SCHEMA_VERSION})"
             )
-        if self.kind not in KINDS:
+        object.__setattr__(self, "schema_version", version)
+        if not isinstance(self.kind, str) or self.kind not in _KIND_SPECS:
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
+        if not isinstance(self.params, dict):
+            raise ConfigError("params must be a JSON object")
+        spec = _KIND_SPECS[self.kind]
         object.__setattr__(self, "seeds", validate_integer(self.seeds, "seeds"))
         object.__setattr__(self, "seed_base", validate_integer(self.seed_base, "seed_base"))
         if self.seeds < 1:
             raise ConfigError("seeds must be >= 1")
         if self.seed_base < 0:
             raise ConfigError("seed_base must be >= 0")
-        allowed = _PARAM_KEYS[self.kind]
+        allowed = spec.param_keys
         unknown = set(self.params) - allowed
         if unknown:
             raise ConfigError(
                 f"unknown params for {self.kind}: {sorted(unknown)} "
                 f"(allowed: {sorted(allowed)})"
             )
-        if "cells" not in self.params or not self.params["cells"]:
+        cells = self.params.get("cells")
+        if not isinstance(cells, list) or not cells:
             raise ConfigError("params.cells must be a non-empty list")
+        for cell in cells:
+            if not isinstance(cell, dict):
+                raise ConfigError(f"each cell must be a JSON object, got {cell!r}")
+            missing = [k for k in spec.cell_keys if k not in cell]
+            if missing:
+                raise ConfigError(f"{self.kind} cell {cell} lacks key(s) {missing}")
 
     @classmethod
     def from_dict(cls, doc):
@@ -143,7 +128,7 @@ class ExperimentConfig:
             params=doc.get("params", {}),
             seeds=doc.get("seeds", 20),
             seed_base=doc.get("seed_base", 0),
-            schema_version=int(doc.get("schema_version", SCHEMA_VERSION)),
+            schema_version=doc.get("schema_version", SCHEMA_VERSION),
         )
 
     @classmethod
@@ -252,9 +237,9 @@ def _cell_sort_key(cell):
 
 
 # ---------------------------------------------------------------------------
-# cell runners (module-level so the process pool can pickle them)
-
-_GRAPH_KINDS = ("dim-formula", "holder-bounds", "comparison-bounds")
+# cell runners: each takes (kind, cells, common, seeds, seed_base, config_hash)
+# and returns the rows of its cells.  They look up the path, estimator and
+# set builders as module globals at call time, so callers can wrap those.
 
 
 def _cell_d(cell):
@@ -270,23 +255,21 @@ def _path_key(cell):
     return cell["alpha"], _cell_d(cell)
 
 
-def _graph_dim_fits(kind, cells, common, seeds, seed_base):
+def _graph_dim_fits(fitted, cells, common, seeds, seed_base):
     """Median box-dimension fits of graph-dimension cells sharing one path key.
 
     Per seed, the B^alpha path and its graph cloud are made once and then
     restricted to, and fitted over, each cell's set: the paper's setting of
-    one sample path and many sets A.  A comparison-bounds cell fits the same
-    cloud at H and at H'.  Returns, per cell, one summary per Hurst index it
-    fits, and the seconds of each cell's own work; the first cell also
-    carries the shared work (grid, paths, clouds).
+    one sample path and many sets A.  Each cell is fitted at the Hurst index
+    of every key in ``fitted`` (H, or H and H' for comparison bounds) on the
+    same cloud.  Returns, per cell, one summary per fitted index, and the
+    seconds of each cell's own work; the first cell also carries the shared
+    work (grid, paths, clouds).
     """
     t_start = time.perf_counter()
     alpha, d = _path_key(cells[0])
     fsets = [build_set(cell.get("set", {"kind": "full"})) for cell in cells]
-    if kind == "comparison-bounds":
-        hursts = [(cell["hurst"], cell["hurst_prime"]) for cell in cells]
-    else:
-        hursts = [(cell["hurst"],) for cell in cells]
+    hursts = [tuple(cell[key] for key in fitted) for cell in cells]
     grid = TimeGrid.regular(common["grid_n"])
     deltas = dyadic_deltas(
         common["delta_coarse_exp"], common["delta_fine_exp"], common["per_octave"]
@@ -392,23 +375,17 @@ def _comparison_bounds_row(cell, fits, common, seeds, config_hash, runtime):
     )
 
 
-_GRAPH_ROWS = {
-    "dim-formula": _dim_formula_row,
-    "holder-bounds": _holder_bounds_row,
-    "comparison-bounds": _comparison_bounds_row,
-}
-
-
-def _graph_dim_rows(kind, cells, common, seeds, seed_base, config_hash):
-    fits, own = _graph_dim_fits(kind, cells, common, seeds, seed_base)
-    row = _GRAPH_ROWS[kind]
+def _graph_dim_rows(row, fitted, kind, cells, common, seeds, seed_base, config_hash):
+    """Rows of a run of graph-dimension cells with one path key, built by ``row``."""
+    fits, own = _graph_dim_fits(fitted, cells, common, seeds, seed_base)
     return [
         row(cell, cell_fits, common, seeds, config_hash, runtime)
         for cell, cell_fits, runtime in zip(cells, fits, own)
     ]
 
 
-def _kernel_scaling_cell(cell, common, seeds, seed_base, config_hash):
+def _kernel_scaling_rows(kind, cells, common, seeds, seed_base, config_hash):
+    (cell,) = cells
     t0 = time.perf_counter()
     alpha, hurst, gamma, d = cell["alpha"], cell["hurst"], cell["gamma"], _cell_d(cell)
     ks = common["t_exponents"]
@@ -465,7 +442,8 @@ def _snap_to_grid(samples, grid):
     return WeightedTimeSet(times=t[uniq], weights=weights / weights.sum())
 
 
-def _occupation_l2_cell(cell, common, seeds, seed_base, config_hash):
+def _occupation_l2_rows(kind, cells, common, seeds, seed_base, config_hash):
+    (cell,) = cells
     t0 = time.perf_counter()
     hurst, d = cell["hurst"], _cell_d(cell)
     fset = build_set(cell.get("set", {"kind": "full"}))
@@ -511,7 +489,8 @@ def _occupation_l2_cell(cell, common, seeds, seed_base, config_hash):
     return rows
 
 
-def _interior_like_cell(kind, cell, common, seeds, seed_base, config_hash):
+def _interior_rows(kind, cells, common, seeds, seed_base, config_hash):
+    (cell,) = cells
     t0 = time.perf_counter()
     hurst, d = cell["hurst"], _cell_d(cell)
     epsilon = float(cell["epsilon"])
@@ -566,30 +545,65 @@ def _interior_like_cell(kind, cell, common, seeds, seed_base, config_hash):
     )]
 
 
-_COMMON_DEFAULTS = {
-    "dim-formula": {
-        "grid_n": 2**14, "delta_coarse_exp": 4, "delta_fine_exp": 12,
-        "per_octave": 2, "min_r_squared": 0.98,
-    },
-    "holder-bounds": {
-        "grid_n": 2**14, "delta_coarse_exp": 4, "delta_fine_exp": 12,
-        "per_octave": 2, "margin": 0.1,
-    },
-    "comparison-bounds": {
-        "grid_n": 2**14, "delta_coarse_exp": 4, "delta_fine_exp": 12,
-        "per_octave": 2, "margin": 0.1,
-    },
-    "kernel-scaling": {
-        "n_samples": 10**6, "t_exponents": list(range(1, 9)),
-        "rel_tolerance": 0.05,
-    },
-    "occupation-l2": {
-        "n_samples": 4096, "grid_n": 2**14,
-        "radius_exponents": [4, 5, 6, 7, 8, 9, 10],
-        "max_ratio": 3.0, "slope_tolerance": 0.1,
-    },
-    "interior": {"n_samples": 2**14, "grid_n": 2**14},
-    "theorem41": {"n_samples": 2**14, "grid_n": 2**14},
+@dataclass(frozen=True)
+class _KindSpec:
+    """Everything the runner knows about one experiment kind.
+
+    ``defaults`` are its param defaults, ``optional`` the param keys allowed
+    with no default, ``cell_keys`` the keys every cell must carry, ``run``
+    its runner, and ``shares_paths`` whether adjacent cells with one
+    (alpha, d) form one job.
+    """
+
+    defaults: dict
+    cell_keys: tuple
+    run: Callable
+    optional: frozenset = frozenset()
+    shares_paths: bool = False
+
+    @property
+    def param_keys(self):
+        return {"cells", *self.defaults, *self.optional}
+
+
+def _graph_spec(row, defaults, fitted=("hurst",)):
+    return _KindSpec(
+        defaults={"grid_n": 2**14, "delta_coarse_exp": 4, "delta_fine_exp": 12,
+                  "per_octave": 2, **defaults},
+        cell_keys=("alpha", *fitted, "d"),
+        run=partial(_graph_dim_rows, row, fitted),
+        optional=frozenset({"trim_octaves", "max_count_fraction"}),
+        shares_paths=True,
+    )
+
+
+_INTERIOR_SPEC = _KindSpec(
+    defaults={"n_samples": 2**14, "grid_n": 2**14},
+    cell_keys=("hurst", "d", "epsilon"),
+    run=_interior_rows,
+)
+
+_KIND_SPECS = {
+    "dim-formula": _graph_spec(_dim_formula_row, {"min_r_squared": 0.98}),
+    "holder-bounds": _graph_spec(_holder_bounds_row, {"margin": 0.1}),
+    "comparison-bounds": _graph_spec(
+        _comparison_bounds_row, {"margin": 0.1}, fitted=("hurst", "hurst_prime")
+    ),
+    "kernel-scaling": _KindSpec(
+        defaults={"n_samples": 10**6, "t_exponents": list(range(1, 9)),
+                  "rel_tolerance": 0.05},
+        cell_keys=("alpha", "hurst", "gamma", "d"),
+        run=_kernel_scaling_rows,
+    ),
+    "occupation-l2": _KindSpec(
+        defaults={"n_samples": 4096, "grid_n": 2**14,
+                  "radius_exponents": [4, 5, 6, 7, 8, 9, 10],
+                  "max_ratio": 3.0, "slope_tolerance": 0.1},
+        cell_keys=("hurst", "d"),
+        run=_occupation_l2_rows,
+    ),
+    "interior": _INTERIOR_SPEC,
+    "theorem41": _INTERIOR_SPEC,
 }
 
 
@@ -597,26 +611,16 @@ def _run_one_cell(args):
     """Report rows of one job, in cell order.
 
     ``args`` is (kind, cells, common, seeds, seed_base, config_hash).  For the
-    graph-dimension kinds ``cells`` is a run of cells with one path key, which
-    share each seed's path; for the other kinds it holds one cell.
+    kinds that share paths ``cells`` is a run of cells with one path key,
+    which share each seed's path; for the other kinds it holds one cell.
     """
-    kind, cells, common, seeds, seed_base, config_hash = args
-    if kind in _GRAPH_KINDS:
-        return _graph_dim_rows(kind, cells, common, seeds, seed_base, config_hash)
-    (cell,) = cells
-    if kind == "kernel-scaling":
-        return _kernel_scaling_cell(cell, common, seeds, seed_base, config_hash)
-    if kind == "occupation-l2":
-        return _occupation_l2_cell(cell, common, seeds, seed_base, config_hash)
-    if kind in ("interior", "theorem41"):
-        return _interior_like_cell(kind, cell, common, seeds, seed_base, config_hash)
-    raise ConfigError(f"unknown kind {kind!r}")
+    return _KIND_SPECS[args[0]].run(*args)
 
 
 def _cell_runs(kind, cells):
     """Sorted cells split into jobs: contiguous runs of one path key for the
-    graph-dimension kinds, one cell each otherwise."""
-    if kind in _GRAPH_KINDS:
+    kinds that share paths, one cell each otherwise."""
+    if _KIND_SPECS[kind].shares_paths:
         return [list(run) for _, run in itertools.groupby(cells, key=_path_key)]
     return [[cell] for cell in cells]
 
@@ -636,10 +640,23 @@ def _append_rows(report_path, rows):
         os.fsync(fh.fileno())
 
 
-def _atomic_write_text(path, text):
+@contextmanager
+def atomic_writer(path):
+    """Write a file atomically: yields a handle on ``<path>.tmp``, which
+    replaces ``path`` once the block exits without an exception."""
+    path = Path(path)
     tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(text)
+    with open(tmp, "w", newline="") as fh:
+        yield fh
     os.replace(tmp, path)
+
+
+def _env_workers():
+    text = os.environ.get(WORKERS_ENV, "1")
+    try:
+        return validate_integer(json.loads(text), WORKERS_ENV)
+    except ValueError:
+        raise ConfigError(f"{WORKERS_ENV} must be an integer, got {text!r}") from None
 
 
 def run_experiment(config, out_dir=None, workers=None):
@@ -651,12 +668,11 @@ def run_experiment(config, out_dir=None, workers=None):
     of its own.  Each completed job's rows are appended to
     <out_dir>/report.csv immediately, so an abort keeps the finished rows.
     ``workers`` > 1 distributes jobs over a process pool (default from the
-    PARAFBM_WORKERS environment variable); rows are committed in cell order
-    either way.
+    PARAFBM_WORKERS environment variable), at most one worker per job; rows
+    are committed in cell order either way.
     """
-    if workers is None:
-        workers = int(os.environ.get(WORKERS_ENV, "1"))
-    common = dict(_COMMON_DEFAULTS[config.kind])
+    workers = _env_workers() if workers is None else validate_integer(workers, "workers")
+    common = dict(_KIND_SPECS[config.kind].defaults)
     common.update({k: v for k, v in config.params.items() if k != "cells"})
     cells = sorted(config.params["cells"], key=_cell_sort_key)
     chash = config.config_hash()
@@ -665,10 +681,8 @@ def run_experiment(config, out_dir=None, workers=None):
     if out_dir is not None:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        _atomic_write_text(
-            out_dir / "config.json",
-            json.dumps(config.to_dict(), indent=2, sort_keys=True),
-        )
+        with atomic_writer(out_dir / "config.json") as fh:
+            json.dump(config.to_dict(), fh, indent=2, sort_keys=True)
         report_path = out_dir / "report.csv"
         if report_path.exists():
             report_path.unlink()
@@ -677,6 +691,7 @@ def run_experiment(config, out_dir=None, workers=None):
         (config.kind, run, common, config.seeds, config.seed_base, chash)
         for run in _cell_runs(config.kind, cells)
     ]
+    workers = min(workers, len(jobs))
     all_rows = []
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -689,44 +704,3 @@ def run_experiment(config, out_dir=None, workers=None):
             _append_rows(report_path, rows)
             all_rows.extend(rows)
     return all_rows
-
-
-def run_dim_formula_experiment(config, out_dir=None, workers=None):
-    """Graph-dimension formula experiment (kind "dim-formula")."""
-    if config.kind != "dim-formula":
-        raise ConfigError("config kind must be dim-formula")
-    return run_experiment(config, out_dir, workers)
-
-
-def run_theorem41_experiment(config, out_dir=None, workers=None):
-    """Holder-drift interior experiment (kind "theorem41")."""
-    if config.kind != "theorem41":
-        raise ConfigError("config kind must be theorem41")
-    return run_experiment(config, out_dir, workers)
-
-
-def run_remaining_experiments(config, out_dir=None, workers=None):
-    """Any of the remaining kinds: holder/comparison bounds, kernel scaling, occupation, interior."""
-    if config.kind not in (
-        "holder-bounds", "comparison-bounds", "kernel-scaling",
-        "occupation-l2", "interior",
-    ):
-        raise ConfigError(f"unsupported kind {config.kind!r} for run_remaining_experiments")
-    return run_experiment(config, out_dir, workers)
-
-
-def gauss_sweep_csv(records, file):
-    """Write gaussian sweep records (config hash + margin/ratio) as CSV."""
-    close = False
-    if isinstance(file, (str, bytes, Path)):
-        file = open(file, "w", newline="")
-        close = True
-    try:
-        fields = list(records[0].keys())
-        writer = csv.DictWriter(file, fieldnames=fields)
-        writer.writeheader()
-        for rec in records:
-            writer.writerow(rec)
-    finally:
-        if close:
-            file.close()

@@ -393,19 +393,11 @@ def generate_mixed_path(hurst, alpha_p, grid, d=1, seed_pair=(0, 1), method="aut
 
 
 def path_to_csv(path, file):
-    """Write a SamplePath as CSV with columns t, x1, ..., xd."""
-    close = False
-    if isinstance(file, (str, bytes)):
-        file = open(file, "w", newline="")
-        close = True
-    try:
-        writer = csv.writer(file)
-        writer.writerow(["t"] + [f"x{j + 1}" for j in range(path.d)])
-        for i, t in enumerate(path.grid.times):
-            writer.writerow([repr(float(t))] + [repr(float(v)) for v in path.values[:, i]])
-    finally:
-        if close:
-            file.close()
+    """Write a SamplePath to an open text file as CSV with columns t, x1, ..., xd."""
+    writer = csv.writer(file)
+    writer.writerow(["t"] + [f"x{j + 1}" for j in range(path.d)])
+    for i, t in enumerate(path.grid.times):
+        writer.writerow([repr(float(t))] + [repr(float(v)) for v in path.values[:, i]])
 
 
 def path_to_json(path):

@@ -25,6 +25,7 @@ from .fbm import (
     build_mixed_covariance_matrix,
     philox_stream,
     validate_hurst,
+    validate_integer,
 )
 
 __all__ = [
@@ -238,6 +239,13 @@ def _config_hash(doc):
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()[:16]
 
 
+def _validate_n_configs(n_configs):
+    n_configs = validate_integer(n_configs, "n_configs")
+    if n_configs < 1:
+        raise ConfigError(f"n_configs must be >= 1, got {n_configs}")
+    return n_configs
+
+
 def detcov_margin_sweep(n_configs, hurst_values=(0.2, 0.5, 0.8), max_points=5, seed=0):
     """Randomized sweep of verify_detcov_lower_bound margins.
 
@@ -245,6 +253,7 @@ def detcov_margin_sweep(n_configs, hurst_values=(0.2, 0.5, 0.8), max_points=5, s
     number of times n, and the margin.  The times are sorted, so every
     margin obeys kappa_H^(n-1) <= margin <= 1 (see verify_detcov_lower_bound).
     """
+    n_configs = _validate_n_configs(n_configs)
     rng = philox_stream(seed, (5, 0))
     records = []
     for h in hurst_values:
@@ -279,6 +288,7 @@ def lnd_margin_sweep(
     Returns the records and their empirical infimum, the reported stand-in
     for the non-constructive constant.
     """
+    n_configs = _validate_n_configs(n_configs)
     rng = philox_stream(seed, (5, 1))
     lo, hi = interval
     records = []

@@ -6,15 +6,12 @@ against, so domain violations raise rather than clamp.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import AlphaExceedsH, ConfigError, HOrderViolation
 from .fbm import validate_hurst
 
 __all__ = [
-    "ParabolicBox",
     "rho_h",
     "theoretical_graph_dimension",
     "comparison_bounds",
@@ -22,32 +19,6 @@ __all__ = [
     "psi_dim_from_metric_dim",
     "metric_dim_from_psi_dim",
 ]
-
-
-@dataclass(frozen=True)
-class ParabolicBox:
-    """Box [a, a+delta] x prod_j [b_j, b_j + delta^H]: time extent delta, space extent delta^H."""
-
-    a: float
-    delta: float
-    b: np.ndarray
-    hurst: float
-
-    def __post_init__(self):
-        if not 0.0 < self.delta <= 1.0:
-            raise ConfigError("delta must lie in (0, 1]")
-        validate_hurst(self.hurst)
-        object.__setattr__(self, "b", np.atleast_1d(np.asarray(self.b, dtype=float)))
-
-    def contains(self, point):
-        t, x = point
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        side = self.delta**self.hurst
-        return bool(
-            self.a <= t <= self.a + self.delta
-            and np.all(x >= self.b)
-            and np.all(x <= self.b + side)
-        )
 
 
 def rho_h(u, v, hurst):

@@ -71,21 +71,14 @@ class OccupationHistogram:
         return float(sum(self.cells.values()))
 
     def to_csv(self, file, config=None):
-        """Sparse CSV: one row per cell (indices then mass); config echoed in a comment."""
-        close = False
-        if isinstance(file, (str, bytes)):
-            file = open(file, "w", newline="")
-            close = True
-        try:
-            if config is not None:
-                file.write("# config: " + json.dumps(config, sort_keys=True) + "\n")
-            w = csv.writer(file)
-            w.writerow([f"i{k + 1}" for k in range(self.d)] + ["mass"])
-            for idx in sorted(self.cells):
-                w.writerow(list(idx) + [repr(self.cells[idx])])
-        finally:
-            if close:
-                file.close()
+        """Sparse CSV to an open text file: one row per cell (indices then
+        mass); config echoed in a comment."""
+        if config is not None:
+            file.write("# config: " + json.dumps(config, sort_keys=True) + "\n")
+        w = csv.writer(file)
+        w.writerow([f"i{k + 1}" for k in range(self.d)] + ["mass"])
+        for idx in sorted(self.cells):
+            w.writerow(list(idx) + [repr(self.cells[idx])])
 
     def csv_string(self, config=None):
         buf = io.StringIO()

@@ -136,6 +136,12 @@ class TestGaussSweep:
         assert run(["gauss-sweep", "--sweep", "lnd", "--configs", "30"]) == 0
         assert json.loads(capsys.readouterr().out)["inf_ratio"] > 0
 
+    @pytest.mark.parametrize("sweep", ["detcov", "lnd"])
+    @pytest.mark.parametrize("configs", ["0", "-3"])
+    def test_no_configs_exit_1(self, sweep, configs, capsys):
+        assert run(["gauss-sweep", "--sweep", sweep, "--configs", configs]) == 1
+        assert "n_configs" in capsys.readouterr().err
+
 
 class TestExperimentCommand:
     def test_runs_suite(self, tmp_path, capsys):
@@ -165,6 +171,23 @@ class TestExperimentCommand:
         cfg_path.write_text(json.dumps({"kind": "nope", "params": {"cells": [{}]}}))
         assert run(["experiment", "--config", str(cfg_path),
                     "--out", str(tmp_path / "r")]) == 1
+
+    @pytest.mark.parametrize("cells", ["abc", [1], [{"alpha": 0.5, "d": 1}]])
+    def test_malformed_cells_exit_1(self, tmp_path, capsys, cells):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"kind": "dim-formula", "params": {"cells": cells}}))
+        assert run(["experiment", "--config", str(cfg_path),
+                    "--out", str(tmp_path / "r")]) == 1
+        assert "cell" in capsys.readouterr().err
+
+    def test_fractional_workers_env_exit_1(self, tmp_path, monkeypatch, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"kind": "kernel-scaling", "params": {
+            "cells": [{"alpha": 0.2, "hurst": 0.8, "gamma": 3.0, "d": 1}]}}))
+        monkeypatch.setenv("PARAFBM_WORKERS", "1.5")
+        assert run(["experiment", "--config", str(cfg_path),
+                    "--out", str(tmp_path / "r")]) == 1
+        assert "PARAFBM_WORKERS" in capsys.readouterr().err
 
     def test_usage_error_exit_1(self, capsys):
         assert run(["experiment"]) == 1

@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 import time
 
 import numpy as np
@@ -11,10 +12,7 @@ from parafbm.experiments import (
     ExperimentConfig,
     build_set,
     lipschitz_drift,
-    run_dim_formula_experiment,
     run_experiment,
-    run_remaining_experiments,
-    run_theorem41_experiment,
 )
 from parafbm.fbm import TimeGrid
 
@@ -59,9 +57,32 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(doc)
 
+    @pytest.mark.parametrize("kind", [["dim-formula"], None])
+    def test_non_string_kind(self, kind):
+        with pytest.raises(ConfigError, match="kind"):
+            ExperimentConfig.from_dict(small_dim_formula_config(kind=kind))
+
+    @pytest.mark.parametrize("params", [[{"cells": []}], "cells"])
+    def test_params_must_be_object(self, params):
+        with pytest.raises(ConfigError, match="params"):
+            ExperimentConfig.from_dict(small_dim_formula_config(params=params))
+
     def test_wrong_schema_version(self):
         doc = small_dim_formula_config(schema_version=2)
         with pytest.raises(ConfigError):
+            ExperimentConfig.from_dict(doc)
+
+    @pytest.mark.parametrize("version", [1.9, True, "1"])
+    def test_non_integral_schema_version(self, version):
+        doc = small_dim_formula_config(schema_version=version)
+        with pytest.raises(ConfigError, match="schema_version"):
+            ExperimentConfig.from_dict(doc)
+
+    @pytest.mark.parametrize("cells", ["abc", [1], [], {"alpha": 0.5}, None, [[0.5]]])
+    def test_malformed_cells_rejected(self, cells):
+        doc = small_dim_formula_config()
+        doc["params"]["cells"] = cells
+        with pytest.raises(ConfigError, match="cell"):
             ExperimentConfig.from_dict(doc)
 
     def test_bad_json(self):
@@ -110,7 +131,7 @@ class TestBuildSet:
 class TestDimFormulaRun:
     def test_runs_and_reports(self, tmp_path):
         cfg = ExperimentConfig.from_dict(small_dim_formula_config())
-        rows = run_dim_formula_experiment(cfg, out_dir=tmp_path / "out")
+        rows = run_experiment(cfg, out_dir=tmp_path / "out")
         assert len(rows) == 1
         row = rows[0]
         assert row.theory == pytest.approx(1.0)
@@ -151,6 +172,40 @@ class TestDimFormulaRun:
         cfg = ExperimentConfig.from_dict(small_dim_formula_config())
         rows = run_experiment(cfg, out_dir=None)
         assert rows[0].config_hash == cfg.config_hash()
+
+    @pytest.mark.parametrize("text", ["1.5", "abc", "true", ""])
+    def test_non_integral_workers_env_rejected(self, monkeypatch, text):
+        monkeypatch.setenv("PARAFBM_WORKERS", text)
+        cfg = ExperimentConfig.from_dict(small_dim_formula_config())
+        with pytest.raises(ConfigError, match="PARAFBM_WORKERS"):
+            run_experiment(cfg)
+        with pytest.raises(ConfigError, match="workers"):
+            run_experiment(cfg, workers=1.5)
+
+    def test_pool_capped_at_job_count(self, monkeypatch):
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+        # six cells, three (alpha, d) runs: three jobs
+        rows = run_experiment(ExperimentConfig.from_dict(_GRAPH_CONFIGS["dim-formula"]),
+                              workers=8)
+        assert len(rows) == 6 and sizes == [3]
+        monkeypatch.setenv("PARAFBM_WORKERS", "2")
+        run_experiment(ExperimentConfig.from_dict(small_dim_formula_config()))
+        assert sizes == [3]   # one job runs serially, without a pool
 
     def test_workers_env_var(self, monkeypatch):
         monkeypatch.setenv("PARAFBM_WORKERS", "2")
@@ -213,14 +268,9 @@ class TestKernelScalingRun:
                 "rel_tolerance": 0.08,
             },
         })
-        rows = run_remaining_experiments(cfg)
+        rows = run_experiment(cfg)
         assert rows[0].theory == pytest.approx(-2.4)
         assert rows[0].passed
-
-    def test_remaining_dispatcher_rejects_other_kinds(self):
-        cfg = ExperimentConfig.from_dict(small_dim_formula_config())
-        with pytest.raises(ConfigError):
-            run_remaining_experiments(cfg)
 
 
 class TestOccupationL2Run:
@@ -263,7 +313,7 @@ class TestInteriorRuns:
                 "grid_n": 2**12,
             },
         })
-        rows = run_theorem41_experiment(cfg)
+        rows = run_experiment(cfg)
         assert rows[0].estimate >= 0.9
         assert rows[0].passed
 
@@ -282,7 +332,7 @@ class TestInteriorRuns:
             },
         })
         with pytest.raises(InfeasibleParameters):
-            run_theorem41_experiment(cfg)
+            run_experiment(cfg)
 
     def test_abort_keeps_completed_rows(self, tmp_path):
         # cells run in canonical order: alpha_p 0.3 (feasible) before 0.9 (infeasible)
@@ -486,6 +536,28 @@ def _one_cell_config(kind, **cell_fields):
     cell = {**base, "d": 1, **cell_fields}
     return ExperimentConfig.from_dict(
         {"kind": kind, "seeds": 1, "params": {**params, "cells": [cell]}})
+
+
+_REQUIRED_CELL_KEYS = {
+    "dim-formula": ("alpha", "hurst", "d"),
+    "holder-bounds": ("alpha", "hurst", "d"),
+    "comparison-bounds": ("alpha", "hurst", "hurst_prime", "d"),
+    "kernel-scaling": ("alpha", "hurst", "gamma", "d"),
+    "occupation-l2": ("hurst", "d"),
+    "interior": ("hurst", "d", "epsilon"),
+    "theorem41": ("hurst", "d", "epsilon"),
+}
+
+
+@pytest.mark.parametrize("kind, key", [
+    (kind, key) for kind, keys in sorted(_REQUIRED_CELL_KEYS.items()) for key in keys
+])
+def test_missing_required_cell_key_rejected(kind, key):
+    base, params = _ONE_CELL[kind]
+    cell = {k: v for k, v in {**base, "d": 1}.items() if k != key}
+    doc = {"kind": kind, "seeds": 1, "params": {**params, "cells": [cell]}}
+    with pytest.raises(ConfigError, match=re.escape(f"lacks key(s) [{key!r}]")):
+        ExperimentConfig.from_dict(doc)
 
 
 class TestIntegerCellFields:

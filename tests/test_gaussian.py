@@ -192,6 +192,13 @@ class TestLndMargin:
         gap = min(0.55, 0.25)
         assert r == pytest.approx(cv / (2 * gap**1.2), rel=1e-10)
 
+    @pytest.mark.parametrize("n_configs", [0, -1, 1.5, True])
+    def test_sweeps_need_whole_positive_count(self, n_configs):
+        with pytest.raises(ConfigError, match="n_configs"):
+            detcov_margin_sweep(n_configs)
+        with pytest.raises(ConfigError, match="n_configs"):
+            lnd_margin_sweep(n_configs)
+
     def test_sweep_inf_positive(self):
         recs, inf_ratio = lnd_margin_sweep(500, hurst=0.7, alpha_p=0.35, seed=1)
         assert len(recs) == 500

@@ -3,7 +3,6 @@ import pytest
 
 from parafbm.errors import AlphaExceedsH, ConfigError, HOrderViolation
 from parafbm.geometry import (
-    ParabolicBox,
     comparison_bounds,
     holder_graph_bounds,
     metric_dim_from_psi_dim,
@@ -184,15 +183,3 @@ class TestDimConversions:
     def test_negative_rejected(self):
         with pytest.raises(ConfigError):
             psi_dim_from_metric_dim(-0.1, 0.5)
-
-
-class TestParabolicBox:
-    def test_contains(self):
-        box = ParabolicBox(a=0.25, delta=0.25, b=np.array([0.0, 0.0]), hurst=0.5)
-        assert box.contains((0.3, np.array([0.4, 0.49])))
-        assert not box.contains((0.3, np.array([0.4, 0.51])))
-        assert not box.contains((0.51, np.array([0.1, 0.1])))
-
-    def test_delta_validation(self):
-        with pytest.raises(ConfigError):
-            ParabolicBox(a=0.0, delta=0.0, b=np.zeros(1), hurst=0.5)
