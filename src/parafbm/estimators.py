@@ -5,15 +5,23 @@ componentwise minimum on the value axes; box dimension is used as the
 computable proxy for the covering dimension it estimates.  Occupied boxes
 are counted by sorting one key per point (Liebovitch & Toth, Phys. Lett. A
 141, 1989): each point's box indices (time, value_1, ..., value_d) are
-shifted to start at 0 and packed into one int64 in mixed radix, each axis's
-index range being its radix, and distinct keys are counted as adjacent
-differences after a 1-d sort.  When the packed span would pass 2^62 the
-partial key is first replaced by its rank among its distinct values, so the
-key cannot overflow; a box index that itself reaches 2^62 in magnitude
-raises BoxIndexOverflow instead of wrapping in the int64 cast.  The log-log
-regression keeps the middle scales: the coarsest and finest octaves are
-biased (finite extent, finite path resolution), and scales whose count
-approaches the number of cloud points are resolution-limited and dropped.
+shifted to start at 0 and packed into one integer in mixed radix, each
+axis's index range being its radix, and distinct keys are counted as
+adjacent differences after a 1-d sort.  Each index range is known before
+any point is indexed, because floor, subtraction and division are monotone
+under rounding: the extreme indices are those of the extreme coordinates.
+So the key width is chosen up front: int32 when the packed span and every
+raw index fit in it (sorting them takes about half as long), int64
+otherwise.  In int64, when the packed span would pass 2^62 the partial key
+is first replaced by its rank among its distinct values, so the key cannot
+overflow; a box index that itself reaches 2^62 in magnitude raises
+BoxIndexOverflow before any cast, instead of wrapping.  ``box_count_curve``
+builds one counter per curve, which holds the values relative to their
+minimum and the work buffers every scale reuses in place, so a scale
+allocates no point-sized temporary.  The log-log regression keeps the middle
+scales: the coarsest and finest octaves are biased (finite extent, finite
+path resolution), and scales whose count approaches the number of cloud
+points are resolution-limited and dropped.
 """
 
 from __future__ import annotations
@@ -21,6 +29,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +57,10 @@ ENERGY_DEFAULT_PAIRS = 10**6
 
 #: bound on box-index magnitudes and on the span of a packed box key
 _KEY_SPAN_MAX = 2**62
+
+#: largest int32: keys are packed in int32 when their span and every raw
+#: index stay within it
+_NARROW_MAX = 2**31 - 1
 
 
 @dataclass(frozen=True)
@@ -164,7 +177,7 @@ class DimensionEstimate:
         return json.dumps(self.to_json())
 
 
-def parabolic_box_count(cloud, delta, hurst, anchor_shift=0.0):
+def parabolic_box_count(cloud, delta, hurst, anchor_shift=0.0, *, _counter=None):
     """Number of occupied anchored boxes of time extent delta, value extent delta^H.
 
     The time grid is anchored at 0 (a point at t=1 belongs to the last box);
@@ -172,26 +185,84 @@ def parabolic_box_count(cloud, delta, hurst, anchor_shift=0.0):
     every anchor by that fraction of a cell, used to quantify anchor
     sensitivity.
 
-    Each point's box indices are packed into one int64 key and the distinct
-    keys are counted after a 1-d sort (see the module docstring).  Raises
-    BoxIndexOverflow when a box index reaches 2^62 in magnitude (delta below
-    about 2^-62, or values spanning about 2^62 value boxes), where an int64
-    cast would wrap and merge distinct boxes.
+    Each point's box indices are packed into one integer key and the
+    distinct keys are counted after a 1-d sort (see the module docstring).
+    Raises BoxIndexOverflow when a box index reaches 2^62 in magnitude
+    (delta below about 2^-62, or values spanning about 2^62 value boxes),
+    where an int64 cast would wrap and merge distinct boxes.
+    ``box_count_curve`` passes one counter of ``cloud`` to every scale.
     """
     hurst = validate_hurst(hurst)
     if not 0.0 < delta <= 1.0:
         raise ConfigError("delta must lie in (0, 1]")
-    side = delta**hurst
-    tshift = anchor_shift * delta
-    vshift = anchor_shift * side
-    ti = np.floor((cloud.times - tshift) / delta)
-    if anchor_shift == 0.0:
-        ti = np.minimum(ti, np.ceil(1.0 / delta) - 1.0)
-    origin = cloud.values.min(axis=0)
-    vi = np.floor((cloud.values - origin - vshift) / side)
-    key = pack_index_rows([ti, *vi.T])
-    key.sort()
-    return 1 + int(np.count_nonzero(key[1:] != key[:-1]))
+    if _counter is None:
+        _counter = _BoxCounter(cloud)
+    return _counter.count(delta, hurst, anchor_shift)
+
+
+class _BoxCounter:
+    """The scale-free part of box counting one cloud, and its work buffers.
+
+    Holds the time extent, the values relative to their componentwise
+    minimum (one contiguous row per axis) with their extents, and one float
+    and two int64 buffers of one entry per point, which every scale
+    overwrites in place.
+    """
+
+    def __init__(self, cloud):
+        self.times = cloud.times
+        self.t_range = np.array([cloud.times.min(), cloud.times.max()])
+        origin = cloud.values.min(axis=0)
+        self.rel = np.empty((cloud.d, cloud.n))
+        np.subtract(cloud.values.T, origin[:, None], out=self.rel)
+        # the minimum of v - origin is 0 and, by monotone rounding, its
+        # maximum is max(v) - origin
+        self.rel_ranges = [np.array([0.0, hi]) for hi in cloud.values.max(axis=0) - origin]
+        self.work = np.empty(cloud.n)
+        self.key = np.empty(cloud.n, dtype=np.int64)
+        self.col = np.empty(cloud.n, dtype=np.int64)
+
+    def count(self, delta, hurst, anchor_shift):
+        side = delta**hurst
+        tshift = anchor_shift * delta
+        vshift = anchor_shift * side
+        # the t = 1 cap is integer-valued, so capping before the floor is exact
+        cap = np.ceil(1.0 / delta) - 1.0 if anchor_shift == 0.0 else None
+        axes = [(self.times, self.t_range, (tshift, delta, cap))]
+        axes += [(row, ext, (vshift, side, None)) for row, ext in zip(self.rel, self.rel_ranges)]
+        # each index range from the coordinate extents: by monotone rounding,
+        # bit for bit the extremes of the floored column
+        bounds = []
+        for _, ext, scale in axes:
+            b = np.empty(2)
+            _floor_scaled(ext, *scale, b, b)
+            bounds.append((b[0], b[1]))
+
+        def fill(j, out):
+            src, _, scale = axes[j]
+            _floor_scaled(src, *scale, self.work, out)
+
+        key = pack_index_rows(bounds, fill, self.key, self.col)
+        key.sort()
+        # the float buffer is free once the key is packed
+        differs = self.work.view(np.bool_)[: key.size - 1]
+        np.not_equal(key[1:], key[:-1], out=differs)
+        return 1 + int(np.count_nonzero(differs))
+
+
+def _floor_scaled(src, shift, width, cap, work, out):
+    """out = floor(min((src - shift) / width, cap)), computed in the float array work.
+
+    A zero shift is skipped (x - 0.0 == x bitwise) and a cap of None means
+    none; ``out`` may be an integer array, which the floor is cast into.
+    """
+    if shift != 0.0:
+        np.subtract(src, shift, out=work)
+        src = work
+    np.divide(src, width, out=work)
+    if cap is not None:
+        np.minimum(work, cap, out=work)
+    np.floor(work, out=out, casting="unsafe")
 
 
 def dyadic_deltas(coarse_exp, fine_exp, per_octave=1):
@@ -203,39 +274,61 @@ def dyadic_deltas(coarse_exp, fine_exp, per_octave=1):
 
 
 def box_count_curve(cloud, deltas, hurst, anchor_shift=0.0):
-    """Box counts over a ladder of scales (sorted to decreasing order)."""
+    """Box counts over a ladder of scales (sorted to decreasing order).
+
+    One counter of ``cloud`` serves every scale; each scale is still one
+    ``parabolic_box_count`` call, looked up as a module global.
+    """
     deltas = np.sort(np.asarray(deltas, dtype=float))[::-1]
-    counts = [parabolic_box_count(cloud, d, hurst, anchor_shift) for d in deltas]
+    counter = _BoxCounter(cloud)
+    counts = [
+        parabolic_box_count(cloud, d, hurst, anchor_shift, _counter=counter) for d in deltas
+    ]
     return BoxCountCurve(deltas=deltas, counts=np.asarray(counts))
 
 
-def pack_index_rows(columns):
-    """One int64 key per row of integer-valued float columns, in row order.
+def pack_index_rows(bounds, fill, key, col):
+    """One integer key per row of integer index columns, in row order.
 
-    Each column is shifted to start at 0 and appended to the key with its
-    index range as radix.  Before the packed span would pass 2^62, the key
-    (and, if still needed, the column) is replaced by its rank among its
+    ``bounds`` holds each column's index range (lo, hi) as integer-valued
+    floats, and ``fill(j, out)`` writes column j into the integer array
+    ``out``.  ``key`` and ``col`` are int64 work arrays of one entry per row;
+    the key is returned as a view of ``key``.  Each column is shifted to
+    start at 0 and appended to the key with its index range as radix.  The
+    key is int32 when the packed span and every raw index fit in int32, and
+    int64 otherwise; in int64, before the packed span would pass 2^62, the
+    key (and, if still needed, the column) is replaced by its rank among its
     distinct values, which is below the number of rows.  Both steps keep
     order, so equal rows get equal keys and keys sort as the rows do
-    lexicographically.  Raises BoxIndexOverflow for an index of 2^62 or more
-    in magnitude (or NaN).  Shared by box counting and occupation histograms.
+    lexicographically.  Raises BoxIndexOverflow, before any index is cast,
+    for an index of 2^62 or more in magnitude (or NaN).  Shared by box
+    counting and occupation histograms.
     """
-    key = np.zeros(columns[0].size, dtype=np.int64)
-    span = 1
-    for col in columns:
-        lo, hi = col.min(), col.max()
+    for lo, hi in bounds:
         if not -_KEY_SPAN_MAX < lo <= hi < _KEY_SPAN_MAX:
             raise BoxIndexOverflow(
                 f"box indices reach [{lo:.3e}, {hi:.3e}], not inside (-2^62, 2^62); "
                 "the scale is too fine or the values too spread for int64 box keys"
             )
-        col = col.astype(np.int64) - int(lo)
-        radix = int(hi) - int(lo) + 1
+    los = [int(lo) for lo, _ in bounds]
+    his = [int(hi) for _, hi in bounds]
+    radices = [hi - lo + 1 for lo, hi in zip(los, his)]
+    if math.prod(radices) <= _NARROW_MAX and -_NARROW_MAX <= min(los) and max(his) <= _NARROW_MAX:
+        n = key.size
+        key, col = key.view(np.int32)[:n], col.view(np.int32)[:n]
+    span = 1
+    for j, (lo, radix) in enumerate(zip(los, radices)):
+        dst = col if j else key
+        fill(j, dst)
+        np.subtract(dst, lo, out=dst)
         if span * radix > _KEY_SPAN_MAX:
-            key, span = _dense_rank(key)
+            if j:
+                key[:], span = _dense_rank(key)
             if span * radix > _KEY_SPAN_MAX:
-                col, radix = _dense_rank(col)
-        key = key * radix + col
+                dst[:], radix = _dense_rank(dst)
+        if j:
+            np.multiply(key, radix, out=key)
+            np.add(key, col, out=key)
         span *= radix
     return key
 
@@ -243,7 +336,7 @@ def pack_index_rows(columns):
 def _dense_rank(x):
     """Rank of each entry among the distinct values of x, and the number of them."""
     uniq, rank = np.unique(x, return_inverse=True)
-    return rank.astype(np.int64, copy=False), uniq.size
+    return rank, uniq.size
 
 
 def _fit_loglog(deltas, counts):

@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, InfeasibleParameters
+from .errors import ConfigError, DegenerateRange, InfeasibleParameters
 from .estimators import (
     GraphCloud,
     dyadic_deltas,
@@ -251,23 +251,29 @@ def _cell_d(cell):
 
 
 def _path_key(cell):
-    """(alpha, d): graph-dimension cells with equal keys measure the same paths."""
-    return cell["alpha"], _cell_d(cell)
+    """alpha: graph-dimension cells with equal keys measure the same paths.
+
+    Coordinate j of a path is drawn from its own stream whatever d is, so a
+    d-dimensional path is the first d coordinates of any wider one.
+    """
+    return cell["alpha"]
 
 
 def _graph_dim_fits(fitted, cells, common, seeds, seed_base):
     """Median box-dimension fits of graph-dimension cells sharing one path key.
 
-    Per seed, the B^alpha path and its graph cloud are made once and then
-    restricted to, and fitted over, each cell's set: the paper's setting of
-    one sample path and many sets A.  Each cell is fitted at the Hurst index
-    of every key in ``fitted`` (H, or H and H' for comparison bounds) on the
-    same cloud.  Returns, per cell, one summary per fitted index, and the
-    seconds of each cell's own work; the first cell also carries the shared
-    work (grid, paths, clouds).
+    Per seed, the B^alpha path is drawn once, at the largest d of the cells,
+    and each cell's graph cloud, made from the path's first d coordinates,
+    is restricted to, and fitted over, the cell's set: the paper's setting
+    of one sample path and many sets A.  Each cell is fitted at the Hurst
+    index of every key in ``fitted`` (H, or H and H' for comparison bounds)
+    on the same cloud.  Returns, per cell, one summary per fitted index, and
+    the seconds of each cell's own work; the first cell also carries the
+    shared work (grid, paths, clouds).
     """
     t_start = time.perf_counter()
-    alpha, d = _path_key(cells[0])
+    alpha = _path_key(cells[0])
+    dims = [_cell_d(cell) for cell in cells]
     fsets = [build_set(cell.get("set", {"kind": "full"})) for cell in cells]
     hursts = [tuple(cell[key] for key in fitted) for cell in cells]
     grid = TimeGrid.regular(common["grid_n"])
@@ -280,9 +286,14 @@ def _graph_dim_fits(fitted, cells, common, seeds, seed_base):
     fits = [[[] for _ in hs] for hs in hursts]
     own = [0.0] * len(cells)
     for s in range(seeds):
-        path = generate_fbm_path(alpha, grid, d=d, seed=seed_base + s)
-        cloud = GraphCloud.from_path(path)
+        path = generate_fbm_path(alpha, grid, d=max(dims), seed=seed_base + s)
+        clouds = {
+            d: GraphCloud(times=grid.times, values=path.values[:d].T, source="fbm-graph",
+                          h_context=alpha)
+            for d in set(dims)
+        }
         for i, (fset, hs) in enumerate(zip(fsets, hursts)):
+            cloud = clouds[dims[i]]
             t0 = time.perf_counter()
             sub = cloud if fset.kind == "full-interval" else cloud.restrict(fset)
             for j, hurst in enumerate(hs):
@@ -462,6 +473,13 @@ def _occupation_l2_rows(kind, cells, common, seeds, seed_base, config_hash):
             _, img = drifted_image(path, drift, samples)
             images.append(img)
     vals = l2_density_diagnostic(images, samples.weights, radii)
+    empty = np.flatnonzero(vals <= 0.0)
+    if empty.size:
+        raise DegenerateRange(
+            f"zero pair mass within radius 2^-{common['radius_exponents'][empty[0]]}: no "
+            f"two of the n_samples={common['n_samples']} sampled times map that close in "
+            "any seed; use more samples or coarser radii"
+        )
     rows = []
     base_diag = {
         "values": [float(v) for v in vals],
@@ -551,8 +569,8 @@ class _KindSpec:
 
     ``defaults`` are its param defaults, ``optional`` the param keys allowed
     with no default, ``cell_keys`` the keys every cell must carry, ``run``
-    its runner, and ``shares_paths`` whether adjacent cells with one
-    (alpha, d) form one job.
+    its runner, and ``shares_paths`` whether adjacent cells with one alpha
+    form one job.
     """
 
     defaults: dict
@@ -663,9 +681,9 @@ def run_experiment(config, out_dir=None, workers=None):
     """Run every cell of the configured experiment; returns the report rows.
 
     Cells execute in deterministic order (sorted by their canonical JSON).
-    Graph-dimension cells that follow each other with the same (alpha, d)
-    form one job that draws each seed's path once; every other cell is a job
-    of its own.  Each completed job's rows are appended to
+    Graph-dimension cells that follow each other with the same alpha form
+    one job that draws each seed's path once, at their largest d; every
+    other cell is a job of its own.  Each completed job's rows are appended to
     <out_dir>/report.csv immediately, so an abort keeps the finished rows.
     ``workers`` > 1 distributes jobs over a process pool (default from the
     PARAFBM_WORKERS environment variable), at most one worker per job; rows

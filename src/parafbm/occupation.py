@@ -140,7 +140,7 @@ def occupation_histogram(weights, values, epsilon, origin=None):
 
     ``origin`` anchors the cell grid (default: componentwise minimum); cell
     mass is the sum of the weights of the points it receives.  Cells are
-    grouped by one packed int64 key per point (``pack_index_rows``), which
+    grouped by one packed integer key per point (``pack_index_rows``), which
     sorts as the index rows do.  Raises ConfigError for NaN or infinite
     inputs and for an empty sample without an ``origin`` (with one, it gives
     an empty histogram), and BoxIndexOverflow for a cell index of 2^62 or
@@ -165,9 +165,13 @@ def occupation_histogram(weights, values, epsilon, origin=None):
     cells = {}
     if w.size:
         idx = np.floor((v - origin) / epsilon)
-        _, first, inv = np.unique(
-            pack_index_rows(list(idx.T)), return_index=True, return_inverse=True
+        key = pack_index_rows(
+            [(col.min(), col.max()) for col in idx.T],
+            lambda j, out: np.copyto(out, idx[:, j], casting="unsafe"),
+            np.empty(w.size, dtype=np.int64),
+            np.empty(w.size, dtype=np.int64),
         )
+        _, first, inv = np.unique(key, return_index=True, return_inverse=True)
         masses = np.bincount(inv, weights=w)
         rows = idx[first].astype(np.int64)
         cells = {tuple(map(int, row)): float(m) for row, m in zip(rows, masses) if m > 0.0}

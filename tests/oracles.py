@@ -15,7 +15,12 @@ import numpy as np
 
 
 def naive_parabolic_box_count(times, values, delta, hurst, anchor_shift=0.0):
-    """Anchored parabolic box count by explicit iteration over points.
+    """Anchored parabolic box count by explicit iteration over points."""
+    return len(naive_box_keys(times, values, delta, hurst, anchor_shift))
+
+
+def naive_box_keys(times, values, delta, hurst, anchor_shift=0.0):
+    """The set of occupied anchored boxes, as tuples of Python-int indices.
 
     ``anchor_shift`` moves every anchor by that fraction of a cell; the
     t = 1 cap on the time index applies only to unshifted grids.
@@ -35,7 +40,7 @@ def naive_parabolic_box_count(times, values, delta, hurst, anchor_shift=0.0):
             int(math.floor((v[j] - mins[j] - vshift) / side)) for j in range(d)
         )
         boxes.add(key)
-    return len(boxes)
+    return boxes
 
 
 def _philox_normals(seed, tag, coord, size):

@@ -189,6 +189,15 @@ class TestExperimentCommand:
                     "--out", str(tmp_path / "r")]) == 1
         assert "PARAFBM_WORKERS" in capsys.readouterr().err
 
+    def test_zero_pair_mass_exit_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"kind": "occupation-l2", "seeds": 2, "params": {
+            "n_samples": 256, "grid_n": 1024, "cells": [
+                {"hurst": 0.3, "d": 2, "set": {"kind": "middle-thirds", "generation": 6}}]}}))
+        assert run(["experiment", "--config", str(cfg_path),
+                    "--out", str(tmp_path / "r")]) == 2
+        assert "zero pair mass" in capsys.readouterr().err
+
     def test_usage_error_exit_1(self, capsys):
         assert run(["experiment"]) == 1
         assert capsys.readouterr().err

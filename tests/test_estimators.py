@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import naive_energy_sum, naive_parabolic_box_count
+from oracles import naive_box_keys, naive_energy_sum, naive_parabolic_box_count
+from parafbm import estimators
 from parafbm.errors import BoxIndexOverflow, ConfigError, DegenerateRange, GammaAtBoundary
 from parafbm.estimators import (
     GraphCloud,
@@ -12,6 +13,7 @@ from parafbm.estimators import (
     energy_integral_mc,
     estimate_parabolic_dimension,
     kernel_expectation_mc,
+    pack_index_rows,
     parabolic_box_count,
 )
 from parafbm.fbm import TimeGrid, generate_fbm_path
@@ -136,11 +138,20 @@ class TestBoxCount:
 
 @st.composite
 def clouds(draw):
-    """Random cloud with repeated points, times at 0 and 1, and a value spread."""
+    """Random cloud with repeated points, times at 0 and 1, and a value spread.
+
+    Times spread over [0, 1] or cluster within 2^-36 of 1/2; together with
+    the widest spreads and finest scales drawn, counts go through int32
+    keys, int64 keys (wide spans, or raw time indices past int32 with a
+    span of a few boxes), the int64 re-rank and BoxIndexOverflow.
+    """
     d = draw(st.integers(1, 3))
     n = draw(st.integers(1, 40))
-    time = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
-    spread = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    if draw(st.booleans()):
+        time = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+    else:
+        time = st.floats(0.5, 0.5 + 2.0**-36)
+    spread = draw(st.sampled_from([1e-3, 1.0, 1e3, 1e12, 2.0**57]))
     value = st.floats(-1.0, 1.0).map(lambda x: x * spread)
     points = draw(st.lists(st.tuples(time, st.lists(value, min_size=d, max_size=d)),
                            min_size=n, max_size=n))
@@ -155,19 +166,118 @@ class TestBoxCountProperties:
     @settings(max_examples=300, deadline=None)
     @given(
         cloud=clouds(),
-        deltas=st.lists(st.sampled_from([1.0, 0.5, 1.0 / 3.0, 0.25, 0.1, 2.0**-6, 2.0**-10]),
+        deltas=st.lists(st.sampled_from([1.0, 0.5, 1.0 / 3.0, 0.25, 0.1, 2.0**-6, 2.0**-10,
+                                         2.0**-40]),
                         min_size=1, max_size=4, unique=True),
         hurst=st.floats(0.05, 0.95),
-        anchor_shift=st.sampled_from([0.0, 0.25, 0.5, 0.75, -0.25, -0.5]),
+        anchor_shift=st.one_of(st.sampled_from([0.0, 0.25, 0.5, 0.75, -0.25, -0.5]),
+                               st.floats(-1.0, 1.0)),
     )
     def test_counts_match_oracle(self, cloud, deltas, hurst, anchor_shift):
         t, v = cloud
         c = GraphCloud(times=np.array(t), values=np.array(v))
-        curve = box_count_curve(c, deltas, hurst, anchor_shift)
-        for delta, count in zip(curve.deltas, curve.counts):
-            want = naive_parabolic_box_count(t, v, float(delta), hurst, anchor_shift)
-            assert count == want
-            assert parabolic_box_count(c, float(delta), hurst, anchor_shift) == want
+        want = []
+        for delta in sorted(deltas, reverse=True):
+            boxes = naive_box_keys(t, v, delta, hurst, anchor_shift)
+            if max(abs(i) for box in boxes for i in box) >= 2**62:
+                with pytest.raises(BoxIndexOverflow):
+                    parabolic_box_count(c, delta, hurst, anchor_shift)
+                with pytest.raises(BoxIndexOverflow):
+                    box_count_curve(c, deltas, hurst, anchor_shift)
+                return
+            assert parabolic_box_count(c, delta, hurst, anchor_shift) == len(boxes)
+            want.append(len(boxes))
+        # one counter over the whole curve gives the counts of standalone calls
+        assert box_count_curve(c, deltas, hurst, anchor_shift).counts.tolist() == want
+
+    def test_raw_time_index_past_int32_with_narrow_span(self):
+        # at 2^-40 the three times fall in boxes 2^39, 2^39 + 4 and 2^39 + 8:
+        # a span of 9 boxes, but raw indices that an int32 cast would break
+        t = [0.5, 0.5 + 2.0**-38, 0.5 + 2.0**-37]
+        c = GraphCloud(times=np.array(t), values=np.zeros(3))
+        for shift in (0.0, 0.25):
+            assert parabolic_box_count(c, 2.0**-40, 0.5, shift) == 3
+            assert naive_parabolic_box_count(t, [[0.0]] * 3, 2.0**-40, 0.5, shift) == 3
+
+
+def _pack(columns):
+    cols = [np.asarray(c, dtype=float) for c in columns]
+    n = cols[0].size
+    return pack_index_rows(
+        [(c.min(), c.max()) for c in cols],
+        lambda j, out: np.copyto(out, cols[j], casting="unsafe"),
+        np.empty(n, dtype=np.int64),
+        np.empty(n, dtype=np.int64),
+    )
+
+
+class TestPackIndexRows:
+    @pytest.mark.parametrize("columns, width", [
+        ([[0, 5, 3, 5], [-2, 7, 7, 7]], np.int32),
+        ([[2**31 - 1, 2**31 - 3], [-(2**31 - 1), -(2**31 - 2)]], np.int32),  # raw limits
+        ([[2**31, 2**31 + 1]], np.int64),            # span 2, raw index past int32
+        ([[0, 2**31 - 2, 7]], np.int32),             # span 2^31 - 1
+        ([[0, 2**31 - 1, 7]], np.int64),             # span 2^31
+        ([[2**39, 2**39 + 2, 2**39]], np.int64),     # span 3, raw index past int32
+        ([[0, 1, 0], [0, 2**16, 5], [0, 2**14, 1]], np.int64),  # product of radices
+        ([[0, 2**61, 3], [-(2**61), 0, 2**61]], np.int64),      # re-ranked
+    ])
+    def test_width_and_order(self, columns, width):
+        key = _pack(columns)
+        assert key.dtype == width
+        rows = list(zip(*columns))
+        for i in range(len(rows)):
+            for j in range(len(rows)):
+                assert (rows[i] < rows[j]) == (key[i] < key[j])
+                assert (rows[i] == rows[j]) == (key[i] == key[j])
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_keys_sort_as_rows(self, data):
+        # column ranges from a few boxes to 2^61, raw indices inside and past
+        # int32: int32 keys, int64 keys and the re-rank are all drawn, and a
+        # wrapped key would break the order
+        n = data.draw(st.integers(1, 30))
+        columns = []
+        for _ in range(data.draw(st.integers(1, 4))):
+            base = data.draw(st.one_of(st.sampled_from([0, 2**31 - 4, -(2**31) + 1, 2**39]),
+                                       st.integers(-(2**61), 0)))
+            width = data.draw(st.sampled_from([1, 5, 2**16, 2**31 - 1, 2**40, 2**61]))
+            offsets = st.integers(0, width - 1)
+            columns.append([float(base + o) for o in data.draw(
+                st.lists(offsets, min_size=n, max_size=n))])
+        key = _pack(columns)
+        rows = [tuple(int(x) for x in row) for row in zip(*columns)]
+        for i in range(n):
+            for j in range(n):
+                assert (rows[i] < rows[j]) == (key[i] < key[j])
+                assert (rows[i] == rows[j]) == (key[i] == key[j])
+
+    def test_overflow_checked_before_any_cast(self):
+        def fill(j, out):
+            raise AssertionError("a column was cast")
+
+        for bounds in ([(0.0, 2.0**62)], [(-(2.0**62), 0.0)], [(0.0, np.nan)]):
+            with pytest.raises(BoxIndexOverflow):
+                pack_index_rows(bounds, fill, np.empty(1, np.int64), np.empty(1, np.int64))
+
+
+def test_scales_call_the_module_global_with_the_cloud_first(monkeypatch):
+    # perfbench traces box counting by wrapping estimators.parabolic_box_count
+    # and reads each call's point count from its first argument
+    calls = []
+    real = estimators.parabolic_box_count
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(estimators, "parabolic_box_count", counting)
+    cloud = flat_cloud(n=512)
+    deltas = dyadic_deltas(2, 8)
+    estimate_parabolic_dimension(cloud, deltas, 0.5)
+    assert len(calls) == deltas.size
+    assert all(arg is cloud for arg in calls)
 
 
 class TestDimensionEstimate:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from parafbm import experiments
-from parafbm.errors import ConfigError, InfeasibleParameters
+from parafbm.errors import ConfigError, DegenerateRange, InfeasibleParameters
 from parafbm.experiments import (
     ExperimentConfig,
     build_set,
@@ -37,6 +37,16 @@ def small_dim_formula_config(**overrides):
     }
     doc.update(overrides)
     return doc
+
+
+def zero_pair_mass_config(check):
+    return {
+        "kind": "occupation-l2", "seeds": 2,
+        "params": {"n_samples": 256, "grid_n": 1024, "cells": [
+            {"hurst": 0.3, "d": 2, "set": {"kind": "middle-thirds", "generation": 6},
+             "check": check},
+        ]},
+    }
 
 
 class TestConfigValidation:
@@ -199,13 +209,13 @@ class TestDimFormulaRun:
                 return map(fn, jobs)
 
         monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
-        # six cells, three (alpha, d) runs: three jobs
+        # six cells, two alpha runs: two jobs
         rows = run_experiment(ExperimentConfig.from_dict(_GRAPH_CONFIGS["dim-formula"]),
                               workers=8)
-        assert len(rows) == 6 and sizes == [3]
+        assert len(rows) == 6 and sizes == [2]
         monkeypatch.setenv("PARAFBM_WORKERS", "2")
         run_experiment(ExperimentConfig.from_dict(small_dim_formula_config()))
-        assert sizes == [3]   # one job runs serially, without a pool
+        assert sizes == [2]   # one job runs serially, without a pool
 
     def test_workers_env_var(self, monkeypatch):
         monkeypatch.setenv("PARAFBM_WORKERS", "2")
@@ -297,6 +307,14 @@ class TestOccupationL2Run:
         assert by_check["slope"].theory == -1.0
         assert by_check["slope"].passed
 
+    @pytest.mark.parametrize("check", ["bounded", "slope"])
+    def test_zero_pair_mass_raises(self, check):
+        # 256 samples of a generation-6 Cantor set in d = 2: no two images lie
+        # within 2^-9, which gave a ratio of inf or a slope of nan
+        cfg = ExperimentConfig.from_dict(zero_pair_mass_config(check))
+        with pytest.raises(DegenerateRange, match=r"radius 2\^-9.*n_samples=256"):
+            run_experiment(cfg)
+
 
 class TestInteriorRuns:
     def test_trivial_d1_interior(self):
@@ -368,7 +386,7 @@ def test_lipschitz_drift_shape():
     assert steps.max() <= 1.0 + 1e-12
 
 
-# -- graph-dimension cells share one path per (alpha, d) and seed --------------
+# -- graph-dimension cells share one path per alpha and seed ------------------
 
 _GRAPH_COMMON = {
     "grid_n": 2**10, "delta_coarse_exp": 1, "delta_fine_exp": 6, "per_octave": 2,
@@ -419,7 +437,7 @@ def _records(rows):
 
 
 def _path_keys(cells):
-    return {(c["alpha"], c["d"]) for c in cells}
+    return {c["alpha"] for c in cells}
 
 
 @pytest.fixture
@@ -481,18 +499,18 @@ class TestSharedPaths:
         assert report("pooled") == report("serial") == _records(serial)
 
     def test_non_contiguous_keys_keep_sorted_rows(self, path_calls):
-        # "batch" sorts between "alpha" and "d", so the two (0.5, 1) cells are
-        # split by a (0.5, 2) cell and run as separate jobs
+        # "_batch" sorts before "alpha", so the two alpha = 0.5 cells are
+        # split by an alpha = 0.3 cell and run as separate jobs
         cells = [
-            {"alpha": 0.5, "batch": 2, "d": 1, "hurst": 0.5, "set": _MID},
-            {"alpha": 0.5, "batch": 1, "d": 2, "hurst": 0.5},
-            {"alpha": 0.5, "batch": 0, "d": 1, "hurst": 0.5},
+            {"_batch": 2, "alpha": 0.5, "d": 1, "hurst": 0.5, "set": _MID},
+            {"_batch": 1, "alpha": 0.3, "d": 2, "hurst": 0.6},
+            {"_batch": 0, "alpha": 0.5, "d": 2, "hurst": 0.5},
         ]
         doc = _GRAPH_CONFIGS["dim-formula"]
         cfg = ExperimentConfig.from_dict(
             {**doc, "seeds": 2, "params": {**doc["params"], "cells": cells}})
         rows = run_experiment(cfg)
-        assert [r.cell["batch"] for r in rows] == [0, 1, 2]
+        assert [r.cell["_batch"] for r in rows] == [0, 1, 2]
         assert len(path_calls) == 3 * 2
         for row in rows:
             (alone,) = run_experiment(ExperimentConfig.from_dict(
