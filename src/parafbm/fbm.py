@@ -37,6 +37,7 @@ __all__ = [
     "SamplePath",
     "fbm_covariance",
     "mixed_covariance",
+    "build_covariance_stack",
     "build_covariance_matrix",
     "build_mixed_covariance_matrix",
     "generate_fbm_path",
@@ -75,6 +76,8 @@ def validate_integer(value, name):
     Bools, fractional or non-finite numbers and non-numbers raise ConfigError
     rather than being truncated by ``int``.
     """
+    if type(value) is int:
+        return value
     if not isinstance(value, (bool, np.bool_)):
         if isinstance(value, numbers.Integral):
             return int(value)
@@ -180,7 +183,8 @@ class SamplePath:
             raise ConfigError(
                 f"values shape {v.shape} does not match grid length {len(self.grid)}"
             )
-        if self.grid.times[0] == 0.0 and not np.all(v[:, 0] == 0.0):
+        # any() is true for NaN as well as for a nonzero value; -0.0 passes
+        if self.grid.times[0] == 0.0 and v[:, 0].any():
             raise ConfigError("path value at t=0 must be 0 in every coordinate")
         object.__setattr__(self, "values", v)
 
@@ -206,12 +210,28 @@ def mixed_covariance(s, t, hurst, alpha_p):
     return fbm_covariance(s, t, hurst) + fbm_covariance(s, t, alpha_p)
 
 
+def build_covariance_stack(times, hurst):
+    """Exact fBm covariance matrices over each row of ``times``, shape (k, n, n).
+
+    Entry [i, a, b] is (|t_ib|^2H + |t_ia|^2H - |t_ib - t_ia|^2H) / 2, evaluated
+    elementwise, so each matrix is bit for bit the one its row alone gives
+    and exactly symmetric.
+    """
+    h2 = 2.0 * validate_hurst(hurst)
+    t = np.asarray(times, dtype=float)
+    if t.ndim != 2 or t.size == 0:
+        raise ConfigError("times must be a non-empty (k, n) array")
+    p = np.abs(t) ** h2
+    gaps = np.abs(t[:, None, :] - t[:, :, None]) ** h2
+    return 0.5 * (p[:, None, :] + p[:, :, None] - gaps)
+
+
 def build_covariance_matrix(times, hurst):
     """Exact fBm covariance matrix over ``times``; symmetric positive semidefinite."""
     t = np.asarray(times, dtype=float)
     if t.size == 0:
         raise ConfigError("times must be non-empty")
-    return fbm_covariance(t[:, None], t[None, :], hurst)
+    return build_covariance_stack(t[None, :], hurst)[0]
 
 
 def build_mixed_covariance_matrix(times, hurst, alpha_p):
@@ -302,7 +322,8 @@ def _sample_fgn_circulant(lam, rng):
     return np.fft.irfft(half, m2, norm="ortho")[:n]
 
 
-def _sample_increments_cholesky(tpos, hurst, rng):
+def _cholesky_sampler(tpos, hurst):
+    """rng -> exact increments over the gaps of (0, tpos), from one dense factor."""
     cov = _increment_covariance(tpos, hurst)
     try:
         chol = np.linalg.cholesky(cov)
@@ -311,7 +332,65 @@ def _sample_increments_cholesky(tpos, hurst, rng):
             f"increment covariance failed Cholesky factorization "
             f"(n={tpos.size}, H={hurst})"
         ) from exc
-    return chol @ rng.standard_normal(tpos.size)
+    return lambda rng: chol @ rng.standard_normal(tpos.size)
+
+
+def _increment_sampler(hurst, grid, method):
+    """Resolve ``method`` for one Hurst index on ``grid``; return rng -> increments.
+
+    The eigenvalues or the Cholesky factor are computed once here and shared
+    by every coordinate the sampler draws.
+    """
+    tpos = grid.positive_times
+    n = tpos.size
+    if method == "auto":
+        method = "circulant" if grid.uniform and n > 1 else "cholesky"
+    if method == "circulant" and not grid.uniform:
+        raise ConfigError("circulant embedding requires a uniform grid")
+    if method not in ("cholesky", "circulant"):
+        raise ConfigError(f"unknown method {method!r}")
+
+    if method == "circulant":
+        try:
+            # uniform grids have constant gap equal to the first positive time
+            lam = _fgn_circulant_eigenvalues(n, hurst, tpos[0])
+            return lambda rng: _sample_fgn_circulant(lam, rng)
+        except CovarianceNotPSD:
+            if n > MAX_CHOLESKY_N:
+                raise
+    if n > MAX_CHOLESKY_N:
+        raise ConfigError(
+            f"dense Cholesky sampler is capped at n={MAX_CHOLESKY_N}; "
+            "use a uniform grid for larger n"
+        )
+    return _cholesky_sampler(tpos, hurst)
+
+
+def _sample_path(grid, d, method, hursts, seeds, tags):
+    """SamplePath summing independent fBm components coordinatewise.
+
+    Component k has Hurst index ``hursts[k]`` and validated seed
+    ``seeds[k]``; its coordinate j is the cumulative sum of its increments
+    from the stream (seeds[k], (tags[k], j)).  The first component is summed
+    into the row in place and the others are added to it, so a sum of
+    components is bit for bit the sum of their separate paths.  A time 0 in
+    the grid keeps the value 0.
+    """
+    if not isinstance(grid, TimeGrid):
+        grid = TimeGrid(np.asarray(grid, dtype=float))
+    d = validate_integer(d, "d")
+    if d < 1:
+        raise ConfigError("d must be >= 1")
+    samplers = [_increment_sampler(h, grid, method) for h in hursts]
+    (first, seed0, tag0), *others = zip(samplers, seeds, tags)
+    values = np.zeros((d, len(grid)))
+    rows = values[:, len(grid) - len(grid.positive_times):]
+    # no increment array outlives its own cumsum: at 2^16 points each is 1 MiB
+    for j, row in enumerate(rows):
+        np.cumsum(first(philox_stream(seed0, (tag0, j))), out=row)
+        for sample, seed, tag in others:
+            row += np.cumsum(sample(philox_stream(seed, (tag, j))))
+    return SamplePath(grid=grid, values=values, hurst_components=hursts, seed=seeds)
 
 
 def generate_fbm_path(hurst, grid, d=1, seed=0, method="auto", _tag=0):
@@ -327,69 +406,20 @@ def generate_fbm_path(hurst, grid, d=1, seed=0, method="auto", _tag=0):
     factorization/embedding fails beyond tolerance, which signals a grid or
     precision problem.
     """
-    hurst = validate_hurst(hurst)
-    if not isinstance(grid, TimeGrid):
-        grid = TimeGrid(np.asarray(grid, dtype=float))
-    d = validate_integer(d, "d")
-    if d < 1:
-        raise ConfigError("d must be >= 1")
-    seed = validate_seed(seed)
-    tpos = grid.positive_times
-    n = tpos.size
-    has_zero = grid.times[0] == 0.0
-
-    if method == "auto":
-        method = "circulant" if grid.uniform and n > 1 else "cholesky"
-    if method == "circulant" and not grid.uniform:
-        raise ConfigError("circulant embedding requires a uniform grid")
-    if method not in ("cholesky", "circulant"):
-        raise ConfigError(f"unknown method {method!r}")
-
-    lam = None
-    if method == "circulant":
-        try:
-            # uniform grids have constant gap equal to the first positive time
-            lam = _fgn_circulant_eigenvalues(n, hurst, tpos[0])
-        except CovarianceNotPSD:
-            if n <= MAX_CHOLESKY_N:
-                method = "cholesky"
-            else:
-                raise
-    if method == "cholesky" and n > MAX_CHOLESKY_N:
-        raise ConfigError(
-            f"dense Cholesky sampler is capped at n={MAX_CHOLESKY_N}; "
-            "use a uniform grid for larger n"
-        )
-
-    values = np.zeros((d, len(grid)))
-    col0 = 1 if has_zero else 0
-    for j in range(d):
-        rng = philox_stream(seed, (_tag, j))
-        if method == "circulant":
-            inc = _sample_fgn_circulant(lam, rng)
-        else:
-            inc = _sample_increments_cholesky(tpos, hurst, rng)
-        values[j, col0:] = np.cumsum(inc)
-    return SamplePath(grid=grid, values=values, hurst_components=(hurst,), seed=(seed,))
+    return _sample_path(grid, d, method, (validate_hurst(hurst),), (validate_seed(seed),), (_tag,))
 
 
 def generate_mixed_path(hurst, alpha_p, grid, d=1, seed_pair=(0, 1), method="auto"):
     """Exact sample of Z = B^H + B^a' with independent component streams.
 
     The two components use disjoint stream tags, so they are independent
-    even when the two seeds coincide.
+    even when the two seeds coincide.  The values are bit for bit the sum
+    of ``generate_fbm_path(hurst, ..., seed=s1)`` (tag 0) and of
+    ``generate_fbm_path(alpha_p, ..., seed=s2, _tag=1)``.
     """
-    hurst = validate_hurst(hurst)
-    alpha_p = validate_hurst(alpha_p, "alpha_p")
     s1, s2 = seed_pair
-    p1 = generate_fbm_path(hurst, grid, d=d, seed=s1, method=method, _tag=0)
-    p2 = generate_fbm_path(alpha_p, grid, d=d, seed=s2, method=method, _tag=1)
-    return SamplePath(
-        grid=p1.grid,
-        values=p1.values + p2.values,
-        hurst_components=(hurst, alpha_p),
-        seed=p1.seed + p2.seed,
-    )
+    hursts = (validate_hurst(hurst), validate_hurst(alpha_p, "alpha_p"))
+    return _sample_path(grid, d, method, hursts, (validate_seed(s1), validate_seed(s2)), (0, 1))
 
 
 def path_to_csv(path, file):

@@ -22,6 +22,7 @@ import numpy as np
 from .errors import AlphaExceedsH, ConfigError, SingularConditioning
 from .fbm import (
     build_covariance_matrix,
+    build_covariance_stack,
     build_mixed_covariance_matrix,
     philox_stream,
     validate_hurst,
@@ -89,16 +90,25 @@ def _schur_conditional_variance(cov, target, given):
         return float(cov[target, target])
     g = np.asarray(given, dtype=int)
     block = cov[np.ix_(g, g)]
-    cross = cov[g, target]
     w, v = np.linalg.eigh(block)
     tol = SINGULARITY_RTOL * float(np.trace(block))
+    return _schur_from_eigh(cov[target, target], cov[g, target], w, v, tol)
+
+
+def _schur_from_eigh(var, cross, w, v, tol):
+    """var - cross' block^-1 cross from the block's eigenpairs (w, v), floored at 0.
+
+    ``cross`` must be a contiguous vector: a strided view takes another BLAS
+    path and changes the last bit.  Raises SingularConditioning when the
+    smallest eigenvalue is at most ``tol``.
+    """
     if w.min() <= tol:
         raise SingularConditioning(
             f"conditioning block is singular beyond tolerance "
             f"(min eig {w.min():.3e}, tol {tol:.3e})"
         )
     solved = v @ ((v.T @ cross) / w)
-    return max(float(cov[target, target] - cross @ solved), 0.0)
+    return max(float(var - cross @ solved), 0.0)
 
 
 def conditional_variance(spec, target, given=()):
@@ -131,11 +141,18 @@ def detcov_chain_identity(spec):
 
 
 def _nearest_prior_bound(times, h2):
-    bound = 1.0
-    for j, tj in enumerate(times):
-        prior = np.concatenate([[0.0], times[:j]])
-        bound *= float(np.min(np.abs(tj - prior)) ** h2)
+    """prod_j (min_{i<j} |t_j - t_i|)^h2 with t_0 = 0, over a list of floats."""
+    bound, prior = 1.0, [0.0]
+    for tj in times:
+        bound *= min(abs(tj - ti) for ti in prior) ** h2
+        prior.append(tj)
     return bound
+
+
+def _detcov_margin(det, times, h2):
+    if det <= 0.0:
+        raise SingularConditioning("covariance determinant is not positive")
+    return det / _nearest_prior_bound(times, h2)
 
 
 def verify_detcov_lower_bound(times, hurst):
@@ -165,11 +182,8 @@ def verify_detcov_lower_bound(times, hurst):
         raise ConfigError("times must be a non-empty 1-d array")
     if np.unique(t).size != t.size or t.min() <= 0.0 or t.max() > 1.0:
         raise ConfigError("times must be distinct and in (0, 1]")
-    cov = build_covariance_matrix(t, hurst)
-    det = float(np.linalg.det(cov))
-    if det <= 0.0:
-        raise SingularConditioning("covariance determinant is not positive")
-    return det / _nearest_prior_bound(t, 2.0 * hurst)
+    det = float(np.linalg.det(build_covariance_matrix(t, hurst)))
+    return _detcov_margin(det, t.tolist(), 2.0 * hurst)
 
 
 def lnd_margin(spec, u, conditioning_times=None):
@@ -198,9 +212,13 @@ def lnd_margin(spec, u, conditioning_times=None):
         cvar = _schur_conditional_variance(
             full.covariance, 0, tuple(range(1, len(full)))
         )
-    gaps = np.abs(u - np.concatenate([[0.0], times]))
-    bracket = float(np.min(gaps) ** (2.0 * spec.alpha_p) + np.min(gaps) ** (2.0 * spec.hurst))
-    return cvar / bracket
+    return cvar / _lnd_bracket(u, times.tolist(), spec.hurst, spec.alpha_p)
+
+
+def _lnd_bracket(u, times, hurst, alpha_p):
+    """g^(2 alpha') + g^(2H) for the gap g from u to the nearest of 0 and ``times``."""
+    gap = min(abs(u - t) for t in [0.0, *times])
+    return gap ** (2.0 * alpha_p) + gap ** (2.0 * hurst)
 
 
 def lnd_distance_ratio(hurst, alpha_p, t, r, conditioning_times):
@@ -235,43 +253,96 @@ def mixed_increment_variance(s, t, hurst, alpha_p):
     return gap ** (2.0 * hurst) + gap ** (2.0 * alpha_p)
 
 
+#: json.dumps(doc, sort_keys=True) builds an encoder per call; one serves all
+_HASH_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
 def _config_hash(doc):
-    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()[:16]
+    return hashlib.sha256(_HASH_ENCODER.encode(doc).encode()).hexdigest()[:16]
 
 
-def _validate_n_configs(n_configs):
-    n_configs = validate_integer(n_configs, "n_configs")
-    if n_configs < 1:
-        raise ConfigError(f"n_configs must be >= 1, got {n_configs}")
-    return n_configs
+def _validate_count(value, name):
+    value = validate_integer(value, name)
+    if value < 1:
+        raise ConfigError(f"{name} must be >= 1, got {value}")
+    return value
+
+
+def _validate_sweep(n_configs, max_points, interval, min_gap, extra=0):
+    """(n_configs, max_points, lo, hi) of a sweep, or ConfigError.
+
+    Each config draws at most max_points + extra sorted times from (lo, hi)
+    and redraws until consecutive ones are at least ``min_gap`` apart, which
+    can only succeed when hi - lo > (max_points + extra - 1) * min_gap.
+    """
+    n_configs = _validate_count(n_configs, "n_configs")
+    max_points = _validate_count(max_points, "max_points")
+    try:
+        lo, hi = (float(x) for x in interval)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"interval must be a pair of numbers, got {interval!r}") from exc
+    if not 0.0 < lo < hi <= 1.0:
+        raise ConfigError(f"interval must satisfy 0 < lo < hi <= 1, got {interval!r}")
+    if not hi - lo > (max_points + extra - 1) * min_gap:
+        raise ConfigError(
+            f"{max_points + extra} times at least {min_gap} apart do not fit "
+            f"in the interval ({lo}, {hi})"
+        )
+    return n_configs, max_points, lo, hi
+
+
+def _sorted_draw(rng, size, lo, hi, min_gap):
+    """``size`` sorted uniform draws from (lo, hi) as floats, redrawn until
+    consecutive ones are at least ``min_gap`` apart."""
+    while True:
+        t = np.sort(rng.uniform(lo, hi, size=size)).tolist()
+        if all(b - a >= min_gap for a, b in zip(t, t[1:])):
+            return t
+
+
+def _stacks(rows, sizes):
+    """Per size n in ``sizes``: the indices of the rows of that size and the
+    (k, n) stack of their first n entries."""
+    for n in np.unique(sizes).tolist():
+        idx = np.flatnonzero(sizes == n)
+        yield n, idx.tolist(), rows[idx, :n]
 
 
 def detcov_margin_sweep(n_configs, hurst_values=(0.2, 0.5, 0.8), max_points=5, seed=0):
     """Randomized sweep of verify_detcov_lower_bound margins.
 
-    Yields one record per configuration: dict with config hash, H, the
+    Returns one record per configuration: dict with config hash, H, the
     number of times n, and the margin.  The times are sorted, so every
     margin obeys kappa_H^(n-1) <= margin <= 1 (see verify_detcov_lower_bound).
+
+    Every config is drawn first, in the order of the per-config loop; the
+    covariances of one H and one n are then built and their determinants
+    taken as one stack, and each record equals verify_detcov_lower_bound's
+    margin bit for bit.  Raises ConfigError unless ``n_configs`` and
+    ``max_points`` are whole numbers >= 1 and every H lies in (0, 1).
     """
-    n_configs = _validate_n_configs(n_configs)
+    n_configs, max_points, lo, hi = _validate_sweep(n_configs, max_points, (0.01, 1.0), 1e-4)
+    hursts = [validate_hurst(h) for h in hurst_values]
     rng = philox_stream(seed, (5, 0))
-    records = []
-    for h in hurst_values:
-        for _ in range(n_configs):
-            n = int(rng.integers(1, max_points + 1))
-            # min gap keeps the determinant ratio numerically trustworthy
-            t = np.sort(rng.uniform(0.01, 1.0, size=n))
-            while np.any(np.diff(t) < 1e-4):
-                t = np.sort(rng.uniform(0.01, 1.0, size=n))
-            margin = verify_detcov_lower_bound(t, h)
-            records.append(
-                {
-                    "config": _config_hash({"H": h, "times": t.tolist()}),
+    times = np.empty((len(hursts) * n_configs, max_points))
+    sizes = np.empty(len(times), dtype=int)
+    for i in range(len(times)):
+        n = sizes[i] = int(rng.integers(1, max_points + 1))
+        # the min gap keeps the determinant ratio numerically trustworthy
+        times[i, :n] = _sorted_draw(rng, n, lo, hi, 1e-4)
+    records = [None] * len(times)
+    for base, h in zip(range(0, len(times), n_configs), hursts):
+        block = slice(base, base + n_configs)
+        for n, idx, stack in _stacks(times[block], sizes[block]):
+            dets = np.linalg.det(build_covariance_stack(stack, h)).tolist()
+            for i, row, det in zip(idx, stack, dets):
+                t = row.tolist()
+                records[base + i] = {
+                    "config": _config_hash({"H": h, "times": t}),
                     "hurst": h,
                     "n": n,
-                    "margin": margin,
+                    "margin": _detcov_margin(det, t, 2.0 * h),
                 }
-            )
     return records
 
 
@@ -287,30 +358,41 @@ def lnd_margin_sweep(
 
     Returns the records and their empirical infimum, the reported stand-in
     for the non-constructive constant.
+
+    Every config (u and n conditioning times, all 1e-5 apart in
+    ``interval``) is drawn first, in the order of the per-config loop; the
+    mixed covariances of one n are then built and their conditioning blocks
+    diagonalised as one stack, and each ratio equals lnd_margin's bit for
+    bit.  Raises ConfigError unless ``n_configs`` and ``max_points`` are
+    whole numbers >= 1, 0 < lo < hi <= 1 and hi - lo > max_points * 1e-5.
     """
-    n_configs = _validate_n_configs(n_configs)
+    n_configs, max_points, lo, hi = _validate_sweep(
+        n_configs, max_points, interval, 1e-5, extra=1)
+    hurst = validate_hurst(hurst)
+    alpha_p = validate_hurst(alpha_p, "alpha_p")
     rng = philox_stream(seed, (5, 1))
-    lo, hi = interval
-    records = []
-    for _ in range(n_configs):
+    points = np.empty((n_configs, max_points + 1))   # u, then the conditioning times
+    sizes = np.empty(n_configs, dtype=int)
+    for i in range(n_configs):
         n = int(rng.integers(1, max_points + 1))
-        pts = np.sort(rng.uniform(lo, hi, size=n + 1))
-        while np.any(np.diff(pts) < 1e-5):
-            pts = np.sort(rng.uniform(lo, hi, size=n + 1))
-        pick = int(rng.integers(0, n + 1))
-        u = pts[pick]
-        times = np.delete(pts, pick)
-        spec = GaussianVectorSpec.mixed(times, hurst, alpha_p)
-        ratio = lnd_margin(spec, u)
-        records.append(
-            {
-                "config": _config_hash(
-                    {"H": hurst, "a": alpha_p, "u": u, "times": times.tolist()}
-                ),
-                "u": float(u),
-                "n": n,
-                "ratio": ratio,
+        t = _sorted_draw(rng, n + 1, lo, hi, 1e-5)
+        u = t.pop(int(rng.integers(0, n + 1)))
+        points[i, :n + 1] = [u, *t]
+        sizes[i] = n + 1
+    records = [None] * n_configs
+    for size, idx, stack in _stacks(points, sizes):
+        cov = build_covariance_stack(stack, hurst) + build_covariance_stack(stack, alpha_p)
+        block = cov[:, 1:, 1:]
+        w, v = np.linalg.eigh(block)
+        tol = SINGULARITY_RTOL * np.trace(block, axis1=1, axis2=2)
+        cross = np.ascontiguousarray(cov[:, 1:, 0])
+        for k, i in enumerate(idx):
+            u, *times = stack[k].tolist()
+            cvar = _schur_from_eigh(cov[k, 0, 0], cross[k], w[k], v[k], tol[k])
+            records[i] = {
+                "config": _config_hash({"H": hurst, "a": alpha_p, "u": u, "times": times}),
+                "u": u,
+                "n": size - 1,
+                "ratio": cvar / _lnd_bracket(u, times, hurst, alpha_p),
             }
-        )
-    inf_ratio = min(r["ratio"] for r in records)
-    return records, inf_ratio
+    return records, min(r["ratio"] for r in records)

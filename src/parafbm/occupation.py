@@ -129,9 +129,13 @@ def drifted_image(path, drift_values, a_samples):
     if st.min() < t[0] - 1e-12 or st.max() > t[-1] + 1e-12:
         raise GridMismatch("sample times fall outside the path grid range")
     y = path.values + f
+    # np.interp gives each point's value from that point alone, but it finds
+    # each interval from the last one, so sorted query times are much faster
+    order = np.argsort(st)
+    st_sorted = st[order]
     out = np.empty((st.size, path.d))
     for j in range(path.d):
-        out[:, j] = np.interp(st, t, y[j])
+        out[order, j] = np.interp(st_sorted, t, y[j])
     return a_samples.weights.copy(), out
 
 

@@ -5,10 +5,14 @@ vectorized routines) so that agreement is a genuine dual-route check.
 The fBm chain constant kappa_H has two routes here as well: its Gamma closed
 form and a quadrature of the Mandelbrot-Van Ness kernel.  The circulant fBm
 sampler has two: a pure-Python DFT and the complex-FFT route it replaced.
+The batched Gaussian sweeps are checked against the per-config loop they
+replaced, which draws each config and calls the public one-config route.
 """
 
 import cmath
+import hashlib
 import itertools
+import json
 import math
 
 import numpy as np
@@ -259,3 +263,51 @@ def mvn_kappa_quadrature(hurst):
             [0, 1],
         )
         return float(1 / (1 + 2 * h * (head + tail)))
+
+
+def _sweep_stream(seed, sweep):
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(5, sweep))
+    return np.random.Generator(np.random.Philox(ss))
+
+
+def _hash(doc):
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()[:16]
+
+
+def detcov_sweep_by_config(n_configs, hurst_values, max_points, seed):
+    """detcov_margin_sweep as one verify_detcov_lower_bound call per config."""
+    from parafbm.gaussian import verify_detcov_lower_bound
+
+    rng = _sweep_stream(seed, 0)
+    records = []
+    for h in hurst_values:
+        for _ in range(n_configs):
+            n = int(rng.integers(1, max_points + 1))
+            t = np.sort(rng.uniform(0.01, 1.0, size=n))
+            while np.any(np.diff(t) < 1e-4):
+                t = np.sort(rng.uniform(0.01, 1.0, size=n))
+            records.append({"config": _hash({"H": h, "times": t.tolist()}), "hurst": h,
+                            "n": n, "margin": verify_detcov_lower_bound(t, h)})
+    return records
+
+
+def lnd_sweep_by_config(n_configs, hurst, alpha_p, interval, max_points, seed):
+    """lnd_margin_sweep as one lnd_margin(GaussianVectorSpec.mixed(...)) call per config."""
+    from parafbm.gaussian import GaussianVectorSpec, lnd_margin
+
+    rng = _sweep_stream(seed, 1)
+    lo, hi = interval
+    records = []
+    for _ in range(n_configs):
+        n = int(rng.integers(1, max_points + 1))
+        pts = np.sort(rng.uniform(lo, hi, size=n + 1))
+        while np.any(np.diff(pts) < 1e-5):
+            pts = np.sort(rng.uniform(lo, hi, size=n + 1))
+        pick = int(rng.integers(0, n + 1))
+        u = float(pts[pick])
+        times = np.delete(pts, pick)
+        ratio = lnd_margin(GaussianVectorSpec.mixed(times, hurst, alpha_p), u)
+        records.append({"config": _hash({"H": hurst, "a": alpha_p, "u": u,
+                                         "times": times.tolist()}),
+                        "u": u, "n": n, "ratio": ratio})
+    return records, min(r["ratio"] for r in records)

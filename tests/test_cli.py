@@ -142,6 +142,11 @@ class TestGaussSweep:
         assert run(["gauss-sweep", "--sweep", sweep, "--configs", configs]) == 1
         assert "n_configs" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--hurst", "--alpha-p"])
+    def test_lnd_bad_index_exit_1(self, flag, capsys):
+        assert run(["gauss-sweep", "--sweep", "lnd", "--configs", "5", flag, "1.5"]) == 1
+        assert "(0, 1)" in capsys.readouterr().err
+
 
 class TestExperimentCommand:
     def test_runs_suite(self, tmp_path, capsys):

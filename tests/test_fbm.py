@@ -204,6 +204,46 @@ class TestGeneration:
             SamplePath(grid=g, values=np.ones((1, 4)),
                        hurst_components=(0.5,), seed=(0,))
 
+    @pytest.mark.parametrize("first", [np.nan, 1e-300, -np.inf])
+    def test_start_value_nan_or_nonzero_rejected(self, first):
+        from parafbm.fbm import SamplePath
+        values = np.zeros((2, 4))
+        values[1, 0] = first
+        with pytest.raises(ConfigError):
+            SamplePath(grid=TimeGrid.regular(4), values=values,
+                       hurst_components=(0.5,), seed=(0,))
+
+    def test_negative_zero_start_accepted(self):
+        from parafbm.fbm import SamplePath
+        values = np.zeros((1, 4))
+        values[0, 0] = -0.0
+        SamplePath(grid=TimeGrid.regular(4), values=values, hurst_components=(0.5,), seed=(0,))
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        hurst=st.floats(0.05, 0.95),
+        alpha_p=st.floats(0.05, 0.95),
+        grid=st.sampled_from(["zero", "no-zero", "explicit", "single"]),
+        n=st.integers(2, 40),
+        d=st.integers(1, 3),
+        seeds=st.tuples(st.integers(0, 2**40), st.integers(0, 2**40)),
+        method=st.sampled_from(["auto", "cholesky"]),
+    )
+    def test_mixed_is_sum_of_tagged_components(self, hurst, alpha_p, grid, n, d, seeds,
+                                               method):
+        g = {
+            "zero": lambda: TimeGrid.regular(n),
+            "no-zero": lambda: TimeGrid.regular(n, include_zero=False),
+            "explicit": lambda: TimeGrid(np.sort(np.random.default_rng(n).uniform(
+                0.01, 1.0, n))),
+            "single": lambda: TimeGrid(np.array([0.0, 0.4])),
+        }[grid]()
+        got = generate_mixed_path(hurst, alpha_p, g, d=d, seed_pair=seeds, method=method)
+        p0 = generate_fbm_path(hurst, g, d=d, seed=seeds[0], method=method, _tag=0)
+        p1 = generate_fbm_path(alpha_p, g, d=d, seed=seeds[1], method=method, _tag=1)
+        assert got.values.tobytes() == (p0.values + p1.values).tobytes()
+        assert got.seed == seeds and got.hurst_components == (hurst, alpha_p)
+
     def test_mixed_equal_hurst_doubles_variance(self):
         g = TimeGrid.regular(3)
         nrep = 4000

@@ -1,11 +1,20 @@
+import json
+import signal
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import mvn_kappa, mvn_kappa_quadrature, naive_conditional_variance
+from oracles import (
+    detcov_sweep_by_config,
+    lnd_sweep_by_config,
+    mvn_kappa,
+    mvn_kappa_quadrature,
+    naive_conditional_variance,
+)
 from parafbm.errors import AlphaExceedsH, ConfigError, SingularConditioning
-from parafbm.fbm import build_covariance_matrix
+from parafbm.fbm import build_covariance_matrix, build_covariance_stack, fbm_covariance
 from parafbm.gaussian import (
     GaussianVectorSpec,
     conditional_variance,
@@ -218,6 +227,105 @@ class TestLndMargin:
     def test_rejects_near_times(self):
         with pytest.raises(ConfigError):
             lnd_distance_ratio(0.7, 0.35, 0.5, 0.1, np.array([0.55]))
+
+
+class TestBatchedSweeps:
+    """Stacked sweeps against the per-config public route, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32),
+        n_configs=st.integers(1, 40),
+        max_points=st.integers(1, 8),
+        hurst_values=st.lists(st.floats(0.05, 0.95), min_size=1, max_size=3),
+    )
+    def test_detcov_records_equal_per_config_route(self, seed, n_configs, max_points,
+                                                   hurst_values):
+        got = detcov_margin_sweep(n_configs, hurst_values, max_points, seed)
+        want = detcov_sweep_by_config(n_configs, hurst_values, max_points, seed)
+        assert json.dumps(got) == json.dumps(want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32),
+        n_configs=st.integers(1, 40),
+        max_points=st.integers(1, 8),
+        hurst=st.floats(0.1, 0.95),
+        alpha_frac=st.floats(0.1, 1.0),
+        lo=st.floats(0.01, 0.7),
+        width=st.floats(0.05, 1.0),
+    )
+    def test_lnd_records_equal_per_config_route(self, seed, n_configs, max_points, hurst,
+                                                alpha_frac, lo, width):
+        interval = (lo, min(lo + width, 1.0))
+        args = (n_configs, hurst, hurst * alpha_frac, interval, max_points, seed)
+        got = lnd_margin_sweep(*args)
+        want = lnd_sweep_by_config(*args)
+        assert json.dumps(got) == json.dumps(want)
+
+    def test_acceptance_sweeps_equal_per_config_route(self):
+        assert json.dumps(detcov_margin_sweep(334, seed=3)) == json.dumps(
+            detcov_sweep_by_config(334, (0.2, 0.5, 0.8), 5, 3))
+        assert json.dumps(lnd_margin_sweep(1000, seed=3)) == json.dumps(
+            lnd_sweep_by_config(1000, 0.7, 0.35, (0.1, 1.0), 6, 3))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        k=st.integers(1, 6),
+        n=st.integers(1, 12),
+        h=st.floats(0.02, 0.98),
+        seed=st.integers(0, 2**32),
+    )
+    def test_stacked_covariance_equals_one_config_route(self, k, n, h, seed):
+        times = np.random.default_rng(seed).uniform(0.0, 1.0, size=(k, n))
+        stack = build_covariance_stack(times, h)
+        for row, cov in zip(times, stack):
+            assert cov.tobytes() == build_covariance_matrix(row, h).tobytes()
+            assert cov.tobytes() == fbm_covariance(row[:, None], row[None, :], h).tobytes()
+
+
+def _raises_promptly(call, seconds=5):
+    """ConfigError from ``call`` within ``seconds``; a hang fails the test."""
+    def hang(signum, frame):
+        raise AssertionError(f"no answer within {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(seconds)
+    try:
+        with pytest.raises(ConfigError):
+            call()
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+class TestSweepArguments:
+    @pytest.mark.parametrize("max_points", [0, -2, 2.5, True, "3", None])
+    def test_max_points_must_be_whole_and_positive(self, max_points):
+        _raises_promptly(lambda: detcov_margin_sweep(3, max_points=max_points))
+        _raises_promptly(lambda: lnd_margin_sweep(3, max_points=max_points))
+
+    @pytest.mark.parametrize("interval", [
+        (0.5, 0.5),        # the min-gap redraw could never succeed
+        (1.0, 0.1), (0.0, 0.5), (-0.2, 0.5), (0.1, 1.5), (float("nan"), 0.5),
+        (0.2, 0.2 + 5e-5),  # 7 times 1e-5 apart need more than 6e-5
+        (0.1,), "ab", None,
+    ])
+    def test_lnd_interval_must_fit_the_points(self, interval):
+        _raises_promptly(lambda: lnd_margin_sweep(3, interval=interval))
+
+    def test_narrow_interval_that_fits_is_accepted(self):
+        recs, _ = lnd_margin_sweep(5, interval=(0.3, 0.31), max_points=2, seed=1)
+        assert all(0.3 <= r["u"] <= 0.31 for r in recs)
+
+    def test_whole_float_max_points_is_that_count(self):
+        assert detcov_margin_sweep(7, max_points=3.0) == detcov_margin_sweep(7, max_points=3)
+
+    def test_detcov_hurst_values_validated(self):
+        _raises_promptly(lambda: detcov_margin_sweep(3, hurst_values=(0.5, 1.2)))
+
+    def test_max_points_too_large_for_the_detcov_range(self):
+        _raises_promptly(lambda: detcov_margin_sweep(3, max_points=10**4))
 
 
 class TestMixedIncrementVariance:

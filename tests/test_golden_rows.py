@@ -1,23 +1,34 @@
-"""Report rows of one tiny config per experiment kind, pinned in golden_rows.json.
+"""Report rows of one tiny config per experiment kind, pinned in golden_rows.json,
+and sha256 digests of the gauss-sweep CLI outputs, pinned in golden_sweeps.json.
 
 Each config runs on 2^10-point grids with 2 seeds (kernel scaling at 10^4
 samples).  A fresh row must equal its pinned ``csv_record()`` apart from
 ``runtime_s``: strings exactly, floats to rel 1e-12 (rounding may differ
 across platforms; on one machine the rows are byte-identical).
 
-A change meant to alter report rows regenerates the file with
-``PYTHONPATH=src python tests/test_golden_rows.py``.
+The sweep digests cover the stdout line and the ``--out`` CSV of
+``parafbm gauss-sweep --sweep {detcov,lnd} --configs 200`` at two seeds, so
+any bit drift in a sweep record fails here.
+
+A change meant to alter report rows or sweep records regenerates both files
+with ``PYTHONPATH=src python tests/test_golden_rows.py``.
 """
 
+import contextlib
+import hashlib
+import io
 import json
 import math
 from pathlib import Path
 
 import pytest
 
+from parafbm.cli import cli_main
 from parafbm.experiments import ExperimentConfig, run_experiment
 
 GOLDEN = Path(__file__).with_name("golden_rows.json")
+GOLDEN_SWEEPS = Path(__file__).with_name("golden_sweeps.json")
+SWEEP_RUNS = [(sweep, seed) for sweep in ("detcov", "lnd") for seed in (0, 5)]
 _NUMERIC_FIELDS = ("theory", "estimate", "tolerance")
 _JSON_FIELDS = ("cell", "diagnostics")
 
@@ -131,8 +142,34 @@ def test_rows_match_golden(kind):
         _assert_same(_parsed(g), _parsed(w), f"{kind}[{i}]")
 
 
+def sweep_digests(sweep, seed, out_dir):
+    """sha256 of the stdout and of the --out CSV of one gauss-sweep run."""
+    csv_path = Path(out_dir) / f"{sweep}-{seed}.csv"
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = cli_main(["gauss-sweep", "--sweep", sweep, "--configs", "200",
+                         "--seed", str(seed), "--out", str(csv_path)])
+    assert code == 0
+    return {"stdout": hashlib.sha256(stdout.getvalue().encode()).hexdigest(),
+            "csv": hashlib.sha256(csv_path.read_bytes()).hexdigest()}
+
+
+@pytest.mark.parametrize("sweep, seed", SWEEP_RUNS)
+def test_sweep_outputs_match_golden(sweep, seed, tmp_path):
+    golden = json.loads(GOLDEN_SWEEPS.read_text())
+    assert sweep_digests(sweep, seed, tmp_path) == golden[f"{sweep}-seed{seed}"]
+
+
 if __name__ == "__main__":
+    import tempfile
+
     GOLDEN.write_text(json.dumps(
         {kind: fresh_records(doc) for kind, doc in sorted(CONFIGS.items())},
         indent=1, sort_keys=True,
     ) + "\n")
+    with tempfile.TemporaryDirectory() as tmp:
+        GOLDEN_SWEEPS.write_text(json.dumps(
+            {f"{sweep}-seed{seed}": sweep_digests(sweep, seed, tmp)
+             for sweep, seed in SWEEP_RUNS},
+            indent=1, sort_keys=True,
+        ) + "\n")

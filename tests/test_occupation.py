@@ -59,6 +59,21 @@ class TestDriftedImage:
         got_w, _ = drifted_image(p, np.zeros_like(p.values), samples)
         np.testing.assert_array_equal(got_w, w)
 
+    @pytest.mark.parametrize("grid", [TimeGrid.regular(257),
+                                      TimeGrid.regular(64, include_zero=False)])
+    def test_equals_direct_interp_at_unsorted_times(self, grid):
+        p = generate_fbm_path(0.4, grid, d=2, seed=3)
+        rng = np.random.default_rng(2)
+        drift = rng.normal(size=p.values.shape)
+        t = grid.times
+        # unsorted, with repeats and the grid's own end points and knots
+        times = np.concatenate([rng.uniform(t[0], t[-1], 500), t[[0, -1, 5, 5]], t[::7]])
+        rng.shuffle(times)
+        samples = WeightedTimeSet(times=times, weights=np.full(times.size, 1.0 / times.size))
+        _, img = drifted_image(p, drift, samples)
+        want = np.stack([np.interp(times, t, p.values[j] + drift[j]) for j in range(2)], axis=1)
+        assert np.array_equal(img, want)
+
     def test_grid_mismatch(self):
         g = TimeGrid.regular(16)
         p = generate_fbm_path(0.3, g, seed=1)
