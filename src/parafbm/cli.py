@@ -20,6 +20,7 @@ from .errors import ConfigError, NumericalError
 from .estimators import (
     GraphCloud,
     box_count_curve,
+    dyadic_deltas,
     energy_integral_mc,
     estimate_parabolic_dimension,
 )
@@ -50,7 +51,7 @@ def parse_delta_spec(spec):
         e0, e1 = _parse_pow2(lo), _parse_pow2(hi)
         if e0 <= 0 or e1 <= 0 or e1 <= e0:
             raise ConfigError(f"bad delta range {spec!r}: need 2^-a..2^-b with a < b")
-        return 2.0 ** -np.arange(e0, e1 + 1, dtype=float)
+        return dyadic_deltas(e0, e1)
     vals = np.array([float(tok) for tok in spec.split(",") if tok.strip()])
     if vals.size == 0:
         raise ConfigError("empty delta list")
@@ -82,11 +83,9 @@ def _cmd_generate(args):
         path = generate_mixed_path(
             args.hurst, args.alpha_p, grid, d=args.d,
             seed_pair=(args.seed, args.seed2 if args.seed2 is not None else args.seed + 1),
-            method=args.method,
         )
     else:
-        path = generate_fbm_path(args.hurst, grid, d=args.d, seed=args.seed,
-                                 method=args.method)
+        path = generate_fbm_path(args.hurst, grid, d=args.d, seed=args.seed)
     with atomic_writer(args.out) as fh:
         path_to_csv(path, fh)
     if args.meta:
@@ -190,8 +189,6 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--seed2", type=int, default=None,
                    help="second seed for the mixed process")
-    p.add_argument("--method", choices=["auto", "cholesky", "circulant"],
-                   default="auto")
     p.add_argument("--out", default="path.csv")
     p.add_argument("--meta", default=None, help="write the JSON envelope here")
     p.set_defaults(func=_cmd_generate)

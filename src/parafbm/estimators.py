@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoxIndexOverflow, ConfigError, DegenerateRange, GammaAtBoundary
-from .fbm import philox_stream, validate_hurst, validate_seed
+from .fbm import philox_stream, validate_hurst, validate_integer, validate_seed
 
 __all__ = [
     "GraphCloud",
@@ -486,6 +486,7 @@ def kernel_expectation_mc(t, alpha, hurst, gamma, d, n, seed=0, boundary_margin=
         raise GammaAtBoundary(
             f"gamma={gamma} within {boundary_margin} of H*d={hurst * d}"
         )
+    n = validate_integer(n, "n")
     if n < 1:
         raise ConfigError("n must be >= 1")
     rng = philox_stream(seed, (4,))

@@ -45,7 +45,7 @@ from .fractals import (
     middle_thirds_cantor,
     sample_natural_measure,
 )
-from .geometry import comparison_bounds, theoretical_graph_dimension
+from .geometry import comparison_bounds, holder_graph_bounds, theoretical_graph_dimension
 from .occupation import (
     drifted_image,
     interior_fraction,
@@ -340,9 +340,9 @@ def _dim_formula_row(cell, fits, common, seeds, config_hash, runtime):
 
 def _holder_bounds_row(cell, fits, common, seeds, config_hash, runtime):
     (out,) = fits
-    dim_a = out["dim_a"]
-    lower = dim_a
-    upper = theoretical_graph_dimension(cell["alpha"], cell["hurst"], dim_a, _cell_d(cell))
+    lower, upper = holder_graph_bounds(
+        cell["alpha"], cell["hurst"], out["dim_a"], _cell_d(cell)
+    )
     margin = common["margin"]
     est = out["estimate"]
     ok = (lower - margin) <= est <= (upper + margin)
@@ -516,26 +516,25 @@ def _interior_rows(kind, cells, common, seeds, seed_base, config_hash):
     expect = cell.get("expect", "interior")
     threshold = float(cell.get("threshold", 0.9))
     alpha_p = cell.get("alpha_p")
+    mixed = kind == "theorem41" and alpha_p is not None
     fset = build_set(cell.get("set", {"kind": "full"}))
-    if kind == "theorem41" and alpha_p is not None and expect != "evidence":
+    if mixed and expect != "evidence":
         if alpha_p * d >= fset.theoretical_dim:
             raise InfeasibleParameters(
                 f"alpha'*d = {alpha_p * d} >= dim(A) = {fset.theoretical_dim}"
             )
     samples = sample_natural_measure(fset, common["n_samples"], seed=seed_base)
     grid = TimeGrid.regular(common["grid_n"])
-    zeros = np.zeros((d, len(grid)))
+    drift = _drift_values(None if mixed else cell.get("drift", "zero"), grid, d)
     hists = []
     for s in range(seeds):
-        if kind == "theorem41" and alpha_p is not None:
+        if mixed:
             path = generate_mixed_path(
                 hurst, alpha_p, grid, d=d,
                 seed_pair=(seed_base + 2 * s, seed_base + 2 * s + 1),
             )
-            drift = zeros
         else:
             path = generate_fbm_path(hurst, grid, d=d, seed=seed_base + s)
-            drift = _drift_values(cell.get("drift", "zero"), grid, d)
         w, img = drifted_image(path, drift, samples)
         hists.append(occupation_histogram(w, img, epsilon))
     frac, _reports = interior_fraction(hists, radius)

@@ -1,12 +1,15 @@
 """Exact simulation of fractional Brownian motion and the mixed process B^H + B^a'.
 
-Two exact samplers are provided: dense Cholesky factorization of the
-increment covariance for arbitrary grids (n <= 4096 by default) and
-circulant embedding of the stationary increment sequence for uniform grids
+The grid picks one of two exact samplers: circulant embedding of the
+stationary increment sequence on a uniform grid with two or more increments
 (Dietrich & Newsam, SIAM J. Sci. Comput. 18 (1997); practical up to ~2^20
-points).  The embedding of n increments is a real symmetric 2n-circulant,
-so both its eigenvalues and each sample come from real-output FFTs of the
-n+1 non-redundant coefficients rather than complex transforms of all 2n.
+points), and dense Cholesky factorization of the increment covariance on
+any other grid (n <= 4096).  The embedding of n increments is a real
+symmetric 2n-circulant, so both its eigenvalues and each sample come from
+real-output FFTs of the n+1 non-redundant coefficients rather than complex
+transforms of all 2n.  In exact arithmetic its eigenvalues are nonnegative
+for every H in (0, 1) (Craigmile, J. Time Ser. Anal. 24 (2003)); one below
+the rounding clamp raises CovarianceNotPSD, with no fallback to Cholesky.
 Increments are simulated and summed, which conditions much better than
 factoring the path covariance directly.
 
@@ -138,6 +141,7 @@ class TimeGrid:
     @classmethod
     def regular(cls, n, include_zero=True):
         """Uniform n-point grid of [0, 1]; with ``include_zero`` the grid is linspace(0,1,n)."""
+        n = validate_integer(n, "n")
         if n < 1:
             raise ConfigError("n must be >= 1")
         if include_zero:
@@ -335,29 +339,20 @@ def _cholesky_sampler(tpos, hurst):
     return lambda rng: chol @ rng.standard_normal(tpos.size)
 
 
-def _increment_sampler(hurst, grid, method):
-    """Resolve ``method`` for one Hurst index on ``grid``; return rng -> increments.
+def _increment_sampler(hurst, grid):
+    """rng -> exact increments for one Hurst index on ``grid``.
 
-    The eigenvalues or the Cholesky factor are computed once here and shared
-    by every coordinate the sampler draws.
+    A uniform grid with two or more increments uses circulant embedding;
+    any other grid uses the dense Cholesky factor, up to MAX_CHOLESKY_N
+    points.  The eigenvalues or the factor are computed once here and
+    shared by every coordinate the sampler draws.
     """
     tpos = grid.positive_times
     n = tpos.size
-    if method == "auto":
-        method = "circulant" if grid.uniform and n > 1 else "cholesky"
-    if method == "circulant" and not grid.uniform:
-        raise ConfigError("circulant embedding requires a uniform grid")
-    if method not in ("cholesky", "circulant"):
-        raise ConfigError(f"unknown method {method!r}")
-
-    if method == "circulant":
-        try:
-            # uniform grids have constant gap equal to the first positive time
-            lam = _fgn_circulant_eigenvalues(n, hurst, tpos[0])
-            return lambda rng: _sample_fgn_circulant(lam, rng)
-        except CovarianceNotPSD:
-            if n > MAX_CHOLESKY_N:
-                raise
+    if grid.uniform and n > 1:
+        # uniform grids have constant gap equal to the first positive time
+        lam = _fgn_circulant_eigenvalues(n, hurst, tpos[0])
+        return lambda rng: _sample_fgn_circulant(lam, rng)
     if n > MAX_CHOLESKY_N:
         raise ConfigError(
             f"dense Cholesky sampler is capped at n={MAX_CHOLESKY_N}; "
@@ -366,7 +361,7 @@ def _increment_sampler(hurst, grid, method):
     return _cholesky_sampler(tpos, hurst)
 
 
-def _sample_path(grid, d, method, hursts, seeds, tags):
+def _sample_path(grid, d, hursts, seeds, tags):
     """SamplePath summing independent fBm components coordinatewise.
 
     Component k has Hurst index ``hursts[k]`` and validated seed
@@ -381,7 +376,7 @@ def _sample_path(grid, d, method, hursts, seeds, tags):
     d = validate_integer(d, "d")
     if d < 1:
         raise ConfigError("d must be >= 1")
-    samplers = [_increment_sampler(h, grid, method) for h in hursts]
+    samplers = [_increment_sampler(h, grid) for h in hursts]
     (first, seed0, tag0), *others = zip(samplers, seeds, tags)
     values = np.zeros((d, len(grid)))
     rows = values[:, len(grid) - len(grid.positive_times):]
@@ -393,23 +388,25 @@ def _sample_path(grid, d, method, hursts, seeds, tags):
     return SamplePath(grid=grid, values=values, hurst_components=hursts, seed=seeds)
 
 
-def generate_fbm_path(hurst, grid, d=1, seed=0, method="auto", _tag=0):
+def generate_fbm_path(hurst, grid, d=1, seed=0, _tag=0):
     """Exact d-dimensional fBm sample on ``grid``.
 
     Each coordinate is an independent centered Gaussian vector with the exact
     fBm covariance, a deterministic function of (hurst, grid, d, seed).
-    ``method`` is "auto" (circulant embedding on uniform grids, Cholesky
-    otherwise), "cholesky", or "circulant".
+    The grid picks the sampler: circulant embedding on a uniform grid with
+    two or more increments, the dense Cholesky factor on any other grid.
 
     Raises ConfigError when ``d`` or ``seed`` is not a whole number (a bool
-    or 0.7 is refused, not truncated) or ``seed`` is negative, and CovarianceNotPSD when
-    factorization/embedding fails beyond tolerance, which signals a grid or
-    precision problem.
+    or 0.7 is refused, not truncated) or ``seed`` is negative, or when a
+    non-uniform grid has more than MAX_CHOLESKY_N points.  Raises
+    CovarianceNotPSD when the embedding or the factorization fails beyond
+    tolerance, which signals a grid or precision problem; a rejected
+    embedding is not retried with Cholesky.
     """
-    return _sample_path(grid, d, method, (validate_hurst(hurst),), (validate_seed(seed),), (_tag,))
+    return _sample_path(grid, d, (validate_hurst(hurst),), (validate_seed(seed),), (_tag,))
 
 
-def generate_mixed_path(hurst, alpha_p, grid, d=1, seed_pair=(0, 1), method="auto"):
+def generate_mixed_path(hurst, alpha_p, grid, d=1, seed_pair=(0, 1)):
     """Exact sample of Z = B^H + B^a' with independent component streams.
 
     The two components use disjoint stream tags, so they are independent
@@ -419,7 +416,7 @@ def generate_mixed_path(hurst, alpha_p, grid, d=1, seed_pair=(0, 1), method="aut
     """
     s1, s2 = seed_pair
     hursts = (validate_hurst(hurst), validate_hurst(alpha_p, "alpha_p"))
-    return _sample_path(grid, d, method, hursts, (validate_seed(s1), validate_seed(s2)), (0, 1))
+    return _sample_path(grid, d, hursts, (validate_seed(s1), validate_seed(s2)), (0, 1))
 
 
 def path_to_csv(path, file):

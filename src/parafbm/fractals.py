@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, GenerationTooLarge, InvalidRatio
-from .fbm import philox_stream
+from .fbm import philox_stream, validate_integer
 
 __all__ = [
     "FractalSet",
@@ -179,9 +179,10 @@ def sample_natural_measure(fset, n, seed=0):
     """Draw n points from the generation-k self-similar measure of ``fset``.
 
     Intervals at generation k carry equal mass; the draw is uniform within
-    the chosen interval.  Weights are 1/n each.  A seed that is not a whole,
-    non-negative number raises ConfigError.
+    the chosen interval.  Weights are 1/n each.  An n or seed that is not a
+    whole number (256.0 counts as 256), or a negative seed, raises ConfigError.
     """
+    n = validate_integer(n, "n")
     if n < 1:
         raise ConfigError("n must be >= 1")
     rng = philox_stream(seed, (2,))

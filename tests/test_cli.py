@@ -203,6 +203,25 @@ class TestExperimentCommand:
                     "--out", str(tmp_path / "r")]) == 2
         assert "zero pair mass" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["grid_n", "n_samples"])
+    @pytest.mark.parametrize("count, code", [(256.0, 0), (256.5, 1), ("x", 1)])
+    def test_whole_number_counts_only(self, tmp_path, capsys, key, count, code):
+        params = {"n_samples": 256, "grid_n": 256, key: count,
+                  "cells": [{"hurst": 0.3, "d": 1, "epsilon": 0.05}]}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"kind": "interior", "seeds": 1, "params": params}))
+        assert run(["experiment", "--config", str(cfg_path),
+                    "--out", str(tmp_path / "r")]) == code
+        if code:
+            assert "must be an integer" in capsys.readouterr().err
+
+    def test_float_kernel_sample_count_runs(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"kind": "kernel-scaling", "seeds": 1, "params": {
+            "n_samples": 1e3, "cells": [{"alpha": 0.2, "hurst": 0.8, "gamma": 3.0, "d": 1}]}}))
+        assert run(["experiment", "--config", str(cfg_path),
+                    "--out", str(tmp_path / "r")]) == 0
+
     def test_usage_error_exit_1(self, capsys):
         assert run(["experiment"]) == 1
         assert capsys.readouterr().err

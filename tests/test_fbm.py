@@ -140,13 +140,13 @@ class TestGeneration:
         assert not np.array_equal(a.values, b.values)
 
     def test_methods_agree_in_law_variance(self):
-        # both samplers reproduce Var B(t) = t^2H within 3 SE over 3000 seeds
-        g = TimeGrid.regular(9)
+        # both samplers reproduce Var B(t) = t^2H within 3 SE over 3000 seeds:
+        # circulant embedding on the uniform grid, Cholesky on the squared one
         nrep = 3000
         for h in (0.2, 0.8):
-            for method in ("cholesky", "circulant"):
+            for g in (TimeGrid.regular(9), TimeGrid(np.linspace(0.0, 1.0, 9) ** 2)):
                 finals = np.array([
-                    generate_fbm_path(h, g, seed=s, method=method).values[0]
+                    generate_fbm_path(h, g, seed=s).values[0]
                     for s in range(nrep)
                 ])
                 emp = (finals**2).mean(axis=0)[1:]
@@ -227,10 +227,8 @@ class TestGeneration:
         n=st.integers(2, 40),
         d=st.integers(1, 3),
         seeds=st.tuples(st.integers(0, 2**40), st.integers(0, 2**40)),
-        method=st.sampled_from(["auto", "cholesky"]),
     )
-    def test_mixed_is_sum_of_tagged_components(self, hurst, alpha_p, grid, n, d, seeds,
-                                               method):
+    def test_mixed_is_sum_of_tagged_components(self, hurst, alpha_p, grid, n, d, seeds):
         g = {
             "zero": lambda: TimeGrid.regular(n),
             "no-zero": lambda: TimeGrid.regular(n, include_zero=False),
@@ -238,9 +236,9 @@ class TestGeneration:
                 0.01, 1.0, n))),
             "single": lambda: TimeGrid(np.array([0.0, 0.4])),
         }[grid]()
-        got = generate_mixed_path(hurst, alpha_p, g, d=d, seed_pair=seeds, method=method)
-        p0 = generate_fbm_path(hurst, g, d=d, seed=seeds[0], method=method, _tag=0)
-        p1 = generate_fbm_path(alpha_p, g, d=d, seed=seeds[1], method=method, _tag=1)
+        got = generate_mixed_path(hurst, alpha_p, g, d=d, seed_pair=seeds)
+        p0 = generate_fbm_path(hurst, g, d=d, seed=seeds[0], _tag=0)
+        p1 = generate_fbm_path(alpha_p, g, d=d, seed=seeds[1], _tag=1)
         assert got.values.tobytes() == (p0.values + p1.values).tobytes()
         assert got.seed == seeds and got.hurst_components == (hurst, alpha_p)
 
@@ -262,15 +260,10 @@ class TestGeneration:
         multi = generate_fbm_path(0.4, g, d=3, seed=9)
         assert np.array_equal(solo.values[0], multi.values[0])
 
-    def test_circulant_requires_uniform(self):
-        g = TimeGrid(np.array([0.1, 0.2, 0.5]))
-        with pytest.raises(ConfigError):
-            generate_fbm_path(0.5, g, method="circulant")
-
     def test_cholesky_cap(self):
         g = TimeGrid(np.sort(np.random.default_rng(0).uniform(0, 1, 5000)))
         with pytest.raises(ConfigError):
-            generate_fbm_path(0.5, g, method="cholesky")
+            generate_fbm_path(0.5, g)
 
     @pytest.mark.parametrize("kwargs", [
         {"seed": 0.7}, {"seed": 2.5}, {"seed": True}, {"seed": "3"}, {"seed": float("nan")},
@@ -298,16 +291,16 @@ class TestHalfSpectrumSampler:
 
     @settings(max_examples=200, deadline=None)
     @given(
-        n=st.integers(1, 48),
+        n=st.integers(2, 48),
         hurst=st.floats(0.05, 0.95),
         seed=st.integers(0, 2**63),
         tag=st.integers(0, 5),
         coord=st.integers(0, 2),
     )
     def test_matches_pure_python_dft(self, n, hurst, seed, tag, coord):
+        # a uniform grid with two or more increments is drawn by circulant embedding
         g = TimeGrid.regular(n, include_zero=False)
-        got = generate_fbm_path(hurst, g, d=coord + 1, seed=seed, method="circulant",
-                                _tag=tag).values[coord]
+        got = generate_fbm_path(hurst, g, d=coord + 1, seed=seed, _tag=tag).values[coord]
         want = np.array(naive_fgn_path(hurst, n, seed, tag, coord))
         assert np.all(np.abs(got - want) <= 1e-12 + 1e-9 * np.abs(want))
 
@@ -321,8 +314,7 @@ class TestHalfSpectrumSampler:
         tol = 1e-11 if (hurst, n) == (0.05, 2**16 - 1) else 1e-12
         g = TimeGrid.regular(n, include_zero=False)
         for seed, tag in ((0, 0), (7, 1)):
-            got = generate_fbm_path(hurst, g, d=2, seed=seed, method="circulant",
-                                    _tag=tag).values
+            got = generate_fbm_path(hurst, g, d=2, seed=seed, _tag=tag).values
             for coord in (0, 1):
                 want = full_complex_fgn_path(hurst, n, seed, tag, coord)
                 assert np.abs(got[coord] - want).max() <= tol * np.abs(want).max()
@@ -407,18 +399,23 @@ class TestEigenvalueCache:
         with pytest.raises(ValueError):
             lam[0] = 1.0
 
-    def test_not_psd_falls_back_on_every_call(self, empty_eigen_cache, monkeypatch):
+    def test_not_psd_raises_on_every_call(self, empty_eigen_cache, monkeypatch):
         # a negative tolerance puts the clamp floor above every eigenvalue,
         # so the embedding is rejected as it would be for an indefinite one
         monkeypatch.setattr(fbm, "CIRCULANT_CLAMP_TOL", -2.0)
-        g = TimeGrid.regular(64)
-        want = generate_fbm_path(0.6, g, d=2, seed=1, method="cholesky").values
         for _ in range(2):
             with pytest.raises(CovarianceNotPSD):
-                fbm._fgn_circulant_eigenvalues(63, 0.6, 1.0 / 63)
-            got = generate_fbm_path(0.6, g, d=2, seed=1).values
-            assert got.tobytes() == want.tobytes()
+                generate_fbm_path(0.6, TimeGrid.regular(64))
             assert len(empty_eigen_cache) == 0
+
+    def test_embedding_accepted_at_every_hurst(self, empty_eigen_cache):
+        # a rejected embedding fails the draw: none may be rejected up to
+        # MAX_CHOLESKY_N increments, at every H on a 0.01 grid and at both ends
+        hursts = [k / 100 for k in range(1, 100)] + [1e-6, 1 - 1e-6]
+        for n in (2, 3, 16, 17, 255, 1000, 4095, 4096):
+            for h in hursts:
+                lam = fbm._fgn_circulant_eigenvalues(n, h, 1.0 / n)
+                assert lam.shape == (2 * n,) and lam.min() >= 0.0
 
     def test_byte_total_stays_within_bound(self, empty_eigen_cache):
         # 2^16-point grids hold 1 MiB each, so 40 of them overflow the bound
