@@ -52,7 +52,10 @@ def parse_delta_spec(spec):
         if e0 <= 0 or e1 <= 0 or e1 <= e0:
             raise ConfigError(f"bad delta range {spec!r}: need 2^-a..2^-b with a < b")
         return dyadic_deltas(e0, e1)
-    vals = np.array([float(tok) for tok in spec.split(",") if tok.strip()])
+    try:
+        vals = np.array([float(tok) for tok in spec.split(",") if tok.strip()])
+    except ValueError:
+        raise ConfigError(f"bad delta list {spec!r}: need comma-separated numbers") from None
     if vals.size == 0:
         raise ConfigError("empty delta list")
     return np.sort(vals)[::-1]
@@ -60,9 +63,12 @@ def parse_delta_spec(spec):
 
 def _parse_pow2(token):
     token = token.strip()
-    if token.startswith("2^"):
-        return -int(token[2:])
-    return int(round(-np.log2(float(token))))
+    try:
+        if token.startswith("2^"):
+            return -int(token[2:])
+        return int(round(-np.log2(float(token))))
+    except (ValueError, OverflowError):
+        raise ConfigError(f"bad delta bound {token!r}: need 2^-k or a number") from None
 
 
 def _read_cloud_csv(path):
@@ -71,7 +77,10 @@ def _read_cloud_csv(path):
         rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
     if not rows or rows[0][0] != "t":
         raise ConfigError(f"{path}: expected a CSV with header t,x1,...,xd")
-    data = np.array([[float(x) for x in r] for r in rows[1:]])
+    try:
+        data = np.array([[float(x) for x in r] for r in rows[1:]])
+    except ValueError:
+        raise ConfigError(f"{path}: rows need equally many numeric cells") from None
     if data.size == 0:
         raise ConfigError(f"{path}: no data rows")
     return data[:, 0], data[:, 1:]

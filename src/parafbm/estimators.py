@@ -67,14 +67,12 @@ _NARROW_MAX = 2**31 - 1
 class GraphCloud:
     """Finite set of (time, value-vector) points, e.g. a sampled graph.
 
-    ``source`` tags where the cloud came from ("function-graph", "fbm-graph",
-    "drifted-fbm-graph"); ``h_context`` is the parabolic index the cloud is
-    meant to be measured with.
+    ``h_context`` is the parabolic index the cloud is meant to be measured
+    with.
     """
 
     times: np.ndarray
     values: np.ndarray
-    source: str = "function-graph"
     h_context: float = 0.5
 
     def __post_init__(self):
@@ -100,12 +98,11 @@ class GraphCloud:
         return self.values.shape[1]
 
     @classmethod
-    def from_path(cls, path, source="fbm-graph", h_context=None):
+    def from_path(cls, path, h_context=None):
         """Graph cloud of a SamplePath; h_context defaults to its first Hurst index."""
         return cls(
             times=path.grid.times,
             values=path.values.T,
-            source=source,
             h_context=path.hurst_components[0] if h_context is None else h_context,
         )
 
@@ -117,7 +114,6 @@ class GraphCloud:
         return GraphCloud(
             times=self.times[mask],
             values=self.values[mask],
-            source=self.source,
             h_context=self.h_context,
         )
 

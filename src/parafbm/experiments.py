@@ -5,10 +5,10 @@ Configs are versioned JSON with strict key checking: an unknown top-level or
 required keys (a typo in a Hurst parameter must not pass silently).  Any
 other cell key is a label, echoed into the report's ``cell`` column.  Each
 kind declares its defaults, keys, runner and job grouping once, in
-``_KIND_SPECS``.  Each experiment cell produces one or more report rows;
-rows are appended to report.csv as jobs complete, in deterministic cell
-order, with the config hash embedded so reruns are comparable.  A job is one
-cell, or a run of graph-dimension cells that measure the same sample paths.
+``_KIND_SPECS``.  Each experiment cell produces one report row; rows are
+appended to report.csv as jobs complete, in deterministic cell order, with
+the config hash embedded so reruns are comparable.  A job is one cell, or a
+run of graph-dimension cells that measure the same sample paths.
 Almost-sure statements are operationalized as seed-fraction thresholds at
 finite resolution; the threshold and resolution appear in every row.
 """
@@ -23,7 +23,7 @@ import os
 import time
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
@@ -106,6 +106,14 @@ class ExperimentConfig:
                 f"unknown params for {self.kind}: {sorted(unknown)} "
                 f"(allowed: {sorted(allowed)})"
             )
+        counts = {
+            key: validate_integer(self.params[key], key)
+            for key in ("grid_n", "n_samples", "per_octave",
+                        "delta_coarse_exp", "delta_fine_exp")
+            if key in self.params
+        }
+        if counts.get("per_octave", 1) < 1:
+            raise ConfigError("per_octave must be >= 1")
         cells = self.params.get("cells")
         if not isinstance(cells, list) or not cells:
             raise ConfigError("params.cells must be a non-empty list")
@@ -237,9 +245,11 @@ def _cell_sort_key(cell):
 
 
 # ---------------------------------------------------------------------------
-# cell runners: each takes (kind, cells, common, seeds, seed_base, config_hash)
-# and returns the rows of its cells.  They look up the path, estimator and
-# set builders as module globals at call time, so callers can wrap those.
+# cell runners: each takes (kind, cells, common, seeds, seed_base) and returns
+# one outcome per cell, a dict of theory, estimate, tolerance and
+# diagnostics; ``_run_one_cell`` turns the outcomes into report rows.  They
+# look up the path, estimator and set builders as module globals at call
+# time, so callers can wrap those.
 
 
 def _cell_d(cell):
@@ -259,17 +269,17 @@ def _path_key(cell):
     return cell["alpha"]
 
 
-def _graph_dim_fits(fitted, cells, common, seeds, seed_base):
-    """Median box-dimension fits of graph-dimension cells sharing one path key.
+def _graph_dim_rows(row, fitted, kind, cells, common, seeds, seed_base):
+    """Outcomes of a run of graph-dimension cells sharing one path key.
 
     Per seed, the B^alpha path is drawn once, at the largest d of the cells,
     and each cell's graph cloud, made from the path's first d coordinates,
     is restricted to, and fitted over, the cell's set: the paper's setting
     of one sample path and many sets A.  Each cell is fitted at the Hurst
     index of every key in ``fitted`` (H, or H and H' for comparison bounds)
-    on the same cloud.  Returns, per cell, one summary per fitted index, and
-    the seconds of each cell's own work; the first cell also carries the
-    shared work (grid, paths, clouds).
+    on the same cloud, and ``row`` turns the cell's median fits into its
+    outcome.  A cell's ``runtime_s`` is its own work; the first cell's also
+    holds the shared work (grid, paths, clouds).
     """
     t_start = time.perf_counter()
     alpha = _path_key(cells[0])
@@ -288,8 +298,7 @@ def _graph_dim_fits(fitted, cells, common, seeds, seed_base):
     for s in range(seeds):
         path = generate_fbm_path(alpha, grid, d=max(dims), seed=seed_base + s)
         clouds = {
-            d: GraphCloud(times=grid.times, values=path.values[:d].T, source="fbm-graph",
-                          h_context=alpha)
+            d: GraphCloud(times=grid.times, values=path.values[:d].T, h_context=alpha)
             for d in set(dims)
         }
         for i, (fset, hs) in enumerate(zip(fsets, hursts)):
@@ -302,8 +311,9 @@ def _graph_dim_fits(fitted, cells, common, seeds, seed_base):
                 )
             own[i] += time.perf_counter() - t0
     own[0] = time.perf_counter() - t_start - sum(own[1:])
-    summaries = [
-        [
+    outcomes = []
+    for cell, fset, cell_fits, runtime in zip(cells, fsets, fits, own):
+        summaries = [
             {
                 "dim_a": fset.theoretical_dim,
                 "estimate": _median([e.exponent for e in ests]),
@@ -312,90 +322,55 @@ def _graph_dim_fits(fitted, cells, common, seeds, seed_base):
             }
             for ests in cell_fits
         ]
-        for fset, cell_fits in zip(fsets, fits)
-    ]
-    return summaries, own
+        out = row(cell, summaries, common)
+        out["diagnostics"].update(
+            seeds=seeds, grid_n=common["grid_n"], runtime_s=round(runtime, 3)
+        )
+        outcomes.append(out)
+    return outcomes
 
 
-def _dim_formula_row(cell, fits, common, seeds, config_hash, runtime):
+def _dim_formula_row(cell, fits, common):
     (out,) = fits
     d = _cell_d(cell)
     theory = theoretical_graph_dimension(cell["alpha"], cell["hurst"], out["dim_a"], d)
-    tol = float(cell.get("tolerance", 0.1 if d == 1 else 0.15))
     diag = {
         "r_squared": out["r_squared"],
         "r_squared_ok": out["r_squared"] >= common["min_r_squared"],
         "n_fit_points": out["n_fit_points"],
-        "seeds": seeds,
         "dim_a": out["dim_a"],
-        "grid_n": common["grid_n"],
-        "runtime_s": round(runtime, 3),
     }
-    return ReportRow(
-        kind="dim-formula", cell=cell, theory=theory,
-        estimate=out["estimate"], tolerance=tol, diagnostics=diag,
-        config_hash=config_hash,
-    )
+    return dict(theory=theory, estimate=out["estimate"],
+                tolerance=float(cell.get("tolerance", 0.1 if d == 1 else 0.15)),
+                diagnostics=diag)
 
 
-def _holder_bounds_row(cell, fits, common, seeds, config_hash, runtime):
+def _bracket(estimate, lower, upper, margin, **diag):
+    """Outcome of an estimate that passes inside [lower - margin, upper + margin]."""
+    ok = (lower - margin) <= estimate <= (upper + margin)
+    diag.update(lower=lower, upper=upper, margin=margin, threshold_pass=bool(ok))
+    return dict(theory=None, estimate=estimate, tolerance=None, diagnostics=diag)
+
+
+def _holder_bounds_row(cell, fits, common):
     (out,) = fits
     lower, upper = holder_graph_bounds(
         cell["alpha"], cell["hurst"], out["dim_a"], _cell_d(cell)
     )
-    margin = common["margin"]
-    est = out["estimate"]
-    ok = (lower - margin) <= est <= (upper + margin)
-    diag = {
-        "lower": lower,
-        "upper": upper,
-        "margin": margin,
-        "threshold_pass": bool(ok),
-        "r_squared": out["r_squared"],
-        "seeds": seeds,
-        "grid_n": common["grid_n"],
-        "runtime_s": round(runtime, 3),
-    }
-    return ReportRow(
-        kind="holder-bounds", cell=cell, theory=None, estimate=est,
-        tolerance=None, diagnostics=diag, config_hash=config_hash,
-    )
+    return _bracket(out["estimate"], lower, upper, common["margin"],
+                    r_squared=out["r_squared"])
 
 
-def _comparison_bounds_row(cell, fits, common, seeds, config_hash, runtime):
+def _comparison_bounds_row(cell, fits, common):
     out_h, out_hp = fits
     lower, upper = comparison_bounds(
         out_h["estimate"], cell["hurst"], cell["hurst_prime"], _cell_d(cell)
     )
-    margin = common["margin"]
-    est = out_hp["estimate"]
-    ok = (lower - margin) <= est <= (upper + margin)
-    diag = {
-        "estimate_h": out_h["estimate"],
-        "lower": lower,
-        "upper": upper,
-        "margin": margin,
-        "threshold_pass": bool(ok),
-        "seeds": seeds,
-        "grid_n": common["grid_n"],
-        "runtime_s": round(runtime, 3),
-    }
-    return ReportRow(
-        kind="comparison-bounds", cell=cell, theory=None, estimate=est,
-        tolerance=None, diagnostics=diag, config_hash=config_hash,
-    )
+    return _bracket(out_hp["estimate"], lower, upper, common["margin"],
+                    estimate_h=out_h["estimate"])
 
 
-def _graph_dim_rows(row, fitted, kind, cells, common, seeds, seed_base, config_hash):
-    """Rows of a run of graph-dimension cells with one path key, built by ``row``."""
-    fits, own = _graph_dim_fits(fitted, cells, common, seeds, seed_base)
-    return [
-        row(cell, cell_fits, common, seeds, config_hash, runtime)
-        for cell, cell_fits, runtime in zip(cells, fits, own)
-    ]
-
-
-def _kernel_scaling_rows(kind, cells, common, seeds, seed_base, config_hash):
+def _kernel_scaling_rows(kind, cells, common, seeds, seed_base):
     (cell,) = cells
     t0 = time.perf_counter()
     alpha, hurst, gamma, d = cell["alpha"], cell["hurst"], cell["gamma"], _cell_d(cell)
@@ -414,17 +389,14 @@ def _kernel_scaling_rows(kind, cells, common, seeds, seed_base, config_hash):
     else:
         theory = d * (hurst - alpha) - gamma
         branch = "gamma>Hd"
-    tol = common["rel_tolerance"] * abs(theory)
     diag = {
         "branch": branch,
         "n_samples": common["n_samples"],
         "t_exponents": list(ks),
         "runtime_s": round(time.perf_counter() - t0, 3),
     }
-    return [ReportRow(
-        kind="kernel-scaling", cell=cell, theory=theory, estimate=slope,
-        tolerance=tol, diagnostics=diag, config_hash=config_hash,
-    )]
+    return [dict(theory=theory, estimate=slope,
+                 tolerance=common["rel_tolerance"] * abs(theory), diagnostics=diag)]
 
 
 def _drift_values(drift_kind, grid, d):
@@ -453,10 +425,30 @@ def _snap_to_grid(samples, grid):
     return WeightedTimeSet(times=t[uniq], weights=weights / weights.sum())
 
 
-def _occupation_l2_rows(kind, cells, common, seeds, seed_base, config_hash):
+def _images(cell, grid, samples, seeds, seed_base, alpha_p=None):
+    """Yield each seed's (weights, image) of ``samples`` under the cell's path.
+
+    The path is B^H plus the cell's drift, from seed ``seed_base + s``; when
+    ``alpha_p`` is given it is the drift-free mixed path of indices
+    (H, alpha_p), from seeds ``seed_base + 2s`` and ``seed_base + 2s + 1``.
+    """
+    hurst, d = cell["hurst"], _cell_d(cell)
+    drift = _drift_values(cell.get("drift", "zero") if alpha_p is None else None, grid, d)
+    for s in range(seeds):
+        if alpha_p is None:
+            path = generate_fbm_path(hurst, grid, d=d, seed=seed_base + s)
+        else:
+            path = generate_mixed_path(
+                hurst, alpha_p, grid, d=d,
+                seed_pair=(seed_base + 2 * s, seed_base + 2 * s + 1),
+            )
+        yield drifted_image(path, drift, samples)
+
+
+def _occupation_l2_rows(kind, cells, common, seeds, seed_base):
     (cell,) = cells
     t0 = time.perf_counter()
-    hurst, d = cell["hurst"], _cell_d(cell)
+    d = _cell_d(cell)
     fset = build_set(cell.get("set", {"kind": "full"}))
     radii = 2.0 ** -np.asarray(common["radius_exponents"], dtype=float)
     grid = TimeGrid.regular(common["grid_n"])
@@ -466,12 +458,7 @@ def _occupation_l2_rows(kind, cells, common, seeds, seed_base, config_hash):
     if cell.get("path", "fbm") == "constant":
         images = [np.zeros((len(samples), d))]
     else:
-        drift = _drift_values(cell.get("drift", "zero"), grid, d)
-        images = []
-        for s in range(seeds):
-            path = generate_fbm_path(hurst, grid, d=d, seed=seed_base + s)
-            _, img = drifted_image(path, drift, samples)
-            images.append(img)
+        images = [img for _, img in _images(cell, grid, samples, seeds, seed_base)]
     vals = l2_density_diagnostic(images, samples.weights, radii)
     empty = np.flatnonzero(vals <= 0.0)
     if empty.size:
@@ -480,8 +467,7 @@ def _occupation_l2_rows(kind, cells, common, seeds, seed_base, config_hash):
             f"two of the n_samples={common['n_samples']} sampled times map that close in "
             "any seed; use more samples or coarser radii"
         )
-    rows = []
-    base_diag = {
+    diag = {
         "values": [float(v) for v in vals],
         "radius_exponents": list(common["radius_exponents"]),
         "seeds": seeds,
@@ -490,53 +476,36 @@ def _occupation_l2_rows(kind, cells, common, seeds, seed_base, config_hash):
     }
     if cell.get("check", "bounded") == "bounded":
         ratio = float(vals.max() / vals.min())
-        diag = dict(base_diag, max_ratio_allowed=common["max_ratio"],
+        diag.update(max_ratio_allowed=common["max_ratio"],
                     threshold_pass=bool(ratio <= common["max_ratio"]))
-        rows.append(ReportRow(
-            kind="occupation-l2", cell=cell, theory=None, estimate=ratio,
-            tolerance=None, diagnostics=diag, config_hash=config_hash,
-        ))
-    else:  # divergence slope for the no-density control
-        slope = float(np.polyfit(np.log(radii), np.log(vals), 1)[0])
-        theory = -float(d)
-        tol = common["slope_tolerance"] * d
-        rows.append(ReportRow(
-            kind="occupation-l2", cell=cell, theory=theory, estimate=slope,
-            tolerance=tol, diagnostics=base_diag, config_hash=config_hash,
-        ))
-    return rows
+        return [dict(theory=None, estimate=ratio, tolerance=None, diagnostics=diag)]
+    # divergence slope for the no-density control
+    slope = float(np.polyfit(np.log(radii), np.log(vals), 1)[0])
+    return [dict(theory=-float(d), estimate=slope,
+                 tolerance=common["slope_tolerance"] * d, diagnostics=diag)]
 
 
-def _interior_rows(kind, cells, common, seeds, seed_base, config_hash):
+def _interior_rows(kind, cells, common, seeds, seed_base):
     (cell,) = cells
     t0 = time.perf_counter()
-    hurst, d = cell["hurst"], _cell_d(cell)
+    d = _cell_d(cell)
     epsilon = float(cell["epsilon"])
     radius = validate_integer(cell.get("radius_cells", 2), "radius_cells")
     expect = cell.get("expect", "interior")
     threshold = float(cell.get("threshold", 0.9))
-    alpha_p = cell.get("alpha_p")
-    mixed = kind == "theorem41" and alpha_p is not None
+    alpha_p = cell.get("alpha_p") if kind == "theorem41" else None
     fset = build_set(cell.get("set", {"kind": "full"}))
-    if mixed and expect != "evidence":
+    if alpha_p is not None and expect != "evidence":
         if alpha_p * d >= fset.theoretical_dim:
             raise InfeasibleParameters(
                 f"alpha'*d = {alpha_p * d} >= dim(A) = {fset.theoretical_dim}"
             )
     samples = sample_natural_measure(fset, common["n_samples"], seed=seed_base)
     grid = TimeGrid.regular(common["grid_n"])
-    drift = _drift_values(None if mixed else cell.get("drift", "zero"), grid, d)
-    hists = []
-    for s in range(seeds):
-        if mixed:
-            path = generate_mixed_path(
-                hurst, alpha_p, grid, d=d,
-                seed_pair=(seed_base + 2 * s, seed_base + 2 * s + 1),
-            )
-        else:
-            path = generate_fbm_path(hurst, grid, d=d, seed=seed_base + s)
-        w, img = drifted_image(path, drift, samples)
-        hists.append(occupation_histogram(w, img, epsilon))
+    hists = [
+        occupation_histogram(w, img, epsilon)
+        for w, img in _images(cell, grid, samples, seeds, seed_base, alpha_p)
+    ]
     frac, _reports = interior_fraction(hists, radius)
     if expect == "interior":
         ok = frac >= threshold
@@ -556,10 +525,7 @@ def _interior_rows(kind, cells, common, seeds, seed_base, config_hash):
         "dim_a": fset.theoretical_dim,
         "runtime_s": round(time.perf_counter() - t0, 3),
     }
-    return [ReportRow(
-        kind=kind, cell=cell, theory=None, estimate=frac, tolerance=None,
-        diagnostics=diag, config_hash=config_hash,
-    )]
+    return [dict(theory=None, estimate=frac, tolerance=None, diagnostics=diag)]
 
 
 @dataclass(frozen=True)
@@ -624,14 +590,21 @@ _KIND_SPECS = {
 }
 
 
-def _run_one_cell(args):
-    """Report rows of one job, in cell order.
+def _run_one_cell(job):
+    """Report rows of one job, in cell order: the only place rows are built.
 
-    ``args`` is (kind, cells, common, seeds, seed_base, config_hash).  For the
+    ``job`` is (kind, cells, common, seeds, seed_base, config_hash).  For the
     kinds that share paths ``cells`` is a run of cells with one path key,
     which share each seed's path; for the other kinds it holds one cell.
+    The kind's runner returns one outcome per cell, and each row is that
+    outcome stamped with the kind, the cell and the config hash.
     """
-    return _KIND_SPECS[args[0]].run(*args)
+    kind, cells, common, seeds, seed_base, config_hash = job
+    outcomes = _KIND_SPECS[kind].run(kind, cells, common, seeds, seed_base)
+    return [
+        ReportRow(kind=kind, cell=cell, config_hash=config_hash, **outcome)
+        for cell, outcome in zip(cells, outcomes)
+    ]
 
 
 def _cell_runs(kind, cells):
@@ -709,15 +682,10 @@ def run_experiment(config, out_dir=None, workers=None):
         for run in _cell_runs(config.kind, cells)
     ]
     workers = min(workers, len(jobs))
+    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext()
     all_rows = []
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for rows in pool.map(_run_one_cell, jobs):
-                _append_rows(report_path, rows)
-                all_rows.extend(rows)
-    else:
-        for job in jobs:
-            rows = _run_one_cell(job)
+    with pool:
+        for rows in (pool.map if workers > 1 else map)(_run_one_cell, jobs):
             _append_rows(report_path, rows)
             all_rows.extend(rows)
     return all_rows

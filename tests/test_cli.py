@@ -97,6 +97,37 @@ class TestBoxdim:
                     "--hurst", "0.5"]) == 1
 
 
+def _cloud_csv(tmp_path, rows):
+    path = tmp_path / "cloud.csv"
+    path.write_text("t,x1\n" + "".join(row + "\n" for row in rows))
+    return path
+
+
+class TestMalformedInput:
+    _ARGS = {
+        "boxdim": ["--hurst", "0.5"],
+        "energy": ["--hurst", "0.5", "--gamma", "0.5"],
+        "occupancy": ["--epsilon", "0.25"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(_ARGS))
+    @pytest.mark.parametrize("rows", [["0.0,0.1", "0.5,abc"], ["0.0,0.1", "0.5,0.2,0.3"]],
+                             ids=["non-numeric", "ragged"])
+    def test_bad_cloud_exit_1(self, tmp_path, capsys, command, rows):
+        path = _cloud_csv(tmp_path, rows)
+        assert run([command, "--input", str(path), *self._ARGS[command]]) == 1
+        assert str(path) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec, token", [
+        ("2^-x..2^-6", "2^-x"), ("0..2^-6", "0"), ("a,b", "a,b"),
+    ])
+    def test_bad_deltas_exit_1(self, tmp_path, capsys, spec, token):
+        path = _cloud_csv(tmp_path, ["0.0,0.1", "0.5,0.2", "1.0,0.3"])
+        assert run(["boxdim", "--input", str(path), "--hurst", "0.5",
+                    "--deltas", spec]) == 1
+        assert repr(token) in capsys.readouterr().err
+
+
 class TestEnergyAndOccupancy:
     def test_energy(self, tmp_path, capsys):
         path = tmp_path / "p.csv"
@@ -213,7 +244,34 @@ class TestExperimentCommand:
         assert run(["experiment", "--config", str(cfg_path),
                     "--out", str(tmp_path / "r")]) == code
         if code:
-            assert "must be an integer" in capsys.readouterr().err
+            assert f"{key} must be an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("per_octave", "x", "per_octave must be an integer"),
+        ("per_octave", 1.5, "per_octave must be an integer"),
+        ("per_octave", 0, "per_octave must be >= 1"),
+        ("delta_coarse_exp", "2", "delta_coarse_exp must be an integer"),
+        ("delta_fine_exp", 8.5, "delta_fine_exp must be an integer"),
+    ])
+    def test_ladder_params_named_by_key(self, tmp_path, capsys, key, value, message):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"kind": "dim-formula", "seeds": 1, "params": {
+            "grid_n": 256, key: value, "cells": [{"alpha": 0.5, "hurst": 0.5, "d": 1}]}}))
+        assert run(["experiment", "--config", str(cfg_path),
+                    "--out", str(tmp_path / "r")]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+
+    def test_whole_float_ladder_runs(self, tmp_path):
+        params = {"grid_n": 256.0, "delta_coarse_exp": 1.0, "delta_fine_exp": 5.0,
+                  "per_octave": 2.0, "min_r_squared": 0.0,
+                  "cells": [{"alpha": 0.5, "hurst": 0.5, "d": 1}]}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"kind": "dim-formula", "seeds": 1,
+                                        "params": params}))
+        assert run(["experiment", "--config", str(cfg_path),
+                    "--out", str(tmp_path / "r")]) == 0
+        written = json.loads((tmp_path / "r" / "config.json").read_text())
+        assert written["params"] == params   # kept as given: the hash is unchanged
 
     def test_float_kernel_sample_count_runs(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

@@ -425,6 +425,20 @@ _GRAPH_CONFIGS = {
     },
 }
 
+# two or more jobs each, so two workers run a pool: six graph cells in two
+# alpha runs, and two one-cell interior jobs
+_POOLED_CONFIGS = {
+    "dim-formula": _GRAPH_CONFIGS["dim-formula"],
+    "interior": {
+        "kind": "interior", "seeds": 2, "seed_base": 1,
+        "params": {"n_samples": 256, "grid_n": 512, "cells": [
+            {"hurst": 0.5, "d": 1, "epsilon": 0.0625, "drift": "lipschitz"},
+            {"hurst": 0.3, "d": 2, "epsilon": 0.125, "expect": "no-interior",
+             "threshold": 0.5, "set": _MID},
+        ]},
+    },
+}
+
 
 def _records(rows):
     """csv records of rows without runtime_s."""
@@ -483,8 +497,9 @@ class TestSharedPaths:
             {**doc, "params": {**doc["params"], "cells": [cell]}}))
         assert len(path_calls) == doc["seeds"]
 
-    def test_workers_keep_rows_and_report(self, tmp_path):
-        cfg = ExperimentConfig.from_dict(_GRAPH_CONFIGS["dim-formula"])
+    @pytest.mark.parametrize("kind", sorted(_POOLED_CONFIGS))
+    def test_workers_keep_rows_and_report(self, tmp_path, kind):
+        cfg = ExperimentConfig.from_dict(_POOLED_CONFIGS[kind])
         serial = run_experiment(cfg, out_dir=tmp_path / "serial", workers=1)
         pooled = run_experiment(cfg, out_dir=tmp_path / "pooled", workers=2)
         assert _records(pooled) == _records(serial)

@@ -23,6 +23,7 @@ from pathlib import Path
 
 import pytest
 
+from parafbm import experiments
 from parafbm.cli import cli_main
 from parafbm.experiments import ExperimentConfig, run_experiment
 
@@ -140,6 +141,10 @@ def test_rows_match_golden(kind):
     assert len(got) == len(want)
     for i, (g, w) in enumerate(zip(got, want)):
         _assert_same(_parsed(g), _parsed(w), f"{kind}[{i}]")
+
+
+def test_every_kind_has_golden_rows():
+    assert sorted(CONFIGS) == sorted(experiments._KIND_SPECS)
 
 
 def sweep_digests(sweep, seed, out_dir):
