@@ -20,7 +20,6 @@ from .errors import (
     InfeasibleParameters,
     InvalidRatio,
     NumericalError,
-    OccupancyGridTooLarge,
     ParafbmError,
     SingularConditioning,
 )

@@ -34,10 +34,6 @@ class BoxIndexOverflow(NumericalError):
     """A box index is too large in magnitude for an exact int64 box key."""
 
 
-class OccupancyGridTooLarge(NumericalError):
-    """The dense occupancy box of an interior probe would exceed its cell cap."""
-
-
 class AlphaExceedsH(ConfigError):
     """Holder exponent alpha must not exceed the parabolic index H."""
 

@@ -1,14 +1,15 @@
 """Configuration-driven experiments comparing estimators to closed-form predictions.
 
-Configs are versioned JSON with strict key checking: an unknown top-level or
-``params`` key is an error, and so is a cell that lacks one of its kind's
-required keys (a typo in a Hurst parameter must not pass silently).  Any
-other cell key is a label, echoed into the report's ``cell`` column.  Each
-kind declares its defaults, keys, runner and job grouping once, in
-``_KIND_SPECS``.  Each experiment cell produces one report row; rows are
-appended to report.csv as jobs complete, in deterministic cell order, with
-the config hash embedded so reruns are comparable.  A job is one cell, or a
-run of graph-dimension cells that measure the same sample paths.
+Configs are versioned JSON with strict key checking: an unknown top-level,
+``params`` or cell key is an error, and so is a cell that lacks one of its
+kind's required keys (a typo in a Hurst parameter must not pass silently).
+The one free-form cell key is ``label``, echoed into the report's ``cell``
+column with the rest of the cell.  Each kind declares its defaults, keys,
+runner and job grouping once, in ``_KIND_SPECS``.  Each experiment cell
+produces one report row; rows are appended to report.csv as jobs complete,
+in deterministic cell order, with the config hash embedded so reruns are
+comparable.  A job is one cell, or a run of graph-dimension cells that
+measure the same sample paths.
 Almost-sure statements are operationalized as seed-fraction thresholds at
 finite resolution; the threshold and resolution appear in every row.
 """
@@ -16,9 +17,12 @@ finite resolution; the threshold and resolution appear in every row.
 from __future__ import annotations
 
 import csv
+import difflib
 import hashlib
 import itertools
 import json
+import math
+import numbers
 import os
 import time
 from collections.abc import Callable
@@ -70,6 +74,23 @@ _TOP_KEYS = {"schema_version", "kind", "seeds", "seed_base", "params"}
 
 _SET_KEYS = {"kind", "generation", "m", "r", "dim"}
 
+_REAL_PARAMS = ("trim_octaves", "max_count_fraction", "min_r_squared", "margin",
+                "max_ratio", "slope_tolerance", "rel_tolerance")
+
+_EXPONENT_PARAMS = ("radius_exponents", "t_exponents")
+
+
+def _is_real(value):
+    """A finite real number that is not a bool (JSON true is not 1)."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_))
+            and math.isfinite(value))
+
+
+def _is_exponent_list(value):
+    """A list of at least two whole numbers: the points of a log-log fit."""
+    return (isinstance(value, list) and len(value) >= 2
+            and all(_is_real(k) and float(k).is_integer() for k in value))
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -114,12 +135,27 @@ class ExperimentConfig:
         }
         if counts.get("per_octave", 1) < 1:
             raise ConfigError("per_octave must be >= 1")
+        for key, value in self.params.items():
+            if key in _REAL_PARAMS and not _is_real(value):
+                raise ConfigError(f"{key} must be a finite number, got {value!r}")
+            if key in _EXPONENT_PARAMS and not _is_exponent_list(value):
+                raise ConfigError(
+                    f"{key} must be a list of at least two whole numbers, got {value!r}"
+                )
         cells = self.params.get("cells")
         if not isinstance(cells, list) or not cells:
             raise ConfigError("params.cells must be a non-empty list")
+        valid = [*spec.cell_keys, *spec.cell_optional, "label"]
         for cell in cells:
             if not isinstance(cell, dict):
                 raise ConfigError(f"each cell must be a JSON object, got {cell!r}")
+            for key in cell:
+                if key not in valid:
+                    near = difflib.get_close_matches(key, valid, n=1, cutoff=0.0)
+                    raise ConfigError(
+                        f"unknown {self.kind} cell key {key!r} (did you mean "
+                        f"{near[0]!r}? allowed: {sorted(valid)})"
+                    )
             missing = [k for k in spec.cell_keys if k not in cell]
             if missing:
                 raise ConfigError(f"{self.kind} cell {cell} lacks key(s) {missing}")
@@ -533,15 +569,17 @@ class _KindSpec:
     """Everything the runner knows about one experiment kind.
 
     ``defaults`` are its param defaults, ``optional`` the param keys allowed
-    with no default, ``cell_keys`` the keys every cell must carry, ``run``
-    its runner, and ``shares_paths`` whether adjacent cells with one alpha
-    form one job.
+    with no default, ``cell_keys`` the keys every cell must carry,
+    ``cell_optional`` the other keys a cell may carry (besides ``label``),
+    ``run`` its runner, and ``shares_paths`` whether adjacent cells with one
+    alpha form one job.
     """
 
     defaults: dict
     cell_keys: tuple
     run: Callable
     optional: frozenset = frozenset()
+    cell_optional: tuple = ()
     shares_paths: bool = False
 
     @property
@@ -549,13 +587,14 @@ class _KindSpec:
         return {"cells", *self.defaults, *self.optional}
 
 
-def _graph_spec(row, defaults, fitted=("hurst",)):
+def _graph_spec(row, defaults, fitted=("hurst",), cell_optional=("set",)):
     return _KindSpec(
         defaults={"grid_n": 2**14, "delta_coarse_exp": 4, "delta_fine_exp": 12,
                   "per_octave": 2, **defaults},
         cell_keys=("alpha", *fitted, "d"),
         run=partial(_graph_dim_rows, row, fitted),
         optional=frozenset({"trim_octaves", "max_count_fraction"}),
+        cell_optional=cell_optional,
         shares_paths=True,
     )
 
@@ -564,10 +603,13 @@ _INTERIOR_SPEC = _KindSpec(
     defaults={"n_samples": 2**14, "grid_n": 2**14},
     cell_keys=("hurst", "d", "epsilon"),
     run=_interior_rows,
+    cell_optional=("set", "drift", "radius_cells", "expect", "threshold", "alpha_p"),
 )
 
 _KIND_SPECS = {
-    "dim-formula": _graph_spec(_dim_formula_row, {"min_r_squared": 0.98}),
+    "dim-formula": _graph_spec(
+        _dim_formula_row, {"min_r_squared": 0.98}, cell_optional=("set", "tolerance")
+    ),
     "holder-bounds": _graph_spec(_holder_bounds_row, {"margin": 0.1}),
     "comparison-bounds": _graph_spec(
         _comparison_bounds_row, {"margin": 0.1}, fitted=("hurst", "hurst_prime")
@@ -584,6 +626,7 @@ _KIND_SPECS = {
                   "max_ratio": 3.0, "slope_tolerance": 0.1},
         cell_keys=("hurst", "d"),
         run=_occupation_l2_rows,
+        cell_optional=("set", "drift", "path", "check"),
     ),
     "interior": _INTERIOR_SPEC,
     "theorem41": _INTERIOR_SPEC,

@@ -4,7 +4,8 @@ The occupation measure of Y over a weighted time set assigns each value-space
 cell the total weight of the times mapped into it.  A cell whose full
 l-infinity neighborhood is occupied witnesses interior at that resolution;
 almost-sure statements are operationalized as the fraction of seeds showing
-such a witness.
+such a witness.  The probe erodes the set of occupied cells itself, so its
+memory follows the occupied cells, not their bounding box.
 """
 
 from __future__ import annotations
@@ -16,9 +17,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
-from .errors import ConfigError, GridMismatch, OccupancyGridTooLarge
+from .errors import BoxIndexOverflow, ConfigError, GridMismatch
 from .estimators import pack_index_rows
 
 __all__ = [
@@ -31,11 +31,6 @@ __all__ = [
     "interior_probe",
     "interior_fraction",
 ]
-
-#: cap on the cells of the dense occupancy box that interior_probe erodes;
-#: 2^27 cells are 128 MiB of booleans, and the eroded copy needs as much again
-INTERIOR_MAX_CELLS = 2**27
-
 
 @dataclass(frozen=True)
 class OccupationHistogram:
@@ -253,37 +248,43 @@ def l2_density_diagnostic(images, weights, radii):
 def interior_probe(hist, radius_cells):
     """All cells whose closed l-infinity neighborhood of the given radius is occupied.
 
-    Implemented as binary erosion of the occupancy grid with a cube
-    structuring element of side 2*radius_cells + 1.  The grid is a dense box
-    over the occupied cells' bounding box; OccupancyGridTooLarge is raised
-    before allocating one of more than INTERIOR_MAX_CELLS cells.
+    The cube of side 2 r + 1 is the Minkowski sum of one segment of 2 r + 1
+    cells per axis, so eroding by it is eroding by each segment in turn
+    (Serra, Image Analysis and Mathematical Morphology, 1982).  The occupied
+    cells are packed into int64 keys over their bounding box padded by r
+    cells on every side, where a shift of k cells along an axis adds k times
+    that axis's stride.  Axis by axis, a cell is kept only if the cells at
+    +-1..+-r along that axis are in the set, looked up by ``np.searchsorted``
+    in the sorted keys.  Memory is O(occupied cells).  Raises
+    BoxIndexOverflow when the padded box holds more than 2^62 keys.
     """
     if radius_cells < 1:
         raise ConfigError("radius_cells must be >= 1")
-    if not hist.cells:
-        return InteriorReport(
-            cell_size=hist.cell_size,
-            radius_cells=radius_cells,
-            interior_cells=[],
-            fraction_of_seeds_with_interior=0.0,
-        )
-    idx = np.array(sorted(hist.cells), dtype=np.int64)
-    lo, hi = idx.min(axis=0), idx.max(axis=0)
-    n_cells = math.prod(int(b) - int(a) + 1 for a, b in zip(lo, hi))
-    if n_cells > INTERIOR_MAX_CELLS:
-        raise OccupancyGridTooLarge(
-            f"the occupancy box spans {n_cells} cells, above INTERIOR_MAX_CELLS = "
-            f"{INTERIOR_MAX_CELLS}; use a coarser cell size"
-        )
-    grid = np.zeros(hi - lo + 1, dtype=bool)
-    grid[tuple((idx - lo).T)] = True
-    structure = np.ones((2 * radius_cells + 1,) * hist.d, dtype=bool)
-    eroded = ndimage.binary_erosion(grid, structure=structure, border_value=0)
-    cells = [tuple(map(int, row + lo)) for row in np.argwhere(eroded)]
+    r = radius_cells
+    cells = []
+    if hist.cells:
+        idx = np.array(sorted(hist.cells), dtype=np.int64)
+        lo = idx.min(axis=0)
+        dims = [int(b) - int(a) + 1 + 2 * r for a, b in zip(lo, idx.max(axis=0))]
+        if math.prod(dims) > 2**62:
+            raise BoxIndexOverflow(
+                f"the occupied cells padded by {r} span a box of {math.prod(dims)} "
+                "cells, more than 2^62 int64 keys; use a coarser cell size"
+            )
+        # sorted rows give sorted keys, and each erosion keeps that order
+        keys = np.ravel_multi_index(tuple((idx - lo + r).T), dims)
+        for j in range(len(dims)):
+            stride = math.prod(dims[j + 1:])
+            members = keys
+            for k in (*range(-r, 0), *range(1, r + 1)):
+                probe = keys + k * stride
+                keys = keys[members.take(np.searchsorted(members, probe), mode="clip") == probe]
+        rows = np.column_stack(np.unravel_index(keys, dims)) - r + lo
+        cells = [tuple(map(int, row)) for row in rows]
     return InteriorReport(
         cell_size=hist.cell_size,
-        radius_cells=radius_cells,
-        interior_cells=sorted(cells),
+        radius_cells=r,
+        interior_cells=cells,
         fraction_of_seeds_with_interior=1.0 if cells else 0.0,
     )
 

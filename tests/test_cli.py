@@ -1,3 +1,4 @@
+import csv
 import json
 import subprocess
 import sys
@@ -279,6 +280,51 @@ class TestExperimentCommand:
             "n_samples": 1e3, "cells": [{"alpha": 0.2, "hurst": 0.8, "gamma": 3.0, "d": 1}]}}))
         assert run(["experiment", "--config", str(cfg_path),
                     "--out", str(tmp_path / "r")]) == 0
+
+    @pytest.mark.parametrize("kind, key, value", [
+        ("dim-formula", "trim_octaves", "x"),
+        ("dim-formula", "max_count_fraction", True),
+        ("dim-formula", "min_r_squared", "0.9"),
+        ("holder-bounds", "margin", float("nan")),
+        ("occupation-l2", "max_ratio", float("inf")),
+        ("occupation-l2", "slope_tolerance", "x"),
+        ("kernel-scaling", "rel_tolerance", False),
+        ("occupation-l2", "radius_exponents", "4,5"),
+        ("kernel-scaling", "t_exponents", [1, 2.5]),
+    ])
+    def test_real_and_exponent_params_named_by_key(self, tmp_path, capsys, kind, key, value):
+        cell = {"dim-formula": {"alpha": 0.5, "hurst": 0.5, "d": 1},
+                "holder-bounds": {"alpha": 0.5, "hurst": 0.5, "d": 1},
+                "occupation-l2": {"hurst": 0.3, "d": 1},
+                "kernel-scaling": {"alpha": 0.2, "hurst": 0.8, "gamma": 3.0, "d": 1}}[kind]
+        sizes = {"n_samples": 1000} if kind == "kernel-scaling" else {"grid_n": 256}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"kind": kind, "seeds": 1, "params": {
+            **sizes, key: value, "cells": [cell]}}))
+        assert run(["experiment", "--config", str(cfg_path),
+                    "--out", str(tmp_path / "r")]) == 1
+        assert f"error: {key} must be" in capsys.readouterr().err
+
+    def test_misspelt_cell_key_exit_1(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"kind": "dim-formula", "seeds": 1, "params": {
+            "grid_n": 256, "cells": [{"alpha": 0.5, "hurst": 0.5, "d": 1,
+                                      "tolerence": 0.01}]}}))
+        assert run(["experiment", "--config", str(cfg_path),
+                    "--out", str(tmp_path / "r")]) == 1
+        assert "did you mean 'tolerance'" in capsys.readouterr().err
+
+    def test_fine_interior_cell_runs(self, tmp_path):
+        # 2^14 samples in d = 2 at eps = 1e-4 occupy 16362 cells of a bounding
+        # box of 3.8e8 cells; only the occupied cells are eroded
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"kind": "interior", "seeds": 1, "params": {
+            "cells": [{"hurst": 0.3, "d": 2, "epsilon": 1e-4}]}}))
+        assert run(["experiment", "--config", str(cfg_path),
+                    "--out", str(tmp_path / "r")]) == 0
+        with open(tmp_path / "r" / "report.csv", newline="") as fh:
+            (row,) = csv.DictReader(fh)
+        assert row["estimate"] == "0.0"
 
     def test_usage_error_exit_1(self, capsys):
         assert run(["experiment"]) == 1

@@ -513,20 +513,21 @@ class TestSharedPaths:
 
         assert report("pooled") == report("serial") == _records(serial)
 
-    def test_non_contiguous_keys_keep_sorted_rows(self, path_calls):
-        # "_batch" sorts before "alpha", so the two alpha = 0.5 cells are
-        # split by an alpha = 0.3 cell and run as separate jobs
+    def test_labelled_cells_keep_sorted_rows(self, path_calls):
+        # every graph cell's canonical JSON starts with its alpha ("label"
+        # sorts after it), so the two alpha = 0.5 cells sort next to each
+        # other and share one job
         cells = [
-            {"_batch": 2, "alpha": 0.5, "d": 1, "hurst": 0.5, "set": _MID},
-            {"_batch": 1, "alpha": 0.3, "d": 2, "hurst": 0.6},
-            {"_batch": 0, "alpha": 0.5, "d": 2, "hurst": 0.5},
+            {"label": 2, "alpha": 0.5, "d": 1, "hurst": 0.5, "set": _MID},
+            {"label": 1, "alpha": 0.3, "d": 2, "hurst": 0.6},
+            {"label": 0, "alpha": 0.5, "d": 2, "hurst": 0.5},
         ]
         doc = _GRAPH_CONFIGS["dim-formula"]
         cfg = ExperimentConfig.from_dict(
             {**doc, "seeds": 2, "params": {**doc["params"], "cells": cells}})
         rows = run_experiment(cfg)
-        assert [r.cell["_batch"] for r in rows] == [0, 1, 2]
-        assert len(path_calls) == 3 * 2
+        assert [r.cell["label"] for r in rows] == [1, 2, 0]
+        assert len(path_calls) == 2 * 2
         for row in rows:
             (alone,) = run_experiment(ExperimentConfig.from_dict(
                 {**doc, "seeds": 2, "params": {**doc["params"], "cells": [row.cell]}}))
@@ -591,6 +592,40 @@ def test_missing_required_cell_key_rejected(kind, key):
     doc = {"kind": kind, "seeds": 1, "params": {**params, "cells": [cell]}}
     with pytest.raises(ConfigError, match=re.escape(f"lacks key(s) [{key!r}]")):
         ExperimentConfig.from_dict(doc)
+
+
+_OPTIONAL_CELL_KEYS = {
+    "dim-formula": ("set", "tolerance"),
+    "holder-bounds": ("set",),
+    "comparison-bounds": ("set",),
+    "kernel-scaling": (),
+    "occupation-l2": ("set", "drift", "path", "check"),
+    "interior": ("set", "drift", "radius_cells", "expect", "threshold", "alpha_p"),
+    "theorem41": ("set", "drift", "radius_cells", "expect", "threshold", "alpha_p"),
+}
+
+
+class TestStrictCellKeys:
+    @pytest.mark.parametrize("kind, key", [
+        (kind, key) for kind, keys in sorted(_OPTIONAL_CELL_KEYS.items())
+        for key in (*keys, "label")
+    ])
+    def test_misspelt_cell_key_names_the_nearest(self, kind, key):
+        typo = key + "x"
+        with pytest.raises(ConfigError, match=re.escape(
+                f"unknown {kind} cell key {typo!r} (did you mean {key!r}?")):
+            _one_cell_config(kind, **{typo: 1})
+
+    def test_tolerance_typo_is_not_a_label(self):
+        # the misspelling used to run with the default tolerance and be echoed
+        with pytest.raises(ConfigError, match="did you mean 'tolerance'"):
+            _one_cell_config("dim-formula", tolerence=0.01)
+
+    @pytest.mark.parametrize("kind", sorted(_ONE_CELL))
+    def test_label_is_free_form(self, kind):
+        label = {"batch": [1, "a"], "note": None}
+        cfg = _one_cell_config(kind, label=label)
+        assert cfg.params["cells"][0]["label"] == label
 
 
 class TestIntegerCellFields:

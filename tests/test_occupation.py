@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,8 +15,8 @@ from oracles import (
     naive_pair_counts,
     naive_pair_sums,
 )
-from parafbm import occupation
-from parafbm.errors import BoxIndexOverflow, ConfigError, GridMismatch, OccupancyGridTooLarge
+import parafbm
+from parafbm.errors import BoxIndexOverflow, ConfigError, GridMismatch
 from parafbm.fbm import TimeGrid, generate_fbm_path
 from parafbm.fractals import WeightedTimeSet, full_interval, sample_natural_measure
 from parafbm.occupation import (
@@ -361,12 +366,14 @@ def occupied_images(draw):
     """Points in a small lattice box in d = 1..3, with duplicates.
 
     The cells are scattered at random, all in one cell, or the whole box
-    with a few holes, so that every radius up to 2 meets both outcomes.
+    with a few holes, so that every radius up to 3 (2 in d = 3) meets both
+    outcomes; or they are the holed box plus scattered cells 2^20 away along
+    every axis, a vanishing part of their bounding box.
     """
     d = draw(st.integers(1, 3))
-    side = {1: 9, 2: 6, 3: 5}[d]
+    side = {1: 9, 2: 7, 3: 5}[d]
     cell = st.lists(st.integers(0, side - 1), min_size=d, max_size=d)
-    kind = draw(st.sampled_from(["scattered", "single", "holed box"]))
+    kind = draw(st.sampled_from(["scattered", "single", "holed box", "far apart"]))
     if kind == "scattered":
         cells = draw(st.lists(cell, min_size=1, max_size=2 * side**d))
     elif kind == "single":
@@ -374,6 +381,10 @@ def occupied_images(draw):
     else:
         holes = draw(st.lists(cell, max_size=3).map(lambda c: set(map(tuple, c))))
         cells = [list(c) for c in np.ndindex(*([side] * d)) if c not in holes] or [[0] * d]
+    if kind == "far apart":
+        signs = draw(st.lists(st.sampled_from([-1, 1]), min_size=d, max_size=d))
+        far = draw(st.lists(cell, min_size=1, max_size=side**d))
+        cells += [[c + s * 2**20 for c, s in zip(row, signs)] for row in far]
     repeats = draw(st.lists(st.integers(0, len(cells) - 1), max_size=8))
     cells += [cells[i] for i in repeats]
     offset = st.sampled_from([0.0, 0.25, 0.5, 0.75])
@@ -382,10 +393,10 @@ def occupied_images(draw):
 
 
 class TestInteriorProperties:
-    """Erosion of the dense occupancy box against a dict-and-scan oracle."""
+    """Sparse erosion of the occupied cells against a dict-and-scan oracle."""
 
     @settings(max_examples=300, deadline=None)
-    @given(image=occupied_images(), radius=st.integers(0, 2))
+    @given(image=occupied_images(), radius=st.integers(0, 3))
     def test_interior_matches_oracle(self, image, radius):
         w, v = image
         origin = np.zeros(v.shape[1])
@@ -451,20 +462,28 @@ class TestInteriorProbe:
         assert frac == pytest.approx(0.5)
         assert len(reports) == 2
 
-    def test_box_above_cap_raises(self):
-        # two far cells span a 2^14 x 2^14 box, 2^28 cells; refused before allocating
+    def test_two_far_cells_have_no_interior(self):
+        # two far cells span a 2^14 x 2^14 box, but only the two cells are probed
         h = OccupationHistogram(cell_size=0.1, origin=np.zeros(2),
                                 cells={(0, 0): 0.5, (2**14 - 1, 2**14 - 1): 0.5})
-        with pytest.raises(OccupancyGridTooLarge):
-            interior_probe(h, 1)
+        rep = interior_probe(h, 1)
+        assert rep.interior_cells == []
+        assert rep.fraction_of_seeds_with_interior == 0.0
 
-    def test_cap_is_inclusive(self, monkeypatch):
-        monkeypatch.setattr(occupation, "INTERIOR_MAX_CELLS", 24)
-        box = OccupationHistogram(cell_size=0.1, origin=np.zeros(2),
-                                  cells={idx: 1 / 24 for idx in np.ndindex(4, 6)})
-        assert len(interior_probe(box, 1).interior_cells) == 8
-        with pytest.raises(OccupancyGridTooLarge):
-            interior_probe(self.full_grid_hist(5, 2), 1)
+    def test_padded_box_past_2_62_keys_raises(self):
+        # cells 0 and 2^62 - 3 padded by one cell each way fill exactly 2^62 keys
+        def probe(last):
+            h = OccupationHistogram(cell_size=0.1, origin=np.zeros(1),
+                                    cells={(0,): 0.5, (last,): 0.5})
+            return interior_probe(h, 1)
+
+        assert probe(2**62 - 3).interior_cells == []
+        with pytest.raises(BoxIndexOverflow):
+            probe(2**62 - 2)
+        h = OccupationHistogram(cell_size=0.1, origin=np.zeros(2),
+                                cells={(0, 0): 0.5, (2**31, 2**31): 0.5})
+        with pytest.raises(BoxIndexOverflow):
+            interior_probe(h, 1)
 
     def test_report_json(self):
         h = self.full_grid_hist(3, 1)
@@ -472,3 +491,13 @@ class TestInteriorProbe:
         doc = rep.to_json(config={"epsilon": 0.1})
         assert doc["config"] == {"epsilon": 0.1}
         assert doc["interior_cells"] == [[1]]
+
+
+def test_import_loads_no_scipy():
+    # erosion needs no scipy.ndimage, and l2_density_diagnostic imports
+    # scipy.spatial when it is called
+    code = "import sys, parafbm; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    env = {**os.environ, "PYTHONPATH": str(Path(parafbm.__file__).parents[1])}
+    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert res.stdout.strip() == "[]"
