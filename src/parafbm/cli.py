@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -44,7 +45,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def parse_delta_spec(spec):
-    """Parse a scale ladder: "2^-4..2^-12" (dyadic range) or comma-separated floats."""
+    """Parse a scale ladder: "2^-4..2^-12" (dyadic range) or comma-separated floats.
+
+    A range bound written as a number must be 2^-k exactly: 0.3 is not rounded.
+    """
     spec = spec.strip()
     if ".." in spec:
         lo, hi = spec.split("..", 1)
@@ -66,9 +70,12 @@ def _parse_pow2(token):
     try:
         if token.startswith("2^"):
             return -int(token[2:])
-        return int(round(-np.log2(float(token))))
-    except (ValueError, OverflowError):
+        mantissa, exponent = math.frexp(float(token))
+    except ValueError:
         raise ConfigError(f"bad delta bound {token!r}: need 2^-k or a number") from None
+    if mantissa != 0.5:
+        raise ConfigError(f"delta bound {token!r} is not a power of two 2^-k")
+    return 1 - exponent
 
 
 def _read_cloud_csv(path):

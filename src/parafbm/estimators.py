@@ -55,6 +55,12 @@ ENERGY_PAIR_CAP = 4096
 #: default number of sampled pairs in the subsampling regime
 ENERGY_DEFAULT_PAIRS = 10**6
 
+#: fewest scales a log-log fit may keep after trimming
+MIN_FIT_POINTS = 3
+
+#: kernel Monte Carlo refuses gamma this close to its branch point H*d
+GAMMA_BOUNDARY_MARGIN = 1e-6
+
 #: bound on box-index magnitudes and on the span of a packed box key
 _KEY_SPAN_MAX = 2**62
 
@@ -353,7 +359,6 @@ def estimate_parabolic_dimension(
     hurst,
     trim_octaves=1.0,
     max_count_fraction=1.0 / 3.0,
-    min_points=3,
     anchor_shift=0.0,
 ):
     """Box-dimension estimate: least-squares slope of log N(delta) vs log(1/delta).
@@ -379,10 +384,10 @@ def estimate_parabolic_dimension(
         keep &= (d <= d.max() / f * (1 + 1e-12)) & (d >= d.min() * f * (1 - 1e-12))
     if max_count_fraction is not None:
         keep &= c <= max_count_fraction * cloud.n
-    if keep.sum() < min_points:
+    if keep.sum() < MIN_FIT_POINTS:
         raise DegenerateRange(
             f"only {int(keep.sum())} scales usable after trimming "
-            f"(need {min_points}); enlarge the cloud or coarsen the ladder"
+            f"(need {MIN_FIT_POINTS}); enlarge the cloud or coarsen the ladder"
         )
     dk, ck = d[keep], c[keep]
     if np.all(ck == ck[0]):
@@ -465,12 +470,12 @@ def energy_integral_mc(
     return acc / got * n * (n - 1)
 
 
-def kernel_expectation_mc(t, alpha, hurst, gamma, d, n, seed=0, boundary_margin=1e-6):
+def kernel_expectation_mc(t, alpha, hurst, gamma, d, n, seed=0):
     """Monte Carlo mean of (max(t^H, t^alpha * ||N||_inf))^(-gamma/H).
 
     N is a d-dimensional standard normal; the decay of this expectation in t
     switches branch at gamma = H*d, so values of gamma within
-    ``boundary_margin`` of H*d are rejected.
+    ``GAMMA_BOUNDARY_MARGIN`` of H*d are rejected.
     """
     alpha = validate_hurst(alpha, "alpha")
     hurst = validate_hurst(hurst)
@@ -478,9 +483,9 @@ def kernel_expectation_mc(t, alpha, hurst, gamma, d, n, seed=0, boundary_margin=
         raise ConfigError("t must lie in (0, 1]")
     if alpha > hurst:
         raise ConfigError(f"alpha={alpha} must not exceed H={hurst}")
-    if abs(gamma - hurst * d) < boundary_margin:
+    if abs(gamma - hurst * d) < GAMMA_BOUNDARY_MARGIN:
         raise GammaAtBoundary(
-            f"gamma={gamma} within {boundary_margin} of H*d={hurst * d}"
+            f"gamma={gamma} within {GAMMA_BOUNDARY_MARGIN} of H*d={hurst * d}"
         )
     n = validate_integer(n, "n")
     if n < 1:

@@ -2,14 +2,15 @@
 
 Configs are versioned JSON with strict key checking: an unknown top-level,
 ``params`` or cell key is an error, and so is a cell that lacks one of its
-kind's required keys (a typo in a Hurst parameter must not pass silently).
-The one free-form cell key is ``label``, echoed into the report's ``cell``
-column with the rest of the cell.  Each kind declares its defaults, keys,
-runner and job grouping once, in ``_KIND_SPECS``.  Each experiment cell
-produces one report row; rows are appended to report.csv as jobs complete,
-in deterministic cell order, with the config hash embedded so reruns are
-comparable.  A job is one cell, or a run of graph-dimension cells that
-measure the same sample paths.
+kind's required keys (a typo in a Hurst parameter must not pass silently)
+or gives a word-valued key a value outside ``_CELL_CHOICES``.  The one
+free-form cell key is ``label``, echoed into the report's ``cell`` column
+with the rest of the cell.  Each kind declares its params (each checked by
+the type of its default), keys, runner and job grouping once, in
+``_KIND_SPECS``.  Each experiment cell produces one report row; rows are
+appended to report.csv as jobs complete, in deterministic cell order, with
+the config hash embedded so reruns are comparable.  A job is one cell, or a
+run of graph-dimension cells that measure the same sample paths.
 Almost-sure statements are operationalized as seed-fraction thresholds at
 finite resolution; the threshold and resolution appear in every row.
 """
@@ -28,7 +29,7 @@ import time
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from functools import partial
 from pathlib import Path
 
@@ -41,7 +42,7 @@ from .estimators import (
     estimate_parabolic_dimension,
     kernel_expectation_mc,
 )
-from .fbm import TimeGrid, generate_fbm_path, generate_mixed_path, validate_integer
+from .fbm import TimeGrid, generate_fbm_path, generate_mixed_path, validate_hurst, validate_integer
 from .fractals import (
     WeightedTimeSet,
     full_interval,
@@ -70,14 +71,12 @@ SCHEMA_VERSION = 1
 
 WORKERS_ENV = "PARAFBM_WORKERS"
 
-_TOP_KEYS = {"schema_version", "kind", "seeds", "seed_base", "params"}
-
 _SET_KEYS = {"kind", "generation", "m", "r", "dim"}
 
-_REAL_PARAMS = ("trim_octaves", "max_count_fraction", "min_r_squared", "margin",
-                "max_ratio", "slope_tolerance", "rel_tolerance")
-
-_EXPONENT_PARAMS = ("radius_exponents", "t_exponents")
+#: the values each word-valued cell key may take, its default first
+_CELL_CHOICES = {"check": ("bounded", "slope"), "path": ("fbm", "constant"),
+                 "expect": ("interior", "no-interior", "evidence"),
+                 "drift": ("zero", "lipschitz")}
 
 
 def _is_real(value):
@@ -92,12 +91,26 @@ def _is_exponent_list(value):
             and all(_is_real(k) and float(k).is_integer() for k in value))
 
 
+def _check_param(key, value, default):
+    """Check a param by the type of its default: a whole number, a real or a list."""
+    if isinstance(default, int):
+        validate_integer(value, key)
+    elif isinstance(default, float) and not _is_real(value):
+        raise ConfigError(f"{key} must be a finite number, got {value!r}")
+    elif isinstance(default, list) and not _is_exponent_list(value):
+        raise ConfigError(f"{key} must be a list of at least two whole numbers, got {value!r}")
+
+
+def _nearest(word, valid):
+    return difflib.get_close_matches(str(word), valid, n=1, cutoff=0.0)[0]
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Validated experiment description."""
 
     kind: str
-    params: dict
+    params: dict = field(default_factory=dict)
     seeds: int = 20
     seed_base: int = 0
     schema_version: int = SCHEMA_VERSION
@@ -120,28 +133,18 @@ class ExperimentConfig:
             raise ConfigError("seeds must be >= 1")
         if self.seed_base < 0:
             raise ConfigError("seed_base must be >= 0")
-        allowed = spec.param_keys
+        allowed = {"cells", *spec.defaults}
         unknown = set(self.params) - allowed
         if unknown:
             raise ConfigError(
                 f"unknown params for {self.kind}: {sorted(unknown)} "
                 f"(allowed: {sorted(allowed)})"
             )
-        counts = {
-            key: validate_integer(self.params[key], key)
-            for key in ("grid_n", "n_samples", "per_octave",
-                        "delta_coarse_exp", "delta_fine_exp")
-            if key in self.params
-        }
-        if counts.get("per_octave", 1) < 1:
-            raise ConfigError("per_octave must be >= 1")
         for key, value in self.params.items():
-            if key in _REAL_PARAMS and not _is_real(value):
-                raise ConfigError(f"{key} must be a finite number, got {value!r}")
-            if key in _EXPONENT_PARAMS and not _is_exponent_list(value):
-                raise ConfigError(
-                    f"{key} must be a list of at least two whole numbers, got {value!r}"
-                )
+            if key != "cells":
+                _check_param(key, value, spec.defaults[key])
+        if self.params.get("per_octave", 1) < 1:
+            raise ConfigError("per_octave must be >= 1")
         cells = self.params.get("cells")
         if not isinstance(cells, list) or not cells:
             raise ConfigError("params.cells must be a non-empty list")
@@ -149,31 +152,33 @@ class ExperimentConfig:
         for cell in cells:
             if not isinstance(cell, dict):
                 raise ConfigError(f"each cell must be a JSON object, got {cell!r}")
-            for key in cell:
+            for key, value in cell.items():
                 if key not in valid:
-                    near = difflib.get_close_matches(key, valid, n=1, cutoff=0.0)
                     raise ConfigError(
                         f"unknown {self.kind} cell key {key!r} (did you mean "
-                        f"{near[0]!r}? allowed: {sorted(valid)})"
+                        f"{_nearest(key, valid)!r}? allowed: {sorted(valid)})"
+                    )
+                choices = _CELL_CHOICES.get(key)
+                if choices and value not in choices:
+                    raise ConfigError(
+                        f"unknown {key} {value!r} in {self.kind} cell (did you mean "
+                        f"{_nearest(value, choices)!r}? allowed: {list(choices)})"
                     )
             missing = [k for k in spec.cell_keys if k not in cell]
             if missing:
                 raise ConfigError(f"{self.kind} cell {cell} lacks key(s) {missing}")
+            if cell.get("alpha_p") is not None and "drift" in cell:
+                raise ConfigError(f"{self.kind} cell {cell} has both alpha_p and drift: "
+                                  "the mixed path is drawn without a drift")
 
     @classmethod
     def from_dict(cls, doc):
-        unknown = set(doc) - _TOP_KEYS
+        unknown = set(doc) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         if "kind" not in doc:
             raise ConfigError("config needs a 'kind'")
-        return cls(
-            kind=doc["kind"],
-            params=doc.get("params", {}),
-            seeds=doc.get("seeds", 20),
-            seed_base=doc.get("seed_base", 0),
-            schema_version=doc.get("schema_version", SCHEMA_VERSION),
-        )
+        return cls(**doc)
 
     @classmethod
     def from_json(cls, text):
@@ -186,13 +191,7 @@ class ExperimentConfig:
         return cls.from_dict(doc)
 
     def to_dict(self):
-        return {
-            "schema_version": self.schema_version,
-            "kind": self.kind,
-            "seeds": self.seeds,
-            "seed_base": self.seed_base,
-            "params": self.params,
-        }
+        return asdict(self)
 
     def config_hash(self):
         text = json.dumps(self.to_dict(), sort_keys=True)
@@ -235,17 +234,14 @@ class ReportRow:
         }
 
 
-CSV_FIELDS = [
-    "kind", "cell", "theory", "estimate", "tolerance", "passed",
-    "diagnostics", "config_hash", "runtime_s",
-]
+CSV_FIELDS = [*(f.name for f in fields(ReportRow)), "runtime_s"]
 
 
 def build_set(spec):
     """Construct a FractalSet from its JSON spec.
 
     ``generation`` and ``m`` must be whole numbers: 8.5 raises ConfigError
-    rather than being truncated.
+    rather than being truncated; a real ``r`` or a ``dim`` in (0, 1) sets the ratio.
     """
     unknown = set(spec) - _SET_KEYS
     if unknown:
@@ -259,10 +255,15 @@ def build_set(spec):
         k = validate_integer(spec.get("generation", 8), "generation")
         m = validate_integer(spec.get("m", 2), "m")
         if "dim" in spec:
-            r = m ** (-1.0 / float(spec["dim"]))
+            dim = spec["dim"]
+            if not (_is_real(dim) and 0.0 < dim < 1.0):
+                raise ConfigError(f"dim must be a number in (0, 1), got {dim!r}")
+            r = m ** (-1.0 / float(dim))
         else:
-            r = float(spec["r"])
-        return generalized_cantor(m, r, k)
+            r = spec.get("r")
+            if not _is_real(r):
+                raise ConfigError(f"r must be a finite number, got {r!r}")
+        return generalized_cantor(m, float(r), k)
     raise ConfigError(f"unknown set kind {kind!r}")
 
 
@@ -281,7 +282,7 @@ def _cell_sort_key(cell):
 
 
 # ---------------------------------------------------------------------------
-# cell runners: each takes (kind, cells, common, seeds, seed_base) and returns
+# cell runners: each takes (cells, common, seeds, seed_base) and returns
 # one outcome per cell, a dict of theory, estimate, tolerance and
 # diagnostics; ``_run_one_cell`` turns the outcomes into report rows.  They
 # look up the path, estimator and set builders as module globals at call
@@ -305,7 +306,7 @@ def _path_key(cell):
     return cell["alpha"]
 
 
-def _graph_dim_rows(row, fitted, kind, cells, common, seeds, seed_base):
+def _graph_dim_rows(row, fitted, cells, common, seeds, seed_base):
     """Outcomes of a run of graph-dimension cells sharing one path key.
 
     Per seed, the B^alpha path is drawn once, at the largest d of the cells,
@@ -326,9 +327,6 @@ def _graph_dim_rows(row, fitted, kind, cells, common, seeds, seed_base):
     deltas = dyadic_deltas(
         common["delta_coarse_exp"], common["delta_fine_exp"], common["per_octave"]
     )
-    fit_kwargs = {
-        k: common[k] for k in ("trim_octaves", "max_count_fraction") if k in common
-    }
     fits = [[[] for _ in hs] for hs in hursts]
     own = [0.0] * len(cells)
     for s in range(seeds):
@@ -342,9 +340,10 @@ def _graph_dim_rows(row, fitted, kind, cells, common, seeds, seed_base):
             t0 = time.perf_counter()
             sub = cloud if fset.kind == "full-interval" else cloud.restrict(fset)
             for j, hurst in enumerate(hs):
-                fits[i][j].append(
-                    estimate_parabolic_dimension(sub, deltas, hurst, **fit_kwargs)
-                )
+                fits[i][j].append(estimate_parabolic_dimension(
+                    sub, deltas, hurst, trim_octaves=common["trim_octaves"],
+                    max_count_fraction=common["max_count_fraction"],
+                ))
             own[i] += time.perf_counter() - t0
     own[0] = time.perf_counter() - t_start - sum(own[1:])
     outcomes = []
@@ -406,7 +405,7 @@ def _comparison_bounds_row(cell, fits, common):
                     estimate_h=out_h["estimate"])
 
 
-def _kernel_scaling_rows(kind, cells, common, seeds, seed_base):
+def _kernel_scaling_rows(cells, common, seeds, seed_base):
     (cell,) = cells
     t0 = time.perf_counter()
     alpha, hurst, gamma, d = cell["alpha"], cell["hurst"], cell["gamma"], _cell_d(cell)
@@ -435,14 +434,6 @@ def _kernel_scaling_rows(kind, cells, common, seeds, seed_base):
                  tolerance=common["rel_tolerance"] * abs(theory), diagnostics=diag)]
 
 
-def _drift_values(drift_kind, grid, d):
-    if drift_kind in (None, "zero"):
-        return np.zeros((d, len(grid)))
-    if drift_kind == "lipschitz":
-        return lipschitz_drift(grid, d)
-    raise ConfigError(f"unknown drift {drift_kind!r}")
-
-
 def _snap_to_grid(samples, grid):
     """Round sample times to grid nodes, merging duplicate weights.
 
@@ -461,15 +452,16 @@ def _snap_to_grid(samples, grid):
     return WeightedTimeSet(times=t[uniq], weights=weights / weights.sum())
 
 
-def _images(cell, grid, samples, seeds, seed_base, alpha_p=None):
+def _images(cell, grid, samples, seeds, seed_base):
     """Yield each seed's (weights, image) of ``samples`` under the cell's path.
 
     The path is B^H plus the cell's drift, from seed ``seed_base + s``; when
-    ``alpha_p`` is given it is the drift-free mixed path of indices
+    the cell gives ``alpha_p`` it is the drift-free mixed path of indices
     (H, alpha_p), from seeds ``seed_base + 2s`` and ``seed_base + 2s + 1``.
     """
-    hurst, d = cell["hurst"], _cell_d(cell)
-    drift = _drift_values(cell.get("drift", "zero") if alpha_p is None else None, grid, d)
+    hurst, d, alpha_p = cell["hurst"], _cell_d(cell), cell.get("alpha_p")
+    drift = (lipschitz_drift(grid, d) if cell.get("drift") == "lipschitz"
+             else np.zeros((d, len(grid))))
     for s in range(seeds):
         if alpha_p is None:
             path = generate_fbm_path(hurst, grid, d=d, seed=seed_base + s)
@@ -481,7 +473,7 @@ def _images(cell, grid, samples, seeds, seed_base, alpha_p=None):
         yield drifted_image(path, drift, samples)
 
 
-def _occupation_l2_rows(kind, cells, common, seeds, seed_base):
+def _occupation_l2_rows(cells, common, seeds, seed_base):
     (cell,) = cells
     t0 = time.perf_counter()
     d = _cell_d(cell)
@@ -521,7 +513,7 @@ def _occupation_l2_rows(kind, cells, common, seeds, seed_base):
                  tolerance=common["slope_tolerance"] * d, diagnostics=diag)]
 
 
-def _interior_rows(kind, cells, common, seeds, seed_base):
+def _interior_rows(cells, common, seeds, seed_base):
     (cell,) = cells
     t0 = time.perf_counter()
     d = _cell_d(cell)
@@ -529,10 +521,10 @@ def _interior_rows(kind, cells, common, seeds, seed_base):
     radius = validate_integer(cell.get("radius_cells", 2), "radius_cells")
     expect = cell.get("expect", "interior")
     threshold = float(cell.get("threshold", 0.9))
-    alpha_p = cell.get("alpha_p") if kind == "theorem41" else None
+    alpha_p = cell.get("alpha_p")
     fset = build_set(cell.get("set", {"kind": "full"}))
     if alpha_p is not None and expect != "evidence":
-        if alpha_p * d >= fset.theoretical_dim:
+        if validate_hurst(alpha_p, "alpha_p") * d >= fset.theoretical_dim:
             raise InfeasibleParameters(
                 f"alpha'*d = {alpha_p * d} >= dim(A) = {fset.theoretical_dim}"
             )
@@ -540,7 +532,7 @@ def _interior_rows(kind, cells, common, seeds, seed_base):
     grid = TimeGrid.regular(common["grid_n"])
     hists = [
         occupation_histogram(w, img, epsilon)
-        for w, img in _images(cell, grid, samples, seeds, seed_base, alpha_p)
+        for w, img in _images(cell, grid, samples, seeds, seed_base)
     ]
     frac, _reports = interior_fraction(hists, radius)
     if expect == "interior":
@@ -568,43 +560,41 @@ def _interior_rows(kind, cells, common, seeds, seed_base):
 class _KindSpec:
     """Everything the runner knows about one experiment kind.
 
-    ``defaults`` are its param defaults, ``optional`` the param keys allowed
-    with no default, ``cell_keys`` the keys every cell must carry,
-    ``cell_optional`` the other keys a cell may carry (besides ``label``),
-    ``run`` its runner, and ``shares_paths`` whether adjacent cells with one
-    alpha form one job.
+    ``defaults`` holds every param besides ``cells``, with its default, whose
+    type is the param's check (see ``_check_param``); ``cell_keys`` are the
+    keys every cell must carry, ``cell_optional`` the other keys a cell may
+    carry (besides ``label``), ``run`` its runner, and ``shares_paths``
+    whether adjacent cells with one alpha form one job.
     """
 
     defaults: dict
     cell_keys: tuple
     run: Callable
-    optional: frozenset = frozenset()
     cell_optional: tuple = ()
     shares_paths: bool = False
-
-    @property
-    def param_keys(self):
-        return {"cells", *self.defaults, *self.optional}
 
 
 def _graph_spec(row, defaults, fitted=("hurst",), cell_optional=("set",)):
     return _KindSpec(
         defaults={"grid_n": 2**14, "delta_coarse_exp": 4, "delta_fine_exp": 12,
-                  "per_octave": 2, **defaults},
+                  "per_octave": 2, "trim_octaves": 1.0, "max_count_fraction": 1 / 3,
+                  **defaults},
         cell_keys=("alpha", *fitted, "d"),
         run=partial(_graph_dim_rows, row, fitted),
-        optional=frozenset({"trim_octaves", "max_count_fraction"}),
         cell_optional=cell_optional,
         shares_paths=True,
     )
 
 
-_INTERIOR_SPEC = _KindSpec(
-    defaults={"n_samples": 2**14, "grid_n": 2**14},
-    cell_keys=("hurst", "d", "epsilon"),
-    run=_interior_rows,
-    cell_optional=("set", "drift", "radius_cells", "expect", "threshold", "alpha_p"),
-)
+def _interior_spec(*cell_optional):
+    return _KindSpec(
+        defaults={"n_samples": 2**14, "grid_n": 2**14},
+        cell_keys=("hurst", "d", "epsilon"),
+        run=_interior_rows,
+        cell_optional=("set", "drift", "radius_cells", "expect", "threshold",
+                       *cell_optional),
+    )
+
 
 _KIND_SPECS = {
     "dim-formula": _graph_spec(
@@ -628,8 +618,8 @@ _KIND_SPECS = {
         run=_occupation_l2_rows,
         cell_optional=("set", "drift", "path", "check"),
     ),
-    "interior": _INTERIOR_SPEC,
-    "theorem41": _INTERIOR_SPEC,
+    "interior": _interior_spec(),
+    "theorem41": _interior_spec("alpha_p"),
 }
 
 
@@ -643,7 +633,7 @@ def _run_one_cell(job):
     outcome stamped with the kind, the cell and the config hash.
     """
     kind, cells, common, seeds, seed_base, config_hash = job
-    outcomes = _KIND_SPECS[kind].run(kind, cells, common, seeds, seed_base)
+    outcomes = _KIND_SPECS[kind].run(cells, common, seeds, seed_base)
     return [
         ReportRow(kind=kind, cell=cell, config_hash=config_hash, **outcome)
         for cell, outcome in zip(cells, outcomes)

@@ -66,11 +66,14 @@ _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 
 def validate_hurst(value, name="hurst"):
-    """Check a Hurst index lies in the open interval (0, 1) and return it as float."""
-    h = float(value)
-    if not 0.0 < h < 1.0:
-        raise ConfigError(f"{name} must lie in (0, 1), got {value}")
-    return h
+    """Return a Hurst index in the open interval (0, 1) as float.
+
+    Strings ("0.5"), bools and other non-numbers raise ConfigError.
+    """
+    if isinstance(value, (bool, np.bool_)) or not (
+            isinstance(value, numbers.Real) and 0.0 < value < 1.0):
+        raise ConfigError(f"{name} must be a number in (0, 1), got {value!r}")
+    return float(value)
 
 
 def validate_integer(value, name):
@@ -139,16 +142,12 @@ class TimeGrid:
         return self.times.size
 
     @classmethod
-    def regular(cls, n, include_zero=True):
-        """Uniform n-point grid of [0, 1]; with ``include_zero`` the grid is linspace(0,1,n)."""
+    def regular(cls, n):
+        """Uniform n-point grid of [0, 1]: linspace(0, 1, n), so n = 1 gives [0]."""
         n = validate_integer(n, "n")
         if n < 1:
             raise ConfigError("n must be >= 1")
-        if include_zero:
-            if n == 1:
-                return cls(np.array([0.0]))
-            return cls(np.linspace(0.0, 1.0, n))
-        return cls(np.arange(1, n + 1) / n)
+        return cls(np.linspace(0.0, 1.0, n))
 
     @property
     def positive_times(self):

@@ -30,6 +30,12 @@ __all__ = [
 #: refuse constructions with more interval records than this
 MAX_INTERVALS = 2**20
 
+#: the m of every set ``cantor_with_dimension`` builds
+DIMENSION_BRANCHES = 2
+
+#: slack of ``FractalSet.contains`` at each interval end
+CONTAINS_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class FractalSet:
@@ -57,13 +63,13 @@ class FractalSet:
             raise ConfigError("theoretical_dim must lie in [0, 1]")
         object.__setattr__(self, "intervals", iv)
 
-    def contains(self, t, tol=1e-12):
+    def contains(self, t):
         """Boolean mask: which of the given times lie in the set (closed intervals)."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
         starts = self.intervals[:, 0]
         ends = self.intervals[:, 1]
         idx = np.clip(np.searchsorted(starts, t, side="right") - 1, 0, len(starts) - 1)
-        return (t >= starts[idx] - tol) & (t <= ends[idx] + tol)
+        return (t >= starts[idx] - CONTAINS_TOL) & (t <= ends[idx] + CONTAINS_TOL)
 
     def to_json(self):
         return {
@@ -100,7 +106,7 @@ def _cantor_intervals(m, r, k):
     return iv
 
 
-def generalized_cantor(m, r, k, max_intervals=MAX_INTERVALS):
+def generalized_cantor(m, r, k):
     """Cantor-type set: m branches of ratio r per generation, dimension ln m / ln(1/r)."""
     if m < 2:
         raise ConfigError("m must be >= 2")
@@ -110,10 +116,8 @@ def generalized_cantor(m, r, k, max_intervals=MAX_INTERVALS):
         raise InvalidRatio(f"need m*r < 1 for disjoint children, got m*r = {m * r}")
     if k < 0:
         raise ConfigError("generation k must be >= 0")
-    if m**k > max_intervals:
-        raise GenerationTooLarge(
-            f"{m}^{k} intervals exceed the cap of {max_intervals}"
-        )
+    if m**k > MAX_INTERVALS:
+        raise GenerationTooLarge(f"{m}^{k} intervals exceed the cap of {MAX_INTERVALS}")
     return FractalSet(
         intervals=_cantor_intervals(m, r, k),
         generation=k,
@@ -123,12 +127,12 @@ def generalized_cantor(m, r, k, max_intervals=MAX_INTERVALS):
     )
 
 
-def middle_thirds_cantor(k, max_intervals=MAX_INTERVALS):
+def middle_thirds_cantor(k):
     """Classical middle-thirds construction at generation k; dimension ln 2 / ln 3."""
     if k < 0:
         raise ConfigError("generation k must be >= 0")
-    if 2**k > max_intervals:
-        raise GenerationTooLarge(f"2^{k} intervals exceed the cap of {max_intervals}")
+    if 2**k > MAX_INTERVALS:
+        raise GenerationTooLarge(f"2^{k} intervals exceed the cap of {MAX_INTERVALS}")
     return FractalSet(
         intervals=_cantor_intervals(2, 1.0 / 3.0, k),
         generation=k,
@@ -138,12 +142,12 @@ def middle_thirds_cantor(k, max_intervals=MAX_INTERVALS):
     )
 
 
-def cantor_with_dimension(dim, k, m=2, max_intervals=MAX_INTERVALS):
+def cantor_with_dimension(dim, k):
     """Generalized Cantor set with prescribed dimension: r solves ln m / ln(1/r) = dim."""
     if not 0.0 < dim < 1.0:
         raise ConfigError("target dimension must lie in (0, 1)")
-    r = m ** (-1.0 / dim)
-    return generalized_cantor(m, r, k, max_intervals=max_intervals)
+    r = DIMENSION_BRANCHES ** (-1.0 / dim)
+    return generalized_cantor(DIMENSION_BRANCHES, r, k)
 
 
 @dataclass(frozen=True)
@@ -167,12 +171,6 @@ class WeightedTimeSet:
 
     def __len__(self):
         return self.times.size
-
-    @classmethod
-    def uniform_grid(cls, n, include_endpoint=False):
-        """Equal-weight times on a uniform grid of [0, 1]."""
-        t = np.linspace(0.0, 1.0, n) if include_endpoint else np.arange(n) / n
-        return cls(times=t, weights=np.full(n, 1.0 / n))
 
 
 def sample_natural_measure(fset, n, seed=0):

@@ -46,10 +46,13 @@ SINGULARITY_RTOL = 1e-12
 
 @dataclass(frozen=True)
 class GaussianVectorSpec:
-    """Centered Gaussian vector sampled from an fBm or mixed kernel at fixed times."""
+    """Centered Gaussian vector sampled from an fBm or mixed kernel at fixed times.
+
+    The kernel is the mixed one of indices (H, alpha_p) when ``alpha_p`` is
+    given, fBm's otherwise.
+    """
 
     times: np.ndarray
-    kind: str                      # "fbm" or "mixed"
     hurst: float
     alpha_p: float | None = None
     covariance: np.ndarray = field(init=False)
@@ -62,24 +65,20 @@ class GaussianVectorSpec:
             raise ConfigError("times must lie in (0, 1]")
         validate_hurst(self.hurst)
         object.__setattr__(self, "times", t)
-        if self.kind == "fbm":
+        if self.alpha_p is None:
             cov = build_covariance_matrix(t, self.hurst)
-        elif self.kind == "mixed":
-            if self.alpha_p is None:
-                raise ConfigError("mixed kernel needs alpha_p")
+        else:
             validate_hurst(self.alpha_p, "alpha_p")
             cov = build_mixed_covariance_matrix(t, self.hurst, self.alpha_p)
-        else:
-            raise ConfigError(f"unknown kernel kind {self.kind!r}")
         object.__setattr__(self, "covariance", cov)
 
     @classmethod
     def fbm(cls, times, hurst):
-        return cls(times=times, kind="fbm", hurst=hurst)
+        return cls(times=times, hurst=hurst)
 
     @classmethod
     def mixed(cls, times, hurst, alpha_p):
-        return cls(times=times, kind="mixed", hurst=hurst, alpha_p=alpha_p)
+        return cls(times=times, hurst=hurst, alpha_p=validate_hurst(alpha_p, "alpha_p"))
 
     def __len__(self):
         return self.times.size
@@ -193,7 +192,7 @@ def lnd_margin(spec, u, conditioning_times=None):
     min_k |u - t_k|^(2 alpha') + min_k |u - t_k|^(2H), with t_0 = 0 included
     in the minima.  Positive whenever the conditioning block is regular.
     """
-    if spec.kind != "mixed":
+    if spec.alpha_p is None:
         raise ConfigError("lnd_margin needs a mixed-kernel spec")
     times = spec.times if conditioning_times is None else np.asarray(
         conditioning_times, dtype=float

@@ -27,6 +27,26 @@ class TestDeltaSpec:
         with pytest.raises(ConfigError):
             parse_delta_spec("2^-8..2^-4")
 
+    def test_numeric_bounds_that_are_powers_of_two(self):
+        d = parse_delta_spec("0.25..0.015625")
+        np.testing.assert_array_equal(d, 2.0 ** -np.arange(2, 7))
+
+    @pytest.mark.parametrize("spec, bound", [
+        ("0.3..2^-6", "0.3"), ("0.2..0.01", "0.2"), ("2^-2..0.01", "0.01"),
+    ])
+    def test_bound_off_a_power_of_two_raises(self, spec, bound):
+        # these were rounded to the nearest power of two without a word
+        from parafbm.errors import ConfigError
+        with pytest.raises(ConfigError, match=f"delta bound '{bound}' is not a power of two"):
+            parse_delta_spec(spec)
+
+    def test_bound_off_a_power_of_two_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "p.csv"
+        run(["generate", "--hurst", "0.5", "--n", "256", "--out", str(path)])
+        assert run(["boxdim", "--input", str(path), "--hurst", "0.5",
+                    "--deltas", "0.3..2^-6"]) == 1
+        assert "error: delta bound '0.3'" in capsys.readouterr().err
+
 
 class TestGenerate:
     def test_csv_written_and_deterministic(self, tmp_path):
@@ -313,6 +333,16 @@ class TestExperimentCommand:
         assert run(["experiment", "--config", str(cfg_path),
                     "--out", str(tmp_path / "r")]) == 1
         assert "did you mean 'tolerance'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("hurst", ["x", "0.5", True])
+    def test_non_number_hurst_exit_1(self, tmp_path, capsys, hurst):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"kind": "interior", "seeds": 1, "params": {
+            "n_samples": 64, "grid_n": 256,
+            "cells": [{"hurst": hurst, "d": 1, "epsilon": 0.0625}]}}))
+        assert run(["experiment", "--config", str(cfg_path),
+                    "--out", str(tmp_path / "r")]) == 1
+        assert "error: hurst must be a number in (0, 1)" in capsys.readouterr().err
 
     def test_fine_interior_cell_runs(self, tmp_path):
         # 2^14 samples in d = 2 at eps = 1e-4 occupy 16362 cells of a bounding

@@ -1,4 +1,5 @@
 import csv
+import inspect
 import json
 import re
 import time
@@ -8,6 +9,7 @@ import pytest
 
 from parafbm import experiments
 from parafbm.errors import ConfigError, DegenerateRange, InfeasibleParameters
+from parafbm.estimators import estimate_parabolic_dimension
 from parafbm.experiments import (
     ExperimentConfig,
     build_set,
@@ -600,7 +602,7 @@ _OPTIONAL_CELL_KEYS = {
     "comparison-bounds": ("set",),
     "kernel-scaling": (),
     "occupation-l2": ("set", "drift", "path", "check"),
-    "interior": ("set", "drift", "radius_cells", "expect", "threshold", "alpha_p"),
+    "interior": ("set", "drift", "radius_cells", "expect", "threshold"),
     "theorem41": ("set", "drift", "radius_cells", "expect", "threshold", "alpha_p"),
 }
 
@@ -626,6 +628,101 @@ class TestStrictCellKeys:
         label = {"batch": [1, "a"], "note": None}
         cfg = _one_cell_config(kind, label=label)
         assert cfg.params["cells"][0]["label"] == label
+
+
+class TestParamsFollowTheirDefaults:
+    def test_every_default_has_a_checked_type(self):
+        # a param's check is the type of its default, so a default of any
+        # other type would leave its param unchecked
+        for kind, spec in experiments._KIND_SPECS.items():
+            for key, default in spec.defaults.items():
+                assert type(default) in (int, float, list), (kind, key, default)
+
+    @pytest.mark.parametrize("kind, key", [
+        (kind, key) for kind, spec in sorted(experiments._KIND_SPECS.items())
+        for key in spec.defaults
+    ])
+    def test_every_param_refuses_a_string(self, kind, key):
+        base, params = _ONE_CELL[kind]
+        doc = {"kind": kind, "seeds": 1,
+               "params": {**params, key: "x", "cells": [{**base, "d": 1}]}}
+        with pytest.raises(ConfigError, match=f"^{key} must be"):
+            ExperimentConfig.from_dict(doc)
+
+    def test_graph_fit_defaults_are_the_estimators(self):
+        # the fit runs with these defaults, so rows equal those of the
+        # estimator's own defaults
+        sig = inspect.signature(estimate_parabolic_dimension).parameters
+        for kind in _GRAPH_CONFIGS:
+            defaults = experiments._KIND_SPECS[kind].defaults
+            for key in ("trim_octaves", "max_count_fraction"):
+                assert defaults[key] == sig[key].default
+
+    def test_params_default_to_empty(self):
+        with pytest.raises(ConfigError, match="params.cells must be a non-empty list"):
+            ExperimentConfig.from_dict({"kind": "interior"})
+
+
+class TestCellValues:
+    @pytest.mark.parametrize("kind, key, value, near", [
+        ("occupation-l2", "check", "bonded", "bounded"),
+        ("occupation-l2", "path", "const", "constant"),
+        ("occupation-l2", "drift", "lipshitz", "lipschitz"),
+        ("interior", "expect", "interor", "interior"),
+        ("interior", "drift", None, "zero"),
+        ("theorem41", "expect", "no_interior", "no-interior"),
+    ])
+    def test_unknown_value_names_the_nearest(self, kind, key, value, near):
+        with pytest.raises(ConfigError, match=re.escape(
+                f"unknown {key} {value!r} in {kind} cell (did you mean {near!r}?")):
+            _one_cell_config(kind, **{key: value})
+
+    @pytest.mark.parametrize("kind, key, value", [
+        (kind, key, value)
+        for kind in ("occupation-l2", "interior", "theorem41")
+        for key, values in sorted(experiments._CELL_CHOICES.items())
+        if key in experiments._KIND_SPECS[kind].cell_optional
+        for value in values
+    ])
+    def test_every_listed_value_loads(self, kind, key, value):
+        cfg = _one_cell_config(kind, **{key: value})
+        assert cfg.params["cells"][0][key] == value
+
+    def test_theorem41_alpha_p_with_drift_rejected(self):
+        # the mixed path is drawn without a drift, which was ignored
+        with pytest.raises(ConfigError, match="both alpha_p and drift"):
+            _one_cell_config("theorem41", alpha_p=0.3, drift="lipschitz")
+        _one_cell_config("theorem41", alpha_p=0.3)
+        _one_cell_config("theorem41", drift="lipschitz")
+
+    def test_interior_refuses_alpha_p(self):
+        with pytest.raises(ConfigError, match="unknown interior cell key 'alpha_p'"):
+            _one_cell_config("interior", alpha_p=0.3)
+
+    def test_non_number_alpha_p_is_a_config_error(self, path_calls):
+        with pytest.raises(ConfigError, match="alpha_p must be a number"):
+            run_experiment(_one_cell_config("theorem41", alpha_p="0.3"))
+        assert path_calls == []
+
+
+class TestSetNumbers:
+    @pytest.mark.parametrize("spec, key", [
+        ({"kind": "generalized-cantor", "dim": 0}, "dim"),
+        ({"kind": "generalized-cantor", "dim": 1.0}, "dim"),
+        ({"kind": "generalized-cantor", "dim": "x"}, "dim"),
+        ({"kind": "generalized-cantor", "dim": True}, "dim"),
+        ({"kind": "generalized-cantor", "r": "x"}, "r"),
+        ({"kind": "generalized-cantor", "r": float("nan")}, "r"),
+        ({"kind": "generalized-cantor"}, "r"),
+    ])
+    def test_ratio_and_dim_named_by_key(self, spec, key):
+        with pytest.raises(ConfigError, match=f"^{key} must be"):
+            build_set(spec)
+
+    def test_dim_and_r_build_the_same_set(self):
+        by_dim = build_set({"kind": "generalized-cantor", "dim": 0.5, "generation": 3})
+        by_r = build_set({"kind": "generalized-cantor", "r": 0.25, "generation": 3})
+        np.testing.assert_array_equal(by_dim.intervals, by_r.intervals)
 
 
 class TestIntegerCellFields:

@@ -61,6 +61,15 @@ class TestCovarianceFormulas:
         with pytest.raises(ConfigError):
             fbm_covariance(0.5, 0.5, 0.0)
 
+    @pytest.mark.parametrize("value", ["x", "0.5", True, np.True_, None, [0.5]])
+    def test_non_number_hurst_is_a_config_error(self, value):
+        with pytest.raises(ConfigError, match="alpha_p must be a number in"):
+            fbm.validate_hurst(value, "alpha_p")
+
+    def test_numpy_hurst_accepted(self):
+        assert fbm.validate_hurst(np.float32(0.5)) == 0.5
+        assert fbm.validate_hurst(np.float64(0.25)) == 0.25
+
 
 class TestCovarianceMatrix:
     def test_single_time(self):
@@ -99,7 +108,7 @@ class TestTimeGrid:
         assert g.uniform and len(g) == 16 and g.times[0] == 0.0
 
     def test_no_zero_uniform(self):
-        g = TimeGrid.regular(8, include_zero=False)
+        g = TimeGrid(np.arange(1, 9) / 8)
         assert g.uniform and g.times[0] == pytest.approx(1 / 8)
 
     def test_nonuniform_first_gap(self):
@@ -231,7 +240,7 @@ class TestGeneration:
     def test_mixed_is_sum_of_tagged_components(self, hurst, alpha_p, grid, n, d, seeds):
         g = {
             "zero": lambda: TimeGrid.regular(n),
-            "no-zero": lambda: TimeGrid.regular(n, include_zero=False),
+            "no-zero": lambda: TimeGrid(np.arange(1, n + 1) / n),
             "explicit": lambda: TimeGrid(np.sort(np.random.default_rng(n).uniform(
                 0.01, 1.0, n))),
             "single": lambda: TimeGrid(np.array([0.0, 0.4])),
@@ -299,7 +308,7 @@ class TestHalfSpectrumSampler:
     )
     def test_matches_pure_python_dft(self, n, hurst, seed, tag, coord):
         # a uniform grid with two or more increments is drawn by circulant embedding
-        g = TimeGrid.regular(n, include_zero=False)
+        g = TimeGrid(np.arange(1, n + 1) / n)
         got = generate_fbm_path(hurst, g, d=coord + 1, seed=seed, _tag=tag).values[coord]
         want = np.array(naive_fgn_path(hurst, n, seed, tag, coord))
         assert np.all(np.abs(got - want) <= 1e-12 + 1e-9 * np.abs(want))
@@ -312,7 +321,7 @@ class TestHalfSpectrumSampler:
         # 2.4e-6 of the largest, so its square root, which sets the path's
         # linear trend, magnifies that rounding; 1e-11 bounds it there
         tol = 1e-11 if (hurst, n) == (0.05, 2**16 - 1) else 1e-12
-        g = TimeGrid.regular(n, include_zero=False)
+        g = TimeGrid(np.arange(1, n + 1) / n)
         for seed, tag in ((0, 0), (7, 1)):
             got = generate_fbm_path(hurst, g, d=2, seed=seed, _tag=tag).values
             for coord in (0, 1):

@@ -116,11 +116,6 @@ class TestWeightedTimeSet:
         with pytest.raises(ConfigError):
             WeightedTimeSet(times=np.array([1.5]), weights=np.array([1.0]))
 
-    def test_uniform_grid(self):
-        w = WeightedTimeSet.uniform_grid(10)
-        assert len(w) == 10
-        assert w.weights.sum() == pytest.approx(1.0)
-
 
 def test_fractal_json():
     c = generalized_cantor(2, 0.25, 2)

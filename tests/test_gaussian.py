@@ -369,3 +369,15 @@ class TestMixedIncrementVariance:
 def test_spec_requires_positive_times():
     with pytest.raises(ConfigError):
         GaussianVectorSpec.fbm(np.array([0.0, 0.5]), 0.5)
+
+
+def test_kernel_follows_alpha_p():
+    t = np.array([0.3, 0.8])
+    assert GaussianVectorSpec.fbm(t, 0.5).alpha_p is None
+    np.testing.assert_array_equal(
+        GaussianVectorSpec.mixed(t, 0.5, 0.3).covariance,
+        GaussianVectorSpec(t, 0.5, 0.3).covariance)
+    with pytest.raises(ConfigError, match="alpha_p must be a number"):
+        GaussianVectorSpec.mixed(t, 0.5, None)
+    with pytest.raises(ConfigError, match="needs a mixed-kernel spec"):
+        lnd_margin(GaussianVectorSpec.fbm(t, 0.5), 0.5)
