@@ -11,10 +11,10 @@ import parafbm as pf
 
 # --- conditional variance via Schur complement --------------------------------
 
-spec = pf.GaussianVectorSpec.fbm(np.array([0.5, 1.0]), 0.5)
+spec = pf.GaussianVectorSpec(np.array([0.5, 1.0]), 0.5)
 print("Brownian: Var(B(1) | B(0.5)) =", pf.conditional_variance(spec, 1, (0,)))
 
-spec = pf.GaussianVectorSpec.fbm(np.array([0.2, 0.4, 0.6, 0.8, 1.0]), 0.3)
+spec = pf.GaussianVectorSpec(np.array([0.2, 0.4, 0.6, 0.8, 1.0]), 0.3)
 prev = None
 print("conditioning on more observations only shrinks the variance:")
 for k in range(5):

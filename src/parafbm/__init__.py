@@ -26,12 +26,9 @@ from .errors import (
 from .fbm import (
     SamplePath,
     TimeGrid,
-    build_covariance_matrix,
-    build_mixed_covariance_matrix,
     fbm_covariance,
     generate_fbm_path,
     generate_mixed_path,
-    mixed_covariance,
     path_from_json,
     path_to_csv,
     path_to_json,

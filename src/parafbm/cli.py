@@ -20,7 +20,6 @@ import numpy as np
 from .errors import ConfigError, NumericalError
 from .estimators import (
     GraphCloud,
-    box_count_curve,
     dyadic_deltas,
     energy_integral_mc,
     estimate_parabolic_dimension,
@@ -127,9 +126,8 @@ def _cmd_boxdim(args):
         with atomic_writer(args.out) as fh:
             json.dump(doc, fh, indent=2)
     if args.curve:
-        curve = box_count_curve(cloud, deltas, args.hurst)
         with atomic_writer(args.curve) as fh:
-            curve.to_csv(fh)
+            est.curve.to_csv(fh)
     return EXIT_OK
 
 

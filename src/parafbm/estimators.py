@@ -30,7 +30,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -158,13 +158,18 @@ class BoxCountCurve:
 
 @dataclass(frozen=True)
 class DimensionEstimate:
-    """Fitted scaling exponent with regression diagnostics."""
+    """Fitted scaling exponent with regression diagnostics.
+
+    ``curve`` is the full box-count curve the fit was made on; it takes no
+    part in comparisons and is left out of ``to_json``.
+    """
 
     exponent: float
     intercept: float
     r_squared: float
     fit_range: tuple
     n_points_used: int
+    curve: BoxCountCurve | None = field(default=None, compare=False, repr=False)
 
     def to_json(self):
         return {
@@ -399,6 +404,7 @@ def estimate_parabolic_dimension(
         r_squared=r2,
         fit_range=(float(dk.min()), float(dk.max())),
         n_points_used=int(dk.size),
+        curve=curve,
     )
 
 

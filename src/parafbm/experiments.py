@@ -78,6 +78,9 @@ _CELL_CHOICES = {"check": ("bounded", "slope"), "path": ("fbm", "constant"),
                  "expect": ("interior", "no-interior", "evidence"),
                  "drift": ("zero", "lipschitz")}
 
+#: the real-valued cell keys, each checked as a finite number at load
+_CELL_REALS = ("epsilon", "threshold", "tolerance", "gamma")
+
 
 def _is_real(value):
     """A finite real number that is not a bool (JSON true is not 1)."""
@@ -158,6 +161,10 @@ class ExperimentConfig:
                         f"unknown {self.kind} cell key {key!r} (did you mean "
                         f"{_nearest(key, valid)!r}? allowed: {sorted(valid)})"
                     )
+                if key in _CELL_REALS:
+                    _check_param(key, value, 0.0)
+                elif key == "set" and not isinstance(value, dict):
+                    raise ConfigError(f"set must be a JSON object, got {value!r}")
                 choices = _CELL_CHOICES.get(key)
                 if choices and value not in choices:
                     raise ConfigError(

@@ -13,6 +13,11 @@ the rounding clamp raises CovarianceNotPSD, with no fallback to Cholesky.
 Increments are simulated and summed, which conditions much better than
 factoring the path covariance directly.
 
+``fbm_covariance`` is the one statement of the path covariance kernel; it
+broadcasts, so matrices, stacks and the mixed kernel are spelled with it.
+The increment covariance the Cholesky sampler factors is the kernel's one
+restatement, expanded over the gaps of the grid.
+
 Randomness is counter-based (Philox) with one stream per
 (seed, process tag, coordinate), so d-dimensional paths are reproducible
 and independent of generation order.
@@ -39,10 +44,6 @@ __all__ = [
     "TimeGrid",
     "SamplePath",
     "fbm_covariance",
-    "mixed_covariance",
-    "build_covariance_stack",
-    "build_covariance_matrix",
-    "build_mixed_covariance_matrix",
     "generate_fbm_path",
     "generate_mixed_path",
     "path_to_csv",
@@ -199,7 +200,13 @@ class SamplePath:
 def fbm_covariance(s, t, hurst):
     """Covariance of one fBm coordinate: (|t|^2H + |s|^2H - |t-s|^2H) / 2.
 
-    Accepts scalars or broadcasting arrays; symmetric in (s, t).
+    The package's one statement of the kernel.  Accepts scalars or
+    broadcasting arrays and is symmetric in (s, t): the matrix over times
+    ``t`` is ``fbm_covariance(t[:, None], t, hurst)``, the (k, n, n) stack
+    over the rows of a (k, n) array is ``fbm_covariance(t[:, :, None],
+    t[:, None, :], hurst)``, each of its matrices bit for bit the one its row
+    alone gives, and the mixed process B^H + B^a' has the sum of the kernels
+    at H and a'.
     """
     h2 = 2.0 * validate_hurst(hurst)
     s = np.asarray(s, dtype=float)
@@ -208,44 +215,13 @@ def fbm_covariance(s, t, hurst):
     return out if out.ndim else float(out)
 
 
-def mixed_covariance(s, t, hurst, alpha_p):
-    """Covariance of one coordinate of Z = B^H + B^a' (independent components)."""
-    return fbm_covariance(s, t, hurst) + fbm_covariance(s, t, alpha_p)
-
-
-def build_covariance_stack(times, hurst):
-    """Exact fBm covariance matrices over each row of ``times``, shape (k, n, n).
-
-    Entry [i, a, b] is (|t_ib|^2H + |t_ia|^2H - |t_ib - t_ia|^2H) / 2, evaluated
-    elementwise, so each matrix is bit for bit the one its row alone gives
-    and exactly symmetric.
-    """
-    h2 = 2.0 * validate_hurst(hurst)
-    t = np.asarray(times, dtype=float)
-    if t.ndim != 2 or t.size == 0:
-        raise ConfigError("times must be a non-empty (k, n) array")
-    p = np.abs(t) ** h2
-    gaps = np.abs(t[:, None, :] - t[:, :, None]) ** h2
-    return 0.5 * (p[:, None, :] + p[:, :, None] - gaps)
-
-
-def build_covariance_matrix(times, hurst):
-    """Exact fBm covariance matrix over ``times``; symmetric positive semidefinite."""
-    t = np.asarray(times, dtype=float)
-    if t.size == 0:
-        raise ConfigError("times must be non-empty")
-    return build_covariance_stack(t[None, :], hurst)[0]
-
-
-def build_mixed_covariance_matrix(times, hurst, alpha_p):
-    """Covariance matrix of the mixed process Z over ``times``."""
-    return build_covariance_matrix(times, hurst) + build_covariance_matrix(
-        times, alpha_p
-    )
-
-
 def _increment_covariance(tpos, hurst):
-    """Covariance of increments over consecutive gaps of (0, t_1, ..., t_n)."""
+    """Covariance of increments over consecutive gaps of (0, t_1, ..., t_n).
+
+    The kernel's |t|^2H terms cancel in the difference, leaving four gap
+    powers; factoring this rather than the path covariance is what keeps
+    the Cholesky sampler well conditioned.
+    """
     h2 = 2.0 * hurst
     lo = np.concatenate([[0.0], tpos[:-1]])
     hi = tpos

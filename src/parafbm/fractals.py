@@ -24,6 +24,7 @@ __all__ = [
     "full_interval",
     "middle_thirds_cantor",
     "generalized_cantor",
+    "cantor_with_dimension",
     "sample_natural_measure",
 ]
 

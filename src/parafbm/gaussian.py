@@ -9,6 +9,10 @@ asserting any value.  The fBm predecessor chain is not of that kind: for
 increasing times each factor Var(B(t_k) | B(t_1..t_{k-1})) lies between
 kappa_H (t_k - t_{k-1})^2H and (t_k - t_{k-1})^2H with an explicit kappa_H,
 see verify_detcov_lower_bound.
+
+Every covariance here is ``fbm.fbm_covariance`` over the last axis of a
+time array: one matrix for a spec, one stack per size for the sweeps, and
+the sum of the kernels at H and alpha' for the mixed process.
 """
 
 from __future__ import annotations
@@ -20,14 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AlphaExceedsH, ConfigError, SingularConditioning
-from .fbm import (
-    build_covariance_matrix,
-    build_covariance_stack,
-    build_mixed_covariance_matrix,
-    philox_stream,
-    validate_hurst,
-    validate_integer,
-)
+from .fbm import fbm_covariance, philox_stream, validate_hurst, validate_integer
 
 __all__ = [
     "GaussianVectorSpec",
@@ -44,12 +41,21 @@ __all__ = [
 SINGULARITY_RTOL = 1e-12
 
 
+def _covariance(times, hurst, alpha_p=None):
+    """Covariance over the last axis of ``times``: a matrix for a 1-d array,
+    a stack for a 2-d one; the mixed kernel when ``alpha_p`` is given."""
+    s, t = times[..., :, None], times[..., None, :]
+    cov = fbm_covariance(s, t, hurst)
+    return cov if alpha_p is None else cov + fbm_covariance(s, t, alpha_p)
+
+
 @dataclass(frozen=True)
 class GaussianVectorSpec:
     """Centered Gaussian vector sampled from an fBm or mixed kernel at fixed times.
 
     The kernel is the mixed one of indices (H, alpha_p) when ``alpha_p`` is
-    given, fBm's otherwise.
+    given, fBm's otherwise: ``GaussianVectorSpec(times, H)`` for fBm,
+    ``GaussianVectorSpec(times, H, alpha_p)`` for B^H + B^a'.
     """
 
     times: np.ndarray
@@ -64,21 +70,10 @@ class GaussianVectorSpec:
         if t.min() <= 0.0 or t.max() > 1.0:
             raise ConfigError("times must lie in (0, 1]")
         validate_hurst(self.hurst)
-        object.__setattr__(self, "times", t)
-        if self.alpha_p is None:
-            cov = build_covariance_matrix(t, self.hurst)
-        else:
+        if self.alpha_p is not None:
             validate_hurst(self.alpha_p, "alpha_p")
-            cov = build_mixed_covariance_matrix(t, self.hurst, self.alpha_p)
-        object.__setattr__(self, "covariance", cov)
-
-    @classmethod
-    def fbm(cls, times, hurst):
-        return cls(times=times, hurst=hurst)
-
-    @classmethod
-    def mixed(cls, times, hurst, alpha_p):
-        return cls(times=times, hurst=hurst, alpha_p=validate_hurst(alpha_p, "alpha_p"))
+        object.__setattr__(self, "times", t)
+        object.__setattr__(self, "covariance", _covariance(t, self.hurst, self.alpha_p))
 
     def __len__(self):
         return self.times.size
@@ -181,7 +176,7 @@ def verify_detcov_lower_bound(times, hurst):
         raise ConfigError("times must be a non-empty 1-d array")
     if np.unique(t).size != t.size or t.min() <= 0.0 or t.max() > 1.0:
         raise ConfigError("times must be distinct and in (0, 1]")
-    det = float(np.linalg.det(build_covariance_matrix(t, hurst)))
+    det = float(np.linalg.det(_covariance(t, hurst)))
     return _detcov_margin(det, t.tolist(), 2.0 * hurst)
 
 
@@ -205,9 +200,7 @@ def lnd_margin(spec, u, conditioning_times=None):
         # conditioning on nothing: Var(Z0(u)) over the t0=0 bracket
         cvar = u ** (2.0 * spec.hurst) + u ** (2.0 * spec.alpha_p)
     else:
-        full = GaussianVectorSpec.mixed(
-            np.concatenate([[u], times]), spec.hurst, spec.alpha_p
-        )
+        full = GaussianVectorSpec(np.concatenate([[u], times]), spec.hurst, spec.alpha_p)
         cvar = _schur_conditional_variance(
             full.covariance, 0, tuple(range(1, len(full)))
         )
@@ -233,7 +226,7 @@ def lnd_distance_ratio(hurst, alpha_p, t, r, conditioning_times):
         raise ConfigError("need 0 < r <= t")
     if np.any(np.abs(s - t) < r):
         raise ConfigError("conditioning times must be at distance >= r from t")
-    full = GaussianVectorSpec.mixed(np.concatenate([[t], s]), hurst, alpha_p)
+    full = GaussianVectorSpec(np.concatenate([[t], s]), hurst, alpha_p)
     cvar = _schur_conditional_variance(full.covariance, 0, tuple(range(1, len(full))))
     return cvar / r ** (2.0 * alpha_p)
 
@@ -333,7 +326,7 @@ def detcov_margin_sweep(n_configs, hurst_values=(0.2, 0.5, 0.8), max_points=5, s
     for base, h in zip(range(0, len(times), n_configs), hursts):
         block = slice(base, base + n_configs)
         for n, idx, stack in _stacks(times[block], sizes[block]):
-            dets = np.linalg.det(build_covariance_stack(stack, h)).tolist()
+            dets = np.linalg.det(_covariance(stack, h)).tolist()
             for i, row, det in zip(idx, stack, dets):
                 t = row.tolist()
                 records[base + i] = {
@@ -380,7 +373,7 @@ def lnd_margin_sweep(
         sizes[i] = n + 1
     records = [None] * n_configs
     for size, idx, stack in _stacks(points, sizes):
-        cov = build_covariance_stack(stack, hurst) + build_covariance_stack(stack, alpha_p)
+        cov = _covariance(stack, hurst, alpha_p)
         block = cov[:, 1:, 1:]
         w, v = np.linalg.eigh(block)
         tol = SINGULARITY_RTOL * np.trace(block, axis1=1, axis2=2)

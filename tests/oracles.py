@@ -7,6 +7,8 @@ form and a quadrature of the Mandelbrot-Van Ness kernel.  The circulant fBm
 sampler has two: a pure-Python DFT and the complex-FFT route it replaced.
 The batched Gaussian sweeps are checked against the per-config loop they
 replaced, which draws each config and calls the public one-config route.
+The increment covariance of the Cholesky sampler is checked against a
+50-digit mpmath evaluation of each entry.
 """
 
 import cmath
@@ -128,6 +130,25 @@ def complex_half_spectrum_fgn(lam, z):
     half[1:n] = (z[2:n + 1] - 1j * z[n + 1:m2]) / np.sqrt(2.0)
     half *= np.sqrt(lam[:n + 1])
     return np.fft.irfft(half, m2, norm="ortho")[:n]
+
+
+def mp_increment_covariance(tpos, hurst, i, j, dps=50):
+    """Entry (i, j) of the increment covariance over the gaps of (0, t_1, ..., t_n)
+    at ``dps`` digits, with its scale, as a pair of mpmath numbers.
+
+    The float times are taken exactly; entry (i, j) is
+    Cov(B(t_{i+1}) - B(t_i), B(t_{j+1}) - B(t_j)) with t_0 = 0, expanded
+    into four gap powers, and the scale is the largest of them.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        h2 = 2 * mpmath.mpf(hurst)
+        lo_i, hi_i, lo_j, hi_j = (mpmath.mpf(float(tpos[k - 1])) if k else mpmath.mpf(0)
+                                  for k in (i, i + 1, j, j + 1))
+        powers = [abs(hi_i - lo_j) ** h2, abs(lo_i - hi_j) ** h2,
+                  abs(hi_i - hi_j) ** h2, abs(lo_i - lo_j) ** h2]
+        return (powers[0] + powers[1] - powers[2] - powers[3]) / 2, max(powers)
 
 
 def naive_energy_sum(times, values, weights, gamma, hurst):
@@ -292,7 +313,7 @@ def detcov_sweep_by_config(n_configs, hurst_values, max_points, seed):
 
 
 def lnd_sweep_by_config(n_configs, hurst, alpha_p, interval, max_points, seed):
-    """lnd_margin_sweep as one lnd_margin(GaussianVectorSpec.mixed(...)) call per config."""
+    """lnd_margin_sweep as one lnd_margin(GaussianVectorSpec(times, H, a')) call per config."""
     from parafbm.gaussian import GaussianVectorSpec, lnd_margin
 
     rng = _sweep_stream(seed, 1)
@@ -306,7 +327,7 @@ def lnd_sweep_by_config(n_configs, hurst, alpha_p, interval, max_points, seed):
         pick = int(rng.integers(0, n + 1))
         u = float(pts[pick])
         times = np.delete(pts, pick)
-        ratio = lnd_margin(GaussianVectorSpec.mixed(times, hurst, alpha_p), u)
+        ratio = lnd_margin(GaussianVectorSpec(times, hurst, alpha_p), u)
         records.append({"config": _hash({"H": hurst, "a": alpha_p, "u": u,
                                          "times": times.tolist()}),
                         "u": u, "n": n, "ratio": ratio})

@@ -44,7 +44,7 @@ def test_criterion_01_covariance_exactness():
         n = int(rng.integers(1, 65))
         t = np.sort(rng.uniform(0.0, 1.0, n))
         h = float(rng.choice([0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]))
-        m = pf.build_covariance_matrix(t, h)
+        m = pf.fbm_covariance(t[:, None], t, h)
         k = min(n, 12)
         idx = rng.integers(0, n, size=(k, 2))
         for i, j in idx:
@@ -226,9 +226,9 @@ def test_criterion_06_determinant_bound_and_chain():
             continue
         h = float(rng.uniform(0.15, 0.85))
         if rng.random() < 0.5:
-            spec = pf.GaussianVectorSpec.fbm(t, h)
+            spec = pf.GaussianVectorSpec(t, h)
         else:
-            spec = pf.GaussianVectorSpec.mixed(t, h, float(rng.uniform(0.1, h)))
+            spec = pf.GaussianVectorSpec(t, h, float(rng.uniform(0.1, h)))
         det, chain = pf.detcov_chain_identity(spec)
         worst_chain = max(worst_chain, abs(det - chain) / max(abs(det), 1e-300))
         checked += 1

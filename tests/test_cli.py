@@ -113,6 +113,30 @@ class TestBoxdim:
         assert json.loads(est_out.read_text()) == printed
         assert curve_out.read_text().startswith("delta,count")
 
+    def test_curve_is_the_fitted_one(self, tmp_path, capsys, monkeypatch):
+        from parafbm import estimators
+
+        path = tmp_path / "p.csv"
+        run(["generate", "--hurst", "0.5", "--n", "1024", "--seed", "3",
+             "--out", str(path)])
+        capsys.readouterr()
+        calls = []
+        counted = estimators.parabolic_box_count
+
+        def count(*args, **kwargs):
+            calls.append(args[1])
+            return counted(*args, **kwargs)
+
+        # every box_count_curve looks each scale's count up as a module global
+        monkeypatch.setattr(estimators, "parabolic_box_count", count)
+        curve_out = tmp_path / "curve.csv"
+        assert run(["boxdim", "--input", str(path), "--hurst", "0.5",
+                    "--deltas", "2^-2..2^-8", "--curve", str(curve_out)]) == 0
+        assert calls == [2.0**-k for k in range(2, 9)]   # each scale counted once
+        lines = curve_out.read_text().splitlines()
+        assert lines[0] == "delta,count" and len(lines) == 1 + 7
+        assert "curve" not in json.loads(capsys.readouterr().out)
+
     def test_missing_input_exit_1(self, tmp_path):
         assert run(["boxdim", "--input", str(tmp_path / "nope.csv"),
                     "--hurst", "0.5"]) == 1
@@ -343,6 +367,36 @@ class TestExperimentCommand:
         assert run(["experiment", "--config", str(cfg_path),
                     "--out", str(tmp_path / "r")]) == 1
         assert "error: hurst must be a number in (0, 1)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind, key, value", [
+        ("interior", "threshold", "x"),
+        ("interior", "threshold", True),
+        ("interior", "epsilon", "x"),
+        ("dim-formula", "tolerance", "x"),
+        ("dim-formula", "tolerance", float("nan")),
+        ("kernel-scaling", "gamma", "3"),
+    ])
+    def test_cell_numbers_checked_at_load(self, tmp_path, capsys, kind, key, value):
+        cell = {"interior": {"hurst": 0.3, "d": 1, "epsilon": 0.0625},
+                "dim-formula": {"alpha": 0.5, "hurst": 0.5, "d": 1},
+                "kernel-scaling": {"alpha": 0.2, "hurst": 0.8, "gamma": 3.0, "d": 1}}[kind]
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"kind": kind, "seeds": 1, "params": {
+            "cells": [{**cell, key: value}]}}))
+        out = tmp_path / "r"
+        assert run(["experiment", "--config", str(cfg_path), "--out", str(out)]) == 1
+        assert f"error: {key} must be a finite number" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", [5, "full", ["kind", "full"], None])
+    def test_set_must_be_an_object(self, tmp_path, capsys, value):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"kind": "interior", "seeds": 1, "params": {
+            "cells": [{"hurst": 0.3, "d": 1, "epsilon": 0.0625, "set": value}]}}))
+        out = tmp_path / "r"
+        assert run(["experiment", "--config", str(cfg_path), "--out", str(out)]) == 1
+        assert "error: set must be a JSON object" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_fine_interior_cell_runs(self, tmp_path):
         # 2^14 samples in d = 2 at eps = 1e-4 occupy 16362 cells of a bounding

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -319,6 +321,17 @@ class TestDimensionEstimate:
         assert est.fit_range[0] >= deltas.min()
         assert est.fit_range[1] <= deltas.max()
         assert est.n_points_used <= deltas.size - 2
+
+    def test_carries_the_fitted_curve(self):
+        c = flat_cloud(n=4096)
+        deltas = dyadic_deltas(2, 8)
+        est = estimate_parabolic_dimension(c, deltas, 0.5)
+        want = box_count_curve(c, deltas, 0.5)
+        assert est.curve.deltas.tolist() == want.deltas.tolist()
+        assert est.curve.counts.tolist() == want.counts.tolist()
+        # the curve takes no part in equality or in the JSON form
+        assert est == dataclasses.replace(est, curve=None)
+        assert "curve" not in est.to_json()
 
     def test_degenerate_single_point_cloud(self):
         c = GraphCloud(times=np.array([0.5]), values=np.array([[0.0]]))

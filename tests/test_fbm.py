@@ -9,6 +9,7 @@ from oracles import (
     complex_half_spectrum_fgn,
     full_complex_fgn_eigenvalues,
     full_complex_fgn_path,
+    mp_increment_covariance,
     naive_fgn_path,
 )
 from parafbm import fbm
@@ -16,12 +17,9 @@ from parafbm.errors import ConfigError, CovarianceNotPSD
 from parafbm.estimators import energy_integral_mc, kernel_expectation_mc
 from parafbm.fbm import (
     TimeGrid,
-    build_covariance_matrix,
-    build_mixed_covariance_matrix,
     fbm_covariance,
     generate_fbm_path,
     generate_mixed_path,
-    mixed_covariance,
     path_csv_string,
     path_from_json,
     path_to_json,
@@ -51,9 +49,12 @@ class TestCovarianceFormulas:
             )
 
     def test_mixed_is_sum(self):
-        assert mixed_covariance(1.0, 1.0, 0.5, 0.3) == pytest.approx(2.0)
-        assert mixed_covariance(0.0, 0.4, 0.7, 0.2) == 0.0
-        assert mixed_covariance(0.5, 1.0, 0.5, 0.25) == pytest.approx(1.0)
+        def mixed_kernel(s, t, hurst, alpha_p):
+            return fbm_covariance(s, t, hurst) + fbm_covariance(s, t, alpha_p)
+
+        assert mixed_kernel(1.0, 1.0, 0.5, 0.3) == pytest.approx(2.0)
+        assert mixed_kernel(0.0, 0.4, 0.7, 0.2) == 0.0
+        assert mixed_kernel(0.5, 1.0, 0.5, 0.25) == pytest.approx(1.0)
 
     def test_hurst_validation(self):
         with pytest.raises(ConfigError):
@@ -73,12 +74,14 @@ class TestCovarianceFormulas:
 
 class TestCovarianceMatrix:
     def test_single_time(self):
-        m = build_covariance_matrix([0.7], 0.3)
+        t = np.array([0.7])
+        m = fbm_covariance(t[:, None], t, 0.3)
         assert m.shape == (1, 1)
         assert m[0, 0] == pytest.approx(0.7**0.6)
 
     def test_brownian_two_times(self):
-        m = build_covariance_matrix([0.5, 1.0], 0.5)
+        t = np.array([0.5, 1.0])
+        m = fbm_covariance(t[:, None], t, 0.5)
         np.testing.assert_allclose(m, [[0.5, 0.5], [0.5, 1.0]], atol=1e-15)
 
     def test_entries_match_formula_and_psd(self):
@@ -88,18 +91,49 @@ class TestCovarianceMatrix:
             n = int(rng.integers(2, 64))
             t = np.sort(rng.uniform(0.0, 1.0, n))
             h = float(rng.choice([0.1, 0.3, 0.5, 0.7, 0.9]))
-            m = build_covariance_matrix(t, h)
+            m = fbm_covariance(t[:, None], t, h)
             i, j = rng.integers(0, n, 2)
             assert m[i, j] == pytest.approx(fbm_covariance(t[i], t[j], h), rel=1e-14)
             assert np.allclose(m, m.T)
             eig = np.linalg.eigvalsh(m)
             assert eig.min() >= -1e-10 * np.trace(m)
 
-    def test_mixed_matrix(self):
-        t = np.array([0.2, 0.9])
-        m = build_mixed_covariance_matrix(t, 0.6, 0.3)
-        expected = build_covariance_matrix(t, 0.6) + build_covariance_matrix(t, 0.3)
-        np.testing.assert_allclose(m, expected)
+
+class TestIncrementCovariance:
+    """The Cholesky sampler's increment covariance against a 50-digit oracle.
+
+    As in criterion 1 the error is taken relative to the largest of the
+    four gap powers each entry combines: differences of nearby gaps cancel,
+    where no float64 evaluation meets a result-relative bound.
+    """
+
+    @staticmethod
+    def _worst_scale_relative(tpos, h, entries):
+        m = fbm._increment_covariance(tpos, h)
+        worst = 0.0
+        for i, j in entries:
+            want, scale = mp_increment_covariance(tpos, h, i, j)
+            worst = max(worst, float(abs(m[i, j] - want) / scale))
+        return worst
+
+    def test_random_grids(self):
+        rng = np.random.default_rng(0)
+        worst = 0.0
+        for _ in range(100):
+            n = int(rng.integers(1, 65))
+            tpos = np.sort(rng.uniform(0.0, 1.0, n))
+            h = float(rng.choice([0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]))
+            entries = rng.integers(0, n, size=(min(n, 12), 2)).tolist()
+            worst = max(worst, self._worst_scale_relative(tpos, h, entries))
+        assert worst <= 1e-14
+
+    def test_longest_lags_of_a_fine_grid(self):
+        # the longest lags cancel most; a quarter of MAX_CHOLESKY_N keeps the
+        # four dense power arrays near 8 MiB each
+        n = fbm.MAX_CHOLESKY_N // 4
+        tpos = np.linspace(0.0, 1.0, n + 1)[1:]
+        entries = [(0, n - 1), (n - 1, 0), (0, n - 2), (1, n - 1), (n - 1, n - 1), (0, 0)]
+        assert self._worst_scale_relative(tpos, 0.6, entries) <= 1e-14
 
 
 class TestTimeGrid:
@@ -178,7 +212,7 @@ class TestGeneration:
         nrep = 4000
         vals = np.array([generate_fbm_path(0.7, g, seed=s).values[0] for s in range(nrep)])
         emp = np.cov(vals.T, bias=True)
-        theo = build_covariance_matrix(g.times, 0.7)
+        theo = fbm_covariance(g.times[:, None], g.times, 0.7)
         assert np.max(np.abs(emp - theo)) <= 3 * theo.max() * np.sqrt(2.0 / nrep)
 
     def test_mixed_increment_variance_mc(self):

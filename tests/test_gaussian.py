@@ -14,7 +14,7 @@ from oracles import (
     naive_conditional_variance,
 )
 from parafbm.errors import AlphaExceedsH, ConfigError, SingularConditioning
-from parafbm.fbm import build_covariance_matrix, build_covariance_stack, fbm_covariance
+from parafbm.fbm import fbm_covariance
 from parafbm.gaussian import (
     GaussianVectorSpec,
     conditional_variance,
@@ -30,15 +30,15 @@ from parafbm.gaussian import (
 
 class TestConditionalVariance:
     def test_empty_conditioning(self):
-        spec = GaussianVectorSpec.fbm(np.array([0.7]), 0.4)
+        spec = GaussianVectorSpec(np.array([0.7]), 0.4)
         assert conditional_variance(spec, 0, ()) == pytest.approx(0.7**0.8)
 
     def test_brownian_example(self):
-        spec = GaussianVectorSpec.fbm(np.array([0.5, 1.0]), 0.5)
+        spec = GaussianVectorSpec(np.array([0.5, 1.0]), 0.5)
         assert conditional_variance(spec, 1, (0,)) == pytest.approx(0.5)
 
     def test_rough_example(self):
-        spec = GaussianVectorSpec.fbm(np.array([0.5, 1.0]), 0.25)
+        spec = GaussianVectorSpec(np.array([0.5, 1.0]), 0.25)
         want = 1.0 - 0.5**2 / 0.5**0.5
         assert conditional_variance(spec, 1, (0,)) == pytest.approx(want, abs=1e-10)
 
@@ -50,7 +50,7 @@ class TestConditionalVariance:
             if np.any(np.diff(t) < 1e-3):
                 continue
             h = float(rng.uniform(0.15, 0.85))
-            spec = GaussianVectorSpec.fbm(t, h)
+            spec = GaussianVectorSpec(t, h)
             target = int(rng.integers(0, n))
             given = tuple(i for i in range(n) if i != target)
             v = conditional_variance(spec, target, given)
@@ -64,7 +64,7 @@ class TestConditionalVariance:
             if np.any(np.diff(t) < 5e-3):
                 continue
             h = float(rng.uniform(0.2, 0.8))
-            spec = GaussianVectorSpec.fbm(t, h)
+            spec = GaussianVectorSpec(t, h)
             got = conditional_variance(spec, n - 1, tuple(range(n - 1)))
             want = naive_conditional_variance(
                 spec.covariance.tolist(), n - 1, list(range(n - 1))
@@ -73,7 +73,7 @@ class TestConditionalVariance:
 
     def test_nonincreasing_in_conditioning_set(self):
         t = np.array([0.2, 0.4, 0.6, 0.8, 1.0])
-        spec = GaussianVectorSpec.fbm(t, 0.35)
+        spec = GaussianVectorSpec(t, 0.35)
         prev = np.inf
         for k in range(5):
             v = conditional_variance(spec, 4, tuple(range(k)))
@@ -82,25 +82,25 @@ class TestConditionalVariance:
 
     def test_singular_conditioning(self):
         t = np.array([0.5, 0.5 + 1e-13, 1.0])
-        spec = GaussianVectorSpec.fbm(t, 0.5)
+        spec = GaussianVectorSpec(t, 0.5)
         with pytest.raises(SingularConditioning):
             conditional_variance(spec, 2, (0, 1))
 
     def test_index_validation(self):
-        spec = GaussianVectorSpec.fbm(np.array([0.5, 1.0]), 0.5)
+        spec = GaussianVectorSpec(np.array([0.5, 1.0]), 0.5)
         with pytest.raises(ConfigError):
             conditional_variance(spec, 0, (0,))
 
 
 class TestDetcovChain:
     def test_single_time(self):
-        spec = GaussianVectorSpec.fbm(np.array([0.6]), 0.3)
+        spec = GaussianVectorSpec(np.array([0.6]), 0.3)
         det, chain = detcov_chain_identity(spec)
         assert det == pytest.approx(0.6**0.6)
         assert chain == pytest.approx(0.6**0.6)
 
     def test_brownian_pair(self):
-        spec = GaussianVectorSpec.fbm(np.array([0.5, 1.0]), 0.5)
+        spec = GaussianVectorSpec(np.array([0.5, 1.0]), 0.5)
         det, chain = detcov_chain_identity(spec)
         assert det == pytest.approx(0.25)
         assert chain == pytest.approx(0.25)
@@ -114,13 +114,13 @@ class TestDetcovChain:
             if np.any(np.diff(t) < 1e-2):
                 continue
             h = float(rng.uniform(0.15, 0.85))
-            det, chain = detcov_chain_identity(GaussianVectorSpec.fbm(t, h))
+            det, chain = detcov_chain_identity(GaussianVectorSpec(t, h))
             assert det == pytest.approx(chain, rel=1e-8)
             checked += 1
 
     def test_mixed_kernel_route(self):
         t = np.array([0.25, 0.5, 0.75])
-        det, chain = detcov_chain_identity(GaussianVectorSpec.mixed(t, 0.7, 0.3))
+        det, chain = detcov_chain_identity(GaussianVectorSpec(t, 0.7, 0.3))
         assert det == pytest.approx(chain, rel=1e-8)
 
 
@@ -169,7 +169,7 @@ class TestChainConstant:
     )
     def test_chain_factors_within_kappa_and_one(self, h, t1, gaps):
         t = t1 + np.concatenate([[0.0], np.cumsum(gaps)])
-        cov = build_covariance_matrix(t, h).tolist()
+        cov = fbm_covariance(t[:, None], t, h).tolist()
         kappa = mvn_kappa(h)
         product = 1.0  # Var(B(t_1)) / (t_1 - 0)^2H
         for k in range(1, t.size):
@@ -184,18 +184,19 @@ class TestChainConstant:
 
 class TestLndMargin:
     def test_no_conditioning_ratio_one(self):
-        spec = GaussianVectorSpec.mixed(np.array([0.9]), 0.7, 0.35)
+        spec = GaussianVectorSpec(np.array([0.9]), 0.7, 0.35)
         r = lnd_margin(spec, 0.5, conditioning_times=np.array([]))
         assert r == pytest.approx(1.0)
 
     def test_equal_hurst_reduces_to_fbm(self):
         # alpha' = H: Z is sqrt(2) B^H in law; ratio must stay positive
         times = np.array([0.3, 0.8])
-        spec = GaussianVectorSpec.mixed(times, 0.6, 0.6)
+        spec = GaussianVectorSpec(times, 0.6, 0.6)
         r = lnd_margin(spec, 0.55)
         assert r > 0
         # cross-check against the fbm kernel: Cov_Z = 2 Cov_fbm
-        fbm_cov = build_covariance_matrix(np.array([0.55, 0.3, 0.8]), 0.6)
+        full = np.array([0.55, 0.3, 0.8])
+        fbm_cov = fbm_covariance(full[:, None], full, 0.6)
         from parafbm.gaussian import _schur_conditional_variance
         cv = 2.0 * _schur_conditional_variance(fbm_cov, 0, (1, 2))
         gap = min(0.55, 0.25)
@@ -278,10 +279,11 @@ class TestBatchedSweeps:
     )
     def test_stacked_covariance_equals_one_config_route(self, k, n, h, seed):
         times = np.random.default_rng(seed).uniform(0.0, 1.0, size=(k, n))
-        stack = build_covariance_stack(times, h)
+        stack = fbm_covariance(times[:, :, None], times[:, None, :], h)
+        assert stack.shape == (k, n, n)
         for row, cov in zip(times, stack):
-            assert cov.tobytes() == build_covariance_matrix(row, h).tobytes()
-            assert cov.tobytes() == fbm_covariance(row[:, None], row[None, :], h).tobytes()
+            assert cov.tobytes() == fbm_covariance(row[:, None], row, h).tobytes()
+            assert cov.tobytes() == cov.T.tobytes()
 
 
 def _raises_promptly(call, seconds=5):
@@ -357,27 +359,27 @@ class TestMixedIncrementVariance:
     def test_matches_covariance_route(self):
         h, ap = 0.7, 0.25
         s, t = 0.3, 0.85
-        from parafbm.fbm import mixed_covariance
-        via_cov = (
-            mixed_covariance(t, t, h, ap)
-            + mixed_covariance(s, s, h, ap)
-            - 2 * mixed_covariance(s, t, h, ap)
-        )
+
+        def mixed_kernel(a, b):
+            return fbm_covariance(a, b, h) + fbm_covariance(a, b, ap)
+
+        via_cov = mixed_kernel(t, t) + mixed_kernel(s, s) - 2 * mixed_kernel(s, t)
         assert mixed_increment_variance(s, t, h, ap) == pytest.approx(via_cov, rel=1e-12)
 
 
 def test_spec_requires_positive_times():
     with pytest.raises(ConfigError):
-        GaussianVectorSpec.fbm(np.array([0.0, 0.5]), 0.5)
+        GaussianVectorSpec(np.array([0.0, 0.5]), 0.5)
 
 
 def test_kernel_follows_alpha_p():
     t = np.array([0.3, 0.8])
-    assert GaussianVectorSpec.fbm(t, 0.5).alpha_p is None
-    np.testing.assert_array_equal(
-        GaussianVectorSpec.mixed(t, 0.5, 0.3).covariance,
-        GaussianVectorSpec(t, 0.5, 0.3).covariance)
+    assert GaussianVectorSpec(t, 0.5).alpha_p is None
+    # the mixed kernel is the sum of the fBm kernels at H and alpha'
+    assert GaussianVectorSpec(t, 0.5, 0.3).covariance.tobytes() == (
+        GaussianVectorSpec(t, 0.5).covariance + GaussianVectorSpec(t, 0.3).covariance
+    ).tobytes()
     with pytest.raises(ConfigError, match="alpha_p must be a number"):
-        GaussianVectorSpec.mixed(t, 0.5, None)
+        GaussianVectorSpec(t, 0.5, "0.3")
     with pytest.raises(ConfigError, match="needs a mixed-kernel spec"):
-        lnd_margin(GaussianVectorSpec.fbm(t, 0.5), 0.5)
+        lnd_margin(GaussianVectorSpec(t, 0.5), 0.5)
