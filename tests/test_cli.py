@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from parafbm import estimators
 from parafbm.cli import cli_main, parse_delta_spec
 
 
@@ -114,8 +115,6 @@ class TestBoxdim:
         assert curve_out.read_text().startswith("delta,count")
 
     def test_curve_is_the_fitted_one(self, tmp_path, capsys, monkeypatch):
-        from parafbm import estimators
-
         path = tmp_path / "p.csv"
         run(["generate", "--hurst", "0.5", "--n", "1024", "--seed", "3",
              "--out", str(path)])
