@@ -35,7 +35,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BoxIndexOverflow, ConfigError, DegenerateRange, GammaAtBoundary
-from .fbm import philox_stream, validate_hurst, validate_integer, validate_seed
+from .fbm import philox_stream, validate_count, validate_hurst, validate_seed
+from .geometry import rho_h
 
 __all__ = [
     "GraphCloud",
@@ -408,29 +409,14 @@ def estimate_parabolic_dimension(
     )
 
 
-def _rho_power_sum(times, values, gamma_over_h, hurst, weights, idx_i, idx_j):
-    dt = np.abs(times[idx_i] - times[idx_j]) ** hurst
-    dv = np.max(np.abs(values[idx_i] - values[idx_j]), axis=1)
-    rho = np.maximum(dt, dv)
-    return float(np.sum(weights[idx_i] * weights[idx_j] * rho**-gamma_over_h))
-
-
-def energy_integral_mc(
-    measure_points,
-    values,
-    gamma,
-    hurst,
-    pair_cap=ENERGY_PAIR_CAP,
-    n_pairs=ENERGY_DEFAULT_PAIRS,
-    pair_seed=0,
-):
+def energy_integral_mc(measure_points, values, gamma, hurst, pair_seed=0):
     """Weighted double sum of rho_H(u, v)^(-gamma/H) over distinct point pairs.
 
-    With n <= pair_cap all n*(n-1) ordered pairs enter and the result is
-    deterministic in the points; beyond the cap, n_pairs ordered pairs are
-    subsampled with a seeded counter-based stream and rescaled, trading
-    exactness for bounded cost.  ``pair_seed`` must be a whole, non-negative
-    number in either regime (ConfigError otherwise).
+    With n <= ENERGY_PAIR_CAP all n*(n-1) ordered pairs enter and the result
+    is deterministic in the points; beyond the cap, ENERGY_DEFAULT_PAIRS
+    ordered pairs are subsampled with a seeded counter-based stream and
+    rescaled, trading exactness for bounded cost.  ``pair_seed`` must be a
+    whole, non-negative number in either regime (ConfigError otherwise).
     """
     hurst = validate_hurst(hurst)
     pair_seed = validate_seed(pair_seed, "pair_seed")
@@ -448,15 +434,13 @@ def energy_integral_mc(
         raise ConfigError("need at least 2 points")
     q = gamma / hurst
 
-    if n <= pair_cap:
+    if n <= ENERGY_PAIR_CAP:
         total = 0.0
         # row-chunked full double sum, diagonal excluded
         chunk = max(1, 2**22 // max(n, 1))
         for start in range(0, n, chunk):
             rows = np.arange(start, min(start + chunk, n))
-            dt = np.abs(times[rows, None] - times[None, :]) ** hurst
-            dv = np.max(np.abs(v[rows, None, :] - v[None, :, :]), axis=2)
-            rho = np.maximum(dt, dv)
+            rho = rho_h((times[rows, None], v[rows, None, :]), (times, v), hurst)
             rho[rows - start, rows] = np.inf
             total += float(np.sum(weights[rows, None] * weights[None, :] * rho**-q))
         return total
@@ -464,13 +448,14 @@ def energy_integral_mc(
     rng = philox_stream(pair_seed, (3,))
     got = 0
     acc = 0.0
-    while got < n_pairs:
-        m = min(n_pairs - got, 2**20)
+    while got < ENERGY_DEFAULT_PAIRS:
+        m = min(ENERGY_DEFAULT_PAIRS - got, 2**20)
         ii = rng.integers(0, n, size=m)
         jj = rng.integers(0, n, size=m)
         ok = ii != jj
         ii, jj = ii[ok], jj[ok]
-        acc += _rho_power_sum(times, v, q, hurst, weights, ii, jj)
+        rho = rho_h((times[ii], v[ii]), (times[jj], v[jj]), hurst)
+        acc += float(np.sum(weights[ii] * weights[jj] * rho**-q))
         got += int(ok.sum())
     # mean over sampled ordered pairs, rescaled to all n*(n-1) of them
     return acc / got * n * (n - 1)
@@ -493,9 +478,7 @@ def kernel_expectation_mc(t, alpha, hurst, gamma, d, n, seed=0):
         raise GammaAtBoundary(
             f"gamma={gamma} within {GAMMA_BOUNDARY_MARGIN} of H*d={hurst * d}"
         )
-    n = validate_integer(n, "n")
-    if n < 1:
-        raise ConfigError("n must be >= 1")
+    n = validate_count(n, "n")
     rng = philox_stream(seed, (4,))
     total = 0.0
     remaining = n

@@ -3,9 +3,10 @@
 Configs are versioned JSON with strict key checking: an unknown top-level,
 ``params`` or cell key is an error, and so is a cell that lacks one of its
 kind's required keys (a typo in a Hurst parameter must not pass silently)
-or gives a word-valued key a value outside ``_CELL_CHOICES``.  The one
-free-form cell key is ``label``, echoed into the report's ``cell`` column
-with the rest of the cell.  Each kind declares its params (each checked by
+or gives a word-valued key a value outside ``_CELL_CHOICES``.  Every cell
+value is checked when the config is built, before anything is written.  The
+one free-form cell key is ``label``, echoed into the report's ``cell``
+column with the rest of the cell.  Each kind declares its params (each checked by
 the type of its default), keys, runner and job grouping once, in
 ``_KIND_SPECS``.  Each experiment cell produces one report row; rows are
 appended to report.csv as jobs complete, in deterministic cell order, with
@@ -42,7 +43,14 @@ from .estimators import (
     estimate_parabolic_dimension,
     kernel_expectation_mc,
 )
-from .fbm import TimeGrid, generate_fbm_path, generate_mixed_path, validate_hurst, validate_integer
+from .fbm import (
+    TimeGrid,
+    generate_fbm_path,
+    generate_mixed_path,
+    validate_count,
+    validate_hurst,
+    validate_integer,
+)
 from .fractals import (
     WeightedTimeSet,
     full_interval,
@@ -80,6 +88,12 @@ _CELL_CHOICES = {"check": ("bounded", "slope"), "path": ("fbm", "constant"),
 
 #: the real-valued cell keys, each checked as a finite number at load
 _CELL_REALS = ("epsilon", "threshold", "tolerance", "gamma")
+
+#: the Hurst-index cell keys, each checked in (0, 1) at load (alpha_p may be null)
+_CELL_HURSTS = ("alpha", "hurst", "hurst_prime", "alpha_p")
+
+#: the whole-number cell keys, each checked >= 1 at load
+_CELL_COUNTS = ("d", "radius_cells")
 
 
 def _is_real(value):
@@ -130,10 +144,8 @@ class ExperimentConfig:
         if not isinstance(self.params, dict):
             raise ConfigError("params must be a JSON object")
         spec = _KIND_SPECS[self.kind]
-        object.__setattr__(self, "seeds", validate_integer(self.seeds, "seeds"))
+        object.__setattr__(self, "seeds", validate_count(self.seeds, "seeds"))
         object.__setattr__(self, "seed_base", validate_integer(self.seed_base, "seed_base"))
-        if self.seeds < 1:
-            raise ConfigError("seeds must be >= 1")
         if self.seed_base < 0:
             raise ConfigError("seed_base must be >= 0")
         allowed = {"cells", *spec.defaults}
@@ -146,8 +158,7 @@ class ExperimentConfig:
         for key, value in self.params.items():
             if key != "cells":
                 _check_param(key, value, spec.defaults[key])
-        if self.params.get("per_octave", 1) < 1:
-            raise ConfigError("per_octave must be >= 1")
+        validate_count(self.params.get("per_octave", 1), "per_octave")
         cells = self.params.get("cells")
         if not isinstance(cells, list) or not cells:
             raise ConfigError("params.cells must be a non-empty list")
@@ -163,14 +174,22 @@ class ExperimentConfig:
                     )
                 if key in _CELL_REALS:
                     _check_param(key, value, 0.0)
-                elif key == "set" and not isinstance(value, dict):
-                    raise ConfigError(f"set must be a JSON object, got {value!r}")
+                elif key in _CELL_HURSTS and not (key == "alpha_p" and value is None):
+                    validate_hurst(value, key)
+                elif key in _CELL_COUNTS:
+                    validate_count(value, key)
+                elif key == "set":
+                    if not isinstance(value, dict):
+                        raise ConfigError(f"set must be a JSON object, got {value!r}")
+                    build_set(value)
                 choices = _CELL_CHOICES.get(key)
                 if choices and value not in choices:
                     raise ConfigError(
                         f"unknown {key} {value!r} in {self.kind} cell (did you mean "
                         f"{_nearest(value, choices)!r}? allowed: {list(choices)})"
                     )
+            if cell.get("epsilon", 1.0) <= 0.0:
+                raise ConfigError(f"epsilon must be > 0, got {cell['epsilon']!r}")
             missing = [k for k in spec.cell_keys if k not in cell]
             if missing:
                 raise ConfigError(f"{self.kind} cell {cell} lacks key(s) {missing}")
@@ -298,10 +317,7 @@ def _cell_sort_key(cell):
 
 def _cell_d(cell):
     """The cell's dimension d, a whole number >= 1 (1.5 raises, not truncated)."""
-    d = validate_integer(cell["d"], "d")
-    if d < 1:
-        raise ConfigError("d must be >= 1")
-    return d
+    return validate_count(cell["d"], "d")
 
 
 def _path_key(cell):
@@ -531,7 +547,7 @@ def _interior_rows(cells, common, seeds, seed_base):
     alpha_p = cell.get("alpha_p")
     fset = build_set(cell.get("set", {"kind": "full"}))
     if alpha_p is not None and expect != "evidence":
-        if validate_hurst(alpha_p, "alpha_p") * d >= fset.theoretical_dim:
+        if alpha_p * d >= fset.theoretical_dim:
             raise InfeasibleParameters(
                 f"alpha'*d = {alpha_p * d} >= dim(A) = {fset.theoretical_dim}"
             )
@@ -684,9 +700,10 @@ def atomic_writer(path):
 def _env_workers():
     text = os.environ.get(WORKERS_ENV, "1")
     try:
-        return validate_integer(json.loads(text), WORKERS_ENV)
+        value = json.loads(text)
     except ValueError:
         raise ConfigError(f"{WORKERS_ENV} must be an integer, got {text!r}") from None
+    return validate_count(value, WORKERS_ENV)
 
 
 def run_experiment(config, out_dir=None, workers=None):
@@ -697,11 +714,11 @@ def run_experiment(config, out_dir=None, workers=None):
     one job that draws each seed's path once, at their largest d; every
     other cell is a job of its own.  Each completed job's rows are appended to
     <out_dir>/report.csv immediately, so an abort keeps the finished rows.
-    ``workers`` > 1 distributes jobs over a process pool (default from the
-    PARAFBM_WORKERS environment variable), at most one worker per job; rows
-    are committed in cell order either way.
+    ``workers``, a whole number >= 1 (default from the PARAFBM_WORKERS
+    environment variable), above 1 distributes jobs over a process pool, at
+    most one worker per job; rows are committed in cell order either way.
     """
-    workers = _env_workers() if workers is None else validate_integer(workers, "workers")
+    workers = _env_workers() if workers is None else validate_count(workers, "workers")
     common = dict(_KIND_SPECS[config.kind].defaults)
     common.update({k: v for k, v in config.params.items() if k != "cells"})
     cells = sorted(config.params["cells"], key=_cell_sort_key)

@@ -40,6 +40,7 @@ __all__ = [
     "validate_hurst",
     "validate_integer",
     "validate_seed",
+    "validate_count",
     "philox_stream",
     "TimeGrid",
     "SamplePath",
@@ -101,6 +102,14 @@ def validate_seed(value, name="seed"):
     return seed
 
 
+def validate_count(value, name):
+    """Return a whole number >= 1 as int; anything else raises ConfigError."""
+    count = validate_integer(value, name)
+    if count < 1:
+        raise ConfigError(f"{name} must be >= 1, got {count}")
+    return count
+
+
 def philox_stream(seed, spawn_key):
     """Counter-based Philox generator for one seed and spawn key.
 
@@ -145,26 +154,29 @@ class TimeGrid:
     @classmethod
     def regular(cls, n):
         """Uniform n-point grid of [0, 1]: linspace(0, 1, n), so n = 1 gives [0]."""
-        n = validate_integer(n, "n")
-        if n < 1:
-            raise ConfigError("n must be >= 1")
-        return cls(np.linspace(0.0, 1.0, n))
+        return cls(np.linspace(0.0, 1.0, validate_count(n, "n")))
 
     @property
     def positive_times(self):
         return self.times[1:] if self.times[0] == 0.0 else self.times
 
     def spec(self):
-        """JSON-serializable description of the grid."""
+        """JSON-serializable description of the grid.
+
+        A uniform grid that its (n, t0, t1) rebuild bit for bit is written
+        in that compact form; every other grid lists its times.
+        """
         t = self.times
         if self.uniform and t.size >= 2:
-            return {
-                "kind": "uniform",
-                "n": int(t.size),
-                "t0": float(t[0]),
-                "t1": float(t[-1]),
-            }
+            n, t0, t1 = int(t.size), float(t[0]), float(t[-1])
+            if np.array_equal(_uniform_times(n, t0, t1), t):
+                return {"kind": "uniform", "n": n, "t0": t0, "t1": t1}
         return {"kind": "explicit", "times": t.tolist()}
+
+
+def _uniform_times(n, t0, t1):
+    """The times of a uniform grid spec: linspace from 0, else k * t1 / n."""
+    return np.linspace(t0, t1, n) if t0 == 0.0 else np.arange(1, n + 1) * (t1 / n)
 
 
 @dataclass(frozen=True)
@@ -219,18 +231,14 @@ def _increment_covariance(tpos, hurst):
     """Covariance of increments over consecutive gaps of (0, t_1, ..., t_n).
 
     The kernel's |t|^2H terms cancel in the difference, leaving four gap
-    powers; factoring this rather than the path covariance is what keeps
-    the Cholesky sampler well conditioned.
+    powers, each a shifted block of one (n+1)^2 matrix of gap powers;
+    factoring this rather than the path covariance is what keeps the
+    Cholesky sampler well conditioned.
     """
-    h2 = 2.0 * hurst
-    lo = np.concatenate([[0.0], tpos[:-1]])
-    hi = tpos
-    # Cov(B(hi_i)-B(lo_i), B(hi_j)-B(lo_j)) expanded through the fBm covariance
-    a = np.abs(hi[:, None] - lo[None, :]) ** h2
-    b = np.abs(lo[:, None] - hi[None, :]) ** h2
-    c = np.abs(hi[:, None] - hi[None, :]) ** h2
-    d = np.abs(lo[:, None] - lo[None, :]) ** h2
-    return 0.5 * (a + b - c - d)
+    p = np.concatenate([[0.0], tpos])
+    # Cov(B(p_i+1)-B(p_i), B(p_j+1)-B(p_j)) from the one matrix of gap powers
+    g = np.abs(p[:, None] - p[None, :]) ** (2.0 * hurst)
+    return 0.5 * (g[1:, :-1] + g[:-1, 1:] - g[1:, 1:] - g[:-1, :-1])
 
 
 _circulant_cache = OrderedDict()   # (n, hurst, gap) -> read-only eigenvalues, LRU order
@@ -348,9 +356,7 @@ def _sample_path(grid, d, hursts, seeds, tags):
     """
     if not isinstance(grid, TimeGrid):
         grid = TimeGrid(np.asarray(grid, dtype=float))
-    d = validate_integer(d, "d")
-    if d < 1:
-        raise ConfigError("d must be >= 1")
+    d = validate_count(d, "d")
     samplers = [_increment_sampler(h, grid) for h in hursts]
     (first, seed0, tag0), *others = zip(samplers, seeds, tags)
     values = np.zeros((d, len(grid)))
@@ -418,9 +424,7 @@ def path_from_json(doc):
     """Rebuild a SamplePath from the envelope produced by :func:`path_to_json`."""
     gspec = doc["grid"]
     if gspec["kind"] == "uniform":
-        n, t0, t1 = gspec["n"], gspec["t0"], gspec["t1"]
-        times = np.linspace(t0, t1, n) if t0 == 0.0 else np.arange(1, n + 1) * (t1 / n)
-        grid = TimeGrid(times)
+        grid = TimeGrid(_uniform_times(gspec["n"], gspec["t0"], gspec["t1"]))
     else:
         grid = TimeGrid(np.asarray(gspec["times"], dtype=float))
     comps = (doc["hurst"],) if doc.get("alpha_p") is None else (doc["hurst"], doc["alpha_p"])

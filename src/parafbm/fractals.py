@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ConfigError, GenerationTooLarge, InvalidRatio
-from .fbm import philox_stream, validate_integer
+from .fbm import philox_stream, validate_count
 
 __all__ = [
     "FractalSet",
@@ -130,17 +130,7 @@ def generalized_cantor(m, r, k):
 
 def middle_thirds_cantor(k):
     """Classical middle-thirds construction at generation k; dimension ln 2 / ln 3."""
-    if k < 0:
-        raise ConfigError("generation k must be >= 0")
-    if 2**k > MAX_INTERVALS:
-        raise GenerationTooLarge(f"2^{k} intervals exceed the cap of {MAX_INTERVALS}")
-    return FractalSet(
-        intervals=_cantor_intervals(2, 1.0 / 3.0, k),
-        generation=k,
-        theoretical_dim=math.log(2.0) / math.log(3.0),
-        kind="middle-thirds",
-        params=(2, 1.0 / 3.0),
-    )
+    return replace(generalized_cantor(2, 1.0 / 3.0, k), kind="middle-thirds")
 
 
 def cantor_with_dimension(dim, k):
@@ -181,9 +171,7 @@ def sample_natural_measure(fset, n, seed=0):
     the chosen interval.  Weights are 1/n each.  An n or seed that is not a
     whole number (256.0 counts as 256), or a negative seed, raises ConfigError.
     """
-    n = validate_integer(n, "n")
-    if n < 1:
-        raise ConfigError("n must be >= 1")
+    n = validate_count(n, "n")
     rng = philox_stream(seed, (2,))
     iv = fset.intervals
     idx = rng.integers(0, iv.shape[0], size=n)

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AlphaExceedsH, ConfigError, SingularConditioning
-from .fbm import fbm_covariance, philox_stream, validate_hurst, validate_integer
+from .fbm import fbm_covariance, philox_stream, validate_count, validate_hurst
 
 __all__ = [
     "GaussianVectorSpec",
@@ -253,13 +253,6 @@ def _config_hash(doc):
     return hashlib.sha256(_HASH_ENCODER.encode(doc).encode()).hexdigest()[:16]
 
 
-def _validate_count(value, name):
-    value = validate_integer(value, name)
-    if value < 1:
-        raise ConfigError(f"{name} must be >= 1, got {value}")
-    return value
-
-
 def _validate_sweep(n_configs, max_points, interval, min_gap, extra=0):
     """(n_configs, max_points, lo, hi) of a sweep, or ConfigError.
 
@@ -267,8 +260,8 @@ def _validate_sweep(n_configs, max_points, interval, min_gap, extra=0):
     and redraws until consecutive ones are at least ``min_gap`` apart, which
     can only succeed when hi - lo > (max_points + extra - 1) * min_gap.
     """
-    n_configs = _validate_count(n_configs, "n_configs")
-    max_points = _validate_count(max_points, "max_points")
+    n_configs = validate_count(n_configs, "n_configs")
+    max_points = validate_count(max_points, "max_points")
     try:
         lo, hi = (float(x) for x in interval)
     except (TypeError, ValueError) as exc:

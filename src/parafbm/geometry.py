@@ -22,17 +22,22 @@ __all__ = [
 
 
 def rho_h(u, v, hurst):
-    """Space-time distance max(|s-t|^H, ||x-y||_inf).
+    """Space-time distance max(|s-t|^H, ||x-y||_inf) between u = (s, x), v = (t, y).
 
     A metric for every H in (0, 1): |.|^H is a metric on the line and the
-    max of metrics is a metric.
+    max of metrics is a metric.  It broadcasts: the times may be arrays and
+    the values arrays of vectors, normed over their last axis, and the
+    distances come back as an array.  Two points give a float, bit for bit
+    the entry an array of pairs gives them.
     """
     hurst = validate_hurst(hurst)
-    s, x = u
-    t, y = v
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    return float(max(abs(s - t) ** hurst, np.max(np.abs(x - y))))
+    (s, x), (t, y) = u, v
+    gap = np.abs(np.subtract(s, t, dtype=float))
+    # the power of an array, never of a scalar, whose pow rounds differently
+    dt = (np.atleast_1d(gap) ** hurst).reshape(gap.shape)
+    dx = np.max(np.abs(np.atleast_1d(np.subtract(x, y, dtype=float))), axis=-1)
+    rho = np.maximum(dt, dx)
+    return rho if rho.ndim else float(rho)
 
 
 def theoretical_graph_dimension(alpha, hurst, dim_a, d):

@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import BoxIndexOverflow, ConfigError, GridMismatch
 from .estimators import pack_index_rows
+from .fbm import validate_count
 
 __all__ = [
     "OccupationHistogram",
@@ -255,12 +256,11 @@ def interior_probe(hist, radius_cells):
     cells on every side, where a shift of k cells along an axis adds k times
     that axis's stride.  Axis by axis, a cell is kept only if the cells at
     +-1..+-r along that axis are in the set, looked up by ``np.searchsorted``
-    in the sorted keys.  Memory is O(occupied cells).  Raises
-    BoxIndexOverflow when the padded box holds more than 2^62 keys.
+    in the sorted keys.  Memory is O(occupied cells).  Raises ConfigError
+    unless the radius is a whole number >= 1, and BoxIndexOverflow when the
+    padded box holds more than 2^62 keys.
     """
-    if radius_cells < 1:
-        raise ConfigError("radius_cells must be >= 1")
-    r = radius_cells
+    r = validate_count(radius_cells, "radius_cells")
     cells = []
     if hist.cells:
         idx = np.array(sorted(hist.cells), dtype=np.int64)

@@ -397,6 +397,47 @@ class TestExperimentCommand:
         assert "error: set must be a JSON object" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind, key, value, message", [
+        ("dim-formula", "alpha", "0.3", "alpha must be a number in (0, 1)"),
+        ("holder-bounds", "hurst", True, "hurst must be a number in (0, 1)"),
+        ("comparison-bounds", "hurst_prime", "0.6", "hurst_prime must be a number in (0, 1)"),
+        ("theorem41", "alpha_p", True, "alpha_p must be a number in (0, 1)"),
+        ("dim-formula", "d", 0, "d must be >= 1, got 0"),
+        ("occupation-l2", "d", 1.5, "d must be an integer"),
+        ("kernel-scaling", "d", "1", "d must be an integer"),
+        ("interior", "radius_cells", 0, "radius_cells must be >= 1, got 0"),
+        ("interior", "radius_cells", 2.5, "radius_cells must be an integer"),
+        ("interior", "epsilon", -0.1, "epsilon must be > 0, got -0.1"),
+        ("interior", "set", {"kind": "foo"}, "unknown set kind 'foo'"),
+    ])
+    def test_cell_values_checked_at_load_by_key(self, tmp_path, capsys, kind, key, value,
+                                                message):
+        cell = {"dim-formula": {"alpha": 0.5, "hurst": 0.5, "d": 1},
+                "holder-bounds": {"alpha": 0.5, "hurst": 0.5, "d": 1},
+                "comparison-bounds": {"alpha": 0.3, "hurst": 0.5, "hurst_prime": 0.7, "d": 1},
+                "kernel-scaling": {"alpha": 0.2, "hurst": 0.8, "gamma": 3.0, "d": 1},
+                "occupation-l2": {"hurst": 0.3, "d": 1},
+                "interior": {"hurst": 0.3, "d": 1, "epsilon": 0.0625},
+                "theorem41": {"hurst": 0.3, "d": 1, "epsilon": 0.0625,
+                              "expect": "evidence"}}[kind]
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"kind": kind, "seeds": 1, "params": {
+            "cells": [{**cell, key: value}]}}))
+        out = tmp_path / "r"
+        assert run(["experiment", "--config", str(cfg_path), "--out", str(out)]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bad_second_cell_writes_no_report(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"kind": "dim-formula", "seeds": 1, "params": {
+            "grid_n": 256, "cells": [{"alpha": 0.5, "hurst": 0.5, "d": 1},
+                                     {"alpha": 0.5, "hurst": 0.5, "d": 0}]}}))
+        out = tmp_path / "r"
+        assert run(["experiment", "--config", str(cfg_path), "--out", str(out)]) == 1
+        assert "error: d must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_fine_interior_cell_runs(self, tmp_path):
         # 2^14 samples in d = 2 at eps = 1e-4 occupy 16362 cells of a bounding
         # box of 3.8e8 cells; only the occupied cells are eroded

@@ -456,14 +456,16 @@ class TestEnergy:
         want = float(np.sum(w[:, None] * w[None, :] * rho ** (-0.8 / 0.5)))
         assert got == pytest.approx(want, rel=1e-9)
 
-    def test_subsampled_regime_close_to_exact(self):
+    def test_subsampled_regime_close_to_exact(self, monkeypatch):
         rng = np.random.default_rng(16)
         n = 300
         t = np.sort(rng.uniform(0, 1, n))
         v = rng.normal(0, 1, (n, 1))
         pts = WeightedTimeSet(times=t, weights=np.full(n, 1 / n))
         exact = energy_integral_mc(pts, v, 0.5, 0.5)
-        sub = energy_integral_mc(pts, v, 0.5, 0.5, pair_cap=100, n_pairs=200_000)
+        monkeypatch.setattr(estimators, "ENERGY_PAIR_CAP", 100)
+        monkeypatch.setattr(estimators, "ENERGY_DEFAULT_PAIRS", 200_000)
+        sub = energy_integral_mc(pts, v, 0.5, 0.5)
         assert sub == pytest.approx(exact, rel=0.05)
 
     def test_needs_two_points(self):

@@ -194,6 +194,18 @@ class TestDimFormulaRun:
         with pytest.raises(ConfigError, match="workers"):
             run_experiment(cfg, workers=1.5)
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one_rejected(self, workers):
+        cfg = ExperimentConfig.from_dict(small_dim_formula_config())
+        with pytest.raises(ConfigError, match=f"workers must be >= 1, got {workers}"):
+            run_experiment(cfg, workers=workers)
+
+    def test_zero_workers_env_rejected(self, monkeypatch):
+        monkeypatch.setenv("PARAFBM_WORKERS", "0")
+        cfg = ExperimentConfig.from_dict(small_dim_formula_config())
+        with pytest.raises(ConfigError, match="PARAFBM_WORKERS must be >= 1, got 0"):
+            run_experiment(cfg)
+
     def test_pool_capped_at_job_count(self, monkeypatch):
         sizes = []
 

@@ -7,12 +7,13 @@ from hypothesis import strategies as st
 
 from oracles import (
     complex_half_spectrum_fgn,
+    four_power_increment_covariance,
     full_complex_fgn_eigenvalues,
     full_complex_fgn_path,
     mp_increment_covariance,
     naive_fgn_path,
 )
-from parafbm import fbm
+from parafbm import estimators, fbm
 from parafbm.errors import ConfigError, CovarianceNotPSD
 from parafbm.estimators import energy_integral_mc, kernel_expectation_mc
 from parafbm.fbm import (
@@ -127,6 +128,24 @@ class TestIncrementCovariance:
             worst = max(worst, self._worst_scale_relative(tpos, h, entries))
         assert worst <= 1e-14
 
+    def test_gap_power_matrix_matches_four_matrices_byte_for_byte(self):
+        rng = np.random.default_rng(1)
+        for _ in range(200):
+            n = int(rng.integers(1, 129))
+            tpos = np.sort(rng.uniform(0.0, 1.0, n))
+            h = float(rng.uniform(0.05, 0.95))
+            got = fbm._increment_covariance(tpos, h)
+            assert got.tobytes() == four_power_increment_covariance(tpos, h).tobytes()
+
+    def test_four_matrices_byte_for_byte_at_the_cap(self):
+        n = fbm.MAX_CHOLESKY_N
+        tpos = np.sort(np.random.default_rng(2).uniform(0.0, 1.0, n))
+        got = fbm._increment_covariance(tpos, 0.6)
+        for start in range(0, n, 512):
+            rows = slice(start, start + 512)
+            want = four_power_increment_covariance(tpos, 0.6, rows)
+            assert got[rows].tobytes() == want.tobytes()
+
     def test_longest_lags_of_a_fine_grid(self):
         # the longest lags cancel most; a quarter of MAX_CHOLESKY_N keeps the
         # four dense power arrays near 8 MiB each
@@ -134,6 +153,22 @@ class TestIncrementCovariance:
         tpos = np.linspace(0.0, 1.0, n + 1)[1:]
         entries = [(0, n - 1), (n - 1, 0), (0, n - 2), (1, n - 1), (n - 1, n - 1), (0, 0)]
         assert self._worst_scale_relative(tpos, 0.6, entries) <= 1e-14
+
+
+class TestValidateCount:
+    @pytest.mark.parametrize("value", [1.5, True, "2", None, float("inf")])
+    def test_non_whole_numbers_rejected(self, value):
+        with pytest.raises(ConfigError, match="n must be an integer"):
+            fbm.validate_count(value, "n")
+
+    @pytest.mark.parametrize("value", [0, -3, 0.0])
+    def test_below_one_rejected_with_the_value(self, value):
+        with pytest.raises(ConfigError, match=f"^n must be >= 1, got {int(value)}$"):
+            fbm.validate_count(value, "n")
+
+    def test_whole_numbers_returned_as_int(self):
+        assert [fbm.validate_count(v, "n") for v in (1, 3.0, np.int64(7))] == [1, 3, 7]
+        assert type(fbm.validate_count(np.int64(7), "n")) is int
 
 
 class TestTimeGrid:
@@ -409,6 +444,33 @@ class TestSerialization:
         assert q.hurst_components == p.hurst_components
         assert q.seed == (1, 9)
 
+    @staticmethod
+    def _round_trip_times(times):
+        g = TimeGrid(times)
+        p = fbm.SamplePath(grid=g, values=np.sin(7.0 * g.times)[None, :],
+                           hurst_components=(0.5,), seed=(0,))
+        q = path_from_json(json.loads(json.dumps(path_to_json(p))))
+        assert q.values.tobytes() == p.values.tobytes()
+        return g.spec()["kind"], q.grid.times.tobytes() == g.times.tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(2, 2000), top=st.sampled_from([1.0, 0.75, 0.5, 0.3, 0.1]),
+           form=st.sampled_from(["linspace-0", "k/n", "linspace-gap"]))
+    def test_uniform_grid_round_trip_is_exact(self, n, top, form):
+        times = {"linspace-0": np.linspace(0.0, top, n),
+                 "k/n": np.arange(1, n + 1) / n * top,
+                 "linspace-gap": np.linspace(top / n, top, n)}[form]
+        kind, exact = self._round_trip_times(times)
+        assert exact
+        if form == "linspace-0":
+            assert kind == "uniform"   # so TimeGrid.regular keeps its compact spec
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=200, unique=True))
+    def test_explicit_grid_round_trip_is_exact(self, times):
+        _, exact = self._round_trip_times(np.sort(times))
+        assert exact
+
     def test_envelope_fields(self):
         p = generate_fbm_path(0.25, TimeGrid.regular(4), seed=2)
         doc = path_to_json(p)
@@ -484,8 +546,10 @@ def _natural_measure(seed):
 def _energy_pairs(seed):
     t = np.linspace(0.0, 1.0, 40)
     pts = WeightedTimeSet(times=t, weights=np.full(40, 1 / 40))
-    val = energy_integral_mc(pts, np.sqrt(t)[:, None], 0.5, 0.5, pair_cap=10,
-                             n_pairs=500, pair_seed=seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(estimators, "ENERGY_PAIR_CAP", 10)
+        mp.setattr(estimators, "ENERGY_DEFAULT_PAIRS", 500)
+        val = energy_integral_mc(pts, np.sqrt(t)[:, None], 0.5, 0.5, pair_seed=seed)
     return np.float64(val).tobytes()
 
 

@@ -39,11 +39,14 @@ class TestMiddleThirds:
 
 class TestGeneralizedCantor:
     def test_matches_middle_thirds(self):
-        for k in (0, 2, 5):
+        # the same set bit for bit, apart from its kind
+        for k in range(13):
             a = generalized_cantor(2, 1 / 3, k)
             b = middle_thirds_cantor(k)
-            np.testing.assert_allclose(a.intervals, b.intervals, atol=1e-12)
-            assert a.theoretical_dim == pytest.approx(b.theoretical_dim)
+            assert a.intervals.tobytes() == b.intervals.tobytes()
+            assert (a.generation, a.theoretical_dim, a.params) == (
+                b.generation, b.theoretical_dim, b.params)
+            assert (a.kind, b.kind) == ("generalized-cantor", "middle-thirds")
 
     def test_half_dimension(self):
         c = generalized_cantor(2, 0.25, 1)

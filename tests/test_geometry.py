@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parafbm.errors import AlphaExceedsH, ConfigError, HOrderViolation
 from parafbm.geometry import (
@@ -34,14 +36,36 @@ class TestRhoH:
             t = rng.uniform(0, 1, (3, n))
             x = rng.uniform(-2, 2, (3, n, 2))
             def dist(i, j):
-                dt = np.abs(t[i] - t[j]) ** h
-                dv = np.max(np.abs(x[i] - x[j]), axis=1)
-                return np.maximum(dt, dv)
+                return rho_h((t[i], x[i]), (t[j], x[j]), h)
             dab, dba = dist(0, 1), dist(1, 0)
             dbc, dac = dist(1, 2), dist(0, 2)
             assert np.array_equal(dab, dba)
             assert np.all(dab >= 0)
             assert np.all(dac <= dab + dbc + 1e-12)
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 12), d=st.integers(1, 3),
+           hurst=st.one_of(st.just(0.5), st.floats(0.01, 0.99)))
+    def test_array_entries_are_the_two_point_values(self, data, n, d, hurst):
+        times = st.lists(st.floats(-1.0, 2.0), min_size=n, max_size=n)
+        values = st.lists(st.lists(st.floats(-10.0, 10.0), min_size=d, max_size=d),
+                          min_size=n, max_size=n)
+        s, t = np.array(data.draw(times)), np.array(data.draw(times))
+        x, y = np.array(data.draw(values)), np.array(data.draw(values))
+        got = rho_h((s, x), (t, y), hurst)
+        assert got.shape == (n,)
+        for i in range(n):
+            one = rho_h((s[i], x[i]), (t[i], y[i]), hurst)
+            assert type(one) is float
+            assert np.float64(one).tobytes() == got[i].tobytes()
+
+    def test_broadcasts_over_a_pair_matrix(self):
+        rng = np.random.default_rng(4)
+        t, x = rng.uniform(0, 1, 30), rng.normal(0, 1, (30, 2))
+        m = rho_h((t[:, None], x[:, None, :]), (t, x), 0.3)
+        assert m.shape == (30, 30)
+        assert m[4, 17] == rho_h((t[4], x[4]), (t[17], x[17]), 0.3)
 
 
 class TestGraphDimensionFormula:

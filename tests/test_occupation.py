@@ -434,6 +434,15 @@ class TestInteriorProbe:
         h = OccupationHistogram(cell_size=0.1, origin=np.zeros(1), cells={(0,): 1.0})
         assert interior_probe(h, 1).interior_cells == []
 
+    @pytest.mark.parametrize("radius", [1.5, "1", True, 0, -2])
+    def test_radius_must_be_a_whole_number_at_least_one(self, radius):
+        with pytest.raises(ConfigError, match="radius_cells must be"):
+            interior_probe(self.full_grid_hist(5, 2), radius)
+
+    def test_whole_float_radius_is_that_radius(self):
+        h = self.full_grid_hist(5, 2)
+        assert interior_probe(h, 1.0) == interior_probe(h, 1)
+
     def test_radius_monotone(self):
         rng = np.random.default_rng(6)
         pts = rng.normal(0, 1, (4000, 2))
