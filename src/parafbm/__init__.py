@@ -56,6 +56,7 @@ from .estimators import (
     DimensionEstimate,
     GraphCloud,
     box_count_curve,
+    box_count_curves,
     dyadic_deltas,
     energy_integral_mc,
     estimate_parabolic_dimension,

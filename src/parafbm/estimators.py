@@ -15,13 +15,20 @@ raw index fit in it (sorting them takes about half as long), int64
 otherwise.  In int64, when the packed span would pass 2^62 the partial key
 is first replaced by its rank among its distinct values, so the key cannot
 overflow; a box index that itself reaches 2^62 in magnitude raises
-BoxIndexOverflow before any cast, instead of wrapping.  ``box_count_curve``
-builds one counter per curve, which holds the values relative to their
-minimum and the work buffers every scale reuses in place, so a scale
-allocates no point-sized temporary.  The log-log regression keeps the middle
-scales: the coarsest and finest octaves are biased (finite extent, finite
-path resolution), and scales whose count approaches the number of cloud
-points are resolution-limited and dropped.
+BoxIndexOverflow before any cast, instead of wrapping.  The sorted key also
+counts the boxes of every coordinate prefix: the graph of the first k value
+coordinates occupies as many boxes as there are distinct quotients of the
+key by the product of the radices of the axes after v_k, and those
+quotients are as sorted as the key.  A re-rank of the partial key before
+v_j folds (t, v_1..v_{j-1}) into one rank, after which only the prefixes
+of at least those axes can be read this way; a shorter one is counted from
+its own packing.  ``box_count_curves`` builds one counter per cloud, which
+holds the values relative to their minimum and the work buffers every scale
+reuses in place, so a scale allocates no point-sized temporary; one sort
+per scale gives the curves of every prefix it is asked for.  The log-log
+regression keeps the middle scales: the coarsest and finest octaves are
+biased (finite extent, finite path resolution), and scales whose count
+approaches the number of cloud points are resolution-limited and dropped.
 """
 
 from __future__ import annotations
@@ -36,7 +43,7 @@ import numpy as np
 
 from .errors import BoxIndexOverflow, ConfigError, DegenerateRange, GammaAtBoundary
 from .fbm import philox_stream, validate_count, validate_hurst, validate_seed
-from .geometry import rho_h
+from .geometry import rho_h, validate_alpha
 
 __all__ = [
     "GraphCloud",
@@ -44,9 +51,11 @@ __all__ = [
     "DimensionEstimate",
     "parabolic_box_count",
     "box_count_curve",
+    "box_count_curves",
     "estimate_parabolic_dimension",
     "energy_integral_mc",
     "kernel_expectation_mc",
+    "validate_gamma",
     "dyadic_deltas",
 ]
 
@@ -198,7 +207,7 @@ def parabolic_box_count(cloud, delta, hurst, anchor_shift=0.0, *, _counter=None)
     Raises BoxIndexOverflow when a box index reaches 2^62 in magnitude
     (delta below about 2^-62, or values spanning about 2^62 value boxes),
     where an int64 cast would wrap and merge distinct boxes.
-    ``box_count_curve`` passes one counter of ``cloud`` to every scale.
+    ``box_count_curves`` passes one counter of ``cloud`` to every scale.
     """
     hurst = validate_hurst(hurst)
     if not 0.0 < delta <= 1.0:
@@ -214,10 +223,12 @@ class _BoxCounter:
     Holds the time extent, the values relative to their componentwise
     minimum (one contiguous row per axis) with their extents, and one float
     and two int64 buffers of one entry per point, which every scale
-    overwrites in place.
+    overwrites in place.  ``prefixes`` lists numbers k < d of leading value
+    coordinates whose graphs are counted too: each scale appends the count
+    of the first k coordinates' graph to ``prefix_counts[k]``.
     """
 
-    def __init__(self, cloud):
+    def __init__(self, cloud, prefixes=()):
         self.times = cloud.times
         self.t_range = np.array([cloud.times.min(), cloud.times.max()])
         origin = cloud.values.min(axis=0)
@@ -229,6 +240,7 @@ class _BoxCounter:
         self.work = np.empty(cloud.n)
         self.key = np.empty(cloud.n, dtype=np.int64)
         self.col = np.empty(cloud.n, dtype=np.int64)
+        self.prefix_counts = {k: [] for k in prefixes}
 
     def count(self, delta, hurst, anchor_shift):
         side = delta**hurst
@@ -250,9 +262,31 @@ class _BoxCounter:
             src, _, scale = axes[j]
             _floor_scaled(src, *scale, self.work, out)
 
-        key = pack_index_rows(bounds, fill, self.key, self.col)
-        key.sort()
-        # the float buffer is free once the key is packed
+        # each packing serves every pending prefix it has not folded into a
+        # rank; the first packing is of all d coordinates
+        pending = sorted({len(self.rel), *self.prefix_counts}, reverse=True)
+        counts = {}
+        while pending:
+            key, radices, folded = pack_index_rows(
+                bounds[: pending[0] + 1], fill, self.key, self.col)
+            key.sort()
+            for k in [k for k in pending if k + 1 >= folded]:
+                counts[k] = self._distinct(key, math.prod(radices[k + 1:]))
+                pending.remove(k)
+        for k, out in self.prefix_counts.items():
+            out.append(counts[k])
+        return counts[len(self.rel)]
+
+    def _distinct(self, key, divisor):
+        """Number of distinct values of key // divisor in the sorted key.
+
+        The quotients go to the int buffer, free once the key is packed,
+        and the differences to the float one.
+        """
+        if divisor > 1:
+            quotient = self.col.view(key.dtype)[: key.size]
+            np.floor_divide(key, divisor, out=quotient)
+            key = quotient
         differs = self.work.view(np.bool_)[: key.size - 1]
         np.not_equal(key[1:], key[:-1], out=differs)
         return 1 + int(np.count_nonzero(differs))
@@ -282,17 +316,31 @@ def dyadic_deltas(coarse_exp, fine_exp, per_octave=1):
 
 
 def box_count_curve(cloud, deltas, hurst, anchor_shift=0.0):
-    """Box counts over a ladder of scales (sorted to decreasing order).
+    """Box counts over a ladder of scales (sorted to decreasing order)."""
+    return box_count_curves(cloud, deltas, hurst, (cloud.d,), anchor_shift)[cloud.d]
 
-    One counter of ``cloud`` serves every scale; each scale is still one
-    ``parabolic_box_count`` call, looked up as a module global.
+
+def box_count_curves(cloud, deltas, hurst, dims, anchor_shift=0.0):
+    """Box-count curves of the graphs of the cloud's first k value coordinates.
+
+    Returns {k: BoxCountCurve} for each k in ``dims`` (whole numbers in
+    1..cloud.d), each as ``box_count_curve`` gives it for the cloud of the
+    first k coordinates: that cloud has the same times and, axis by axis,
+    the same values and minima.  One counter of ``cloud`` serves every
+    scale, and each scale is one ``parabolic_box_count`` call of ``cloud``,
+    looked up as a module global, whose sort also counts the prefixes (see
+    the module docstring).
     """
+    dims = [validate_count(k, "k") for k in dims]
+    if max(dims) > cloud.d:
+        raise ConfigError(f"coordinate counts {dims} exceed the cloud's d = {cloud.d}")
     deltas = np.sort(np.asarray(deltas, dtype=float))[::-1]
-    counter = _BoxCounter(cloud)
-    counts = [
+    counter = _BoxCounter(cloud, [k for k in dims if k < cloud.d])
+    counts = {cloud.d: [
         parabolic_box_count(cloud, d, hurst, anchor_shift, _counter=counter) for d in deltas
-    ]
-    return BoxCountCurve(deltas=deltas, counts=np.asarray(counts))
+    ]}
+    counts.update(counter.prefix_counts)
+    return {k: BoxCountCurve(deltas=deltas, counts=np.asarray(counts[k])) for k in dims}
 
 
 def pack_index_rows(bounds, fill, key, col):
@@ -311,6 +359,12 @@ def pack_index_rows(bounds, fill, key, col):
     lexicographically.  Raises BoxIndexOverflow, before any index is cast,
     for an index of 2^62 or more in magnitude (or NaN).  Shared by box
     counting and occupation histograms.
+
+    Returns the key with each column's final radix and ``folded``, the
+    number of leading columns the last re-rank of the key folded into one
+    rank (0 if none).  The key of any leading run of at least ``folded``
+    columns is then the key floor-divided by the product of the radices of
+    the columns after it.
     """
     for lo, hi in bounds:
         if not -_KEY_SPAN_MAX < lo <= hi < _KEY_SPAN_MAX:
@@ -324,7 +378,7 @@ def pack_index_rows(bounds, fill, key, col):
     if math.prod(radices) <= _NARROW_MAX and -_NARROW_MAX <= min(los) and max(his) <= _NARROW_MAX:
         n = key.size
         key, col = key.view(np.int32)[:n], col.view(np.int32)[:n]
-    span = 1
+    span, folded = 1, 0
     for j, (lo, radix) in enumerate(zip(los, radices)):
         dst = col if j else key
         fill(j, dst)
@@ -332,13 +386,15 @@ def pack_index_rows(bounds, fill, key, col):
         if span * radix > _KEY_SPAN_MAX:
             if j:
                 key[:], span = _dense_rank(key)
+                folded = j
             if span * radix > _KEY_SPAN_MAX:
                 dst[:], radix = _dense_rank(dst)
+                radices[j] = radix
         if j:
             np.multiply(key, radix, out=key)
             np.add(key, col, out=key)
         span *= radix
-    return key
+    return key, radices, folded
 
 
 def _dense_rank(x):
@@ -366,6 +422,8 @@ def estimate_parabolic_dimension(
     trim_octaves=1.0,
     max_count_fraction=1.0 / 3.0,
     anchor_shift=0.0,
+    *,
+    _curve=None,
 ):
     """Box-dimension estimate: least-squares slope of log N(delta) vs log(1/delta).
 
@@ -374,14 +432,18 @@ def estimate_parabolic_dimension(
     each end of the ladder and scales whose count exceeds
     ``max_count_fraction`` of the cloud size are dropped as
     resolution-limited.  The raw slope is returned unclamped; the retained
-    range is reported in ``fit_range``.
+    range is reported in ``fit_range``.  ``_curve``, when given, is the
+    curve to fit, counted already over ``deltas`` at ``hurst`` on a cloud of
+    ``cloud.n`` points (a graph-dimension job counts one cloud for the
+    graphs of several of its coordinate prefixes); it takes the place of
+    ``box_count_curve(cloud, deltas, hurst, anchor_shift)``.
     """
     deltas = np.asarray(deltas, dtype=float)
     if deltas.size < 4:
         raise ConfigError("need at least 4 scales")
     if deltas.max() / deltas.min() < 4.0 - 1e-12:
         raise ConfigError("scales must span at least 2 octaves")
-    curve = box_count_curve(cloud, deltas, hurst, anchor_shift)
+    curve = box_count_curve(cloud, deltas, hurst, anchor_shift) if _curve is None else _curve
     d, c = curve.deltas, curve.counts
 
     keep = np.ones(d.size, dtype=bool)
@@ -461,23 +523,29 @@ def energy_integral_mc(measure_points, values, gamma, hurst, pair_seed=0):
     return acc / got * n * (n - 1)
 
 
-def kernel_expectation_mc(t, alpha, hurst, gamma, d, n, seed=0):
-    """Monte Carlo mean of (max(t^H, t^alpha * ||N||_inf))^(-gamma/H).
+def validate_gamma(gamma, hurst, d):
+    """Refuse, with GammaAtBoundary, a gamma within ``GAMMA_BOUNDARY_MARGIN`` of H*d.
 
-    N is a d-dimensional standard normal; the decay of this expectation in t
-    switches branch at gamma = H*d, so values of gamma within
-    ``GAMMA_BOUNDARY_MARGIN`` of H*d are rejected.
+    The decay in t of the kernel expectation switches branch at gamma = H*d.
     """
-    alpha = validate_hurst(alpha, "alpha")
-    hurst = validate_hurst(hurst)
-    if not 0.0 < t <= 1.0:
-        raise ConfigError("t must lie in (0, 1]")
-    if alpha > hurst:
-        raise ConfigError(f"alpha={alpha} must not exceed H={hurst}")
     if abs(gamma - hurst * d) < GAMMA_BOUNDARY_MARGIN:
         raise GammaAtBoundary(
             f"gamma={gamma} within {GAMMA_BOUNDARY_MARGIN} of H*d={hurst * d}"
         )
+
+
+def kernel_expectation_mc(t, alpha, hurst, gamma, d, n, seed=0):
+    """Monte Carlo mean of (max(t^H, t^alpha * ||N||_inf))^(-gamma/H).
+
+    N is a d-dimensional standard normal (d a whole number >= 1) and
+    alpha <= H (AlphaExceedsH otherwise); gamma at the branch point H*d is
+    refused by ``validate_gamma``.
+    """
+    alpha, hurst = validate_alpha(alpha, hurst)
+    if not 0.0 < t <= 1.0:
+        raise ConfigError("t must lie in (0, 1]")
+    d = validate_count(d, "d")
+    validate_gamma(gamma, hurst, d)
     n = validate_count(n, "n")
     rng = philox_stream(seed, (4,))
     total = 0.0

@@ -4,7 +4,9 @@ Configs are versioned JSON with strict key checking: an unknown top-level,
 ``params`` or cell key is an error, and so is a cell that lacks one of its
 kind's required keys (a typo in a Hurst parameter must not pass silently)
 or gives a word-valued key a value outside ``_CELL_CHOICES``.  Every cell
-value is checked when the config is built, before anything is written.  The
+value is checked when the config is built, before anything is written, and
+so is each rule that ties a cell's keys together (alpha <= H, H < H',
+gamma off H*d, alpha'*d < dim A), by the same check the runner meets.  The
 one free-form cell key is ``label``, echoed into the report's ``cell``
 column with the rest of the cell.  Each kind declares its params (each checked by
 the type of its default), keys, runner and job grouping once, in
@@ -39,9 +41,11 @@ import numpy as np
 from .errors import ConfigError, DegenerateRange, InfeasibleParameters
 from .estimators import (
     GraphCloud,
+    box_count_curves,
     dyadic_deltas,
     estimate_parabolic_dimension,
     kernel_expectation_mc,
+    validate_gamma,
 )
 from .fbm import (
     TimeGrid,
@@ -58,7 +62,13 @@ from .fractals import (
     middle_thirds_cantor,
     sample_natural_measure,
 )
-from .geometry import comparison_bounds, holder_graph_bounds, theoretical_graph_dimension
+from .geometry import (
+    comparison_bounds,
+    holder_graph_bounds,
+    theoretical_graph_dimension,
+    validate_alpha,
+    validate_hurst_order,
+)
 from .occupation import (
     drifted_image,
     interior_fraction,
@@ -196,6 +206,8 @@ class ExperimentConfig:
             if cell.get("alpha_p") is not None and "drift" in cell:
                 raise ConfigError(f"{self.kind} cell {cell} has both alpha_p and drift: "
                                   "the mixed path is drawn without a drift")
+            if spec.cell_rule:
+                spec.cell_rule(cell)
 
     @classmethod
     def from_dict(cls, doc):
@@ -320,6 +332,33 @@ def _cell_d(cell):
     return validate_count(cell["d"], "d")
 
 
+def _cell_set(cell):
+    return build_set(cell.get("set", {"kind": "full"}))
+
+
+def _alpha_rule(cell):
+    validate_alpha(cell["alpha"], cell["hurst"])
+
+
+def _comparison_rule(cell):
+    validate_hurst_order(cell["hurst"], cell["hurst_prime"])
+
+
+def _kernel_rule(cell):
+    _alpha_rule(cell)
+    validate_gamma(cell["gamma"], cell["hurst"], _cell_d(cell))
+
+
+def _feasible_rule(cell, fset=None):
+    """alpha'*d < dim A for a theorem41 cell with alpha_p that expects a verdict."""
+    alpha_p = cell.get("alpha_p")
+    if alpha_p is None or cell.get("expect", "interior") == "evidence":
+        return
+    d, dim_a = _cell_d(cell), (fset or _cell_set(cell)).theoretical_dim
+    if alpha_p * d >= dim_a:
+        raise InfeasibleParameters(f"alpha'*d = {alpha_p * d} >= dim(A) = {dim_a}")
+
+
 def _path_key(cell):
     """alpha: graph-dimension cells with equal keys measure the same paths.
 
@@ -332,20 +371,33 @@ def _path_key(cell):
 def _graph_dim_rows(row, fitted, cells, common, seeds, seed_base):
     """Outcomes of a run of graph-dimension cells sharing one path key.
 
-    Per seed, the B^alpha path is drawn once, at the largest d of the cells,
-    and each cell's graph cloud, made from the path's first d coordinates,
-    is restricted to, and fitted over, the cell's set: the paper's setting
-    of one sample path and many sets A.  Each cell is fitted at the Hurst
-    index of every key in ``fitted`` (H, or H and H' for comparison bounds)
-    on the same cloud, and ``row`` turns the cell's median fits into its
-    outcome.  A cell's ``runtime_s`` is its own work; the first cell's also
-    holds the shared work (grid, paths, clouds).
+    Per seed, the B^alpha path is drawn once, at the largest d of the cells:
+    the paper's setting of one sample path and many sets A.  Each cell is
+    fitted at the Hurst index of every key in ``fitted`` (H, or H and H' for
+    comparison bounds), and ``row`` turns the cell's median fits into its
+    outcome.  The cells that share a set and a fitted H share one count:
+    the graph cloud of the path's first m coordinates, m the largest d among
+    them, is restricted to the set and box-counted once, and the sort of
+    each scale also counts the graphs of its shorter coordinate prefixes
+    (``box_count_curves``), so each cell fits the curve of its own d.  The
+    curves, and so the rows, are those each cell gives alone.  A cell's
+    ``runtime_s`` is its own work; the first cell's also holds the shared
+    work: the grid, the paths, and every count (with its restriction) that
+    more than one cell fits.
     """
     t_start = time.perf_counter()
     alpha = _path_key(cells[0])
     dims = [_cell_d(cell) for cell in cells]
-    fsets = [build_set(cell.get("set", {"kind": "full"})) for cell in cells]
+    specs = [cell.get("set", {"kind": "full"}) for cell in cells]
+    fsets = [build_set(spec) for spec in specs]
+    set_keys = [json.dumps(spec, sort_keys=True) for spec in specs]
     hursts = [tuple(cell[key] for key in fitted) for cell in cells]
+    # each count, (set, H), with the d of its cells and how many cells fit it
+    count_dims, count_users = {}, {}
+    for key, d, hs in zip(set_keys, dims, hursts):
+        for hurst in set(hs):
+            count_dims.setdefault((key, hurst), set()).add(d)
+            count_users[key, hurst] = count_users.get((key, hurst), 0) + 1
     grid = TimeGrid.regular(common["grid_n"])
     deltas = dyadic_deltas(
         common["delta_coarse_exp"], common["delta_fine_exp"], common["per_octave"]
@@ -358,14 +410,27 @@ def _graph_dim_rows(row, fitted, cells, common, seeds, seed_base):
             d: GraphCloud(times=grid.times, values=path.values[:d].T, h_context=alpha)
             for d in set(dims)
         }
-        for i, (fset, hs) in enumerate(zip(fsets, hursts)):
-            cloud = clouds[dims[i]]
+        subs, curves = {}, {}
+        for i, (fset, key, hs) in enumerate(zip(fsets, set_keys, hursts)):
             t0 = time.perf_counter()
-            sub = cloud if fset.kind == "full-interval" else cloud.restrict(fset)
             for j, hurst in enumerate(hs):
+                count = (key, hurst)
+                if count not in curves:
+                    t_count = time.perf_counter()
+                    m = max(count_dims[count])
+                    if (key, m) not in subs:
+                        cloud = clouds[m]
+                        subs[key, m] = (cloud if fset.kind == "full-interval"
+                                        else cloud.restrict(fset))
+                    curves[count] = subs[key, m], box_count_curves(
+                        subs[key, m], deltas, hurst, count_dims[count])
+                    if count_users[count] > 1:   # shared: charged to the first cell
+                        t0 += time.perf_counter() - t_count
+                sub, curve = curves[count]
                 fits[i][j].append(estimate_parabolic_dimension(
                     sub, deltas, hurst, trim_octaves=common["trim_octaves"],
                     max_count_fraction=common["max_count_fraction"],
+                    _curve=curve[dims[i]],
                 ))
             own[i] += time.perf_counter() - t0
     own[0] = time.perf_counter() - t_start - sum(own[1:])
@@ -500,7 +565,7 @@ def _occupation_l2_rows(cells, common, seeds, seed_base):
     (cell,) = cells
     t0 = time.perf_counter()
     d = _cell_d(cell)
-    fset = build_set(cell.get("set", {"kind": "full"}))
+    fset = _cell_set(cell)
     radii = 2.0 ** -np.asarray(common["radius_exponents"], dtype=float)
     grid = TimeGrid.regular(common["grid_n"])
     samples = _snap_to_grid(
@@ -544,13 +609,8 @@ def _interior_rows(cells, common, seeds, seed_base):
     radius = validate_integer(cell.get("radius_cells", 2), "radius_cells")
     expect = cell.get("expect", "interior")
     threshold = float(cell.get("threshold", 0.9))
-    alpha_p = cell.get("alpha_p")
-    fset = build_set(cell.get("set", {"kind": "full"}))
-    if alpha_p is not None and expect != "evidence":
-        if alpha_p * d >= fset.theoretical_dim:
-            raise InfeasibleParameters(
-                f"alpha'*d = {alpha_p * d} >= dim(A) = {fset.theoretical_dim}"
-            )
+    fset = _cell_set(cell)
+    _feasible_rule(cell, fset)
     samples = sample_natural_measure(fset, common["n_samples"], seed=seed_base)
     grid = TimeGrid.regular(common["grid_n"])
     hists = [
@@ -586,18 +646,22 @@ class _KindSpec:
     ``defaults`` holds every param besides ``cells``, with its default, whose
     type is the param's check (see ``_check_param``); ``cell_keys`` are the
     keys every cell must carry, ``cell_optional`` the other keys a cell may
-    carry (besides ``label``), ``run`` its runner, and ``shares_paths``
-    whether adjacent cells with one alpha form one job.
+    carry (besides ``label``), ``run`` its runner, ``cell_rule`` the check
+    of a cell's keys against one another, made at load (the runner's own
+    calls repeat it), and ``shares_paths`` whether adjacent cells with one
+    alpha form one job.
     """
 
     defaults: dict
     cell_keys: tuple
     run: Callable
     cell_optional: tuple = ()
+    cell_rule: Callable | None = None
     shares_paths: bool = False
 
 
-def _graph_spec(row, defaults, fitted=("hurst",), cell_optional=("set",)):
+def _graph_spec(row, defaults, fitted=("hurst",), cell_optional=("set",),
+                cell_rule=_alpha_rule):
     return _KindSpec(
         defaults={"grid_n": 2**14, "delta_coarse_exp": 4, "delta_fine_exp": 12,
                   "per_octave": 2, "trim_octaves": 1.0, "max_count_fraction": 1 / 3,
@@ -605,17 +669,19 @@ def _graph_spec(row, defaults, fitted=("hurst",), cell_optional=("set",)):
         cell_keys=("alpha", *fitted, "d"),
         run=partial(_graph_dim_rows, row, fitted),
         cell_optional=cell_optional,
+        cell_rule=cell_rule,
         shares_paths=True,
     )
 
 
-def _interior_spec(*cell_optional):
+def _interior_spec(*cell_optional, cell_rule=None):
     return _KindSpec(
         defaults={"n_samples": 2**14, "grid_n": 2**14},
         cell_keys=("hurst", "d", "epsilon"),
         run=_interior_rows,
         cell_optional=("set", "drift", "radius_cells", "expect", "threshold",
                        *cell_optional),
+        cell_rule=cell_rule,
     )
 
 
@@ -625,13 +691,15 @@ _KIND_SPECS = {
     ),
     "holder-bounds": _graph_spec(_holder_bounds_row, {"margin": 0.1}),
     "comparison-bounds": _graph_spec(
-        _comparison_bounds_row, {"margin": 0.1}, fitted=("hurst", "hurst_prime")
+        _comparison_bounds_row, {"margin": 0.1}, fitted=("hurst", "hurst_prime"),
+        cell_rule=_comparison_rule,
     ),
     "kernel-scaling": _KindSpec(
         defaults={"n_samples": 10**6, "t_exponents": list(range(1, 9)),
                   "rel_tolerance": 0.05},
         cell_keys=("alpha", "hurst", "gamma", "d"),
         run=_kernel_scaling_rows,
+        cell_rule=_kernel_rule,
     ),
     "occupation-l2": _KindSpec(
         defaults={"n_samples": 4096, "grid_n": 2**14,
@@ -642,7 +710,7 @@ _KIND_SPECS = {
         cell_optional=("set", "drift", "path", "check"),
     ),
     "interior": _interior_spec(),
-    "theorem41": _interior_spec("alpha_p"),
+    "theorem41": _interior_spec("alpha_p", cell_rule=_feasible_rule),
 }
 
 

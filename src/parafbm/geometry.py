@@ -9,10 +9,12 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import AlphaExceedsH, ConfigError, HOrderViolation
-from .fbm import validate_hurst
+from .fbm import validate_count, validate_hurst
 
 __all__ = [
     "rho_h",
+    "validate_alpha",
+    "validate_hurst_order",
     "theoretical_graph_dimension",
     "comparison_bounds",
     "holder_graph_bounds",
@@ -40,20 +42,35 @@ def rho_h(u, v, hurst):
     return rho if rho.ndim else float(rho)
 
 
-def theoretical_graph_dimension(alpha, hurst, dim_a, d):
-    """Parabolic dimension of an alpha-fBm graph over a set of dimension dim_a.
-
-    Equals min((H/alpha) * dim_a, dim_a + d*(H - alpha)); requires
-    alpha <= H.  Always >= dim_a, strictly so when alpha < H and dim_a > 0.
-    """
+def validate_alpha(alpha, hurst):
+    """Return alpha and H, each in (0, 1), with alpha <= H (AlphaExceedsH otherwise)."""
     alpha = validate_hurst(alpha, "alpha")
     hurst = validate_hurst(hurst)
     if alpha > hurst:
         raise AlphaExceedsH(f"alpha={alpha} exceeds H={hurst}")
+    return alpha, hurst
+
+
+def validate_hurst_order(hurst, hurst_prime):
+    """Return H and H', each in (0, 1), with H < H' (HOrderViolation otherwise)."""
+    hurst = validate_hurst(hurst)
+    hurst_prime = validate_hurst(hurst_prime, "hurst_prime")
+    if hurst >= hurst_prime:
+        raise HOrderViolation(f"need H < H', got H={hurst}, H'={hurst_prime}")
+    return hurst, hurst_prime
+
+
+def theoretical_graph_dimension(alpha, hurst, dim_a, d):
+    """Parabolic dimension of an alpha-fBm graph over a set of dimension dim_a.
+
+    Equals min((H/alpha) * dim_a, dim_a + d*(H - alpha)); requires
+    alpha <= H and a whole d >= 1.  Always >= dim_a, strictly so when
+    alpha < H and dim_a > 0.
+    """
+    alpha, hurst = validate_alpha(alpha, hurst)
     if not 0.0 <= dim_a <= 1.0:
         raise ConfigError("dim_a must lie in [0, 1]")
-    if d < 1:
-        raise ConfigError("d must be >= 1")
+    d = validate_count(d, "d")
     return min((hurst / alpha) * dim_a, dim_a + d * (hurst - alpha))
 
 
@@ -62,16 +79,13 @@ def comparison_bounds(dim_psi_h, hurst, hurst_prime, d):
 
     Returns (lower, upper) with
     lower = max(v, (H'/H) v + 1 - H'/H) and
-    upper = min((H'/H) v, v + (H'-H) d) for v = dim_psi_h.
+    upper = min((H'/H) v, v + (H'-H) d) for v = dim_psi_h; d is a whole
+    number >= 1.
     """
-    hurst = validate_hurst(hurst)
-    hurst_prime = validate_hurst(hurst_prime, "hurst_prime")
-    if hurst >= hurst_prime:
-        raise HOrderViolation(f"need H < H', got H={hurst}, H'={hurst_prime}")
+    hurst, hurst_prime = validate_hurst_order(hurst, hurst_prime)
     if dim_psi_h < 0.0:
         raise ConfigError("dim_psi_h must be non-negative")
-    if d < 1:
-        raise ConfigError("d must be >= 1")
+    d = validate_count(d, "d")
     ratio = hurst_prime / hurst
     lower = max(dim_psi_h, ratio * dim_psi_h + 1.0 - ratio)
     upper = min(ratio * dim_psi_h, dim_psi_h + (hurst_prime - hurst) * d)

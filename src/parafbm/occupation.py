@@ -165,7 +165,7 @@ def occupation_histogram(weights, values, epsilon, origin=None):
     cells = {}
     if w.size:
         idx = np.floor((v - origin) / epsilon)
-        key = pack_index_rows(
+        key, _, _ = pack_index_rows(
             [(col.min(), col.max()) for col in idx.T],
             lambda j, out: np.copyto(out, idx[:, j], casting="unsafe"),
             np.empty(w.size, dtype=np.int64),

@@ -8,7 +8,8 @@ sampler has two: a pure-Python DFT and the complex-FFT route it replaced.
 The batched Gaussian sweeps are checked against the per-config loop they
 replaced, which draws each config and calls the public one-config route.
 The increment covariance of the Cholesky sampler is checked against a
-50-digit mpmath evaluation of each entry.
+50-digit mpmath evaluation of each entry, and the kernel Monte Carlo against
+a quadrature of the law of the sup-norm of a normal vector.
 """
 
 import cmath
@@ -235,6 +236,27 @@ def naive_has_interior(weights, values, epsilon, origin, radius):
         cell for cell in occupied
         if all(tuple(c + o for c, o in zip(cell, off)) in occupied for off in offsets)
     )
+
+
+def kernel_expectation_quad(t, alpha, hurst, gamma, d):
+    """E[max(t^H, t^alpha S)^(-gamma/H)] for S = ||N||_inf, N a d-dim standard normal.
+
+    S has CDF F(s) = erf(s / sqrt 2)^d.  Below s0 = t^(H - alpha) the max is
+    t^H, which gives t^-gamma F(s0); above s0 the integrand
+    (t^alpha s)^(-gamma/H) F'(s) is integrated by ``scipy.integrate.quad``.
+    """
+    from scipy.integrate import quad
+
+    s0 = t ** (hurst - alpha)
+    root2 = math.sqrt(2.0)
+
+    def density(s):
+        return (d * math.erf(s / root2) ** (d - 1)
+                * math.sqrt(2.0 / math.pi) * math.exp(-0.5 * s * s))
+
+    tail, _ = quad(lambda s: (t**alpha * s) ** (-gamma / hurst) * density(s), s0, math.inf,
+                   epsabs=0.0, epsrel=1e-11, limit=200)
+    return t**-gamma * math.erf(s0 / root2) ** d + tail
 
 
 def line_l2_value(r):

@@ -438,6 +438,43 @@ class TestExperimentCommand:
         assert "error: d must be >= 1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind, cell, message", [
+        ("dim-formula", {"alpha": 0.7, "hurst": 0.5, "d": 1}, "alpha=0.7 exceeds H=0.5"),
+        ("holder-bounds", {"alpha": 0.6, "hurst": 0.4, "d": 1}, "alpha=0.6 exceeds H=0.4"),
+        ("comparison-bounds", {"alpha": 0.3, "hurst": 0.7, "hurst_prime": 0.7, "d": 1},
+         "need H < H', got H=0.7, H'=0.7"),
+        ("kernel-scaling", {"alpha": 0.3, "hurst": 0.4, "gamma": 0.8, "d": 2},
+         "gamma=0.8 within 1e-06 of H*d=0.8"),
+        ("kernel-scaling", {"alpha": 0.5, "hurst": 0.4, "gamma": 3.0, "d": 1},
+         "alpha=0.5 exceeds H=0.4"),
+        ("theorem41", {"hurst": 0.8, "alpha_p": 0.6, "d": 2, "epsilon": 0.0625,
+                       "set": {"kind": "generalized-cantor", "dim": 0.7, "generation": 6}},
+         "alpha'*d = 1.2 >= dim(A) = 0.7"),
+    ])
+    def test_cross_key_rules_checked_at_load(self, tmp_path, capsys, kind, cell, message):
+        # a first cell that would run, so a run-time refusal would leave its row
+        first = {"dim-formula": {"alpha": 0.5, "hurst": 0.5, "d": 1},
+                 "holder-bounds": {"alpha": 0.4, "hurst": 0.4, "d": 1},
+                 "comparison-bounds": {"alpha": 0.3, "hurst": 0.4, "hurst_prime": 0.6, "d": 1},
+                 "kernel-scaling": {"alpha": 0.2, "hurst": 0.8, "gamma": 3.0, "d": 1},
+                 "theorem41": {"hurst": 0.5, "d": 1, "epsilon": 0.0625}}[kind]
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"kind": kind, "seeds": 1, "params": {
+            "cells": [first, cell]}}))
+        out = tmp_path / "r"
+        assert run(["experiment", "--config", str(cfg_path), "--out", str(out)]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_evidence_cell_may_break_the_feasibility_rule(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"kind": "theorem41", "seeds": 1, "params": {
+            "n_samples": 64, "grid_n": 256, "cells": [
+                {"hurst": 0.8, "alpha_p": 0.6, "d": 2, "epsilon": 0.25,
+                 "expect": "evidence"}]}}))
+        assert run(["experiment", "--config", str(cfg_path),
+                    "--out", str(tmp_path / "r")]) == 0
+
     def test_fine_interior_cell_runs(self, tmp_path):
         # 2^14 samples in d = 2 at eps = 1e-4 occupy 16362 cells of a bounding
         # box of 3.8e8 cells; only the occupied cells are eroded

@@ -5,12 +5,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import naive_box_keys, naive_energy_sum, naive_parabolic_box_count
+from oracles import (
+    kernel_expectation_quad,
+    naive_box_keys,
+    naive_energy_sum,
+    naive_parabolic_box_count,
+)
 from parafbm import estimators
-from parafbm.errors import BoxIndexOverflow, ConfigError, DegenerateRange, GammaAtBoundary
+from parafbm.errors import (
+    AlphaExceedsH,
+    BoxIndexOverflow,
+    ConfigError,
+    DegenerateRange,
+    GammaAtBoundary,
+)
 from parafbm.estimators import (
     GraphCloud,
     box_count_curve,
+    box_count_curves,
     dyadic_deltas,
     energy_integral_mc,
     estimate_parabolic_dimension,
@@ -192,6 +204,85 @@ class TestBoxCountProperties:
         # one counter over the whole curve gives the counts of standalone calls
         assert box_count_curve(c, deltas, hurst, anchor_shift).counts.tolist() == want
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        cloud=clouds(),
+        deltas=st.lists(st.one_of(st.sampled_from([1.0, 0.25, 2.0**-10, 2.0**-40]),
+                                  st.floats(1e-4, 1.0)),
+                        min_size=1, max_size=3, unique=True),
+        hurst=st.floats(0.05, 0.95),
+        anchor_shift=st.one_of(st.just(0.0), st.floats(-1.0, 1.0)),
+    )
+    def test_prefix_counts_match_oracle(self, cloud, deltas, hurst, anchor_shift):
+        # every coordinate prefix's curve, read from the sorts of the full
+        # key, against the oracle on the first k coordinates; the clouds
+        # reach int32 keys, int64 keys, re-ranks and BoxIndexOverflow
+        t, v = cloud
+        c = GraphCloud(times=np.array(t), values=np.array(v))
+        dims = range(1, c.d + 1)
+        ladder = sorted(deltas, reverse=True)
+        if any(max(abs(i) for box in naive_box_keys(t, v, delta, hurst, anchor_shift)
+                   for i in box) >= 2**62 for delta in ladder):
+            with pytest.raises(BoxIndexOverflow):
+                box_count_curves(c, deltas, hurst, dims, anchor_shift)
+            return
+        curves = box_count_curves(c, deltas, hurst, dims, anchor_shift)
+        for k in dims:
+            head = [row[:k] for row in v]
+            assert curves[k].deltas.tolist() == ladder
+            assert curves[k].counts.tolist() == [
+                naive_parabolic_box_count(t, head, delta, hurst, anchor_shift)
+                for delta in ladder
+            ]
+
+    def test_prefix_folded_by_a_rerank_is_packed_again(self, monkeypatch):
+        # d = 3 at delta 1/16, H 1/2: about 2^4 time boxes, 2^10 boxes on
+        # each of v_1 and v_2 and 2^44 on v_3, so the key of (t, v_1, v_2)
+        # is re-ranked before v_3 is appended; (t, v_1, v_2) is still read
+        # from that key, (t, v_1) needs a packing of its own
+        rng = np.random.default_rng(5)
+        n = 300
+        t = rng.uniform(0.0, 1.0, n)
+        v = np.column_stack([rng.uniform(0.0, 2.0**8, n), rng.uniform(0.0, 2.0**8, n),
+                             rng.uniform(0.0, 2.0**42, n)])
+        v[::7, :2] = v[1::7, :2][: v[::7].shape[0]]   # repeated (v_1, v_2) pairs
+        t[::5] = t[1::5][: t[::5].size]               # and repeated times
+        c = GraphCloud(times=t, values=v)
+        packings = []
+        real = estimators.pack_index_rows
+
+        def spy(bounds, *args):
+            key, radices, folded = real(bounds, *args)
+            packings.append((len(bounds), folded))
+            return key, radices, folded
+
+        monkeypatch.setattr(estimators, "pack_index_rows", spy)
+        curves = box_count_curves(c, [1 / 16], 0.5, (1, 2, 3))
+        assert packings == [(4, 3), (2, 0)]
+        for k in (1, 2, 3):
+            want = naive_parabolic_box_count(t.tolist(), v[:, :k].tolist(), 1 / 16, 0.5)
+            assert curves[k].counts.tolist() == [want]
+        # points share boxes, more of them in shorter prefixes
+        assert curves[1].counts[0] < curves[2].counts[0] < curves[3].counts[0] == n
+
+    def test_curves_of_prefixes_equal_curves_of_prefix_clouds(self):
+        g = TimeGrid.regular(2**10)
+        path = generate_fbm_path(0.4, g, d=3, seed=2)
+        cloud = GraphCloud.from_path(path).restrict(middle_thirds_cantor(3))
+        deltas = dyadic_deltas(1, 8, 2)
+        curves = box_count_curves(cloud, deltas, 0.6, (1, 3, 2), anchor_shift=0.3)
+        assert list(curves) == [1, 3, 2]
+        for k in (1, 2, 3):
+            alone = box_count_curve(GraphCloud(cloud.times, cloud.values[:, :k]), deltas,
+                                    0.6, anchor_shift=0.3)
+            assert curves[k].counts.tolist() == alone.counts.tolist()
+            assert curves[k].deltas.tolist() == alone.deltas.tolist()
+
+    @pytest.mark.parametrize("dims", [(0,), (1, 3), (1.5,)])
+    def test_prefix_counts_need_whole_counts_up_to_d(self, dims):
+        with pytest.raises(ConfigError):
+            box_count_curves(flat_cloud(d=2), [0.5, 0.25], 0.5, dims)
+
     def test_raw_time_index_past_int32_with_narrow_span(self):
         # at 2^-40 the three times fall in boxes 2^39, 2^39 + 4 and 2^39 + 8:
         # a span of 9 boxes, but raw indices that an int32 cast would break
@@ -205,12 +296,13 @@ class TestBoxCountProperties:
 def _pack(columns):
     cols = [np.asarray(c, dtype=float) for c in columns]
     n = cols[0].size
-    return pack_index_rows(
+    key, _, _ = pack_index_rows(
         [(c.min(), c.max()) for c in cols],
         lambda j, out: np.copyto(out, cols[j], casting="unsafe"),
         np.empty(n, dtype=np.int64),
         np.empty(n, dtype=np.int64),
     )
+    return key
 
 
 class TestPackIndexRows:
@@ -278,6 +370,24 @@ def test_scales_call_the_module_global_with_the_cloud_first(monkeypatch):
     cloud = flat_cloud(n=512)
     deltas = dyadic_deltas(2, 8)
     estimate_parabolic_dimension(cloud, deltas, 0.5)
+    assert len(calls) == deltas.size
+    assert all(arg is cloud for arg in calls)
+
+
+def test_prefix_curves_count_each_scale_once(monkeypatch):
+    # the prefixes are read from the sort of the full key: still one
+    # parabolic_box_count call of the cloud per scale
+    calls = []
+    real = estimators.parabolic_box_count
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(estimators, "parabolic_box_count", counting)
+    cloud = flat_cloud(n=512, d=2)
+    deltas = dyadic_deltas(2, 8)
+    box_count_curves(cloud, deltas, 0.5, (1, 2))
     assert len(calls) == deltas.size
     assert all(arg is cloud for arg in calls)
 
@@ -482,6 +592,40 @@ class TestKernelExpectation:
     def test_boundary_rejected(self):
         with pytest.raises(GammaAtBoundary):
             kernel_expectation_mc(0.5, 0.3, 0.6, 0.6, 1, 100)
+
+    @pytest.mark.parametrize("d", [1.5, True, 0])
+    def test_d_must_be_a_whole_number(self, d):
+        # 1.5 and True raised TypeError from the normal draw, 0 a ValueError
+        with pytest.raises(ConfigError, match="^d must be"):
+            kernel_expectation_mc(0.5, 0.3, 0.5, 0.4, d, 100)
+
+    def test_alpha_above_h_rejected(self):
+        with pytest.raises(AlphaExceedsH, match="alpha=0.5 exceeds H=0.4"):
+            kernel_expectation_mc(0.5, 0.5, 0.4, 0.3, 1, 100)
+
+    @pytest.mark.parametrize("alpha, hurst, gamma, d", [
+        (0.85, 0.9, 0.36, 2),   # gamma < Hd
+        (0.2, 0.8, 3.0, 1),     # gamma > Hd
+        (0.3, 0.5, 2.0, 3),     # gamma > Hd
+    ])
+    def test_agrees_with_quadrature(self, alpha, hurst, gamma, d):
+        # the squared kernel is the kernel at 2 gamma, so the quadrature also
+        # gives the Monte Carlo's standard error
+        n = 100_000
+        for i, t in enumerate((1.0, 2.0**-3, 2.0**-8)):
+            exact = kernel_expectation_quad(t, alpha, hurst, gamma, d)
+            second = kernel_expectation_quad(t, alpha, hurst, 2.0 * gamma, d)
+            stderr = np.sqrt(max(second - exact**2, 0.0) / n)
+            got = kernel_expectation_mc(t, alpha, hurst, gamma, d, n, seed=i)
+            assert abs(got - exact) <= 4.0 * stderr + 1e-12 * exact
+
+    def test_quadrature_at_alpha_equal_h(self):
+        # alpha = H: the max is t^H max(1, S), a check on the oracle's split
+        t, h, gamma = 0.25, 0.5, 0.7
+        rng = np.random.default_rng(0)
+        s = np.max(np.abs(rng.standard_normal((400_000, 2))), axis=1)
+        mc = np.mean((t**h * np.maximum(1.0, s)) ** (-gamma / h))
+        assert kernel_expectation_quad(t, h, h, gamma, 2) == pytest.approx(mc, rel=2e-3)
 
     def test_deterministic_in_seed(self):
         a = kernel_expectation_mc(0.25, 0.3, 0.6, 0.4, 2, 10_000, seed=3)

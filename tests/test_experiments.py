@@ -350,7 +350,7 @@ class TestInteriorRuns:
         assert rows[0].passed
 
     def test_infeasible_parameters(self):
-        cfg = ExperimentConfig.from_dict({
+        doc = {
             "kind": "theorem41",
             "seeds": 1,
             "params": {
@@ -362,34 +362,28 @@ class TestInteriorRuns:
                 "n_samples": 128,
                 "grid_n": 256,
             },
-        })
-        with pytest.raises(InfeasibleParameters):
-            run_experiment(cfg)
+        }
+        with pytest.raises(InfeasibleParameters, match=re.escape("alpha'*d = 0.8 >= dim(A)")):
+            ExperimentConfig.from_dict(doc)
+        # the runner meets the same check
+        common = {k: v for k, v in doc["params"].items() if k != "cells"}
+        with pytest.raises(InfeasibleParameters, match=re.escape("alpha'*d = 0.8 >= dim(A)")):
+            experiments._interior_rows(doc["params"]["cells"], common, 1, 0)
 
     def test_abort_keeps_completed_rows(self, tmp_path):
-        # cells run in canonical order: alpha_p 0.3 (feasible) before 0.9 (infeasible)
-        doc = {
-            "kind": "theorem41",
-            "seeds": 2,
-            "params": {
-                "cells": [
-                    {"alpha_p": 0.3, "hurst": 0.5, "d": 1, "set": {"kind": "full"},
-                     "epsilon": 0.015625, "expect": "interior"},
-                    {"alpha_p": 0.9, "hurst": 0.8, "d": 1,   # infeasible: aborts
-                     "set": {"kind": "generalized-cantor", "dim": 0.5, "generation": 5},
-                     "epsilon": 0.015625, "expect": "interior"},
-                ],
-                "n_samples": 512,
-                "grid_n": 2**10,
-            },
-        }
+        # cells run in canonical order: the constant path ("path" sorts before
+        # "set") passes, then the Cantor-set cell finds no pair within 2^-9
+        doc = zero_pair_mass_config("bounded")
+        doc["params"]["cells"].append(
+            {"hurst": 0.3, "d": 2, "path": "constant", "check": "bounded"})
         cfg = ExperimentConfig.from_dict(doc)
         out = tmp_path / "out"
-        with pytest.raises(InfeasibleParameters):
+        with pytest.raises(DegenerateRange):
             run_experiment(cfg, out_dir=out)
         with open(out / "report.csv") as fh:
             rows = list(csv.DictReader(fh))
-        assert len(rows) == 1   # the feasible cell was flushed before the abort
+        assert len(rows) == 1   # the passing cell was flushed before the abort
+        assert json.loads(rows[0]["cell"])["path"] == "constant"
 
 
 def test_lipschitz_drift_shape():
@@ -561,6 +555,92 @@ class TestSharedPaths:
         assert [(r.cell["alpha"], r.cell["d"]) for r in rows] == [(0.2, 2)] + [(0.4, 1)] * 3
         assert runtimes[0] >= 0.1 * doc["seeds"] and runtimes[1] >= 0.1 * doc["seeds"]
         assert max(runtimes[2:]) < 0.1
+
+
+# -- cells that share a set and H share one count of the largest-d cloud -----
+
+# each has a set measured at d = 1 and d = 2 at one H: the full interval
+# (given as {"kind": "full"} and by default) and a Cantor set
+_SHARED_COUNT_CONFIGS = {
+    "dim-formula": {
+        "kind": "dim-formula", "seeds": 2, "seed_base": 7,
+        "params": {**_GRAPH_COMMON, "min_r_squared": 0.9, "cells": [
+            {"alpha": 0.4, "hurst": 0.6, "d": 1, "set": {"kind": "full"}},
+            {"alpha": 0.4, "hurst": 0.6, "d": 2},
+            {"alpha": 0.4, "hurst": 0.6, "d": 1, "set": _MID},
+            {"alpha": 0.4, "hurst": 0.6, "d": 2, "set": _MID},
+            {"alpha": 0.4, "hurst": 0.7, "d": 2, "set": _MID},
+        ]},
+    },
+    "comparison-bounds": {
+        "kind": "comparison-bounds", "seeds": 2, "seed_base": 2,
+        "params": {**_GRAPH_COMMON, "margin": 0.1, "cells": [
+            {"alpha": 0.3, "hurst": 0.4, "hurst_prime": 0.6, "d": 1, "set": {"kind": "full"}},
+            {"alpha": 0.3, "hurst": 0.4, "hurst_prime": 0.6, "d": 2, "set": {"kind": "full"}},
+            {"alpha": 0.3, "hurst": 0.4, "hurst_prime": 0.6, "d": 1, "set": _MID},
+            {"alpha": 0.3, "hurst": 0.5, "hurst_prime": 0.6, "d": 2, "set": _MID},
+        ]},
+    },
+}
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """The clouds whose box-count curves run_experiment makes (serial runs only)."""
+    calls = []
+    real = experiments.box_count_curves
+
+    def counting(cloud, deltas, hurst, dims, *args):
+        calls.append((hurst, sorted(dims), cloud.d))
+        return real(cloud, deltas, hurst, dims, *args)
+
+    monkeypatch.setattr(experiments, "box_count_curves", counting)
+    return calls
+
+
+class TestSharedCounts:
+    @pytest.mark.parametrize("kind", sorted(_SHARED_COUNT_CONFIGS))
+    def test_rows_equal_one_cell_runs(self, kind):
+        doc = _SHARED_COUNT_CONFIGS[kind]
+        cfg = ExperimentConfig.from_dict(doc)
+        for rec in _records(run_experiment(cfg)):
+            one = ExperimentConfig.from_dict(
+                {**doc, "params": {**doc["params"], "cells": [json.loads(rec["cell"])]}})
+            (alone,) = _records(run_experiment(one))
+            assert rec.pop("config_hash") == cfg.config_hash()
+            assert alone.pop("config_hash") == one.config_hash()
+            assert rec == alone
+
+    @pytest.mark.parametrize("kind", sorted(_SHARED_COUNT_CONFIGS))
+    def test_one_count_per_set_and_h(self, kind, count_calls):
+        doc = _SHARED_COUNT_CONFIGS[kind]
+        run_experiment(ExperimentConfig.from_dict(doc))
+        # (H, the d counted, the d of the cloud) in the order the sorted cells
+        # first need them: the Cantor set's cells sort before the full ones
+        per_seed = {
+            "dim-formula": [(0.6, [1, 2], 2), (0.6, [1, 2], 2), (0.7, [2], 2)],
+            "comparison-bounds": [(0.4, [1], 1), (0.6, [1, 2], 2), (0.4, [1, 2], 2),
+                                  (0.6, [1, 2], 2), (0.5, [2], 2)],
+        }[kind]
+        assert count_calls == per_seed * doc["seeds"]
+
+    def test_shared_count_charged_to_the_first_cell(self, monkeypatch):
+        real = experiments.box_count_curves
+
+        def slow(*args, **kwargs):
+            time.sleep(0.1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "box_count_curves", slow)
+        # the Cantor cell counts alone; the two full-interval cells share a count
+        cells = [{"alpha": 0.4, "hurst": 0.5, "d": 1, "set": _MID},
+                 {"alpha": 0.4, "hurst": 0.6, "d": 1}, {"alpha": 0.4, "hurst": 0.6, "d": 2}]
+        doc = _SHARED_COUNT_CONFIGS["dim-formula"]
+        rows = run_experiment(ExperimentConfig.from_dict(
+            {**doc, "seeds": 1, "params": {**doc["params"], "cells": cells}}))
+        assert [r.cell for r in rows] == cells
+        runtimes = [r.diagnostics["runtime_s"] for r in rows]
+        assert runtimes[0] >= 0.2 and max(runtimes[1:]) < 0.1
 
 
 # -- integer cell and set fields are read whole, before any path --------------

@@ -85,6 +85,12 @@ class TestGraphDimensionFormula:
         with pytest.raises(AlphaExceedsH):
             theoretical_graph_dimension(0.7, 0.6, 0.5, 1)
 
+    @pytest.mark.parametrize("d", [1.5, True, 0, "2"])
+    def test_d_must_be_a_whole_number(self, d):
+        # 1.5 gave 1.45 and True gave 1.3
+        with pytest.raises(ConfigError, match="^d must be"):
+            theoretical_graph_dimension(0.3, 0.6, 1.0, d)
+
     def test_lower_bound_and_strictness(self):
         rng = np.random.default_rng(4)
         for _ in range(2000):
@@ -126,6 +132,12 @@ class TestComparisonBounds:
         for v in (0.0, 0.4, 1.0):
             lo, _ = comparison_bounds(v, 0.4, 0.7, 1)
             assert lo == pytest.approx(v)
+
+    @pytest.mark.parametrize("d", [2.5, True, 0])
+    def test_d_must_be_a_whole_number(self, d):
+        # 2.5 gave (1.0, 1.4)
+        with pytest.raises(ConfigError, match="^d must be"):
+            comparison_bounds(1.0, 0.5, 0.7, d)
 
     def test_order_violation(self):
         with pytest.raises(HOrderViolation):
