@@ -56,6 +56,7 @@ __all__ = [
     "energy_integral_mc",
     "kernel_expectation_mc",
     "validate_gamma",
+    "validate_fit_scales",
     "dyadic_deltas",
 ]
 
@@ -415,6 +416,17 @@ def _fit_loglog(deltas, counts):
     return slope, intercept, r2
 
 
+def validate_fit_scales(deltas):
+    """Return ``deltas`` as a float array if a fit can use them: at least 4
+    scales spanning at least 2 octaves; otherwise raise ConfigError."""
+    deltas = np.asarray(deltas, dtype=float)
+    if deltas.size < 4:
+        raise ConfigError("need at least 4 scales")
+    if deltas.max() / deltas.min() < 4.0 - 1e-12:
+        raise ConfigError("scales must span at least 2 octaves")
+    return deltas
+
+
 def estimate_parabolic_dimension(
     cloud,
     deltas,
@@ -438,11 +450,7 @@ def estimate_parabolic_dimension(
     graphs of several of its coordinate prefixes); it takes the place of
     ``box_count_curve(cloud, deltas, hurst, anchor_shift)``.
     """
-    deltas = np.asarray(deltas, dtype=float)
-    if deltas.size < 4:
-        raise ConfigError("need at least 4 scales")
-    if deltas.max() / deltas.min() < 4.0 - 1e-12:
-        raise ConfigError("scales must span at least 2 octaves")
+    deltas = validate_fit_scales(deltas)
     curve = box_count_curve(cloud, deltas, hurst, anchor_shift) if _curve is None else _curve
     d, c = curve.deltas, curve.counts
 

@@ -45,6 +45,7 @@ from .estimators import (
     dyadic_deltas,
     estimate_parabolic_dimension,
     kernel_expectation_mc,
+    validate_fit_scales,
     validate_gamma,
 )
 from .fbm import (
@@ -128,6 +129,27 @@ def _check_param(key, value, default):
         raise ConfigError(f"{key} must be a list of at least two whole numbers, got {value!r}")
 
 
+def _check_ladder(delta_coarse_exp, delta_fine_exp, per_octave):
+    """Refuse a scale ladder 2^-coarse .. 2^-fine that no fit can use.
+
+    Every scale must lie in (0, 1], and the ladder must pass the fit's
+    :func:`validate_fit_scales`; checked at load, a bad ladder fails before
+    any path is drawn or file written.
+    """
+    per_octave = validate_count(per_octave, "per_octave")
+    if delta_coarse_exp < 0:
+        raise ConfigError(
+            f"delta_coarse_exp must be >= 0 (scales lie in (0, 1]), got {delta_coarse_exp}")
+    if delta_fine_exp <= delta_coarse_exp:
+        raise ConfigError(f"delta_fine_exp must exceed delta_coarse_exp, got "
+                          f"{delta_fine_exp} <= {delta_coarse_exp}")
+    try:
+        validate_fit_scales(dyadic_deltas(delta_coarse_exp, delta_fine_exp, per_octave))
+    except ConfigError as exc:
+        raise ConfigError(f"the scale ladder 2^-{delta_coarse_exp} .. 2^-{delta_fine_exp} "
+                          f"at per_octave {per_octave}: {exc}") from None
+
+
 def _nearest(word, valid):
     return difflib.get_close_matches(str(word), valid, n=1, cutoff=0.0)[0]
 
@@ -168,7 +190,9 @@ class ExperimentConfig:
         for key, value in self.params.items():
             if key != "cells":
                 _check_param(key, value, spec.defaults[key])
-        validate_count(self.params.get("per_octave", 1), "per_octave")
+        if "delta_coarse_exp" in spec.defaults:
+            _check_ladder(**{key: self.params.get(key, spec.defaults[key])
+                             for key in ("delta_coarse_exp", "delta_fine_exp", "per_octave")})
         cells = self.params.get("cells")
         if not isinstance(cells, list) or not cells:
             raise ConfigError("params.cells must be a non-empty list")

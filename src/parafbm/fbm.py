@@ -10,6 +10,10 @@ real-output FFTs of the n+1 non-redundant coefficients rather than complex
 transforms of all 2n.  In exact arithmetic its eigenvalues are nonnegative
 for every H in (0, 1) (Craigmile, J. Time Ser. Anal. 24 (2003)); one below
 the rounding clamp raises CovarianceNotPSD, with no fallback to Cholesky.
+Each grid's square roots of the eigenvalues 0..n, the only ones a draw
+reads, are memoised (n+1 values).  A sampler keeps two arrays of path size,
+which every coordinate's draw reuses: its 2n normals, into which the inverse
+FFT is written, and the half spectrum.
 Increments are simulated and summed, which conditions much better than
 factoring the path covariance directly.
 
@@ -58,9 +62,10 @@ MAX_CHOLESKY_N = 4096
 #: relative magnitude of negative circulant eigenvalues that is clamped to 0
 CIRCULANT_CLAMP_TOL = 1e-8
 
-#: total bytes of memoised circulant eigenvalue arrays; one 2^20-point grid
-#: needs 16 MiB, so this keeps two such grids or many small ones
-CIRCULANT_CACHE_BYTES = 32 * 2**20
+#: total bytes of memoised circulant spectral roots (n+1 per grid of n
+#: increments); one 2^20-point grid needs 8 MiB, so this keeps two such grids
+#: or many small ones
+CIRCULANT_CACHE_BYTES = 16 * 2**20
 
 _UNIFORM_RTOL = 1e-9
 
@@ -241,72 +246,110 @@ def _increment_covariance(tpos, hurst):
     return 0.5 * (g[1:, :-1] + g[:-1, 1:] - g[1:, 1:] - g[:-1, :-1])
 
 
-_circulant_cache = OrderedDict()   # (n, hurst, gap) -> read-only eigenvalues, LRU order
+_circulant_cache = OrderedDict()   # (n, hurst, gap) -> read-only spectral root, LRU order
 _circulant_cache_lock = threading.Lock()
 
 
+def _fgn_autocovariance(n, hurst, gap):
+    """fGn autocovariance at lags 0..n for the gap ``gap``, built in place.
+
+    ½((k+1)^2H - 2 k^2H + |k-1|^2H) gap^2H, by the same operations in the
+    same order as the one-expression form, in three (n+1) arrays rather
+    than the expression's temporaries.
+    """
+    h2 = 2.0 * hurst
+    k = np.arange(n + 1, dtype=float)
+    acov = k + 1
+    acov **= h2
+    lag = k - 1
+    np.abs(lag, out=lag)
+    lag **= h2
+    k **= h2
+    k *= 2.0
+    acov -= k
+    acov += lag
+    acov *= 0.5
+    acov *= gap**h2
+    return acov
+
+
 def _fgn_circulant_eigenvalues(n, hurst, gap):
-    """Eigenvalues of the 2n-circulant embedding of the fGn covariance.
+    """The 2n eigenvalues of the circulant embedding of the fGn covariance.
 
     Raises CovarianceNotPSD when a negative eigenvalue exceeds the clamp
-    tolerance; small negatives (roundoff) are clamped to zero.  Results are
-    memoised per (n, hurst, gap) as read-only arrays, least recently used
-    first out, within CIRCULANT_CACHE_BYTES in total; failures are not
-    memoised, so each call for a bad grid raises afresh.
+    tolerance; small negatives (roundoff) are clamped to zero in place.
+    Not memoised: the sampler keeps only :func:`_fgn_circulant_root`.
     """
-    key = (int(n), float(hurst), float(gap))
-    with _circulant_cache_lock:
-        lam = _circulant_cache.get(key)
-        if lam is not None:
-            _circulant_cache.move_to_end(key)
-            return lam
-    k = np.arange(n + 1, dtype=float)
-    h2 = 2.0 * hurst
-    acov = 0.5 * ((k + 1) ** h2 - 2.0 * k**h2 + np.abs(k - 1) ** h2) * gap**h2
     # the circulant's first row is acov[0..n] followed by acov[n-1..1], the
     # Hermitian extension of acov, so its real spectrum is hfft(acov, 2n)
-    lam = np.fft.hfft(acov, 2 * n)
+    lam = np.fft.hfft(_fgn_autocovariance(n, hurst, gap), 2 * n)
     floor = -CIRCULANT_CLAMP_TOL * lam.max()
     if lam.min() < floor:
         raise CovarianceNotPSD(
             f"circulant embedding has eigenvalue {lam.min():.3e} below "
             f"tolerance {floor:.3e} (n={n}, H={hurst})"
         )
-    lam = np.maximum(lam, 0.0)
-    lam.flags.writeable = False
-    if lam.nbytes <= CIRCULANT_CACHE_BYTES:
+    return np.maximum(lam, 0.0, out=lam)
+
+
+def _fgn_circulant_root(n, hurst, gap):
+    """sqrt of the clamped eigenvalues 0..n, the spectral scale of each draw.
+
+    The other n-1 eigenvalues mirror these and no draw reads them, so the
+    root is kept as a compact (n+1) copy that does not hold the 2n spectrum
+    alive.  Results are memoised per (n, hurst, gap) as read-only arrays,
+    least recently used first out, within CIRCULANT_CACHE_BYTES in total;
+    failures are not memoised, so each call for a bad grid raises afresh.
+    """
+    key = (int(n), float(hurst), float(gap))
+    with _circulant_cache_lock:
+        root = _circulant_cache.get(key)
+        if root is not None:
+            _circulant_cache.move_to_end(key)
+            return root
+    root = np.sqrt(_fgn_circulant_eigenvalues(n, hurst, gap)[:n + 1])
+    root.flags.writeable = False
+    if root.nbytes <= CIRCULANT_CACHE_BYTES:
         with _circulant_cache_lock:
-            _circulant_cache[key] = lam
+            _circulant_cache[key] = root
             total = sum(a.nbytes for a in _circulant_cache.values())
             while total > CIRCULANT_CACHE_BYTES:
                 total -= _circulant_cache.popitem(last=False)[1].nbytes
-    return lam
+    return root
 
 
-def _sample_fgn_circulant(lam, rng):
-    """One exact fGn sample of length n from precomputed embedding eigenvalues.
+def _circulant_sampler(root):
+    """rng -> one exact fGn sample of length n, from the spectral root (n+1).
 
     The 2n normals fill the non-redundant half of a Hermitian spectrum:
     z[0] at frequency 0, z[1] at frequency n, and (z[k+1] + i z[n+k]) / sqrt 2
-    at frequency k for 0 < k < n.  Scaled by sqrt(lam), its orthonormal
-    Hermitian transform hfft is real and stationary with the fGn covariance;
-    it is computed as the real inverse FFT (irfft) of the conjugate half
-    spectrum, and its first n entries are the sample.
+    at frequency k for 0 < k < n.  Scaled by the root of the eigenvalues,
+    its orthonormal Hermitian transform hfft is real and stationary with the
+    fGn covariance; it is computed as the real inverse FFT (irfft) of the
+    conjugate half spectrum, written over the spent normals, whose first n
+    entries are the sample.  Every draw reuses the sampler's two arrays of
+    path size, z and the half spectrum, so a sample is valid only until the
+    next draw.
     """
-    m2 = lam.size            # 2n
-    n = m2 // 2
-    z = rng.standard_normal(m2)
+    n = root.size - 1
+    m2 = 2 * n
+    z = np.empty(m2)
     half = np.empty(n + 1, dtype=complex)
     re, im = half.real, half.imag
-    # filled in place, scaled by the reciprocal: numpy divides a complex by a
-    # real as a product with 1/c, so this is the complex expression bit for bit
-    re[0], re[n], im[0], im[n] = z[0], z[1], 0.0, 0.0
-    np.multiply(z[2:n + 1], _INV_SQRT2, out=re[1:n])
-    np.multiply(z[n + 1:m2], -_INV_SQRT2, out=im[1:n])
-    root = np.sqrt(lam[:n + 1], out=z[:n + 1])   # z is spent: reuse its memory
-    re *= root
-    im *= root
-    return np.fft.irfft(half, m2, norm="ortho")[:n]
+
+    def draw(rng):
+        rng.standard_normal(out=z)
+        # filled in place, scaled by the reciprocal: numpy divides a complex by
+        # a real as a product with 1/c, so this is the complex expression bit
+        # for bit
+        re[0], re[n], im[0], im[n] = z[0], z[1], 0.0, 0.0
+        np.multiply(z[2:n + 1], _INV_SQRT2, out=re[1:n])
+        np.multiply(z[n + 1:m2], -_INV_SQRT2, out=im[1:n])
+        np.multiply(re, root, out=re)
+        np.multiply(im, root, out=im)
+        return np.fft.irfft(half, m2, norm="ortho", out=z)[:n]
+
+    return draw
 
 
 def _cholesky_sampler(tpos, hurst):
@@ -327,15 +370,15 @@ def _increment_sampler(hurst, grid):
 
     A uniform grid with two or more increments uses circulant embedding;
     any other grid uses the dense Cholesky factor, up to MAX_CHOLESKY_N
-    points.  The eigenvalues or the factor are computed once here and
-    shared by every coordinate the sampler draws.
+    points.  The spectral root or the factor is computed once here and
+    shared by every coordinate the sampler draws; a circulant sample is
+    valid only until the sampler's next draw.
     """
     tpos = grid.positive_times
     n = tpos.size
     if grid.uniform and n > 1:
         # uniform grids have constant gap equal to the first positive time
-        lam = _fgn_circulant_eigenvalues(n, hurst, tpos[0])
-        return lambda rng: _sample_fgn_circulant(lam, rng)
+        return _circulant_sampler(_fgn_circulant_root(n, hurst, tpos[0]))
     if n > MAX_CHOLESKY_N:
         raise ConfigError(
             f"dense Cholesky sampler is capped at n={MAX_CHOLESKY_N}; "
@@ -361,11 +404,12 @@ def _sample_path(grid, d, hursts, seeds, tags):
     (first, seed0, tag0), *others = zip(samplers, seeds, tags)
     values = np.zeros((d, len(grid)))
     rows = values[:, len(grid) - len(grid.positive_times):]
-    # no increment array outlives its own cumsum: at 2^16 points each is 1 MiB
+    # each coordinate's increments are summed before its sampler draws again
     for j, row in enumerate(rows):
-        np.cumsum(first(philox_stream(seed0, (tag0, j))), out=row)
+        first(philox_stream(seed0, (tag0, j))).cumsum(out=row)
         for sample, seed, tag in others:
-            row += np.cumsum(sample(philox_stream(seed, (tag, j))))
+            inc = sample(philox_stream(seed, (tag, j)))
+            row += inc.cumsum(out=inc)
     return SamplePath(grid=grid, values=values, hurst_components=hursts, seed=seeds)
 
 

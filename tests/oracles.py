@@ -4,7 +4,9 @@ Deliberately naive (pure-Python loops, no shared code with the package's
 vectorized routines) so that agreement is a genuine dual-route check.
 The fBm chain constant kappa_H has two routes here as well: its Gamma closed
 form and a quadrature of the Mandelbrot-Van Ness kernel.  The circulant fBm
-sampler has two: a pure-Python DFT and the complex-FFT route it replaced.
+sampler has two: a pure-Python DFT and the complex-FFT route it replaced;
+its in-place autocovariance is checked against the one numpy expression it
+replaced.
 The batched Gaussian sweeps are checked against the per-config loop they
 replaced, which draws each config and calls the public one-config route.
 The increment covariance of the Cholesky sampler is checked against a
@@ -84,6 +86,15 @@ def naive_fgn_path(hurst, n, seed, tag=0, coord=0):
         total += x.real / math.sqrt(m)
         path.append(total)
     return path
+
+
+def one_expression_fgn_autocovariance(n, hurst, gap):
+    """fGn autocovariance at lags 0..n as one numpy expression, the form the
+    sampler built before it built the array in place.
+    """
+    k = np.arange(n + 1, dtype=float)
+    h2 = 2.0 * hurst
+    return 0.5 * ((k + 1) ** h2 - 2.0 * k**h2 + np.abs(k - 1) ** h2) * gap**h2
 
 
 def full_complex_fgn_eigenvalues(hurst, n):

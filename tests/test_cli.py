@@ -305,6 +305,26 @@ class TestExperimentCommand:
                     "--out", str(tmp_path / "r")]) == 1
         assert f"error: {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("ladder, message", [
+        ({"delta_coarse_exp": -1, "delta_fine_exp": 6}, "delta_coarse_exp must be >= 0"),
+        ({"delta_coarse_exp": 6, "delta_fine_exp": 6}, "delta_fine_exp must exceed"),
+        ({"delta_coarse_exp": 4, "delta_fine_exp": 5, "per_octave": 1},
+         "the scale ladder 2^-4 .. 2^-5 at per_octave 1: need at least 4 scales"),
+        ({"delta_coarse_exp": 4, "delta_fine_exp": 6, "per_octave": 1},
+         "the scale ladder 2^-4 .. 2^-6 at per_octave 1: need at least 4 scales"),
+        ({"delta_coarse_exp": 4, "delta_fine_exp": 5, "per_octave": 4},
+         "the scale ladder 2^-4 .. 2^-5 at per_octave 4: scales must span at least 2 octaves"),
+    ])
+    def test_unusable_ladder_refused_before_any_file(self, tmp_path, capsys, ladder,
+                                                     message):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"kind": "dim-formula", "seeds": 1, "params": {
+            "grid_n": 256, **ladder, "cells": [{"alpha": 0.5, "hurst": 0.5, "d": 1}]}}))
+        out = tmp_path / "r"
+        assert run(["experiment", "--config", str(cfg_path), "--out", str(out)]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_whole_float_ladder_runs(self, tmp_path):
         params = {"grid_n": 256.0, "delta_coarse_exp": 1.0, "delta_fine_exp": 5.0,
                   "per_octave": 2.0, "min_r_squared": 0.0,

@@ -12,6 +12,7 @@ from oracles import (
     full_complex_fgn_path,
     mp_increment_covariance,
     naive_fgn_path,
+    one_expression_fgn_autocovariance,
 )
 from parafbm import estimators, fbm
 from parafbm.errors import ConfigError, CovarianceNotPSD
@@ -404,8 +405,10 @@ class TestHalfSpectrumSampler:
         seed=st.integers(0, 2**63),
     )
     def test_spectrum_assembly_bit_equal_to_complex_expression(self, n, hurst, seed):
+        draw = fbm._circulant_sampler(fbm._fgn_circulant_root(n, hurst, 1.0 / n))
+        draw(fbm.philox_stream(seed, (0, 1)))   # the draw below reuses its buffers
+        got = draw(fbm.philox_stream(seed, (0, 0)))
         lam = fbm._fgn_circulant_eigenvalues(n, hurst, 1.0 / n)
-        got = fbm._sample_fgn_circulant(lam, fbm.philox_stream(seed, (0, 0)))
         z = fbm.philox_stream(seed, (0, 0)).standard_normal(2 * n)
         want = complex_half_spectrum_fgn(lam, z)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
@@ -413,8 +416,9 @@ class TestHalfSpectrumSampler:
     def test_spectrum_assembly_bit_equal_at_2_16(self):
         n = 2**16 - 1
         for hurst in (0.05, 0.5, 0.95):
+            draw = fbm._circulant_sampler(fbm._fgn_circulant_root(n, hurst, 1.0 / n))
+            got = draw(fbm.philox_stream(3, (0, 0)))
             lam = fbm._fgn_circulant_eigenvalues(n, hurst, 1.0 / n)
-            got = fbm._sample_fgn_circulant(lam, fbm.philox_stream(3, (0, 0)))
             z = fbm.philox_stream(3, (0, 0)).standard_normal(2 * n)
             want = complex_half_spectrum_fgn(lam, z)
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
@@ -425,6 +429,22 @@ class TestHalfSpectrumSampler:
             got = fbm._fgn_circulant_eigenvalues(n, hurst, 1.0 / n)
             assert got.shape == (2 * n,)
             assert np.abs(got - want).max() <= 1e-14 * want.max()
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.one_of(st.sampled_from([4095, 2**16 - 1]), st.integers(1, 300)),
+        hurst=st.one_of(st.sampled_from([0.25, 0.5, 0.75]), st.floats(0.01, 0.99)),
+    )
+    def test_root_and_autocovariance_bit_equal_to_one_expression(self, n, hurst):
+        # h2 = 0.5, 1 and 1.5 take numpy's fast scalar-power routes, which
+        # the in-place ** must take as the expression's ** does
+        want_acov = one_expression_fgn_autocovariance(n, hurst, 1.0 / n)
+        got_acov = fbm._fgn_autocovariance(n, hurst, 1.0 / n)
+        assert np.array_equal(got_acov.view(np.uint64), want_acov.view(np.uint64))
+        lam = np.fft.hfft(want_acov, 2 * n)
+        want_root = np.sqrt(np.maximum(lam[:n + 1], 0.0))
+        got_root = fbm._fgn_circulant_root(n, hurst, 1.0 / n)
+        assert np.array_equal(got_root.view(np.uint64), want_root.view(np.uint64))
 
 
 class TestSerialization:
@@ -498,11 +518,18 @@ class TestEigenvalueCache:
             assert warm.values.tobytes() == cold.values.tobytes()
 
     def test_cached_arrays_read_only(self, empty_eigen_cache):
-        lam = fbm._fgn_circulant_eigenvalues(64, 0.7, 1.0 / 64)
-        assert fbm._fgn_circulant_eigenvalues(64, 0.7, 1.0 / 64) is lam
-        assert not lam.flags.writeable
+        root = fbm._fgn_circulant_root(64, 0.7, 1.0 / 64)
+        assert fbm._fgn_circulant_root(64, 0.7, 1.0 / 64) is root
+        assert not root.flags.writeable
         with pytest.raises(ValueError):
-            lam[0] = 1.0
+            root[0] = 1.0
+
+    def test_cached_root_is_a_compact_copy(self, empty_eigen_cache):
+        # a view of the 2n spectrum would keep all of it alive in the memo
+        n = 2**10
+        root = fbm._fgn_circulant_root(n, 0.4, 1.0 / n)
+        assert root.shape == (n + 1,) and root.base is None
+        assert root.nbytes == sum(a.nbytes for a in empty_eigen_cache.values())
 
     def test_not_psd_raises_on_every_call(self, empty_eigen_cache, monkeypatch):
         # a negative tolerance puts the clamp floor above every eigenvalue,
@@ -523,10 +550,10 @@ class TestEigenvalueCache:
                 assert lam.shape == (2 * n,) and lam.min() >= 0.0
 
     def test_byte_total_stays_within_bound(self, empty_eigen_cache):
-        # 2^16-point grids hold 1 MiB each, so 40 of them overflow the bound
+        # 2^16-point grids hold 0.5 MiB each, so 40 of them overflow the bound
         n = 2**16
         for h in np.linspace(0.05, 0.95, 40):
-            fbm._fgn_circulant_eigenvalues(n, float(h), 1.0 / n)
+            fbm._fgn_circulant_root(n, float(h), 1.0 / n)
             total = sum(a.nbytes for a in empty_eigen_cache.values())
             assert total <= fbm.CIRCULANT_CACHE_BYTES
         assert (n, 0.95, 1.0 / n) in empty_eigen_cache
@@ -534,8 +561,8 @@ class TestEigenvalueCache:
 
     def test_array_above_bound_not_cached(self, empty_eigen_cache, monkeypatch):
         monkeypatch.setattr(fbm, "CIRCULANT_CACHE_BYTES", 1000)
-        small = fbm._fgn_circulant_eigenvalues(8, 0.4, 0.125)
-        fbm._fgn_circulant_eigenvalues(128, 0.4, 1.0 / 128)
+        small = fbm._fgn_circulant_root(8, 0.4, 0.125)
+        fbm._fgn_circulant_root(128, 0.4, 1.0 / 128)
         assert list(empty_eigen_cache.values()) == [small]
 
 
