@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -190,9 +189,6 @@ class DimensionEstimate:
             "fit_range": [self.fit_range[0], self.fit_range[1]],
             "n_points_used": self.n_points_used,
         }
-
-    def dumps(self):
-        return json.dumps(self.to_json())
 
 
 def parabolic_box_count(cloud, delta, hurst, anchor_shift=0.0, *, _counter=None):

@@ -8,12 +8,14 @@ value is checked when the config is built, before anything is written, and
 so is each rule that ties a cell's keys together (alpha <= H, H < H',
 gamma off H*d, alpha'*d < dim A), by the same check the runner meets.  The
 one free-form cell key is ``label``, echoed into the report's ``cell``
-column with the rest of the cell.  Each kind declares its params (each checked by
-the type of its default), keys, runner and job grouping once, in
-``_KIND_SPECS``.  Each experiment cell produces one report row; rows are
-appended to report.csv as jobs complete, in deterministic cell order, with
-the config hash embedded so reruns are comparable.  A job is one cell, or a
-run of graph-dimension cells that measure the same sample paths.
+column with the rest of the cell.  Each kind declares its params (each
+checked by the type of its default), keys, runner, reducer and job grouping
+once, in ``_KIND_SPECS``.  A job is one cell, or a run of graph-dimension
+cells that measure the same sample paths.  Its runner yields per-seed
+records, and its reducer turns each cell's records into one report row,
+whose ``runtime_s`` follows the one charging rule of ``_run_one_cell``.
+Rows are appended to report.csv as jobs complete, in deterministic cell
+order, with the config hash embedded so reruns are comparable.
 Almost-sure statements are operationalized as seed-fraction thresholds at
 finite resolution; the threshold and resolution appear in every row.
 """
@@ -70,12 +72,8 @@ from .geometry import (
     validate_alpha,
     validate_hurst_order,
 )
-from .occupation import (
-    drifted_image,
-    interior_fraction,
-    l2_density_diagnostic,
-    occupation_histogram,
-)
+from . import occupation
+from .occupation import drifted_image, l2_density_diagnostic, occupation_histogram
 
 __all__ = [
     "ExperimentConfig",
@@ -335,20 +333,15 @@ def lipschitz_drift(grid, d):
     return np.vstack([t / (j + 1.0) for j in range(d)])
 
 
-def _median(xs):
-    return float(np.median(np.asarray(xs, dtype=float)))
-
-
 def _cell_sort_key(cell):
     return json.dumps(cell, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
-# cell runners: each takes (cells, common, seeds, seed_base) and returns
-# one outcome per cell, a dict of theory, estimate, tolerance and
-# diagnostics; ``_run_one_cell`` turns the outcomes into report rows.  They
-# look up the path, estimator and set builders as module globals at call
-# time, so callers can wrap those.
+# cell runners yield (cell index, record) and reducers turn a cell's records
+# into its outcome (see ``_run_one_cell``).  Runners look up the path,
+# estimator and set builders as module globals at call time, and the probe
+# as ``occupation.interior_probe``, so callers can wrap those.
 
 
 def _cell_d(cell):
@@ -392,43 +385,35 @@ def _path_key(cell):
     return cell["alpha"]
 
 
-def _graph_dim_rows(row, fitted, cells, common, seeds, seed_base):
-    """Outcomes of a run of graph-dimension cells sharing one path key.
+def _graph_records(fitted, cells, common, seeds, seed_base):
+    """Yield the fits of a run of graph-dimension cells sharing one path key.
 
     Per seed, the B^alpha path is drawn once, at the largest d of the cells:
     the paper's setting of one sample path and many sets A.  Each cell is
     fitted at the Hurst index of every key in ``fitted`` (H, or H and H' for
-    comparison bounds), and ``row`` turns the cell's median fits into its
-    outcome.  The cells that share a set and a fitted H share one count:
-    the graph cloud of the path's first m coordinates, m the largest d among
-    them, is restricted to the set and box-counted once, and the sort of
-    each scale also counts the graphs of its shorter coordinate prefixes
-    (``box_count_curves``), so each cell fits the curve of its own d.  The
-    curves, and so the rows, are those each cell gives alone.  A cell's
-    ``runtime_s`` is its own work; the first cell's also holds the shared
-    work: the grid, the paths, and every count (with its restriction) that
-    more than one cell fits.
+    comparison bounds), and each fit is a record of its cell.  The cells
+    that share a set and a fitted H share one count: the graph cloud of the
+    path's first m coordinates, m the largest d among them, is restricted to
+    the set and box-counted once, and the sort of each scale also counts the
+    graphs of its shorter coordinate prefixes (``box_count_curves``), so
+    each cell fits the curve of its own d.  The fits, and so the rows, are
+    those each cell gives alone.
     """
-    t_start = time.perf_counter()
     alpha = _path_key(cells[0])
     dims = [_cell_d(cell) for cell in cells]
     specs = [cell.get("set", {"kind": "full"}) for cell in cells]
     fsets = [build_set(spec) for spec in specs]
     set_keys = [json.dumps(spec, sort_keys=True) for spec in specs]
     hursts = [tuple(cell[key] for key in fitted) for cell in cells]
-    # each count, (set, H), with the d of its cells and how many cells fit it
-    count_dims, count_users = {}, {}
+    # each count, (set, H), with the d of every cell that fits it
+    count_dims = {}
     for key, d, hs in zip(set_keys, dims, hursts):
         for hurst in set(hs):
-            count_dims.setdefault((key, hurst), set()).add(d)
-            count_users[key, hurst] = count_users.get((key, hurst), 0) + 1
+            count_dims.setdefault((key, hurst), []).append(d)
     grid = TimeGrid.regular(common["grid_n"])
-    deltas = dyadic_deltas(
-        common["delta_coarse_exp"], common["delta_fine_exp"], common["per_octave"]
-    )
-    fits = [[[] for _ in hs] for hs in hursts]
-    own = [0.0] * len(cells)
-    for s in range(seeds):
+    deltas = dyadic_deltas(common["delta_coarse_exp"], common["delta_fine_exp"],
+                           common["per_octave"])
+    for s in range(seeds):   # cell 0 yields first, so each path is charged to it
         path = generate_fbm_path(alpha, grid, d=max(dims), seed=seed_base + s)
         clouds = {
             d: GraphCloud(times=grid.times, values=path.values[:d].T, h_context=alpha)
@@ -436,56 +421,50 @@ def _graph_dim_rows(row, fitted, cells, common, seeds, seed_base):
         }
         subs, curves = {}, {}
         for i, (fset, key, hs) in enumerate(zip(fsets, set_keys, hursts)):
-            t0 = time.perf_counter()
-            for j, hurst in enumerate(hs):
+            for hurst in hs:
                 count = (key, hurst)
                 if count not in curves:
-                    t_count = time.perf_counter()
                     m = max(count_dims[count])
                     if (key, m) not in subs:
                         cloud = clouds[m]
                         subs[key, m] = (cloud if fset.kind == "full-interval"
                                         else cloud.restrict(fset))
                     curves[count] = subs[key, m], box_count_curves(
-                        subs[key, m], deltas, hurst, count_dims[count])
-                    if count_users[count] > 1:   # shared: charged to the first cell
-                        t0 += time.perf_counter() - t_count
+                        subs[key, m], deltas, hurst, set(count_dims[count]))
+                    if len(count_dims[count]) > 1:
+                        yield 0, None   # a shared count is the first cell's work
                 sub, curve = curves[count]
-                fits[i][j].append(estimate_parabolic_dimension(
+                yield i, estimate_parabolic_dimension(
                     sub, deltas, hurst, trim_octaves=common["trim_octaves"],
                     max_count_fraction=common["max_count_fraction"],
                     _curve=curve[dims[i]],
-                ))
-            own[i] += time.perf_counter() - t0
-    own[0] = time.perf_counter() - t_start - sum(own[1:])
-    outcomes = []
-    for cell, fset, cell_fits, runtime in zip(cells, fsets, fits, own):
-        summaries = [
-            {
-                "dim_a": fset.theoretical_dim,
-                "estimate": _median([e.exponent for e in ests]),
-                "r_squared": _median([e.r_squared for e in ests]),
-                "n_fit_points": _median([e.n_points_used for e in ests]),
-            }
-            for ests in cell_fits
-        ]
-        out = row(cell, summaries, common)
-        out["diagnostics"].update(
-            seeds=seeds, grid_n=common["grid_n"], runtime_s=round(runtime, 3)
-        )
-        outcomes.append(out)
-    return outcomes
+                )
+
+
+def _graph_outcome(row, fitted, cell, fits, common, seeds):
+    """``row`` of the cell's median fits at each key in ``fitted``."""
+    summaries = [
+        {
+            "estimate": float(np.median([e.exponent for e in ests])),
+            "r_squared": float(np.median([e.r_squared for e in ests])),
+            "n_fit_points": float(np.median([e.n_points_used for e in ests])),
+        }
+        for ests in (fits[j::len(fitted)] for j in range(len(fitted)))
+    ]
+    out = row(cell, summaries, common)
+    out["diagnostics"].update(seeds=seeds, grid_n=common["grid_n"])
+    return out
 
 
 def _dim_formula_row(cell, fits, common):
     (out,) = fits
-    d = _cell_d(cell)
-    theory = theoretical_graph_dimension(cell["alpha"], cell["hurst"], out["dim_a"], d)
+    d, dim_a = _cell_d(cell), _cell_set(cell).theoretical_dim
+    theory = theoretical_graph_dimension(cell["alpha"], cell["hurst"], dim_a, d)
     diag = {
         "r_squared": out["r_squared"],
         "r_squared_ok": out["r_squared"] >= common["min_r_squared"],
         "n_fit_points": out["n_fit_points"],
-        "dim_a": out["dim_a"],
+        "dim_a": dim_a,
     }
     return dict(theory=theory, estimate=out["estimate"],
                 tolerance=float(cell.get("tolerance", 0.1 if d == 1 else 0.15)),
@@ -502,7 +481,7 @@ def _bracket(estimate, lower, upper, margin, **diag):
 def _holder_bounds_row(cell, fits, common):
     (out,) = fits
     lower, upper = holder_graph_bounds(
-        cell["alpha"], cell["hurst"], out["dim_a"], _cell_d(cell)
+        cell["alpha"], cell["hurst"], _cell_set(cell).theoretical_dim, _cell_d(cell)
     )
     return _bracket(out["estimate"], lower, upper, common["margin"],
                     r_squared=out["r_squared"])
@@ -517,18 +496,19 @@ def _comparison_bounds_row(cell, fits, common):
                     estimate_h=out_h["estimate"])
 
 
-def _kernel_scaling_rows(cells, common, seeds, seed_base):
+def _kernel_records(cells, common, seeds, seed_base):
+    """Yield (t, the kernel's MC value at t) for each t = 2^-k, from seed
+    ``seed_base + i`` for the i-th k of ``t_exponents``."""
     (cell,) = cells
-    t0 = time.perf_counter()
+    for i, k in enumerate(common["t_exponents"]):
+        t = 2.0**-k
+        yield 0, (t, kernel_expectation_mc(t, cell["alpha"], cell["hurst"], cell["gamma"],
+                                           _cell_d(cell), common["n_samples"], seed=seed_base + i))
+
+
+def _kernel_outcome(cell, records, common, seeds):
     alpha, hurst, gamma, d = cell["alpha"], cell["hurst"], cell["gamma"], _cell_d(cell)
-    ks = common["t_exponents"]
-    ts = np.array([2.0**-k for k in ks])
-    vals = [
-        kernel_expectation_mc(
-            t, alpha, hurst, gamma, d, common["n_samples"], seed=seed_base + i
-        )
-        for i, t in enumerate(ts)
-    ]
+    ts, vals = zip(*records)
     slope = float(np.polyfit(np.log(ts), np.log(vals), 1)[0])
     if gamma < hurst * d:
         theory = -gamma * alpha / hurst
@@ -539,11 +519,10 @@ def _kernel_scaling_rows(cells, common, seeds, seed_base):
     diag = {
         "branch": branch,
         "n_samples": common["n_samples"],
-        "t_exponents": list(ks),
-        "runtime_s": round(time.perf_counter() - t0, 3),
+        "t_exponents": list(common["t_exponents"]),
     }
-    return [dict(theory=theory, estimate=slope,
-                 tolerance=common["rel_tolerance"] * abs(theory), diagnostics=diag)]
+    return dict(theory=theory, estimate=slope,
+                tolerance=common["rel_tolerance"] * abs(theory), diagnostics=diag)
 
 
 def _snap_to_grid(samples, grid):
@@ -570,8 +549,12 @@ def _images(cell, grid, samples, seeds, seed_base):
     The path is B^H plus the cell's drift, from seed ``seed_base + s``; when
     the cell gives ``alpha_p`` it is the drift-free mixed path of indices
     (H, alpha_p), from seeds ``seed_base + 2s`` and ``seed_base + 2s + 1``.
+    A ``path: constant`` cell's path is 0, whose one image stands for all seeds.
     """
     hurst, d, alpha_p = cell["hurst"], _cell_d(cell), cell.get("alpha_p")
+    if cell.get("path") == "constant":
+        yield samples.weights, np.zeros((len(samples), d))
+        return
     drift = (lipschitz_drift(grid, d) if cell.get("drift") == "lipschitz"
              else np.zeros((d, len(grid))))
     for s in range(seeds):
@@ -585,21 +568,20 @@ def _images(cell, grid, samples, seeds, seed_base):
         yield drifted_image(path, drift, samples)
 
 
-def _occupation_l2_rows(cells, common, seeds, seed_base):
+def _occupation_l2_records(cells, common, seeds, seed_base):
+    """Yield each seed's (weights, image) of the cell's sampled times."""
     (cell,) = cells
-    t0 = time.perf_counter()
-    d = _cell_d(cell)
-    fset = _cell_set(cell)
-    radii = 2.0 ** -np.asarray(common["radius_exponents"], dtype=float)
     grid = TimeGrid.regular(common["grid_n"])
     samples = _snap_to_grid(
-        sample_natural_measure(fset, common["n_samples"], seed=seed_base), grid
+        sample_natural_measure(_cell_set(cell), common["n_samples"], seed=seed_base), grid
     )
-    if cell.get("path", "fbm") == "constant":
-        images = [np.zeros((len(samples), d))]
-    else:
-        images = [img for _, img in _images(cell, grid, samples, seeds, seed_base)]
-    vals = l2_density_diagnostic(images, samples.weights, radii)
+    yield from ((0, image) for image in _images(cell, grid, samples, seeds, seed_base))
+
+
+def _occupation_l2_outcome(cell, images, common, seeds):
+    d = _cell_d(cell)
+    radii = 2.0 ** -np.asarray(common["radius_exponents"], dtype=float)
+    vals = l2_density_diagnostic([img for _, img in images], images[0][0], radii)
     empty = np.flatnonzero(vals <= 0.0)
     if empty.size:
         raise DegenerateRange(
@@ -612,55 +594,48 @@ def _occupation_l2_rows(cells, common, seeds, seed_base):
         "radius_exponents": list(common["radius_exponents"]),
         "seeds": seeds,
         "n_samples": common["n_samples"],
-        "runtime_s": round(time.perf_counter() - t0, 3),
     }
     if cell.get("check", "bounded") == "bounded":
         ratio = float(vals.max() / vals.min())
         diag.update(max_ratio_allowed=common["max_ratio"],
                     threshold_pass=bool(ratio <= common["max_ratio"]))
-        return [dict(theory=None, estimate=ratio, tolerance=None, diagnostics=diag)]
+        return dict(theory=None, estimate=ratio, tolerance=None, diagnostics=diag)
     # divergence slope for the no-density control
     slope = float(np.polyfit(np.log(radii), np.log(vals), 1)[0])
-    return [dict(theory=-float(d), estimate=slope,
-                 tolerance=common["slope_tolerance"] * d, diagnostics=diag)]
+    return dict(theory=-float(d), estimate=slope,
+                tolerance=common["slope_tolerance"] * d, diagnostics=diag)
 
 
-def _interior_rows(cells, common, seeds, seed_base):
+def _interior_records(cells, common, seeds, seed_base):
+    """Yield each seed's interior probe of the cell's occupation histogram."""
     (cell,) = cells
-    t0 = time.perf_counter()
-    d = _cell_d(cell)
-    epsilon = float(cell["epsilon"])
-    radius = validate_integer(cell.get("radius_cells", 2), "radius_cells")
-    expect = cell.get("expect", "interior")
-    threshold = float(cell.get("threshold", 0.9))
     fset = _cell_set(cell)
     _feasible_rule(cell, fset)
     samples = sample_natural_measure(fset, common["n_samples"], seed=seed_base)
     grid = TimeGrid.regular(common["grid_n"])
-    hists = [
-        occupation_histogram(w, img, epsilon)
-        for w, img in _images(cell, grid, samples, seeds, seed_base)
-    ]
-    frac, _reports = interior_fraction(hists, radius)
-    if expect == "interior":
-        ok = frac >= threshold
-    elif expect == "no-interior":
-        ok = frac <= threshold
-    else:  # evidence: recorded, not thresholded
-        ok = None
+    for w, img in _images(cell, grid, samples, seeds, seed_base):
+        hist = occupation_histogram(w, img, float(cell["epsilon"]))
+        yield 0, occupation.interior_probe(hist, cell.get("radius_cells", 2))
+
+
+def _interior_outcome(cell, reports, common, seeds):
+    frac = sum(r.fraction_of_seeds_with_interior for r in reports) / len(reports)
+    expect = cell.get("expect", "interior")
+    threshold = float(cell.get("threshold", 0.9))
+    # evidence is recorded, not thresholded
+    ok = {"interior": frac >= threshold, "no-interior": frac <= threshold}.get(expect)
     diag = {
         "expect": expect,
         "threshold": threshold,
         "threshold_pass": ok,
-        "epsilon": epsilon,
-        "radius_cells": radius,
+        "epsilon": float(cell["epsilon"]),
+        "radius_cells": reports[0].radius_cells,
         "seeds": seeds,
         "n_samples": common["n_samples"],
         "grid_n": common["grid_n"],
-        "dim_a": fset.theoretical_dim,
-        "runtime_s": round(time.perf_counter() - t0, 3),
+        "dim_a": _cell_set(cell).theoretical_dim,
     }
-    return [dict(theory=None, estimate=frac, tolerance=None, diagnostics=diag)]
+    return dict(theory=None, estimate=frac, tolerance=None, diagnostics=diag)
 
 
 @dataclass(frozen=True)
@@ -670,15 +645,16 @@ class _KindSpec:
     ``defaults`` holds every param besides ``cells``, with its default, whose
     type is the param's check (see ``_check_param``); ``cell_keys`` are the
     keys every cell must carry, ``cell_optional`` the other keys a cell may
-    carry (besides ``label``), ``run`` its runner, ``cell_rule`` the check
-    of a cell's keys against one another, made at load (the runner's own
-    calls repeat it), and ``shares_paths`` whether adjacent cells with one
-    alpha form one job.
+    carry (besides ``label``), ``run`` its runner and ``reduce`` its reducer
+    (see ``_run_one_cell``), ``cell_rule`` the check of a cell's keys
+    against one another, made at load (the runner's own calls repeat it),
+    and ``shares_paths`` whether adjacent cells with one alpha form one job.
     """
 
     defaults: dict
     cell_keys: tuple
     run: Callable
+    reduce: Callable
     cell_optional: tuple = ()
     cell_rule: Callable | None = None
     shares_paths: bool = False
@@ -691,7 +667,8 @@ def _graph_spec(row, defaults, fitted=("hurst",), cell_optional=("set",),
                   "per_octave": 2, "trim_octaves": 1.0, "max_count_fraction": 1 / 3,
                   **defaults},
         cell_keys=("alpha", *fitted, "d"),
-        run=partial(_graph_dim_rows, row, fitted),
+        run=partial(_graph_records, fitted),
+        reduce=partial(_graph_outcome, row, fitted),
         cell_optional=cell_optional,
         cell_rule=cell_rule,
         shares_paths=True,
@@ -702,7 +679,8 @@ def _interior_spec(*cell_optional, cell_rule=None):
     return _KindSpec(
         defaults={"n_samples": 2**14, "grid_n": 2**14},
         cell_keys=("hurst", "d", "epsilon"),
-        run=_interior_rows,
+        run=_interior_records,
+        reduce=_interior_outcome,
         cell_optional=("set", "drift", "radius_cells", "expect", "threshold",
                        *cell_optional),
         cell_rule=cell_rule,
@@ -722,7 +700,8 @@ _KIND_SPECS = {
         defaults={"n_samples": 10**6, "t_exponents": list(range(1, 9)),
                   "rel_tolerance": 0.05},
         cell_keys=("alpha", "hurst", "gamma", "d"),
-        run=_kernel_scaling_rows,
+        run=_kernel_records,
+        reduce=_kernel_outcome,
         cell_rule=_kernel_rule,
     ),
     "occupation-l2": _KindSpec(
@@ -730,7 +709,8 @@ _KIND_SPECS = {
                   "radius_exponents": [4, 5, 6, 7, 8, 9, 10],
                   "max_ratio": 3.0, "slope_tolerance": 0.1},
         cell_keys=("hurst", "d"),
-        run=_occupation_l2_rows,
+        run=_occupation_l2_records,
+        reduce=_occupation_l2_outcome,
         cell_optional=("set", "drift", "path", "check"),
     ),
     "interior": _interior_spec(),
@@ -739,20 +719,39 @@ _KIND_SPECS = {
 
 
 def _run_one_cell(job):
-    """Report rows of one job, in cell order: the only place rows are built.
+    """Report rows of one job, in cell order: the one place rows are built and timed.
 
     ``job`` is (kind, cells, common, seeds, seed_base, config_hash).  For the
     kinds that share paths ``cells`` is a run of cells with one path key,
     which share each seed's path; for the other kinds it holds one cell.
-    The kind's runner returns one outcome per cell, and each row is that
-    outcome stamped with the kind, the cell and the config hash.
+    The kind's runner yields (cell index, record) pairs, its reducer turns
+    each cell's records into an outcome, and each row is that outcome
+    stamped with the kind, the cell, the config hash and ``runtime_s``.
+
+    The charging rule: the time up to each yield goes to the cell it names,
+    and each reduction to its cell.  Shared work goes to the job's first
+    cell: the grid, the paths, and every count that more than one cell
+    fits (named by a None record, which charges time and keeps no record).
     """
     kind, cells, common, seeds, seed_base, config_hash = job
-    outcomes = _KIND_SPECS[kind].run(cells, common, seeds, seed_base)
-    return [
-        ReportRow(kind=kind, cell=cell, config_hash=config_hash, **outcome)
-        for cell, outcome in zip(cells, outcomes)
-    ]
+    spec = _KIND_SPECS[kind]
+    records = [[] for _ in cells]
+    runtimes = [0.0] * len(cells)
+    t0 = time.perf_counter()
+    for i, record in spec.run(cells, common, seeds, seed_base):
+        t1 = time.perf_counter()
+        runtimes[i] += t1 - t0
+        t0 = t1
+        if record is not None:
+            records[i].append(record)
+    rows = []
+    for cell, cell_records, runtime in zip(cells, records, runtimes):
+        outcome = spec.reduce(cell, cell_records, common, seeds)
+        t1 = time.perf_counter()
+        outcome["diagnostics"]["runtime_s"] = round(runtime + t1 - t0, 3)
+        t0 = t1
+        rows.append(ReportRow(kind=kind, cell=cell, config_hash=config_hash, **outcome))
+    return rows
 
 
 def _cell_runs(kind, cells):

@@ -142,12 +142,13 @@ class TimeGrid:
         t = np.asarray(self.times, dtype=float)
         if t.ndim != 1 or t.size == 0:
             raise ConfigError("times must be a non-empty 1-d array")
-        if np.any(t < 0.0) or np.any(t > 1.0):
+        if not np.all((t >= 0.0) & (t <= 1.0)):   # a NaN fails this too
             raise ConfigError("times must lie in [0, 1]")
-        if np.any(np.diff(t) <= 0.0):
+        steps = np.diff(t)
+        if np.any(steps <= 0.0):
             raise ConfigError("times must be strictly increasing")
         object.__setattr__(self, "times", t)
-        gaps = np.diff(t) if t[0] == 0.0 else np.diff(np.concatenate([[0.0], t]))
+        gaps = steps if t[0] == 0.0 else np.concatenate([t[:1], steps])
         uniform = gaps.size == 0 or bool(
             np.allclose(gaps, gaps[0], rtol=_UNIFORM_RTOL, atol=1e-15)
         )

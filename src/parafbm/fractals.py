@@ -9,7 +9,6 @@ theoretical dimension, which is all downstream estimators rely on.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 
@@ -56,7 +55,8 @@ class FractalSet:
         iv = np.asarray(self.intervals, dtype=float)
         if iv.ndim != 2 or iv.shape[1] != 2:
             raise ConfigError("intervals must have shape (m, 2)")
-        if np.any(iv[:, 0] > iv[:, 1]) or iv.min() < 0.0 or iv.max() > 1.0:
+        # a NaN fails every comparison, so each check asks for the good case
+        if not (np.all(iv[:, 0] <= iv[:, 1]) and iv.min() >= 0.0 and iv.max() <= 1.0):
             raise ConfigError("intervals must be within [0, 1] with left <= right")
         if np.any(iv[1:, 0] <= iv[:-1, 1]):
             raise ConfigError("intervals must be sorted and pairwise disjoint")
@@ -80,9 +80,6 @@ class FractalSet:
             "theoretical_dim": self.theoretical_dim,
             "intervals": self.intervals.tolist(),
         }
-
-    def dumps(self):
-        return json.dumps(self.to_json())
 
 
 def full_interval():
@@ -153,9 +150,10 @@ class WeightedTimeSet:
         w = np.asarray(self.weights, dtype=float)
         if t.shape != w.shape or t.ndim != 1:
             raise ConfigError("times and weights must be 1-d arrays of equal length")
-        if np.any(t < 0.0) or np.any(t > 1.0):
+        # a NaN fails every comparison, so each check asks for the good case
+        if not np.all((t >= 0.0) & (t <= 1.0)):
             raise ConfigError("times must lie in [0, 1]")
-        if np.any(w < 0.0) or abs(w.sum() - 1.0) > 1e-12:
+        if not (np.all(w >= 0.0) and abs(w.sum() - 1.0) <= 1e-12):
             raise ConfigError("weights must be non-negative and sum to 1")
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "weights", w)

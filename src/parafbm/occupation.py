@@ -217,7 +217,7 @@ def l2_density_diagnostic(images, weights, radii):
         raise ConfigError("need at least 2 radii")
     if np.any(np.diff(radii) >= 0.0):
         raise ConfigError("radii must be strictly decreasing")
-    if not (np.isfinite(radii[0]) and radii[-1] > 0.0):
+    if not (np.isfinite(radii).all() and radii[-1] > 0.0):
         raise ConfigError("radii must be positive and finite")
     w = np.asarray(weights, dtype=float)
     if not hasattr(images, "__len__"):

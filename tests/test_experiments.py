@@ -368,7 +368,7 @@ class TestInteriorRuns:
         # the runner meets the same check
         common = {k: v for k, v in doc["params"].items() if k != "cells"}
         with pytest.raises(InfeasibleParameters, match=re.escape("alpha'*d = 0.8 >= dim(A)")):
-            experiments._interior_rows(doc["params"]["cells"], common, 1, 0)
+            list(experiments._interior_records(doc["params"]["cells"], common, 1, 0))
 
     def test_abort_keeps_completed_rows(self, tmp_path):
         # cells run in canonical order: the constant path ("path" sorts before

@@ -198,6 +198,11 @@ class TestTimeGrid:
         with pytest.raises(ConfigError):
             TimeGrid(np.array([]))
 
+    def test_nan_time_rejected(self):
+        # a NaN fails every comparison; it must not pass the range checks
+        with pytest.raises(ConfigError, match="must lie in"):
+            TimeGrid(np.array([0.1, np.nan, 0.5]))
+
 
 class TestGeneration:
     def test_starts_at_zero(self):

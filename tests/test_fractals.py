@@ -5,6 +5,7 @@ import pytest
 
 from parafbm.errors import ConfigError, GenerationTooLarge, InvalidRatio
 from parafbm.fractals import (
+    FractalSet,
     WeightedTimeSet,
     full_interval,
     generalized_cantor,
@@ -118,6 +119,19 @@ class TestWeightedTimeSet:
             WeightedTimeSet(times=np.array([0.5]), weights=np.array([0.5]))
         with pytest.raises(ConfigError):
             WeightedTimeSet(times=np.array([1.5]), weights=np.array([1.0]))
+
+    @pytest.mark.parametrize("times, weights", [([0.2, np.nan], [0.5, 0.5]),
+                                                ([0.2, 0.4], [np.nan, 0.5])])
+    def test_nan_rejected(self, times, weights):
+        # a NaN fails every comparison; it must not pass the range checks
+        with pytest.raises(ConfigError):
+            WeightedTimeSet(times=np.array(times), weights=np.array(weights))
+
+
+def test_fractal_set_rejects_nan_interval():
+    with pytest.raises(ConfigError, match="within"):
+        FractalSet(intervals=[[0.1, np.nan]], generation=0, theoretical_dim=1.0,
+                   kind="full-interval")
 
 
 def test_fractal_json():

@@ -6,6 +6,9 @@ samples).  A fresh row must equal its pinned ``csv_record()`` apart from
 ``runtime_s``: strings exactly, floats to rel 1e-12 (rounding may differ
 across platforms; on one machine the rows are byte-identical).
 
+The same configs check that every kind's ``runtime_s`` values are shares
+of the run's wall time.
+
 The sweep digests cover the stdout line and the ``--out`` CSV of
 ``parafbm gauss-sweep --sweep {detcov,lnd} --configs 200`` at two seeds, so
 any bit drift in a sweep record fails here.
@@ -19,6 +22,7 @@ import hashlib
 import io
 import json
 import math
+import time
 from pathlib import Path
 
 import pytest
@@ -141,6 +145,17 @@ def test_rows_match_golden(kind):
     assert len(got) == len(want)
     for i, (g, w) in enumerate(zip(got, want)):
         _assert_same(_parsed(g), _parsed(w), f"{kind}[{i}]")
+
+
+@pytest.mark.parametrize("kind", sorted(CONFIGS))
+def test_runtimes_are_shares_of_the_run(kind):
+    t0 = time.perf_counter()
+    rows = run_experiment(ExperimentConfig.from_dict(CONFIGS[kind]), workers=1)
+    wall = time.perf_counter() - t0
+    runtimes = [row.diagnostics["runtime_s"] for row in rows]
+    assert min(runtimes) >= 0.0
+    # each runtime_s is rounded to the ms, so it may read up to 0.5 ms high
+    assert sum(runtimes) <= wall + 0.0005 * len(rows)
 
 
 def test_every_kind_has_golden_rows():

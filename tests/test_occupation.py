@@ -297,6 +297,7 @@ class TestL2Diagnostic:
         ([np.zeros((5, 1))], [0.5, 0.0]),
         ([np.zeros((5, 1))], [np.nan, 0.5]),
         ([np.zeros((5, 1))], [np.inf, 0.5]),
+        ([np.zeros((5, 1))], [0.5, np.nan, 0.1]),
         ((np.zeros((5, 1)) for _ in range(2)), [0.5, 0.25]),
         ([], [0.5, 0.25]),
         ([np.zeros((5, 1)), np.zeros((5, 2))], [0.5, 0.25]),
