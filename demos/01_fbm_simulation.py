@@ -5,6 +5,8 @@ Cholesky on arbitrary grids), checks the variance law Var B(t) = t^2H by
 Monte Carlo, and shows CSV/JSON serialization.
 """
 
+import io
+
 import numpy as np
 
 import parafbm as pf
@@ -42,7 +44,9 @@ print(p.values)
 # --- serialization -----------------------------------------------------------
 
 print("\nCSV head:")
-print("\n".join(pf.fbm.path_csv_string(p).splitlines()[:3]))
+buf = io.StringIO()
+pf.path_to_csv(p, buf)
+print("\n".join(buf.getvalue().splitlines()[:3]))
 print("\nJSON envelope keys:", sorted(pf.path_to_json(p)))
 print("replayed identically:", np.array_equal(
     pf.generate_fbm_path(0.6, odd_grid, d=2, seed=1).values, p.values))

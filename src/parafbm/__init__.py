@@ -67,7 +67,6 @@ from .occupation import (
     InteriorReport,
     OccupationHistogram,
     drifted_image,
-    interior_fraction,
     interior_probe,
     l2_density_diagnostic,
     occupation_histogram,
@@ -81,7 +80,6 @@ from .gaussian import (
     lnd_distance_ratio,
     lnd_margin,
     lnd_margin_sweep,
-    mixed_increment_variance,
     verify_detcov_lower_bound,
 )
 

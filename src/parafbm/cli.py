@@ -180,7 +180,10 @@ def _cmd_gauss_sweep(args):
 
 
 def _cmd_experiment(args):
-    text = Path(args.config).read_text()
+    try:
+        text = Path(args.config).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{args.config} is not UTF-8 text: {exc}") from None
     config = ExperimentConfig.from_json(text)
     rows = run_experiment(config, out_dir=args.out, workers=args.workers)
     n_pass = sum(1 for r in rows if r.passed)
@@ -244,9 +247,8 @@ def build_parser():
     p = sub.add_parser("experiment", help="run a configured experiment suite")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--workers", type=int, default=None,
-                   help="cell parallelism (defaults to the PARAFBM_WORKERS "
-                        "environment variable, then 1)")
+    p.add_argument("--workers", type=int, default=1,
+                   help="cell parallelism (default 1)")
     p.set_defaults(func=_cmd_experiment)
     return parser
 
@@ -257,10 +259,7 @@ def cli_main(argv=None):
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except FileNotFoundError as exc:
+    except (ConfigError, OSError) as exc:   # OSError: a file unreadable or misplaced
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NumericalError as exc:

@@ -34,7 +34,6 @@ approaches the number of cloud points are resolution-limited and dropped.
 from __future__ import annotations
 
 import csv
-import io
 import math
 from dataclasses import dataclass, field
 
@@ -55,6 +54,7 @@ __all__ = [
     "energy_integral_mc",
     "kernel_expectation_mc",
     "validate_gamma",
+    "validate_kernel_times",
     "validate_fit_scales",
     "dyadic_deltas",
 ]
@@ -159,11 +159,6 @@ class BoxCountCurve:
         w.writerow(["delta", "count"])
         for delta, count in zip(self.deltas, self.counts):
             w.writerow([repr(float(delta)), int(count)])
-
-    def csv_string(self):
-        buf = io.StringIO()
-        self.to_csv(buf)
-        return buf.getvalue()
 
 
 @dataclass(frozen=True)
@@ -444,9 +439,16 @@ def estimate_parabolic_dimension(
     curve to fit, counted already over ``deltas`` at ``hurst`` on a cloud of
     ``cloud.n`` points (a graph-dimension job counts one cloud for the
     graphs of several of its coordinate prefixes); it takes the place of
-    ``box_count_curve(cloud, deltas, hurst, anchor_shift)``.
+    ``box_count_curve(cloud, deltas, hurst, anchor_shift)``.  Raises
+    ConfigError unless ``trim_octaves`` is a finite number >= 0 and
+    ``max_count_fraction`` is None or a number above 0.
     """
     deltas = validate_fit_scales(deltas)
+    # a NaN fails every comparison, so each check asks for the good case
+    if not 0.0 <= trim_octaves < math.inf:
+        raise ConfigError(f"trim_octaves must be a finite number >= 0, got {trim_octaves!r}")
+    if max_count_fraction is not None and not max_count_fraction > 0.0:
+        raise ConfigError(f"max_count_fraction must be above 0, got {max_count_fraction!r}")
     curve = box_count_curve(cloud, deltas, hurst, anchor_shift) if _curve is None else _curve
     d, c = curve.deltas, curve.counts
 
@@ -486,8 +488,8 @@ def energy_integral_mc(measure_points, values, gamma, hurst, pair_seed=0):
     """
     hurst = validate_hurst(hurst)
     pair_seed = validate_seed(pair_seed, "pair_seed")
-    if gamma <= 0.0:
-        raise ConfigError("gamma must be positive")
+    if not 0.0 < gamma < math.inf:
+        raise ConfigError(f"gamma must be positive and finite, got {gamma!r}")
     times = measure_points.times
     weights = measure_points.weights
     v = np.asarray(values, dtype=float)
@@ -528,14 +530,26 @@ def energy_integral_mc(measure_points, values, gamma, hurst, pair_seed=0):
 
 
 def validate_gamma(gamma, hurst, d):
-    """Refuse, with GammaAtBoundary, a gamma within ``GAMMA_BOUNDARY_MARGIN`` of H*d.
+    """Refuse, with GammaAtBoundary, a gamma within ``GAMMA_BOUNDARY_MARGIN`` of H*d,
+    and with ConfigError one that is not a finite number.
 
     The decay in t of the kernel expectation switches branch at gamma = H*d.
     """
+    if not math.isfinite(gamma):
+        raise ConfigError(f"gamma must be a finite number, got {gamma!r}")
     if abs(gamma - hurst * d) < GAMMA_BOUNDARY_MARGIN:
         raise GammaAtBoundary(
             f"gamma={gamma} within {GAMMA_BOUNDARY_MARGIN} of H*d={hurst * d}"
         )
+
+
+def validate_kernel_times(t):
+    """Return ``t``, a time or an array of them, if each lies in (0, 1], the
+    times of the kernel Monte Carlo; otherwise raise ConfigError."""
+    ts = np.asarray(t)
+    if not np.all((ts > 0.0) & (ts <= 1.0)):
+        raise ConfigError("t must lie in (0, 1]")
+    return t
 
 
 def kernel_expectation_mc(t, alpha, hurst, gamma, d, n, seed=0):
@@ -546,8 +560,7 @@ def kernel_expectation_mc(t, alpha, hurst, gamma, d, n, seed=0):
     refused by ``validate_gamma``.
     """
     alpha, hurst = validate_alpha(alpha, hurst)
-    if not 0.0 < t <= 1.0:
-        raise ConfigError("t must lie in (0, 1]")
+    validate_kernel_times(t)
     d = validate_count(d, "d")
     validate_gamma(gamma, hurst, d)
     n = validate_count(n, "n")

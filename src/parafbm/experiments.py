@@ -49,6 +49,7 @@ from .estimators import (
     kernel_expectation_mc,
     validate_fit_scales,
     validate_gamma,
+    validate_kernel_times,
 )
 from .fbm import (
     TimeGrid,
@@ -73,7 +74,12 @@ from .geometry import (
     validate_hurst_order,
 )
 from . import occupation
-from .occupation import drifted_image, l2_density_diagnostic, occupation_histogram
+from .occupation import (
+    drifted_image,
+    l2_density_diagnostic,
+    occupation_histogram,
+    validate_radii,
+)
 
 __all__ = [
     "ExperimentConfig",
@@ -85,8 +91,6 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
-
-WORKERS_ENV = "PARAFBM_WORKERS"
 
 _SET_KEYS = {"kind", "generation", "m", "r", "dim"}
 
@@ -104,6 +108,12 @@ _CELL_HURSTS = ("alpha", "hurst", "hurst_prime", "alpha_p")
 #: the whole-number cell keys, each checked >= 1 at load
 _CELL_COUNTS = ("d", "radius_cells")
 
+#: the whole-number params that count something, each checked >= 1 at load
+_PARAM_COUNTS = ("grid_n", "n_samples")
+
+#: per exponent-list param, the check its runner makes of the scales 2^-k
+_SCALE_CHECKS = {"radius_exponents": validate_radii, "t_exponents": validate_kernel_times}
+
 
 def _is_real(value):
     """A finite real number that is not a bool (JSON true is not 1)."""
@@ -112,19 +122,32 @@ def _is_real(value):
 
 
 def _is_exponent_list(value):
-    """A list of at least two whole numbers: the points of a log-log fit."""
+    """A strictly increasing list of at least two whole numbers: the points
+    of a log-log fit."""
     return (isinstance(value, list) and len(value) >= 2
-            and all(_is_real(k) and float(k).is_integer() for k in value))
+            and all(_is_real(k) and float(k).is_integer() for k in value)
+            and all(a < b for a, b in zip(value, value[1:])))
 
 
 def _check_param(key, value, default):
-    """Check a param by the type of its default: a whole number, a real or a list."""
+    """Check a param by the type of its default: a whole number (at least 1
+    for a count), a real, or an exponent list whose scales 2^-k its runner
+    accepts."""
     if isinstance(default, int):
-        validate_integer(value, key)
+        (validate_count if key in _PARAM_COUNTS else validate_integer)(value, key)
     elif isinstance(default, float) and not _is_real(value):
         raise ConfigError(f"{key} must be a finite number, got {value!r}")
-    elif isinstance(default, list) and not _is_exponent_list(value):
-        raise ConfigError(f"{key} must be a list of at least two whole numbers, got {value!r}")
+    elif isinstance(default, list):
+        if not _is_exponent_list(value):
+            raise ConfigError(f"{key} must be a strictly increasing list of at least two "
+                              f"whole numbers, got {value!r}")
+        with np.errstate(over="ignore"):
+            scales = 2.0 ** -np.asarray(value, dtype=float)
+        try:
+            _SCALE_CHECKS[key](scales)
+        except ConfigError as exc:
+            raise ConfigError(f"{key} must be exponents of scales 2^-k the run accepts, "
+                              f"got {value!r}: {exc}") from None
 
 
 def _check_ladder(delta_coarse_exp, delta_fine_exp, per_octave):
@@ -780,24 +803,21 @@ def _append_rows(report_path, rows):
 @contextmanager
 def atomic_writer(path):
     """Write a file atomically: yields a handle on ``<path>.tmp``, which
-    replaces ``path`` once the block exits without an exception."""
+    replaces ``path`` once the block exits without an exception.  If the
+    block or the rename raises, ``<path>.tmp`` is removed."""
     path = Path(path)
     tmp = path.with_suffix(path.suffix + ".tmp")
-    with open(tmp, "w", newline="") as fh:
-        yield fh
-    os.replace(tmp, path)
-
-
-def _env_workers():
-    text = os.environ.get(WORKERS_ENV, "1")
+    fh = open(tmp, "w", newline="")   # a failed open leaves no file to remove
     try:
-        value = json.loads(text)
-    except ValueError:
-        raise ConfigError(f"{WORKERS_ENV} must be an integer, got {text!r}") from None
-    return validate_count(value, WORKERS_ENV)
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
-def run_experiment(config, out_dir=None, workers=None):
+def run_experiment(config, out_dir=None, workers=1):
     """Run every cell of the configured experiment; returns the report rows.
 
     Cells execute in deterministic order (sorted by their canonical JSON).
@@ -805,11 +825,11 @@ def run_experiment(config, out_dir=None, workers=None):
     one job that draws each seed's path once, at their largest d; every
     other cell is a job of its own.  Each completed job's rows are appended to
     <out_dir>/report.csv immediately, so an abort keeps the finished rows.
-    ``workers``, a whole number >= 1 (default from the PARAFBM_WORKERS
-    environment variable), above 1 distributes jobs over a process pool, at
-    most one worker per job; rows are committed in cell order either way.
+    ``workers``, a whole number >= 1, above 1 distributes jobs over a process
+    pool, at most one worker per job; rows are committed in cell order
+    either way.
     """
-    workers = _env_workers() if workers is None else validate_count(workers, "workers")
+    workers = validate_count(workers, "workers")
     common = dict(_KIND_SPECS[config.kind].defaults)
     common.update({k: v for k, v in config.params.items() if k != "cells"})
     cells = sorted(config.params["cells"], key=_cell_sort_key)

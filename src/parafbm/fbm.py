@@ -30,7 +30,6 @@ and independent of generation order.
 from __future__ import annotations
 
 import csv
-import io
 import numbers
 import threading
 from collections import OrderedDict
@@ -479,10 +478,3 @@ def path_from_json(doc):
         hurst_components=comps,
         seed=tuple(doc["seed"]),
     )
-
-
-def path_csv_string(path):
-    """CSV serialization as a string (convenience for tests and small outputs)."""
-    buf = io.StringIO()
-    path_to_csv(path, buf)
-    return buf.getvalue()

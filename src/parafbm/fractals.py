@@ -72,15 +72,6 @@ class FractalSet:
         idx = np.clip(np.searchsorted(starts, t, side="right") - 1, 0, len(starts) - 1)
         return (t >= starts[idx] - CONTAINS_TOL) & (t <= ends[idx] + CONTAINS_TOL)
 
-    def to_json(self):
-        return {
-            "kind": self.kind,
-            "params": list(self.params),
-            "generation": self.generation,
-            "theoretical_dim": self.theoretical_dim,
-            "intervals": self.intervals.tolist(),
-        }
-
 
 def full_interval():
     """The whole of [0, 1]; dimension 1."""

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AlphaExceedsH, ConfigError, SingularConditioning
+from .errors import ConfigError, SingularConditioning
 from .fbm import fbm_covariance, philox_stream, validate_count, validate_hurst
 
 __all__ = [
@@ -32,7 +32,6 @@ __all__ = [
     "detcov_chain_identity",
     "verify_detcov_lower_bound",
     "lnd_margin",
-    "mixed_increment_variance",
     "detcov_margin_sweep",
     "lnd_margin_sweep",
     "lnd_distance_ratio",
@@ -67,7 +66,7 @@ class GaussianVectorSpec:
         t = np.asarray(self.times, dtype=float)
         if t.ndim != 1 or t.size == 0:
             raise ConfigError("times must be a non-empty 1-d array")
-        if t.min() <= 0.0 or t.max() > 1.0:
+        if not np.all((t > 0.0) & (t <= 1.0)):   # a NaN fails this too
             raise ConfigError("times must lie in (0, 1]")
         validate_hurst(self.hurst)
         if self.alpha_p is not None:
@@ -174,7 +173,7 @@ def verify_detcov_lower_bound(times, hurst):
     t = np.asarray(times, dtype=float)
     if t.ndim != 1 or t.size == 0:
         raise ConfigError("times must be a non-empty 1-d array")
-    if np.unique(t).size != t.size or t.min() <= 0.0 or t.max() > 1.0:
+    if np.unique(t).size != t.size or not np.all((t > 0.0) & (t <= 1.0)):
         raise ConfigError("times must be distinct and in (0, 1]")
     det = float(np.linalg.det(_covariance(t, hurst)))
     return _detcov_margin(det, t.tolist(), 2.0 * hurst)
@@ -229,20 +228,6 @@ def lnd_distance_ratio(hurst, alpha_p, t, r, conditioning_times):
     full = GaussianVectorSpec(np.concatenate([[t], s]), hurst, alpha_p)
     cvar = _schur_conditional_variance(full.covariance, 0, tuple(range(1, len(full))))
     return cvar / r ** (2.0 * alpha_p)
-
-
-def mixed_increment_variance(s, t, hurst, alpha_p):
-    """Variance of Z0(t) - Z0(s): |t-s|^2H + |t-s|^2a'.
-
-    For alpha' <= H and |t - s| <= 1 this lies between |t-s|^2a' and
-    2 |t-s|^2a'.
-    """
-    hurst = validate_hurst(hurst)
-    alpha_p = validate_hurst(alpha_p, "alpha_p")
-    if alpha_p > hurst:
-        raise AlphaExceedsH(f"alpha'={alpha_p} exceeds H={hurst}")
-    gap = abs(float(t) - float(s))
-    return gap ** (2.0 * hurst) + gap ** (2.0 * alpha_p)
 
 
 #: json.dumps(doc, sort_keys=True) builds an encoder per call; one serves all

@@ -83,7 +83,7 @@ def comparison_bounds(dim_psi_h, hurst, hurst_prime, d):
     number >= 1.
     """
     hurst, hurst_prime = validate_hurst_order(hurst, hurst_prime)
-    if dim_psi_h < 0.0:
+    if not dim_psi_h >= 0.0:   # a NaN fails this too
         raise ConfigError("dim_psi_h must be non-negative")
     d = validate_count(d, "d")
     ratio = hurst_prime / hurst
@@ -104,13 +104,13 @@ def holder_graph_bounds(alpha, hurst, dim_a, d):
 
 def psi_dim_from_metric_dim(dim_rho, hurst):
     """Convert a rho_H-metric dimension to the parabolic dimension (multiply by H)."""
-    if dim_rho < 0.0:
+    if not dim_rho >= 0.0:
         raise ConfigError("dim_rho must be non-negative")
     return validate_hurst(hurst) * dim_rho
 
 
 def metric_dim_from_psi_dim(dim_psi, hurst):
     """Inverse conversion: parabolic dimension to rho_H-metric dimension (divide by H)."""
-    if dim_psi < 0.0:
+    if not dim_psi >= 0.0:
         raise ConfigError("dim_psi must be non-negative")
     return dim_psi / validate_hurst(hurst)

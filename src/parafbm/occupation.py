@@ -11,7 +11,6 @@ memory follows the occupied cells, not their bounding box.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 from dataclasses import dataclass
@@ -29,8 +28,8 @@ __all__ = [
     "occupation_histogram",
     "positive_measure_estimate",
     "l2_density_diagnostic",
+    "validate_radii",
     "interior_probe",
-    "interior_fraction",
 ]
 
 @dataclass(frozen=True)
@@ -62,10 +61,6 @@ class OccupationHistogram:
     def d(self):
         return self.origin.size
 
-    @property
-    def total_mass(self):
-        return float(sum(self.cells.values()))
-
     def to_csv(self, file, config=None):
         """Sparse CSV to an open text file: one row per cell (indices then
         mass); config echoed in a comment."""
@@ -75,11 +70,6 @@ class OccupationHistogram:
         w.writerow([f"i{k + 1}" for k in range(self.d)] + ["mass"])
         for idx in sorted(self.cells):
             w.writerow(list(idx) + [repr(self.cells[idx])])
-
-    def csv_string(self, config=None):
-        buf = io.StringIO()
-        self.to_csv(buf, config)
-        return buf.getvalue()
 
 
 @dataclass(frozen=True)
@@ -184,7 +174,7 @@ def positive_measure_estimate(hist, mass_floor=0.0):
     A cell counts when its mass is at least mass_floor * eps^d, i.e. its
     density proxy mass/eps^d clears the floor.  Non-increasing in the floor.
     """
-    if mass_floor < 0.0:
+    if not mass_floor >= 0.0:   # a NaN fails this too
         raise ConfigError("mass_floor must be >= 0")
     cell_vol = hist.cell_size**hist.d
     threshold = mass_floor * cell_vol
@@ -206,19 +196,13 @@ def l2_density_diagnostic(images, weights, radii):
     traversal counts pairs at distance <= r, so it is queried at the next
     float below r, and it includes the self-pairs, whose sum of w_i^2 is
     subtracted; a radius with no other pair inside it gives exactly 0.
-    Raises ConfigError for radii that are not positive, finite and strictly
-    decreasing, for an iterator in place of a sequence of images, for images
-    of different d or rows, and for NaN or infinite weights or values.
+    Raises ConfigError for radii that ``validate_radii`` refuses, for an
+    iterator in place of a sequence of images, for images of different d or
+    rows, and for NaN or infinite weights or values.
     """
     from scipy.spatial import cKDTree
 
-    radii = np.asarray(radii, dtype=float)
-    if radii.ndim != 1 or radii.size < 2:
-        raise ConfigError("need at least 2 radii")
-    if np.any(np.diff(radii) >= 0.0):
-        raise ConfigError("radii must be strictly decreasing")
-    if not (np.isfinite(radii).all() and radii[-1] > 0.0):
-        raise ConfigError("radii must be positive and finite")
+    radii = validate_radii(radii)
     w = np.asarray(weights, dtype=float)
     if not hasattr(images, "__len__"):
         raise ConfigError("images must be a sequence of arrays, not an iterator")
@@ -244,6 +228,19 @@ def l2_density_diagnostic(images, weights, radii):
         counts = tree.count_neighbors(tree, below, cumulative=True)
         totals += np.where(counts > w.size, weighted - self_pairs, 0.0)
     return totals / len(ys) / radii**d
+
+
+def validate_radii(radii):
+    """Return ``radii`` as a float array if they are at least 2, positive,
+    finite and strictly decreasing; otherwise raise ConfigError."""
+    radii = np.asarray(radii, dtype=float)
+    if radii.ndim != 1 or radii.size < 2:
+        raise ConfigError("need at least 2 radii")
+    if np.any(np.diff(radii) >= 0.0):
+        raise ConfigError("radii must be strictly decreasing")
+    if not (np.isfinite(radii).all() and radii[-1] > 0.0):
+        raise ConfigError("radii must be positive and finite")
+    return radii
 
 
 def interior_probe(hist, radius_cells):
@@ -287,12 +284,3 @@ def interior_probe(hist, radius_cells):
         interior_cells=cells,
         fraction_of_seeds_with_interior=1.0 if cells else 0.0,
     )
-
-
-def interior_fraction(hists, radius_cells):
-    """Probe an ensemble of histograms; returns (fraction of seeds with interior, reports)."""
-    reports = [interior_probe(h, radius_cells) for h in hists]
-    if not reports:
-        raise ConfigError("need at least one histogram")
-    frac = sum(r.fraction_of_seeds_with_interior for r in reports) / len(reports)
-    return frac, reports

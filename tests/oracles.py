@@ -12,6 +12,8 @@ replaced, which draws each config and calls the public one-config route.
 The increment covariance of the Cholesky sampler is checked against a
 50-digit mpmath evaluation of each entry, and the kernel Monte Carlo against
 a quadrature of the law of the sup-norm of a normal vector.
+The mixed sampler's increments are checked against the closed-form
+increment variance of B^H + B^a'.
 """
 
 import cmath
@@ -298,6 +300,20 @@ def naive_conditional_variance(cov, target, given):
         x[row] = s / a[row][row]
     cross = [cov[gi][target] for gi in given]
     return cov[target][target] - sum(c * xi for c, xi in zip(cross, x))
+
+
+def mixed_increment_variance(s, t, hurst, alpha_p):
+    """Variance of Z0(t) - Z0(s) for Z0 = B^H + B^a': |t-s|^2H + |t-s|^2a'.
+
+    For alpha' <= H and |t - s| <= 1 this lies between |t-s|^2a' and
+    2 |t-s|^2a'; alpha' > H raises AlphaExceedsH.
+    """
+    from parafbm.errors import AlphaExceedsH
+
+    if alpha_p > hurst:
+        raise AlphaExceedsH(f"alpha'={alpha_p} exceeds H={hurst}")
+    gap = abs(float(t) - float(s))
+    return gap ** (2.0 * hurst) + gap ** (2.0 * alpha_p)
 
 
 def mvn_kappa(hurst):

@@ -90,6 +90,14 @@ class TestGenerate:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
+    def test_out_is_a_directory_exit_1(self, tmp_path, capsys):
+        # the rename raised IsADirectoryError and left adir.tmp behind
+        (tmp_path / "adir").mkdir()
+        assert run(["generate", "--hurst", "0.5", "--n", "16",
+                    "--out", str(tmp_path / "adir") + "/"]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["adir"]
+
     def test_bad_hurst_exit_1(self, tmp_path, capsys):
         code = run(["generate", "--hurst", "1.2", "--n", "16",
                     "--out", str(tmp_path / "x.csv")])
@@ -183,6 +191,14 @@ class TestEnergyAndOccupancy:
         doc = json.loads(capsys.readouterr().out)
         assert doc["energy"] > 0
 
+    def test_energy_nan_gamma_exit_1(self, tmp_path, capsys):
+        # printed {"energy": NaN, "gamma": NaN, ...}, which is not JSON, and exited 0
+        path = _cloud_csv(tmp_path, ["0.0,0.1", "0.5,0.2", "1.0,0.3"])
+        assert run(["energy", "--input", str(path), "--hurst", "0.5",
+                    "--gamma", "nan"]) == 1
+        out = capsys.readouterr()
+        assert out.out == "" and "error: gamma must be positive and finite" in out.err
+
     def test_occupancy(self, tmp_path, capsys):
         path = tmp_path / "p.csv"
         run(["generate", "--hurst", "0.5", "--n", "2048", "--seed", "5",
@@ -260,14 +276,32 @@ class TestExperimentCommand:
                     "--out", str(tmp_path / "r")]) == 1
         assert "cell" in capsys.readouterr().err
 
-    def test_fractional_workers_env_exit_1(self, tmp_path, monkeypatch, capsys):
+    def test_zero_workers_exit_1(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"kind": "kernel-scaling", "params": {
             "cells": [{"alpha": 0.2, "hurst": 0.8, "gamma": 3.0, "d": 1}]}}))
-        monkeypatch.setenv("PARAFBM_WORKERS", "1.5")
-        assert run(["experiment", "--config", str(cfg_path),
-                    "--out", str(tmp_path / "r")]) == 1
-        assert "PARAFBM_WORKERS" in capsys.readouterr().err
+        out = tmp_path / "r"
+        assert run(["experiment", "--config", str(cfg_path), "--out", str(out),
+                    "--workers", "0"]) == 1
+        assert "error: workers must be >= 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fault", ["config is a directory", "config not UTF-8",
+                                       "out is a file"])
+    def test_unreadable_or_misplaced_file_exit_1(self, tmp_path, capsys, fault):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"kind": "kernel-scaling", "params": {
+            "cells": [{"alpha": 0.2, "hurst": 0.8, "gamma": 3.0, "d": 1}]}}))
+        out = tmp_path / "r"
+        if fault == "config is a directory":
+            cfg_path = tmp_path
+        elif fault == "config not UTF-8":
+            cfg_path.write_bytes(b'{"kind": "\xff"}')
+        else:
+            out.write_text("a file")
+        assert run(["experiment", "--config", str(cfg_path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.is_dir()
 
     def test_zero_pair_mass_exit_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
@@ -354,6 +388,13 @@ class TestExperimentCommand:
         ("kernel-scaling", "rel_tolerance", False),
         ("occupation-l2", "radius_exponents", "4,5"),
         ("kernel-scaling", "t_exponents", [1, 2.5]),
+        # each case below wrote config.json, then failed at run or ran
+        ("occupation-l2", "grid_n", 0),
+        ("occupation-l2", "n_samples", 0),
+        ("kernel-scaling", "n_samples", -1),
+        ("occupation-l2", "radius_exponents", [2, 1]),
+        ("kernel-scaling", "t_exponents", [-1, 2]),
+        ("kernel-scaling", "t_exponents", [1, 1]),
     ])
     def test_real_and_exponent_params_named_by_key(self, tmp_path, capsys, kind, key, value):
         cell = {"dim-formula": {"alpha": 0.5, "hurst": 0.5, "d": 1},
@@ -364,9 +405,10 @@ class TestExperimentCommand:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"kind": kind, "seeds": 1, "params": {
             **sizes, key: value, "cells": [cell]}}))
-        assert run(["experiment", "--config", str(cfg_path),
-                    "--out", str(tmp_path / "r")]) == 1
+        out = tmp_path / "r"
+        assert run(["experiment", "--config", str(cfg_path), "--out", str(out)]) == 1
         assert f"error: {key} must be" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_misspelt_cell_key_exit_1(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

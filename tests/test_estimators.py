@@ -1,4 +1,5 @@
 import dataclasses
+import io
 
 import numpy as np
 import pytest
@@ -462,6 +463,17 @@ class TestDimensionEstimate:
         with pytest.raises(ConfigError):
             estimate_parabolic_dimension(flat_cloud(), np.array([0.5, 0.25, 0.2]), 0.5)
 
+    @pytest.mark.parametrize("key, value", [
+        ("trim_octaves", np.nan), ("trim_octaves", np.inf),
+        ("max_count_fraction", np.nan), ("max_count_fraction", 0.0),
+    ])
+    def test_trim_and_count_fraction_checked(self, key, value):
+        # a NaN trim skipped the trim; the rest raised DegenerateRange, a
+        # numerical failure, for a config fault
+        with pytest.raises(ConfigError, match=f"^{key} must be"):
+            estimate_parabolic_dimension(flat_cloud(), dyadic_deltas(1, 6), 0.5,
+                                         **{key: value})
+
     def test_narrow_span(self):
         with pytest.raises(ConfigError):
             estimate_parabolic_dimension(
@@ -481,7 +493,9 @@ class TestDimensionEstimate:
 
     def test_curve_csv(self):
         curve = box_count_curve(flat_cloud(), dyadic_deltas(1, 4), 0.5)
-        text = curve.csv_string()
+        buf = io.StringIO()
+        curve.to_csv(buf)
+        text = buf.getvalue()
         assert text.splitlines()[0] == "delta,count"
         assert len(text.splitlines()) == 5
 
@@ -583,6 +597,13 @@ class TestEnergy:
         with pytest.raises(ConfigError):
             energy_integral_mc(pts, np.zeros((1, 1)), 0.5, 0.5)
 
+    @pytest.mark.parametrize("gamma", [np.nan, np.inf, 0.0])
+    def test_gamma_positive_and_finite(self, gamma):
+        # NaN and inf gave a NaN and an infinite energy
+        pts = WeightedTimeSet(times=np.array([0.25, 0.75]), weights=np.array([0.5, 0.5]))
+        with pytest.raises(ConfigError, match="gamma must be positive and finite"):
+            energy_integral_mc(pts, np.zeros((2, 1)), gamma, 0.5)
+
 
 class TestKernelExpectation:
     def test_bounded_by_one_at_t_one(self):
@@ -592,6 +613,9 @@ class TestKernelExpectation:
     def test_boundary_rejected(self):
         with pytest.raises(GammaAtBoundary):
             kernel_expectation_mc(0.5, 0.3, 0.6, 0.6, 1, 100)
+        # a NaN gamma gave a NaN mean
+        with pytest.raises(ConfigError, match="gamma must be a finite number"):
+            kernel_expectation_mc(0.5, 0.3, 0.6, np.nan, 1, 100)
 
     @pytest.mark.parametrize("d", [1.5, True, 0])
     def test_d_must_be_a_whole_number(self, d):

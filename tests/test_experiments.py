@@ -12,6 +12,7 @@ from parafbm.errors import ConfigError, DegenerateRange, InfeasibleParameters
 from parafbm.estimators import estimate_parabolic_dimension
 from parafbm.experiments import (
     ExperimentConfig,
+    atomic_writer,
     build_set,
     lipschitz_drift,
     run_experiment,
@@ -185,26 +186,16 @@ class TestDimFormulaRun:
         rows = run_experiment(cfg, out_dir=None)
         assert rows[0].config_hash == cfg.config_hash()
 
-    @pytest.mark.parametrize("text", ["1.5", "abc", "true", ""])
-    def test_non_integral_workers_env_rejected(self, monkeypatch, text):
-        monkeypatch.setenv("PARAFBM_WORKERS", text)
-        cfg = ExperimentConfig.from_dict(small_dim_formula_config())
-        with pytest.raises(ConfigError, match="PARAFBM_WORKERS"):
-            run_experiment(cfg)
-        with pytest.raises(ConfigError, match="workers"):
-            run_experiment(cfg, workers=1.5)
-
     @pytest.mark.parametrize("workers", [0, -3])
     def test_workers_below_one_rejected(self, workers):
         cfg = ExperimentConfig.from_dict(small_dim_formula_config())
         with pytest.raises(ConfigError, match=f"workers must be >= 1, got {workers}"):
             run_experiment(cfg, workers=workers)
 
-    def test_zero_workers_env_rejected(self, monkeypatch):
-        monkeypatch.setenv("PARAFBM_WORKERS", "0")
+    def test_fractional_workers_rejected(self):
         cfg = ExperimentConfig.from_dict(small_dim_formula_config())
-        with pytest.raises(ConfigError, match="PARAFBM_WORKERS must be >= 1, got 0"):
-            run_experiment(cfg)
+        with pytest.raises(ConfigError, match="workers must be an integer, got 1.5"):
+            run_experiment(cfg, workers=1.5)
 
     def test_pool_capped_at_job_count(self, monkeypatch):
         sizes = []
@@ -227,16 +218,8 @@ class TestDimFormulaRun:
         rows = run_experiment(ExperimentConfig.from_dict(_GRAPH_CONFIGS["dim-formula"]),
                               workers=8)
         assert len(rows) == 6 and sizes == [2]
-        monkeypatch.setenv("PARAFBM_WORKERS", "2")
-        run_experiment(ExperimentConfig.from_dict(small_dim_formula_config()))
+        run_experiment(ExperimentConfig.from_dict(small_dim_formula_config()), workers=2)
         assert sizes == [2]   # one job runs serially, without a pool
-
-    def test_workers_env_var(self, monkeypatch):
-        monkeypatch.setenv("PARAFBM_WORKERS", "2")
-        cfg = ExperimentConfig.from_dict(small_dim_formula_config())
-        rows = run_experiment(cfg, out_dir=None)   # env-driven pool
-        serial = run_experiment(cfg, out_dir=None, workers=1)
-        assert [r.estimate for r in rows] == [r.estimate for r in serial]
 
 
 class TestHolderAndComparisonRuns:
@@ -384,6 +367,17 @@ class TestInteriorRuns:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 1   # the passing cell was flushed before the abort
         assert json.loads(rows[0]["cell"])["path"] == "constant"
+
+
+def test_atomic_writer_removes_its_temp_file_on_failure(tmp_path):
+    target = tmp_path / "out.csv"
+    target.write_text("old")
+    with pytest.raises(RuntimeError):
+        with atomic_writer(target) as fh:
+            fh.write("new")
+            raise RuntimeError("the block failed")
+    assert target.read_text() == "old"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv"]
 
 
 def test_lipschitz_drift_shape():

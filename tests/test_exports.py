@@ -1,9 +1,12 @@
-"""Export guard: ``__all__`` lists only real names, and the package root
-re-exports only names its modules declare public."""
+"""Export guard: ``__all__`` lists only real names, the package root
+re-exports only names its modules declare public, and every public function
+is reached from outside the unit tests."""
 
 import ast
 import importlib
+import inspect
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -11,6 +14,8 @@ import pytest
 import parafbm
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(parafbm.__path__))
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _public(module):
@@ -39,3 +44,28 @@ def test_root_imports_are_declared_public():
     undeclared = [f"{mod}.{name}" for mod, name in imports
                   if name not in _public(importlib.import_module(f"parafbm.{mod}"))]
     assert not undeclared, f"parafbm/__init__.py imports undeclared names: {undeclared}"
+
+
+def _reaching_text(name):
+    """The text of every file a public function of module ``name`` may be
+    reached from: the other modules (not ``__init__``), the demos, README,
+    the benchmark and the acceptance suite."""
+    files = [p for p in (ROOT / "src" / "parafbm").glob("*.py")
+             if p.stem not in (name, "__init__")]
+    files += [*(ROOT / "demos").glob("*.py"), *(ROOT / "perfbench").rglob("*.py"),
+              *(ROOT / "perfbench").glob("*.md"),
+              ROOT / "README.md", ROOT / "tests" / "test_acceptance.py"]
+    return "\n".join(p.read_text() for p in files)
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_public_functions_are_reached_outside_unit_tests(name):
+    # classes are exempt: they are reached as return types; a function only
+    # unit tests reach is deleted, or moved to tests/oracles.py if an oracle
+    module = importlib.import_module(f"parafbm.{name}")
+    text = _reaching_text(name)
+    unreached = [n for n in getattr(module, "__all__", [])
+                 if inspect.isfunction(getattr(module, n))
+                 and not re.search(rf"\b{n}\b", text)]
+    assert not unreached, (
+        f"parafbm.{name} exports functions that only unit tests use: {unreached}")

@@ -1,3 +1,4 @@
+import io
 import json
 
 import numpy as np
@@ -10,6 +11,7 @@ from oracles import (
     four_power_increment_covariance,
     full_complex_fgn_eigenvalues,
     full_complex_fgn_path,
+    mixed_increment_variance,
     mp_increment_covariance,
     naive_fgn_path,
     one_expression_fgn_autocovariance,
@@ -22,8 +24,8 @@ from parafbm.fbm import (
     fbm_covariance,
     generate_fbm_path,
     generate_mixed_path,
-    path_csv_string,
     path_from_json,
+    path_to_csv,
     path_to_json,
 )
 from parafbm.fractals import WeightedTimeSet, middle_thirds_cantor, sample_natural_measure
@@ -265,8 +267,7 @@ class TestGeneration:
             for s in range(nrep)
         ])
         inc = vals[:, 2] - vals[:, 1]
-        gap = g.times[2] - g.times[1]
-        theo = gap ** (2 * h) + gap ** (2 * ap)
+        theo = mixed_increment_variance(g.times[1], g.times[2], h, ap)
         se = theo * np.sqrt(2.0 / nrep)
         assert abs((inc**2).mean() - theo) <= 3 * se
 
@@ -455,7 +456,9 @@ class TestHalfSpectrumSampler:
 class TestSerialization:
     def test_csv_columns(self):
         p = generate_fbm_path(0.5, TimeGrid.regular(4), d=2, seed=3)
-        text = path_csv_string(p)
+        buf = io.StringIO()
+        path_to_csv(p, buf)
+        text = buf.getvalue()
         lines = text.strip().splitlines()
         assert lines[0] == "t,x1,x2"
         assert len(lines) == 5

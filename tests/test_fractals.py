@@ -132,11 +132,3 @@ def test_fractal_set_rejects_nan_interval():
     with pytest.raises(ConfigError, match="within"):
         FractalSet(intervals=[[0.1, np.nan]], generation=0, theoretical_dim=1.0,
                    kind="full-interval")
-
-
-def test_fractal_json():
-    c = generalized_cantor(2, 0.25, 2)
-    doc = c.to_json()
-    assert doc["kind"] == "generalized-cantor"
-    assert doc["generation"] == 2
-    assert len(doc["intervals"]) == 4

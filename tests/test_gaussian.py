@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from oracles import (
     detcov_sweep_by_config,
     lnd_sweep_by_config,
+    mixed_increment_variance,
     mvn_kappa,
     mvn_kappa_quadrature,
     naive_conditional_variance,
@@ -23,7 +24,6 @@ from parafbm.gaussian import (
     lnd_distance_ratio,
     lnd_margin,
     lnd_margin_sweep,
-    mixed_increment_variance,
     verify_detcov_lower_bound,
 )
 
@@ -127,6 +127,12 @@ class TestDetcovChain:
 class TestDetcovLowerBound:
     def test_single_time_margin_one(self):
         assert verify_detcov_lower_bound(np.array([0.77]), 0.3) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("times", [[0.2, 0.2], [0.0, 0.5], [0.2, 1.5], [0.2, np.nan]])
+    def test_times_distinct_and_in_unit_interval(self, times):
+        # [0.2, nan] gave a NaN margin
+        with pytest.raises(ConfigError, match="distinct and in"):
+            verify_detcov_lower_bound(np.array(times), 0.5)
 
     def test_brownian_independent_increments(self):
         assert verify_detcov_lower_bound(np.array([0.5, 1.0]), 0.5) == pytest.approx(1.0)
@@ -370,6 +376,14 @@ class TestMixedIncrementVariance:
 def test_spec_requires_positive_times():
     with pytest.raises(ConfigError):
         GaussianVectorSpec(np.array([0.0, 0.5]), 0.5)
+    # a NaN time gave a NaN covariance, so NaN variances and ratios downstream
+    with pytest.raises(ConfigError, match="times must lie in"):
+        GaussianVectorSpec(np.array([0.2, np.nan]), 0.5)
+    with pytest.raises(ConfigError, match="times must lie in"):
+        lnd_margin(GaussianVectorSpec(np.array([0.2]), 0.5, 0.3), 0.5,
+                   conditioning_times=[0.2, np.nan])
+    with pytest.raises(ConfigError, match="times must lie in"):
+        lnd_distance_ratio(0.7, 0.35, 0.5, 0.1, np.array([0.2, np.nan]))
 
 
 def test_kernel_follows_alpha_p():

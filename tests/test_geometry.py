@@ -139,6 +139,12 @@ class TestComparisonBounds:
         with pytest.raises(ConfigError, match="^d must be"):
             comparison_bounds(1.0, 0.5, 0.7, d)
 
+    @pytest.mark.parametrize("dim", [-0.1, np.nan])
+    def test_dimension_must_be_non_negative(self, dim):
+        # a NaN gave (nan, nan)
+        with pytest.raises(ConfigError, match="dim_psi_h must be non-negative"):
+            comparison_bounds(dim, 0.5, 0.7, 1)
+
     def test_order_violation(self):
         with pytest.raises(HOrderViolation):
             comparison_bounds(1.0, 0.7, 0.7, 1)
@@ -219,3 +225,8 @@ class TestDimConversions:
     def test_negative_rejected(self):
         with pytest.raises(ConfigError):
             psi_dim_from_metric_dim(-0.1, 0.5)
+        # a NaN dimension gave NaN both ways
+        with pytest.raises(ConfigError, match="dim_rho must be non-negative"):
+            psi_dim_from_metric_dim(np.nan, 0.5)
+        with pytest.raises(ConfigError, match="dim_psi must be non-negative"):
+            metric_dim_from_psi_dim(np.nan, 0.5)

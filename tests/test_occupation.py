@@ -1,3 +1,4 @@
+import io
 import os
 import subprocess
 import sys
@@ -22,7 +23,6 @@ from parafbm.fractals import WeightedTimeSet, full_interval, sample_natural_meas
 from parafbm.occupation import (
     OccupationHistogram,
     drifted_image,
-    interior_fraction,
     interior_probe,
     l2_density_diagnostic,
     occupation_histogram,
@@ -92,7 +92,7 @@ class TestHistogram:
         v = np.tile([[0.3, -0.2]], (7, 1))
         h = occupation_histogram(w, v, 0.1)
         assert len(h.cells) == 1
-        assert h.total_mass == pytest.approx(1.0)
+        assert sum(h.cells.values()) == pytest.approx(1.0)
 
     def test_line_two_cells(self):
         n = 1000
@@ -109,7 +109,7 @@ class TestHistogram:
             w /= w.sum()
             v = rng.normal(0, 1, (n, int(rng.integers(1, 4))))
             h = occupation_histogram(w, v, float(rng.uniform(0.05, 1.0)))
-            assert abs(h.total_mass - 1.0) <= 1e-9
+            assert abs(sum(h.cells.values()) - 1.0) <= 1e-9
 
     def test_dyadic_refinement_nesting(self):
         rng = np.random.default_rng(3)
@@ -125,7 +125,9 @@ class TestHistogram:
 
     def test_csv_with_config(self):
         h = occupation_histogram(np.array([1.0]), np.array([[0.0, 0.0]]), 0.5)
-        text = h.csv_string(config={"epsilon": 0.5})
+        buf = io.StringIO()
+        h.to_csv(buf, config={"epsilon": 0.5})
+        text = buf.getvalue()
         assert text.startswith("# config:")
         assert "i1,i2,mass" in text.splitlines()[1]
 
@@ -138,7 +140,7 @@ class TestHistogram:
             occupation_histogram(np.zeros(0), np.zeros((0, 2)), 0.1)
         h = occupation_histogram(np.zeros(0), np.zeros((0, 2)), 0.1, origin=[0.0, 1.0])
         assert h.cells == {}
-        assert h.d == 2 and h.total_mass == 0.0
+        assert h.d == 2
 
     @pytest.mark.parametrize("weights, values", [
         ([1 / 3] * 3, [[0.0], [np.nan], [2.0]]),
@@ -218,6 +220,13 @@ class TestPositiveMeasure:
         floors = [0.0, 0.5, 1.0, 2.0, 5.0]
         vals = [positive_measure_estimate(h, f) for f in floors]
         assert np.all(np.diff(vals) <= 1e-12)
+
+    @pytest.mark.parametrize("floor", [-0.1, np.nan])
+    def test_floor_must_be_non_negative(self, floor):
+        # a NaN floor gave 0.0
+        h = occupation_histogram(np.array([1.0]), np.array([[0.0]]), 0.25)
+        with pytest.raises(ConfigError, match="mass_floor must be >= 0"):
+            positive_measure_estimate(h, floor)
 
 
 class TestL2Diagnostic:
@@ -464,13 +473,6 @@ class TestInteriorProbe:
             for di in range(-2, 3):
                 for dj in range(-2, 3):
                     assert (cell[0] + di, cell[1] + dj) in occupied
-
-    def test_interior_fraction_aggregates(self):
-        full = self.full_grid_hist(5, 1)
-        empty = OccupationHistogram(cell_size=0.1, origin=np.zeros(1), cells={(0,): 1.0})
-        frac, reports = interior_fraction([full, empty], 1)
-        assert frac == pytest.approx(0.5)
-        assert len(reports) == 2
 
     def test_two_far_cells_have_no_interior(self):
         # two far cells span a 2^14 x 2^14 box, but only the two cells are probed
