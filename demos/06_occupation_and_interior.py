@@ -65,6 +65,5 @@ w, img = pf.drifted_image(path, np.zeros_like(path.values), samples)
 hist = pf.occupation_histogram(w, img, epsilon=2.0**-4)
 print(f"\noccupied cells at eps=1/16: {len(hist.cells)}; "
       f"measure proxy {pf.positive_measure_estimate(hist):.4f}")
-report = pf.interior_probe(hist, radius_cells=1)
-print(f"cells with fully occupied radius-1 neighborhood: "
-      f"{len(report.interior_cells)}")
+interior = pf.interior_probe(hist, radius_cells=1)
+print(f"cells with fully occupied radius-1 neighborhood: {len(interior)}")

@@ -64,7 +64,6 @@ from .estimators import (
     parabolic_box_count,
 )
 from .occupation import (
-    InteriorReport,
     OccupationHistogram,
     drifted_image,
     interior_probe,

@@ -151,11 +151,16 @@ def _cmd_occupancy(args):
     if args.out:
         with atomic_writer(args.out) as fh:
             hist.to_csv(fh, config=config)
-    report = interior_probe(hist, args.radius)
-    print(report.dumps(config=config))
+    cells = interior_probe(hist, args.radius)
+    # one histogram, so the fraction of seeds with an interior is 1 or 0
+    report = json.dumps({"cell_size": hist.cell_size, "radius_cells": args.radius,
+                         "interior_cells": cells.tolist(),
+                         "fraction_of_seeds_with_interior": 1.0 if len(cells) else 0.0,
+                         "config": config})
+    print(report)
     if args.interior:
         with atomic_writer(args.interior) as fh:
-            fh.write(report.dumps(config=config))
+            fh.write(report)
     return EXIT_OK
 
 

@@ -105,20 +105,35 @@ _CELL_REALS = ("epsilon", "threshold", "tolerance", "gamma")
 #: the Hurst-index cell keys, each checked in (0, 1) at load (alpha_p may be null)
 _CELL_HURSTS = ("alpha", "hurst", "hurst_prime", "alpha_p")
 
-#: the whole-number cell keys, each checked >= 1 at load
+#: the whole-number cell keys, each checked by ``_check_count`` at load
 _CELL_COUNTS = ("d", "radius_cells")
 
-#: the whole-number params that count something, each checked >= 1 at load
+#: the whole-number params that count something, checked by ``_check_count`` at load
 _PARAM_COUNTS = ("grid_n", "n_samples")
+
+#: the largest array length, so the largest count a run can use
+_MAX_COUNT = int(np.iinfo(np.intp).max)
 
 #: per exponent-list param, the check its runner makes of the scales 2^-k
 _SCALE_CHECKS = {"radius_exponents": validate_radii, "t_exponents": validate_kernel_times}
 
 
 def _is_real(value):
-    """A finite real number that is not a bool (JSON true is not 1)."""
-    return (isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_))
-            and math.isfinite(value))
+    """A finite real number that is not a bool (JSON true is not 1); an
+    integer too large for a float is not one."""
+    if not isinstance(value, numbers.Real) or isinstance(value, (bool, np.bool_)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+def _check_count(value, key):
+    """A whole number from 1 to the largest array length."""
+    if validate_count(value, key) > _MAX_COUNT:
+        raise ConfigError(f"{key} must be at most {_MAX_COUNT}, the largest array "
+                          f"length, got {value!r}")
 
 
 def _is_exponent_list(value):
@@ -134,7 +149,7 @@ def _check_param(key, value, default):
     for a count), a real, or an exponent list whose scales 2^-k its runner
     accepts."""
     if isinstance(default, int):
-        (validate_count if key in _PARAM_COUNTS else validate_integer)(value, key)
+        (_check_count if key in _PARAM_COUNTS else validate_integer)(value, key)
     elif isinstance(default, float) and not _is_real(value):
         raise ConfigError(f"{key} must be a finite number, got {value!r}")
     elif isinstance(default, list):
@@ -164,11 +179,14 @@ def _check_ladder(delta_coarse_exp, delta_fine_exp, per_octave):
     if delta_fine_exp <= delta_coarse_exp:
         raise ConfigError(f"delta_fine_exp must exceed delta_coarse_exp, got "
                           f"{delta_fine_exp} <= {delta_coarse_exp}")
+    ladder = (f"the scale ladder 2^-{delta_coarse_exp} .. 2^-{delta_fine_exp} "
+              f"at per_octave {per_octave}")
+    if delta_fine_exp * per_octave >= _MAX_COUNT:   # its indices must fit in an array
+        raise ConfigError(f"{ladder} is too long for an array")
     try:
         validate_fit_scales(dyadic_deltas(delta_coarse_exp, delta_fine_exp, per_octave))
     except ConfigError as exc:
-        raise ConfigError(f"the scale ladder 2^-{delta_coarse_exp} .. 2^-{delta_fine_exp} "
-                          f"at per_octave {per_octave}: {exc}") from None
+        raise ConfigError(f"{ladder}: {exc}") from None
 
 
 def _nearest(word, valid):
@@ -232,7 +250,7 @@ class ExperimentConfig:
                 elif key in _CELL_HURSTS and not (key == "alpha_p" and value is None):
                     validate_hurst(value, key)
                 elif key in _CELL_COUNTS:
-                    validate_count(value, key)
+                    _check_count(value, key)
                 elif key == "set":
                     if not isinstance(value, dict):
                         raise ConfigError(f"set must be a JSON object, got {value!r}")
@@ -267,7 +285,7 @@ class ExperimentConfig:
     def from_json(cls, text):
         try:
             doc = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:   # also an integer of more than 4300 digits
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
         if not isinstance(doc, dict):
             raise ConfigError("config must be a JSON object")
@@ -337,6 +355,8 @@ def build_set(spec):
     if kind == "generalized-cantor":
         k = validate_integer(spec.get("generation", 8), "generation")
         m = validate_integer(spec.get("m", 2), "m")
+        if not _is_real(m):
+            raise ConfigError(f"m must be an integer a float can hold, got {m!r}")
         if "dim" in spec:
             dim = spec["dim"]
             if not (_is_real(dim) and 0.0 < dim < 1.0):
@@ -372,6 +392,11 @@ def _cell_d(cell):
     return validate_count(cell["d"], "d")
 
 
+def _cell_radius(cell):
+    """The cell's probe radius in cells, a whole number >= 1 (default 2)."""
+    return validate_count(cell.get("radius_cells", 2), "radius_cells")
+
+
 def _cell_set(cell):
     return build_set(cell.get("set", {"kind": "full"}))
 
@@ -389,12 +414,12 @@ def _kernel_rule(cell):
     validate_gamma(cell["gamma"], cell["hurst"], _cell_d(cell))
 
 
-def _feasible_rule(cell, fset=None):
+def _feasible_rule(cell):
     """alpha'*d < dim A for a theorem41 cell with alpha_p that expects a verdict."""
     alpha_p = cell.get("alpha_p")
     if alpha_p is None or cell.get("expect", "interior") == "evidence":
         return
-    d, dim_a = _cell_d(cell), (fset or _cell_set(cell)).theoretical_dim
+    d, dim_a = _cell_d(cell), _cell_set(cell).theoretical_dim
     if alpha_p * d >= dim_a:
         raise InfeasibleParameters(f"alpha'*d = {alpha_p * d} >= dim(A) = {dim_a}")
 
@@ -630,19 +655,18 @@ def _occupation_l2_outcome(cell, images, common, seeds):
 
 
 def _interior_records(cells, common, seeds, seed_base):
-    """Yield each seed's interior probe of the cell's occupation histogram."""
+    """Yield each seed's interior flag: whether its occupation histogram has
+    a cell whose neighborhood of the cell's radius is occupied."""
     (cell,) = cells
-    fset = _cell_set(cell)
-    _feasible_rule(cell, fset)
-    samples = sample_natural_measure(fset, common["n_samples"], seed=seed_base)
+    samples = sample_natural_measure(_cell_set(cell), common["n_samples"], seed=seed_base)
     grid = TimeGrid.regular(common["grid_n"])
     for w, img in _images(cell, grid, samples, seeds, seed_base):
         hist = occupation_histogram(w, img, float(cell["epsilon"]))
-        yield 0, occupation.interior_probe(hist, cell.get("radius_cells", 2))
+        yield 0, len(occupation.interior_probe(hist, _cell_radius(cell))) > 0
 
 
-def _interior_outcome(cell, reports, common, seeds):
-    frac = sum(r.fraction_of_seeds_with_interior for r in reports) / len(reports)
+def _interior_outcome(cell, flags, common, seeds):
+    frac = sum(flags) / len(flags)
     expect = cell.get("expect", "interior")
     threshold = float(cell.get("threshold", 0.9))
     # evidence is recorded, not thresholded
@@ -652,7 +676,7 @@ def _interior_outcome(cell, reports, common, seeds):
         "threshold": threshold,
         "threshold_pass": ok,
         "epsilon": float(cell["epsilon"]),
-        "radius_cells": reports[0].radius_cells,
+        "radius_cells": _cell_radius(cell),
         "seeds": seeds,
         "n_samples": common["n_samples"],
         "grid_n": common["grid_n"],
@@ -670,8 +694,8 @@ class _KindSpec:
     keys every cell must carry, ``cell_optional`` the other keys a cell may
     carry (besides ``label``), ``run`` its runner and ``reduce`` its reducer
     (see ``_run_one_cell``), ``cell_rule`` the check of a cell's keys
-    against one another, made at load (the runner's own calls repeat it),
-    and ``shares_paths`` whether adjacent cells with one alpha form one job.
+    against one another, made at load, and ``shares_paths`` whether
+    adjacent cells with one alpha form one job.
     """
 
     defaults: dict

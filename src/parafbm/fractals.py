@@ -105,7 +105,9 @@ def generalized_cantor(m, r, k):
         raise InvalidRatio(f"need m*r < 1 for disjoint children, got m*r = {m * r}")
     if k < 0:
         raise ConfigError("generation k must be >= 0")
-    if m**k > MAX_INTERVALS:
+    # m >= 2, so a k past log2 of the cap is too large; refused before m**k,
+    # which takes minutes for k = 10^8
+    if k > MAX_INTERVALS.bit_length() - 1 or m**k > MAX_INTERVALS:
         raise GenerationTooLarge(f"{m}^{k} intervals exceed the cap of {MAX_INTERVALS}")
     return FractalSet(
         intervals=_cantor_intervals(m, r, k),

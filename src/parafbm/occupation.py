@@ -23,7 +23,6 @@ from .fbm import validate_count
 
 __all__ = [
     "OccupationHistogram",
-    "InteriorReport",
     "drifted_image",
     "occupation_histogram",
     "positive_measure_estimate",
@@ -70,30 +69,6 @@ class OccupationHistogram:
         w.writerow([f"i{k + 1}" for k in range(self.d)] + ["mass"])
         for idx in sorted(self.cells):
             w.writerow(list(idx) + [repr(self.cells[idx])])
-
-
-@dataclass(frozen=True)
-class InteriorReport:
-    """Cells whose full neighborhood of the given radius is occupied."""
-
-    cell_size: float
-    radius_cells: int
-    interior_cells: list
-    fraction_of_seeds_with_interior: float
-
-    def to_json(self, config=None):
-        doc = {
-            "cell_size": self.cell_size,
-            "radius_cells": self.radius_cells,
-            "interior_cells": [list(c) for c in self.interior_cells],
-            "fraction_of_seeds_with_interior": self.fraction_of_seeds_with_interior,
-        }
-        if config is not None:
-            doc["config"] = config
-        return doc
-
-    def dumps(self, config=None):
-        return json.dumps(self.to_json(config))
 
 
 def drifted_image(path, drift_values, a_samples):
@@ -244,7 +219,8 @@ def validate_radii(radii):
 
 
 def interior_probe(hist, radius_cells):
-    """All cells whose closed l-infinity neighborhood of the given radius is occupied.
+    """The cells whose closed l-infinity neighborhood of the given radius is
+    occupied: a (k, d) int64 array of index rows in sorted order, (0, d) if none.
 
     The cube of side 2 r + 1 is the Minkowski sum of one segment of 2 r + 1
     cells per axis, so eroding by it is eroding by each segment in turn
@@ -258,29 +234,22 @@ def interior_probe(hist, radius_cells):
     padded box holds more than 2^62 keys.
     """
     r = validate_count(radius_cells, "radius_cells")
-    cells = []
-    if hist.cells:
-        idx = np.array(sorted(hist.cells), dtype=np.int64)
-        lo = idx.min(axis=0)
-        dims = [int(b) - int(a) + 1 + 2 * r for a, b in zip(lo, idx.max(axis=0))]
-        if math.prod(dims) > 2**62:
-            raise BoxIndexOverflow(
-                f"the occupied cells padded by {r} span a box of {math.prod(dims)} "
-                "cells, more than 2^62 int64 keys; use a coarser cell size"
-            )
-        # sorted rows give sorted keys, and each erosion keeps that order
-        keys = np.ravel_multi_index(tuple((idx - lo + r).T), dims)
-        for j in range(len(dims)):
-            stride = math.prod(dims[j + 1:])
-            members = keys
-            for k in (*range(-r, 0), *range(1, r + 1)):
-                probe = keys + k * stride
-                keys = keys[members.take(np.searchsorted(members, probe), mode="clip") == probe]
-        rows = np.column_stack(np.unravel_index(keys, dims)) - r + lo
-        cells = [tuple(map(int, row)) for row in rows]
-    return InteriorReport(
-        cell_size=hist.cell_size,
-        radius_cells=r,
-        interior_cells=cells,
-        fraction_of_seeds_with_interior=1.0 if cells else 0.0,
-    )
+    if not hist.cells:
+        return np.empty((0, hist.d), dtype=np.int64)
+    idx = np.array(list(hist.cells), dtype=np.int64)
+    lo = idx.min(axis=0)
+    dims = [int(b) - int(a) + 1 + 2 * r for a, b in zip(lo, idx.max(axis=0))]
+    if math.prod(dims) > 2**62:
+        raise BoxIndexOverflow(
+            f"the occupied cells padded by {r} span a box of {math.prod(dims)} "
+            "cells, more than 2^62 int64 keys; use a coarser cell size"
+        )
+    # the keys sort as the rows do, and each erosion keeps that order
+    keys = np.sort(np.ravel_multi_index(tuple((idx - lo + r).T), dims))
+    for j in range(len(dims)):
+        stride = math.prod(dims[j + 1:])
+        members = keys
+        for k in (*range(-r, 0), *range(1, r + 1)):
+            probe = keys + k * stride
+            keys = keys[members.take(np.searchsorted(members, probe), mode="clip") == probe]
+    return np.column_stack(np.unravel_index(keys, dims)) - r + lo

@@ -2,6 +2,7 @@ import csv
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -213,6 +214,42 @@ class TestEnergyAndOccupancy:
         doc = json.loads(interior_out.read_text())
         assert "interior_cells" in doc
 
+    # a 4 x 4 grid of cell centres at eps = 1/4, one cell hit twice: the
+    # radius-1 interior is the middle 2 x 2 block
+    _GRID_ROWS = [f"{i / 16},{x},{y}" for i, (x, y) in enumerate(
+        [(x, y) for y in (0.125, 0.375, 0.625, 0.875)
+         for x in (-0.375, -0.125, 0.125, 0.375)] + [(0.125, 0.625)])]
+    _GRID_REPORT = (
+        '{"cell_size": 0.25, "radius_cells": 1, "interior_cells": [[1, 1], [1, 2], '
+        '[2, 1], [2, 2]], "fraction_of_seeds_with_interior": 1.0, "config": '
+        '{"input": "cloud.csv", "epsilon": 0.25, "radius_cells": 1}}'
+    )
+    _GRID_HIST = "".join(
+        f"{i},{j},{'0.11764705882352941' if (i, j) == (2, 2) else '0.058823529411764705'}\r\n"
+        for i in range(4) for j in range(4))
+    _LINE_REPORT = (
+        '{"cell_size": 0.25, "radius_cells": 1, "interior_cells": [], '
+        '"fraction_of_seeds_with_interior": 0.0, "config": '
+        '{"input": "cloud.csv", "epsilon": 0.25, "radius_cells": 1}}'
+    )
+
+    @pytest.mark.parametrize("header, rows, report, hist", [
+        ("t,x1,x2", _GRID_ROWS, _GRID_REPORT, "i1,i2,mass\r\n" + _GRID_HIST),
+        ("t,x1", ["0.0,0.0", "0.5,0.125", "1.0,0.625"], _LINE_REPORT,
+         "i1,mass\r\n0,0.6666666666666666\r\n2,0.3333333333333333\r\n"),
+    ], ids=["d2-interior", "d1-none"])
+    def test_occupancy_outputs_are_pinned(self, tmp_path, monkeypatch, capsys,
+                                          header, rows, report, hist):
+        monkeypatch.chdir(tmp_path)
+        Path("cloud.csv").write_text("\n".join([header, *rows]) + "\n")
+        assert run(["occupancy", "--input", "cloud.csv", "--epsilon", "0.25",
+                    "--radius", "1", "--out", "hist.csv", "--interior", "int.json"]) == 0
+        assert capsys.readouterr().out == report + "\n"
+        assert Path("int.json").read_bytes() == report.encode()
+        assert Path("hist.csv").read_bytes() == (
+            '# config: {"epsilon": 0.25, "input": "cloud.csv", "radius_cells": 1}\n'
+            + hist).encode()
+
 
 class TestGaussSweep:
     def test_detcov(self, tmp_path, capsys):
@@ -395,6 +432,11 @@ class TestExperimentCommand:
         ("occupation-l2", "radius_exponents", [2, 1]),
         ("kernel-scaling", "t_exponents", [-1, 2]),
         ("kernel-scaling", "t_exponents", [1, 1]),
+        # OverflowError from a float check; config.json, then a numpy ValueError;
+        # a kernel Monte Carlo without end
+        pytest.param("kernel-scaling", "t_exponents", [1, 10**400], id="t_exponents-1e400"),
+        pytest.param("occupation-l2", "grid_n", 10**400, id="grid_n-1e400"),
+        pytest.param("kernel-scaling", "n_samples", 2**63, id="n_samples-2^63"),
     ])
     def test_real_and_exponent_params_named_by_key(self, tmp_path, capsys, kind, key, value):
         cell = {"dim-formula": {"alpha": 0.5, "hurst": 0.5, "d": 1},
@@ -435,6 +477,8 @@ class TestExperimentCommand:
         ("interior", "epsilon", "x"),
         ("dim-formula", "tolerance", "x"),
         ("dim-formula", "tolerance", float("nan")),
+        # OverflowError from the finite-number check
+        pytest.param("dim-formula", "tolerance", 10**400, id="dim-formula-tolerance-1e400"),
         ("kernel-scaling", "gamma", "3"),
     ])
     def test_cell_numbers_checked_at_load(self, tmp_path, capsys, kind, key, value):
@@ -471,6 +515,14 @@ class TestExperimentCommand:
         ("interior", "radius_cells", 2.5, "radius_cells must be an integer"),
         ("interior", "epsilon", -0.1, "epsilon must be > 0, got -0.1"),
         ("interior", "set", {"kind": "foo"}, "unknown set kind 'foo'"),
+        # an OverflowError, a wait of minutes, and a run that failed in numpy
+        pytest.param("interior", "set",
+                     {"kind": "generalized-cantor", "dim": 0.5, "m": 10**400},
+                     "m must be an integer a float can hold", id="interior-set-m-1e400"),
+        ("interior", "set", {"kind": "middle-thirds", "generation": 10**9},
+         "2^1000000000 intervals exceed the cap"),
+        ("interior", "radius_cells", 2**63,
+         "radius_cells must be at most 9223372036854775807"),
     ])
     def test_cell_values_checked_at_load_by_key(self, tmp_path, capsys, kind, key, value,
                                                 message):

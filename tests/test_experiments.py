@@ -2,13 +2,19 @@ import csv
 import inspect
 import json
 import re
+import signal
 import time
 
 import numpy as np
 import pytest
 
 from parafbm import experiments
-from parafbm.errors import ConfigError, DegenerateRange, InfeasibleParameters
+from parafbm.errors import (
+    ConfigError,
+    DegenerateRange,
+    GenerationTooLarge,
+    InfeasibleParameters,
+)
 from parafbm.estimators import estimate_parabolic_dimension
 from parafbm.experiments import (
     ExperimentConfig,
@@ -18,6 +24,7 @@ from parafbm.experiments import (
     run_experiment,
 )
 from parafbm.fbm import TimeGrid
+from parafbm.fractals import generalized_cantor, middle_thirds_cantor
 
 
 def small_dim_formula_config(**overrides):
@@ -101,6 +108,11 @@ class TestConfigValidation:
     def test_bad_json(self):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_json("{not json")
+
+    def test_integer_past_4300_digits_is_bad_json(self):
+        # Python's parser refuses it with a bare ValueError, not a JSONDecodeError
+        with pytest.raises(ConfigError, match="config is not valid JSON"):
+            ExperimentConfig.from_json('{"seeds": 1' + "0" * 5000 + "}")
 
     @pytest.mark.parametrize("overrides", [
         {"seeds": 1.9}, {"seeds": True}, {"seeds": "3"},
@@ -348,10 +360,6 @@ class TestInteriorRuns:
         }
         with pytest.raises(InfeasibleParameters, match=re.escape("alpha'*d = 0.8 >= dim(A)")):
             ExperimentConfig.from_dict(doc)
-        # the runner meets the same check
-        common = {k: v for k, v in doc["params"].items() if k != "cells"}
-        with pytest.raises(InfeasibleParameters, match=re.escape("alpha'*d = 0.8 >= dim(A)")):
-            list(experiments._interior_records(doc["params"]["cells"], common, 1, 0))
 
     def test_abort_keeps_completed_rows(self, tmp_path):
         # cells run in canonical order: the constant path ("path" sorts before
@@ -849,3 +857,66 @@ class TestIntegerCellFields:
         with pytest.raises(ConfigError, match="radius_cells"):
             run_experiment(_one_cell_config(kind, radius_cells=2.5))
         assert path_calls == []
+
+
+# -- huge whole numbers: refused at load, promptly and as ConfigError ---------
+
+def _within(seconds, call):
+    """The value of ``call()``; a hang past ``seconds`` fails the test."""
+    def hang(signum, frame):
+        raise AssertionError(f"no answer within {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(seconds)
+    try:
+        return call()
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def _number_fields():
+    """(kind, where, key) of every whole-number, real or exponent-list param,
+    every number cell key and every number of a set a kind takes."""
+    for kind, spec in sorted(experiments._KIND_SPECS.items()):
+        for key in spec.defaults:
+            yield kind, "params", key
+        allowed = {*spec.cell_keys, *spec.cell_optional}
+        for key in (*experiments._CELL_REALS, *experiments._CELL_HURSTS,
+                    *experiments._CELL_COUNTS):
+            if key in allowed:
+                yield kind, "cell", key
+        if "set" in allowed:
+            for key in ("generation", "m", "dim", "r"):
+                yield kind, "set", key
+
+
+@pytest.mark.parametrize("value", [10**400, -10**400, 2**63], ids=["1e400", "-1e400", "2^63"])
+@pytest.mark.parametrize("kind, where, key", list(_number_fields()))
+def test_huge_numbers_load_or_raise_config_error(kind, where, key, value):
+    # each used to end in OverflowError, a numpy ValueError, or a hang
+    base, params = _ONE_CELL[kind]
+    params = {k: v for k, v in params.items() if k != "cells"}
+    cell = {**base, "d": 1}
+    if where == "params":
+        default = experiments._KIND_SPECS[kind].defaults[key]
+        params[key] = [default[0], value] if isinstance(default, list) else value
+    elif where == "cell":
+        cell[key] = value
+    else:
+        ratio = {"r": 0.25} if key == "r" else {"dim": 0.5}
+        cell["set"] = {"kind": "generalized-cantor", "generation": 3, **ratio, key: value}
+    doc = {"kind": kind, "seeds": 1, "params": {**params, "cells": [cell]}}
+    try:
+        _within(2, lambda: ExperimentConfig.from_dict(doc))
+    except ConfigError:
+        pass
+
+
+def test_huge_generation_refused_promptly():
+    # m**k, which grows with k, used to be computed before the cap was compared
+    for build in (lambda: middle_thirds_cantor(10**9),
+                  lambda: generalized_cantor(3, 0.1, 10**9),
+                  lambda: build_set({"kind": "middle-thirds", "generation": 10**9})):
+        with pytest.raises(GenerationTooLarge):
+            _within(1, build)

@@ -415,10 +415,10 @@ class TestInteriorProperties:
             with pytest.raises(ConfigError):
                 interior_probe(h, radius)
             return
-        rep = interior_probe(h, radius)
+        cells = interior_probe(h, radius)
         want = naive_has_interior(w.tolist(), v.tolist(), 1.0, origin.tolist(), radius)
-        assert rep.interior_cells == want
-        assert rep.fraction_of_seeds_with_interior == (1.0 if want else 0.0)
+        assert cells.dtype == np.int64 and cells.shape == (len(want), v.shape[1])
+        assert cells.tolist() == [list(c) for c in want]
 
 
 class TestInteriorProbe:
@@ -430,19 +430,18 @@ class TestInteriorProbe:
 
     def test_full_grid_strict_interior(self):
         h = self.full_grid_hist(5, 2)
-        rep = interior_probe(h, 1)
-        assert len(rep.interior_cells) == 9
-        assert rep.fraction_of_seeds_with_interior == 1.0
+        cells = interior_probe(h, 1)
+        assert cells.shape == (9, 2)
+        assert cells.tolist() == [[i, j] for i in range(1, 4) for j in range(1, 4)]
 
     def test_empty_histogram(self):
         h = OccupationHistogram(cell_size=0.1, origin=np.zeros(2), cells={})
-        rep = interior_probe(h, 1)
-        assert rep.interior_cells == []
-        assert rep.fraction_of_seeds_with_interior == 0.0
+        cells = interior_probe(h, 1)
+        assert cells.dtype == np.int64 and cells.shape == (0, 2)
 
     def test_single_cell_none(self):
         h = OccupationHistogram(cell_size=0.1, origin=np.zeros(1), cells={(0,): 1.0})
-        assert interior_probe(h, 1).interior_cells == []
+        assert interior_probe(h, 1).shape == (0, 1)
 
     @pytest.mark.parametrize("radius", [1.5, "1", True, 0, -2])
     def test_radius_must_be_a_whole_number_at_least_one(self, radius):
@@ -451,25 +450,25 @@ class TestInteriorProbe:
 
     def test_whole_float_radius_is_that_radius(self):
         h = self.full_grid_hist(5, 2)
-        assert interior_probe(h, 1.0) == interior_probe(h, 1)
+        assert np.array_equal(interior_probe(h, 1.0), interior_probe(h, 1))
 
     def test_radius_monotone(self):
         rng = np.random.default_rng(6)
         pts = rng.normal(0, 1, (4000, 2))
         h = occupation_histogram(np.full(4000, 1 / 4000), pts, 0.25)
-        r1 = set(map(tuple, interior_probe(h, 1).interior_cells))
-        r2 = set(map(tuple, interior_probe(h, 2).interior_cells))
-        r3 = set(map(tuple, interior_probe(h, 3).interior_cells))
+        r1 = set(map(tuple, interior_probe(h, 1).tolist()))
+        r2 = set(map(tuple, interior_probe(h, 2).tolist()))
+        r3 = set(map(tuple, interior_probe(h, 3).tolist()))
         assert r3 <= r2 <= r1
 
     def test_reported_cells_have_occupied_neighborhoods(self):
         rng = np.random.default_rng(7)
         pts = rng.normal(0, 1, (3000, 2))
         h = occupation_histogram(np.full(3000, 1 / 3000), pts, 0.3)
-        rep = interior_probe(h, 2)
-        assert rep.interior_cells  # dense enough cloud to have witnesses
+        cells = interior_probe(h, 2)
+        assert len(cells)  # dense enough cloud to have witnesses
         occupied = set(h.cells)
-        for cell in rep.interior_cells:
+        for cell in cells.tolist():
             for di in range(-2, 3):
                 for dj in range(-2, 3):
                     assert (cell[0] + di, cell[1] + dj) in occupied
@@ -478,9 +477,7 @@ class TestInteriorProbe:
         # two far cells span a 2^14 x 2^14 box, but only the two cells are probed
         h = OccupationHistogram(cell_size=0.1, origin=np.zeros(2),
                                 cells={(0, 0): 0.5, (2**14 - 1, 2**14 - 1): 0.5})
-        rep = interior_probe(h, 1)
-        assert rep.interior_cells == []
-        assert rep.fraction_of_seeds_with_interior == 0.0
+        assert interior_probe(h, 1).shape == (0, 2)
 
     def test_padded_box_past_2_62_keys_raises(self):
         # cells 0 and 2^62 - 3 padded by one cell each way fill exactly 2^62 keys
@@ -489,20 +486,13 @@ class TestInteriorProbe:
                                     cells={(0,): 0.5, (last,): 0.5})
             return interior_probe(h, 1)
 
-        assert probe(2**62 - 3).interior_cells == []
+        assert probe(2**62 - 3).shape == (0, 1)
         with pytest.raises(BoxIndexOverflow):
             probe(2**62 - 2)
         h = OccupationHistogram(cell_size=0.1, origin=np.zeros(2),
                                 cells={(0, 0): 0.5, (2**31, 2**31): 0.5})
         with pytest.raises(BoxIndexOverflow):
             interior_probe(h, 1)
-
-    def test_report_json(self):
-        h = self.full_grid_hist(3, 1)
-        rep = interior_probe(h, 1)
-        doc = rep.to_json(config={"epsilon": 0.1})
-        assert doc["config"] == {"epsilon": 0.1}
-        assert doc["interior_cells"] == [[1]]
 
 
 def test_import_loads_no_scipy():
