@@ -63,7 +63,7 @@ for row in run_experiment(cfg):
 path = pf.generate_fbm_path(0.5, grid, d=2, seed=0)
 w, img = pf.drifted_image(path, np.zeros_like(path.values), samples)
 hist = pf.occupation_histogram(w, img, epsilon=2.0**-4)
-print(f"\noccupied cells at eps=1/16: {len(hist.cells)}; "
+print(f"\noccupied cells at eps=1/16: {len(hist.index)}; "
       f"measure proxy {pf.positive_measure_estimate(hist):.4f}")
 interior = pf.interior_probe(hist, radius_cells=1)
 print(f"cells with fully occupied radius-1 neighborhood: {len(interior)}")

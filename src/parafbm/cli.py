@@ -89,6 +89,8 @@ def _read_cloud_csv(path):
         raise ConfigError(f"{path}: rows need equally many numeric cells") from None
     if data.size == 0:
         raise ConfigError(f"{path}: no data rows")
+    if data.shape[1] < 2:
+        raise ConfigError(f"{path}: no value columns after t")
     return data[:, 0], data[:, 1:]
 
 
@@ -148,10 +150,10 @@ def _cmd_occupancy(args):
     hist = occupation_histogram(np.full(n, 1.0 / n), values, args.epsilon)
     config = {"input": str(args.input), "epsilon": args.epsilon,
               "radius_cells": args.radius}
+    cells = interior_probe(hist, args.radius)   # before any write: it checks the radius
     if args.out:
         with atomic_writer(args.out) as fh:
             hist.to_csv(fh, config=config)
-    cells = interior_probe(hist, args.radius)
     # one histogram, so the fraction of seeds with an interior is 1 or 0
     report = json.dumps({"cell_size": hist.cell_size, "radius_cells": args.radius,
                          "interior_cells": cells.tolist(),

@@ -39,7 +39,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BoxIndexOverflow, ConfigError, DegenerateRange, GammaAtBoundary
+from .errors import (
+    BoxIndexOverflow,
+    ConfigError,
+    DegenerateRange,
+    GammaAtBoundary,
+    NumericalError,
+)
 from .fbm import philox_stream, validate_count, validate_hurst, validate_seed
 from .geometry import rho_h, validate_alpha
 
@@ -96,8 +102,9 @@ class GraphCloud:
         v = np.asarray(self.values, dtype=float)
         if v.ndim == 1:
             v = v[:, None]
-        if t.ndim != 1 or t.size == 0 or v.shape[0] != t.size:
-            raise ConfigError("times (n,) and values (n, d) must be non-empty and aligned")
+        if t.ndim != 1 or t.size == 0 or v.ndim != 2 or v.shape[0] != t.size or v.shape[1] == 0:
+            raise ConfigError("times (n,) and values (n, d) must be non-empty and aligned, "
+                              "with d >= 1")
         if not (np.all(np.isfinite(t)) and np.all(np.isfinite(v))):
             raise ConfigError("cloud times and values must be finite")
         if t.min() < 0.0 or t.max() > 1.0:
@@ -485,6 +492,9 @@ def energy_integral_mc(measure_points, values, gamma, hurst, pair_seed=0):
     ordered pairs are subsampled with a seeded counter-based stream and
     rescaled, trading exactness for bounded cost.  ``pair_seed`` must be a
     whole, non-negative number in either regime (ConfigError otherwise).
+    Two points of equal time and value lie at distance 0, where the kernel
+    diverges; in either regime they raise NumericalError, naming the pair,
+    before anything is summed.
     """
     hurst = validate_hurst(hurst)
     pair_seed = validate_seed(pair_seed, "pair_seed")
@@ -500,6 +510,15 @@ def energy_integral_mc(measure_points, values, gamma, hurst, pair_seed=0):
         raise ConfigError("values must align with measure points")
     if n < 2:
         raise ConfigError("need at least 2 points")
+    # sorted lexicographically, equal points are neighbours
+    pts = np.column_stack([times, v])
+    order = np.lexsort(pts.T[::-1])
+    same = (pts[order[1:]] == pts[order[:-1]]).all(axis=1)
+    if same.any():
+        k = int(np.argmax(same))
+        i, j = sorted(order[k:k + 2].tolist())
+        raise NumericalError(f"points {i} and {j} coincide at t={float(times[i])!r}, so their "
+                             "rho_H distance is 0 and the energy sum diverges")
     q = gamma / hurst
 
     if n <= ENERGY_PAIR_CAP:

@@ -35,30 +35,58 @@ __all__ = [
 class OccupationHistogram:
     """Sparse mass assignment over a uniform grid of value-space cells.
 
-    ``cells`` maps integer d-indices (tuples) to masses; masses are
-    non-negative and sum to 1 (an empty histogram is allowed as the
-    degenerate no-data case).
+    ``index`` is a (k, d) int64 array of the occupied cells, its rows
+    distinct and in increasing lexicographic order, and ``mass`` the (k,)
+    array of their masses, non-negative and summing to 1 (k = 0 is allowed
+    as the degenerate no-data case).  d is the size of ``origin``, at
+    least 1.  Any other input raises ConfigError.
     """
 
     cell_size: float
     origin: np.ndarray
-    cells: dict
+    index: np.ndarray
+    mass: np.ndarray
 
     def __post_init__(self):
-        if self.cell_size <= 0.0:
-            raise ConfigError("cell_size must be positive")
+        if not 0.0 < self.cell_size < math.inf:   # a NaN fails this too
+            raise ConfigError(f"cell_size must be positive and finite, got {self.cell_size!r}")
         origin = np.atleast_1d(np.asarray(self.origin, dtype=float))
+        if origin.ndim != 1 or origin.size == 0 or not np.isfinite(origin).all():
+            raise ConfigError("origin must be a finite vector of d >= 1 entries")
+        index = np.asarray(self.index)
+        if not (index.ndim == 2 and index.shape[1] == origin.size
+                and np.issubdtype(index.dtype, np.integer)
+                and np.can_cast(index.dtype, np.int64)):
+            raise ConfigError(f"index must be a (k, {origin.size}) integer array, "
+                              f"got {index.dtype} of shape {index.shape}")
+        index = index.astype(np.int64, copy=False)
+        # each row must exceed the previous one at the first column they differ in
+        above, below = index[1:] > index[:-1], index[1:] < index[:-1]
+        first = np.argmax(above | below, axis=1)
+        if not above[np.arange(first.size), first].all():
+            raise ConfigError("index rows must be distinct and in increasing "
+                              "lexicographic order")
+        mass = np.asarray(self.mass, dtype=float)
+        if mass.shape != (index.shape[0],):
+            raise ConfigError(f"mass must have shape ({index.shape[0]},), got {mass.shape}")
+        if not (mass >= 0.0).all():
+            raise ConfigError("cell masses must be non-negative")
+        if mass.size and not abs(mass.sum() - 1.0) <= 1e-9:
+            raise ConfigError(f"total mass {mass.sum()} differs from 1 beyond 1e-9")
         object.__setattr__(self, "origin", origin)
-        if self.cells:
-            masses = np.fromiter(self.cells.values(), dtype=float)
-            if masses.min() < 0.0:
-                raise ConfigError("cell masses must be non-negative")
-            if abs(masses.sum() - 1.0) > 1e-9:
-                raise ConfigError(f"total mass {masses.sum()} differs from 1 beyond 1e-9")
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "mass", mass)
 
     @property
     def d(self):
         return self.origin.size
+
+    @property
+    def cells(self):
+        """``{index row tuple: mass}``, built anew on each read.  Nothing in
+        the package reads it; it stays until the benchmark's tracer stops
+        reading it."""
+        return dict(zip(map(tuple, self.index.tolist()), self.mass.tolist()))
 
     def to_csv(self, file, config=None):
         """Sparse CSV to an open text file: one row per cell (indices then
@@ -67,8 +95,8 @@ class OccupationHistogram:
             file.write("# config: " + json.dumps(config, sort_keys=True) + "\n")
         w = csv.writer(file)
         w.writerow([f"i{k + 1}" for k in range(self.d)] + ["mass"])
-        for idx in sorted(self.cells):
-            w.writerow(list(idx) + [repr(self.cells[idx])])
+        for row, m in zip(self.index.tolist(), self.mass.tolist()):
+            w.writerow(row + [repr(m)])
 
 
 def drifted_image(path, drift_values, a_samples):
@@ -107,8 +135,9 @@ def occupation_histogram(weights, values, epsilon, origin=None):
     mass is the sum of the weights of the points it receives.  Cells are
     grouped by one packed integer key per point (``pack_index_rows``), which
     sorts as the index rows do.  Raises ConfigError for NaN or infinite
-    inputs and for an empty sample without an ``origin`` (with one, it gives
-    an empty histogram), and BoxIndexOverflow for a cell index of 2^62 or
+    inputs, for d = 0, for an ``origin`` not of size d and for an empty
+    sample without an ``origin`` (with one, it gives an empty histogram),
+    and BoxIndexOverflow for a cell index of 2^62 or
     more in magnitude.
     """
     if not 0.0 < epsilon < math.inf:
@@ -117,17 +146,20 @@ def occupation_histogram(weights, values, epsilon, origin=None):
     v = np.asarray(values, dtype=float)
     if v.ndim == 1:
         v = v[:, None]
-    if w.ndim != 1 or v.shape[0] != w.size:
-        raise ConfigError("weights (m,) and values (m, d) must align")
+    if w.ndim != 1 or v.ndim != 2 or v.shape[0] != w.size or v.shape[1] == 0:
+        raise ConfigError("weights (m,) and values (m, d) with d >= 1 must align")
     if origin is None:
         if w.size == 0:
             raise ConfigError("the sample is empty, so there is no minimum to anchor "
                               "the cells at; pass an origin")
         origin = v.min(axis=0)
     origin = np.atleast_1d(np.asarray(origin, dtype=float))
+    if origin.shape != (v.shape[1],):
+        raise ConfigError(f"origin needs {v.shape[1]} entries, one per value column, "
+                          f"got shape {origin.shape}")
     if not (np.isfinite(w).all() and np.isfinite(v).all() and np.isfinite(origin).all()):
         raise ConfigError("weights, values and origin must be finite")
-    cells = {}
+    index, mass = np.empty((0, origin.size), dtype=np.int64), np.empty(0)
     if w.size:
         idx = np.floor((v - origin) / epsilon)
         key, _, _ = pack_index_rows(
@@ -137,10 +169,10 @@ def occupation_histogram(weights, values, epsilon, origin=None):
             np.empty(w.size, dtype=np.int64),
         )
         _, first, inv = np.unique(key, return_index=True, return_inverse=True)
-        masses = np.bincount(inv, weights=w)
-        rows = idx[first].astype(np.int64)
-        cells = {tuple(map(int, row)): float(m) for row, m in zip(rows, masses) if m > 0.0}
-    return OccupationHistogram(cell_size=float(epsilon), origin=origin, cells=cells)
+        mass = np.bincount(inv, weights=w)
+        kept = mass > 0.0
+        index, mass = idx[first[kept]].astype(np.int64), mass[kept]
+    return OccupationHistogram(cell_size=float(epsilon), origin=origin, index=index, mass=mass)
 
 
 def positive_measure_estimate(hist, mass_floor=0.0):
@@ -153,8 +185,7 @@ def positive_measure_estimate(hist, mass_floor=0.0):
         raise ConfigError("mass_floor must be >= 0")
     cell_vol = hist.cell_size**hist.d
     threshold = mass_floor * cell_vol
-    count = sum(1 for m in hist.cells.values() if m >= threshold)
-    return count * cell_vol
+    return int(np.count_nonzero(hist.mass >= threshold)) * cell_vol
 
 
 def l2_density_diagnostic(images, weights, radii):
@@ -234,9 +265,9 @@ def interior_probe(hist, radius_cells):
     padded box holds more than 2^62 keys.
     """
     r = validate_count(radius_cells, "radius_cells")
-    if not hist.cells:
+    idx = hist.index
+    if not len(idx):
         return np.empty((0, hist.d), dtype=np.int64)
-    idx = np.array(list(hist.cells), dtype=np.int64)
     lo = idx.min(axis=0)
     dims = [int(b) - int(a) + 1 + 2 * r for a, b in zip(lo, idx.max(axis=0))]
     if math.prod(dims) > 2**62:
@@ -244,8 +275,9 @@ def interior_probe(hist, radius_cells):
             f"the occupied cells padded by {r} span a box of {math.prod(dims)} "
             "cells, more than 2^62 int64 keys; use a coarser cell size"
         )
-    # the keys sort as the rows do, and each erosion keeps that order
-    keys = np.sort(np.ravel_multi_index(tuple((idx - lo + r).T), dims))
+    # the rows are sorted, the keys sort as the rows do, and each erosion
+    # keeps that order
+    keys = np.ravel_multi_index(tuple((idx - lo + r).T), dims)
     for j in range(len(dims)):
         stride = math.prod(dims[j + 1:])
         members = keys

@@ -171,6 +171,16 @@ class TestMalformedInput:
         assert run([command, "--input", str(path), *self._ARGS[command]]) == 1
         assert str(path) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", sorted(_ARGS))
+    def test_time_column_only_exit_1(self, tmp_path, capsys, command):
+        # occupancy and energy ended in a ValueError traceback, boxdim
+        # reported an unrelated "k must be >= 1"
+        path = tmp_path / "cloud.csv"
+        path.write_text("t\n0.1\n0.3\n")
+        assert run([command, "--input", str(path), *self._ARGS[command]]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {path}: no value columns after t"]
+
     @pytest.mark.parametrize("spec, token", [
         ("2^-x..2^-6", "2^-x"), ("0..2^-6", "0"), ("a,b", "a,b"),
     ])
@@ -199,6 +209,25 @@ class TestEnergyAndOccupancy:
                     "--gamma", "nan"]) == 1
         out = capsys.readouterr()
         assert out.out == "" and "error: gamma must be positive and finite" in out.err
+
+    def test_energy_of_coincident_points_exit_2(self, tmp_path, capsys):
+        # printed {"energy": Infinity, ...}, which is not JSON, and exited 0
+        path = _cloud_csv(tmp_path, ["0.1,0.5", "0.1,0.5", "0.3,0.7"])
+        assert run(["energy", "--input", str(path), "--hurst", "0.5",
+                    "--gamma", "1"]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("numerical failure: points 0 and 1 coincide")
+
+    def test_occupancy_bad_radius_writes_nothing(self, tmp_path, capsys):
+        # the histogram CSV was written before the radius was checked
+        path = _cloud_csv(tmp_path, ["0.0,0.1", "0.5,0.2", "1.0,0.3"])
+        hist_out = tmp_path / "h.csv"
+        assert run(["occupancy", "--input", str(path), "--epsilon", "0.25", "--radius", "0",
+                    "--out", str(hist_out), "--interior", str(tmp_path / "i.json")]) == 1
+        out = capsys.readouterr()
+        assert out.out == "" and out.err == "error: radius_cells must be >= 1, got 0\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cloud.csv"]
 
     def test_occupancy(self, tmp_path, capsys):
         path = tmp_path / "p.csv"

@@ -19,6 +19,7 @@ from parafbm.errors import (
     ConfigError,
     DegenerateRange,
     GammaAtBoundary,
+    NumericalError,
 )
 from parafbm.estimators import (
     GraphCloud,
@@ -113,6 +114,10 @@ class TestBoxCount:
                      ([0.1, 0.2], [[0.0, -np.inf], [1.0, 2.0]]), ([np.inf], [0.0])):
             with pytest.raises(ConfigError):
                 GraphCloud(times=np.array(t), values=np.array(v))
+
+    def test_cloud_needs_a_value_column(self):
+        with pytest.raises(ConfigError, match="d >= 1"):
+            GraphCloud(times=np.array([0.1, 0.2]), values=np.zeros((2, 0)))
 
     def test_index_overflow_raises(self):
         # the int64 cast of 4e300 would wrap and merge two of the three boxes
@@ -591,6 +596,23 @@ class TestEnergy:
         monkeypatch.setattr(estimators, "ENERGY_DEFAULT_PAIRS", 200_000)
         sub = energy_integral_mc(pts, v, 0.5, 0.5)
         assert sub == pytest.approx(exact, rel=0.05)
+
+    @pytest.mark.parametrize("cap", [None, 100])
+    def test_coincident_points_raise_naming_the_pair(self, monkeypatch, cap):
+        # two points at rho_H distance 0 make the sum diverge; it printed
+        # Infinity after a divide-by-zero warning
+        if cap is not None:   # the subsampled regime
+            monkeypatch.setattr(estimators, "ENERGY_PAIR_CAP", cap)
+        rng = np.random.default_rng(18)
+        n = 300
+        t = rng.uniform(0, 1, n)
+        v = rng.normal(0, 1, (n, 2))
+        t[250], v[250] = t[40], v[40]
+        pts = WeightedTimeSet(times=t, weights=np.full(n, 1 / n))
+        with pytest.raises(NumericalError, match="points 40 and 250 coincide"):
+            energy_integral_mc(pts, v, 0.5, 0.5)
+        v[250, 1] = np.nextafter(v[250, 1], np.inf)   # distinct again, by one ulp
+        assert np.isfinite(energy_integral_mc(pts, v, 0.5, 0.5))
 
     def test_needs_two_points(self):
         pts = WeightedTimeSet(times=np.array([0.5]), weights=np.array([1.0]))

@@ -69,3 +69,13 @@ def test_public_functions_are_reached_outside_unit_tests(name):
                  and not re.search(rf"\b{n}\b", text)]
     assert not unreached, (
         f"parafbm.{name} exports functions that only unit tests use: {unreached}")
+
+
+def test_no_module_reads_the_histogram_cells_view():
+    # OccupationHistogram.cells rebuilds a tuple dict on each read and stays
+    # only for the benchmark's tracer; the package reads .index and .mass
+    reads = [f"{path.name}:{node.lineno}"
+             for path in sorted((ROOT / "src" / "parafbm").glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Attribute) and node.attr == "cells"]
+    assert not reads, f"src/parafbm reads the benchmark-only .cells view at {reads}"

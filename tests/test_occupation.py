@@ -91,15 +91,14 @@ class TestHistogram:
         w = np.full(7, 1 / 7)
         v = np.tile([[0.3, -0.2]], (7, 1))
         h = occupation_histogram(w, v, 0.1)
-        assert len(h.cells) == 1
-        assert sum(h.cells.values()) == pytest.approx(1.0)
+        assert h.index.shape == (1, 2) and h.index.dtype == np.int64
+        assert h.mass.sum() == pytest.approx(1.0)
 
     def test_line_two_cells(self):
         n = 1000
         h = occupation_histogram(np.full(n, 1 / n), np.arange(n) / n, 0.5)
-        assert set(h.cells) == {(0,), (1,)}
-        assert h.cells[(0,)] == pytest.approx(0.5)
-        assert h.cells[(1,)] == pytest.approx(0.5)
+        assert h.index.tolist() == [[0], [1]]
+        np.testing.assert_allclose(h.mass, [0.5, 0.5])
 
     def test_mass_conservation(self):
         rng = np.random.default_rng(2)
@@ -109,7 +108,7 @@ class TestHistogram:
             w /= w.sum()
             v = rng.normal(0, 1, (n, int(rng.integers(1, 4))))
             h = occupation_histogram(w, v, float(rng.uniform(0.05, 1.0)))
-            assert abs(sum(h.cells.values()) - 1.0) <= 1e-9
+            assert abs(h.mass.sum() - 1.0) <= 1e-9
 
     def test_dyadic_refinement_nesting(self):
         rng = np.random.default_rng(3)
@@ -119,9 +118,10 @@ class TestHistogram:
         origin = v.min(axis=0)
         coarse = occupation_histogram(w, v, 0.5, origin=origin)
         fine = occupation_histogram(w, v, 0.25, origin=origin)
-        for idx, mass in fine.cells.items():
-            parent = tuple(i // 2 for i in idx)
-            assert mass <= coarse.cells[parent] + 1e-12
+        parents = (fine.index // 2).tolist()
+        coarse_mass = dict(zip(map(tuple, coarse.index.tolist()), coarse.mass))
+        for parent, mass in zip(parents, fine.mass):
+            assert mass <= coarse_mass[tuple(parent)] + 1e-12
 
     def test_csv_with_config(self):
         h = occupation_histogram(np.array([1.0]), np.array([[0.0, 0.0]]), 0.5)
@@ -139,7 +139,8 @@ class TestHistogram:
         with pytest.raises(ConfigError, match="empty"):
             occupation_histogram(np.zeros(0), np.zeros((0, 2)), 0.1)
         h = occupation_histogram(np.zeros(0), np.zeros((0, 2)), 0.1, origin=[0.0, 1.0])
-        assert h.cells == {}
+        assert h.index.shape == (0, 2) and h.index.dtype == np.int64
+        assert h.mass.shape == (0,)
         assert h.d == 2
 
     @pytest.mark.parametrize("weights, values", [
@@ -151,6 +152,60 @@ class TestHistogram:
     def test_nonfinite_rejected(self, weights, values):
         with pytest.raises(ConfigError):
             occupation_histogram(np.array(weights), np.array(values), 1.0)
+
+    @pytest.mark.parametrize("values, origin", [
+        (np.zeros((3, 0)), None),            # d = 0
+        (np.zeros((3, 2)), [0.0]),            # an origin of the wrong size
+        (np.zeros((3, 2)), [0.0, 0.0, 0.0]),
+    ])
+    def test_values_and_origin_must_agree_on_d(self, values, origin):
+        with pytest.raises(ConfigError):
+            occupation_histogram(np.full(3, 1 / 3), values, 1.0, origin=origin)
+
+    def test_cells_view_is_the_arrays_as_a_dict(self):
+        # the benchmark's tracer reads this view
+        rng = np.random.default_rng(8)
+        h = occupation_histogram(np.full(500, 1 / 500), rng.normal(0, 1, (500, 2)), 0.3)
+        assert h.cells == {tuple(r): m for r, m in zip(h.index.tolist(), h.mass.tolist())}
+        assert list(h.cells) == sorted(h.cells)
+
+
+class TestHistogramValidation:
+    """Malformed histograms are refused when they are constructed."""
+
+    @pytest.mark.parametrize("kwargs", [
+        # 1-wide rows with an origin of size 2
+        dict(origin=np.zeros(2), index=np.array([[0]]), mass=[1.0]),
+        # a float index, which a cast to int64 would truncate
+        dict(index=np.array([[0.7]]), mass=[1.0]),
+        dict(index=np.array([[True]]), mass=[1.0]),
+        dict(index=np.array([0, 1]), mass=[0.5, 0.5]),       # not 2-D
+        dict(index=np.array([[2**63]], dtype=np.uint64), mass=[1.0]),
+        dict(origin=np.zeros(0), index=np.zeros((0, 0), dtype=np.int64), mass=[]),
+        dict(origin=[np.nan], index=np.array([[0]]), mass=[1.0]),
+        dict(index=np.array([[0], [0]]), mass=[0.5, 0.5]),   # duplicate rows
+        dict(index=np.array([[1], [0]]), mass=[0.5, 0.5]),   # unsorted rows
+        dict(origin=np.zeros(2), index=np.array([[0, 1], [0, 0]]), mass=[0.5, 0.5]),
+        dict(origin=np.zeros(2), index=np.array([[1, 0], [0, 5]]), mass=[0.5, 0.5]),
+        dict(index=np.array([[0], [1]]), mass=[1.0]),        # mass not (k,)
+        dict(index=np.array([[0], [1]]), mass=[1.5, -0.5]),  # a negative mass
+        dict(index=np.array([[0], [1]]), mass=[0.5, np.nan]),
+        dict(index=np.array([[0], [1]]), mass=[0.5, 0.4]),   # not summing to 1
+        dict(cell_size=np.nan),
+        dict(cell_size=0.0),
+        dict(cell_size=np.inf),
+    ])
+    def test_malformed_input_raises(self, kwargs):
+        args = dict(cell_size=0.1, origin=np.zeros(1), index=np.array([[0]]), mass=[1.0])
+        with pytest.raises(ConfigError):
+            OccupationHistogram(**{**args, **kwargs})
+
+    def test_well_formed_input_is_kept(self):
+        h = OccupationHistogram(cell_size=0.1, origin=[0.0, 1.0],
+                                index=np.array([[0, 5], [1, -3], [1, 0]], dtype=np.int32),
+                                mass=[0.25, 0.25, 0.5])
+        assert h.index.dtype == np.int64 and h.index.tolist() == [[0, 5], [1, -3], [1, 0]]
+        assert h.mass.dtype == float and h.d == 2
 
 
 @st.composite
@@ -184,8 +239,9 @@ class TestHistogramProperties:
         h = occupation_histogram(w, v, epsilon, origin=origin)
         want = naive_histogram(w.tolist(), v.tolist(), epsilon,
                                v.min(axis=0).tolist() if origin is None else origin.tolist())
-        assert h.cells == want
-        assert list(h.cells) == sorted(want)
+        assert h.index.dtype == np.int64 and h.index.shape == (len(want), v.shape[1])
+        assert h.index.tolist() == [list(c) for c in sorted(want)]
+        assert h.mass.tolist() == [want[c] for c in sorted(want)]
 
 
 class TestPositiveMeasure:
@@ -197,7 +253,7 @@ class TestPositiveMeasure:
         n = 100
         h = occupation_histogram(np.full(n, 1 / n), np.arange(n)[:, None] / n, 0.125)
         assert positive_measure_estimate(h, 0.0) == pytest.approx(
-            len(h.cells) * 0.125
+            len(h.index) * 0.125
         )
 
     def test_line_measure_converges_to_one(self):
@@ -423,10 +479,13 @@ class TestInteriorProperties:
 
 class TestInteriorProbe:
     def full_grid_hist(self, k, d):
-        cells = {}
-        for idx in np.ndindex(*([k] * d)):
-            cells[idx] = 1.0 / k**d
-        return OccupationHistogram(cell_size=0.1, origin=np.zeros(d), cells=cells)
+        index = np.array(list(np.ndindex(*([k] * d))))
+        return OccupationHistogram(cell_size=0.1, origin=np.zeros(d), index=index,
+                                   mass=np.full(k**d, 1.0 / k**d))
+
+    def hist(self, *rows):
+        return OccupationHistogram(cell_size=0.1, origin=np.zeros(len(rows[0])),
+                                   index=np.array(rows), mass=np.full(len(rows), 1 / len(rows)))
 
     def test_full_grid_strict_interior(self):
         h = self.full_grid_hist(5, 2)
@@ -435,13 +494,13 @@ class TestInteriorProbe:
         assert cells.tolist() == [[i, j] for i in range(1, 4) for j in range(1, 4)]
 
     def test_empty_histogram(self):
-        h = OccupationHistogram(cell_size=0.1, origin=np.zeros(2), cells={})
+        h = OccupationHistogram(cell_size=0.1, origin=np.zeros(2),
+                                index=np.empty((0, 2), dtype=np.int64), mass=[])
         cells = interior_probe(h, 1)
         assert cells.dtype == np.int64 and cells.shape == (0, 2)
 
     def test_single_cell_none(self):
-        h = OccupationHistogram(cell_size=0.1, origin=np.zeros(1), cells={(0,): 1.0})
-        assert interior_probe(h, 1).shape == (0, 1)
+        assert interior_probe(self.hist((0,)), 1).shape == (0, 1)
 
     @pytest.mark.parametrize("radius", [1.5, "1", True, 0, -2])
     def test_radius_must_be_a_whole_number_at_least_one(self, radius):
@@ -467,7 +526,7 @@ class TestInteriorProbe:
         h = occupation_histogram(np.full(3000, 1 / 3000), pts, 0.3)
         cells = interior_probe(h, 2)
         assert len(cells)  # dense enough cloud to have witnesses
-        occupied = set(h.cells)
+        occupied = set(map(tuple, h.index.tolist()))
         for cell in cells.tolist():
             for di in range(-2, 3):
                 for dj in range(-2, 3):
@@ -475,24 +534,16 @@ class TestInteriorProbe:
 
     def test_two_far_cells_have_no_interior(self):
         # two far cells span a 2^14 x 2^14 box, but only the two cells are probed
-        h = OccupationHistogram(cell_size=0.1, origin=np.zeros(2),
-                                cells={(0, 0): 0.5, (2**14 - 1, 2**14 - 1): 0.5})
+        h = self.hist((0, 0), (2**14 - 1, 2**14 - 1))
         assert interior_probe(h, 1).shape == (0, 2)
 
     def test_padded_box_past_2_62_keys_raises(self):
         # cells 0 and 2^62 - 3 padded by one cell each way fill exactly 2^62 keys
-        def probe(last):
-            h = OccupationHistogram(cell_size=0.1, origin=np.zeros(1),
-                                    cells={(0,): 0.5, (last,): 0.5})
-            return interior_probe(h, 1)
-
-        assert probe(2**62 - 3).shape == (0, 1)
+        assert interior_probe(self.hist((0,), (2**62 - 3,)), 1).shape == (0, 1)
         with pytest.raises(BoxIndexOverflow):
-            probe(2**62 - 2)
-        h = OccupationHistogram(cell_size=0.1, origin=np.zeros(2),
-                                cells={(0, 0): 0.5, (2**31, 2**31): 0.5})
+            interior_probe(self.hist((0,), (2**62 - 2,)), 1)
         with pytest.raises(BoxIndexOverflow):
-            interior_probe(h, 1)
+            interior_probe(self.hist((0, 0), (2**31, 2**31)), 1)
 
 
 def test_import_loads_no_scipy():
