@@ -83,14 +83,19 @@ def _read_cloud_csv(path):
         rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
     if not rows or rows[0][0] != "t":
         raise ConfigError(f"{path}: expected a CSV with header t,x1,...,xd")
+    width = len(rows[0])
+    if width < 2:
+        raise ConfigError(f"{path}: no value columns after t")
+    if len(rows) == 1:
+        raise ConfigError(f"{path}: no data rows")
+    for i, row in enumerate(rows[1:], start=1):
+        if len(row) != width:
+            raise ConfigError(f"{path}: data row {i} has {len(row)} cells where "
+                              f"the header has {width}")
     try:
         data = np.array([[float(x) for x in r] for r in rows[1:]])
     except ValueError:
-        raise ConfigError(f"{path}: rows need equally many numeric cells") from None
-    if data.size == 0:
-        raise ConfigError(f"{path}: no data rows")
-    if data.shape[1] < 2:
-        raise ConfigError(f"{path}: no value columns after t")
+        raise ConfigError(f"{path}: rows need numeric cells") from None
     return data[:, 0], data[:, 1:]
 
 

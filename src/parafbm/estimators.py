@@ -494,7 +494,9 @@ def energy_integral_mc(measure_points, values, gamma, hurst, pair_seed=0):
     whole, non-negative number in either regime (ConfigError otherwise).
     Two points of equal time and value lie at distance 0, where the kernel
     diverges; in either regime they raise NumericalError, naming the pair,
-    before anything is summed.
+    before anything is summed.  Times, weights or values that are not finite
+    raise ConfigError, and a sum that is not finite (pairs so close that a
+    term overflows) raises NumericalError.
     """
     hurst = validate_hurst(hurst)
     pair_seed = validate_seed(pair_seed, "pair_seed")
@@ -510,6 +512,8 @@ def energy_integral_mc(measure_points, values, gamma, hurst, pair_seed=0):
         raise ConfigError("values must align with measure points")
     if n < 2:
         raise ConfigError("need at least 2 points")
+    if not (np.isfinite(times).all() and np.isfinite(weights).all() and np.isfinite(v).all()):
+        raise ConfigError("times, weights and values must be finite numbers")
     # sorted lexicographically, equal points are neighbours
     pts = np.column_stack([times, v])
     order = np.lexsort(pts.T[::-1])
@@ -521,31 +525,35 @@ def energy_integral_mc(measure_points, values, gamma, hurst, pair_seed=0):
                              "rho_H distance is 0 and the energy sum diverges")
     q = gamma / hurst
 
-    if n <= ENERGY_PAIR_CAP:
-        total = 0.0
-        # row-chunked full double sum, diagonal excluded
-        chunk = max(1, 2**22 // max(n, 1))
-        for start in range(0, n, chunk):
-            rows = np.arange(start, min(start + chunk, n))
-            rho = rho_h((times[rows, None], v[rows, None, :]), (times, v), hurst)
-            rho[rows - start, rows] = np.inf
-            total += float(np.sum(weights[rows, None] * weights[None, :] * rho**-q))
-        return total
-
-    rng = philox_stream(pair_seed, (3,))
-    got = 0
-    acc = 0.0
-    while got < ENERGY_DEFAULT_PAIRS:
-        m = min(ENERGY_DEFAULT_PAIRS - got, 2**20)
-        ii = rng.integers(0, n, size=m)
-        jj = rng.integers(0, n, size=m)
-        ok = ii != jj
-        ii, jj = ii[ok], jj[ok]
-        rho = rho_h((times[ii], v[ii]), (times[jj], v[jj]), hurst)
-        acc += float(np.sum(weights[ii] * weights[jj] * rho**-q))
-        got += int(ok.sum())
-    # mean over sampled ordered pairs, rescaled to all n*(n-1) of them
-    return acc / got * n * (n - 1)
+    with np.errstate(over="ignore", divide="ignore"):   # a sum that overflows is refused below
+        if n <= ENERGY_PAIR_CAP:
+            energy = 0.0
+            # row-chunked full double sum, diagonal excluded
+            chunk = max(1, 2**22 // max(n, 1))
+            for start in range(0, n, chunk):
+                rows = np.arange(start, min(start + chunk, n))
+                rho = rho_h((times[rows, None], v[rows, None, :]), (times, v), hurst)
+                rho[rows - start, rows] = np.inf
+                energy += float(np.sum(weights[rows, None] * weights[None, :] * rho**-q))
+        else:
+            rng = philox_stream(pair_seed, (3,))
+            got = 0
+            acc = 0.0
+            while got < ENERGY_DEFAULT_PAIRS:
+                m = min(ENERGY_DEFAULT_PAIRS - got, 2**20)
+                ii = rng.integers(0, n, size=m)
+                jj = rng.integers(0, n, size=m)
+                ok = ii != jj
+                ii, jj = ii[ok], jj[ok]
+                rho = rho_h((times[ii], v[ii]), (times[jj], v[jj]), hurst)
+                acc += float(np.sum(weights[ii] * weights[jj] * rho**-q))
+                got += int(ok.sum())
+            # mean over sampled ordered pairs, rescaled to all n*(n-1) of them
+            energy = acc / got * n * (n - 1)
+    if not math.isfinite(energy):
+        raise NumericalError(f"the energy sum is {energy}: some pair of points lies too "
+                             "close for its rho_H^(-gamma/H) term to be a finite float")
+    return energy
 
 
 def validate_gamma(gamma, hurst, d):

@@ -3,17 +3,18 @@
 Configs are versioned JSON with strict key checking: an unknown top-level,
 ``params`` or cell key is an error, and so is a cell that lacks one of its
 kind's required keys (a typo in a Hurst parameter must not pass silently)
-or gives a word-valued key a value outside ``_CELL_CHOICES``.  Every cell
-value is checked when the config is built, before anything is written, and
-so is each rule that ties a cell's keys together (alpha <= H, H < H',
-gamma off H*d, alpha'*d < dim A), by the same check the runner meets.  The
-one free-form cell key is ``label``, echoed into the report's ``cell``
-column with the rest of the cell.  Each kind declares its params (each
-checked by the type of its default), keys, runner, reducer and job grouping
-once, in ``_KIND_SPECS``.  A job is one cell, or a run of graph-dimension
-cells that measure the same sample paths.  Its runner yields per-seed
-records, and its reducer turns each cell's records into one report row,
-whose ``runtime_s`` follows the one charging rule of ``_run_one_cell``.
+or gives a word-valued key a value outside ``_CELL_CHOICES``.  Each cell is
+parsed once, when the config is built and before anything is written, into
+the one record runners and reducers read (``_parse_cell``), and each rule
+that ties its keys together (alpha <= H, H < H', gamma off H*d,
+alpha'*d < dim A) is checked on it.  The one free-form cell key is
+``label``, echoed into the report's ``cell`` column with the rest of the
+cell.  Each kind declares its params (each checked by the type of its
+default), keys, runner, reducer and job grouping once, in ``_KIND_SPECS``.
+A job is one cell, or a run of graph-dimension cells that measure the same
+sample paths.  Its runner yields per-seed records, and its reducer turns
+each cell's records into one report row, whose ``runtime_s`` follows the
+one charging rule of ``_run_one_cell``.
 Rows are appended to report.csv as jobs complete, in deterministic cell
 order, with the config hash embedded so reruns are comparable.
 Almost-sure statements are operationalized as seed-fraction thresholds at
@@ -61,6 +62,7 @@ from .fbm import (
 )
 from .fractals import (
     WeightedTimeSet,
+    cantor_with_dimension,
     full_interval,
     generalized_cantor,
     middle_thirds_cantor,
@@ -99,14 +101,10 @@ _CELL_CHOICES = {"check": ("bounded", "slope"), "path": ("fbm", "constant"),
                  "expect": ("interior", "no-interior", "evidence"),
                  "drift": ("zero", "lipschitz")}
 
-#: the real-valued cell keys, each checked as a finite number at load
-_CELL_REALS = ("epsilon", "threshold", "tolerance", "gamma")
-
-#: the Hurst-index cell keys, each checked in (0, 1) at load (alpha_p may be null)
-_CELL_HURSTS = ("alpha", "hurst", "hurst_prime", "alpha_p")
-
-#: the whole-number cell keys, each checked by ``_check_count`` at load
-_CELL_COUNTS = ("d", "radius_cells")
+#: each optional cell key's value when a cell leaves it out, but ``tolerance``,
+#: whose default is 0.1 at d = 1 and 0.15 above
+_CELL_DEFAULTS = {"set": {"kind": "full"}, "radius_cells": 2, "threshold": 0.9,
+                  "alpha_p": None, **{key: values[0] for key, values in _CELL_CHOICES.items()}}
 
 #: the whole-number params that count something, checked by ``_check_count`` at load
 _PARAM_COUNTS = ("grid_n", "n_samples")
@@ -130,10 +128,31 @@ def _is_real(value):
 
 
 def _check_count(value, key):
-    """A whole number from 1 to the largest array length."""
-    if validate_count(value, key) > _MAX_COUNT:
+    """A whole number from 1 to the largest array length, as int."""
+    count = validate_count(value, key)
+    if count > _MAX_COUNT:
         raise ConfigError(f"{key} must be at most {_MAX_COUNT}, the largest array "
                           f"length, got {value!r}")
+    return count
+
+
+def _check_real(value, key, positive=False):
+    """A finite real number, above 0 if ``positive``, as float."""
+    if not _is_real(value):
+        raise ConfigError(f"{key} must be a finite number, got {value!r}")
+    if positive and value <= 0.0:
+        raise ConfigError(f"{key} must be > 0, got {value!r}")
+    return float(value)
+
+
+#: per number-valued cell key, its check, which returns the value runners read
+_CELL_CHECKS = {
+    **dict.fromkeys(("alpha", "hurst", "hurst_prime"), validate_hurst),
+    "alpha_p": lambda value, key: None if value is None else validate_hurst(value, key),
+    **dict.fromkeys(("d", "radius_cells"), _check_count),
+    **dict.fromkeys(("gamma", "threshold", "tolerance"), _check_real),
+    "epsilon": partial(_check_real, positive=True),
+}
 
 
 def _is_exponent_list(value):
@@ -150,8 +169,8 @@ def _check_param(key, value, default):
     accepts."""
     if isinstance(default, int):
         (_check_count if key in _PARAM_COUNTS else validate_integer)(value, key)
-    elif isinstance(default, float) and not _is_real(value):
-        raise ConfigError(f"{key} must be a finite number, got {value!r}")
+    elif isinstance(default, float):
+        _check_real(value, key)
     elif isinstance(default, list):
         if not _is_exponent_list(value):
             raise ConfigError(f"{key} must be a strictly increasing list of at least two "
@@ -191,6 +210,42 @@ def _check_ladder(delta_coarse_exp, delta_fine_exp, per_octave):
 
 def _nearest(word, valid):
     return difflib.get_close_matches(str(word), valid, n=1, cutoff=0.0)[0]
+
+
+def _parse_cell(kind, cell):
+    """The parsed cell runners and reducers read: each key ``kind`` takes but
+    ``label``, as its check in ``_CELL_CHECKS`` returns it or, left out, as
+    ``_CELL_DEFAULTS`` gives it; a ``set`` is built, its canonical spec JSON
+    kept as ``set_key``.  The kind's ``cell_rule`` runs on the parsed cell."""
+    spec = _KIND_SPECS[kind]
+    if not isinstance(cell, dict):
+        raise ConfigError(f"each cell must be a JSON object, got {cell!r}")
+    valid = [*spec.cell_keys, *spec.cell_optional, "label"]
+    parsed = {key: _CELL_DEFAULTS[key] for key in spec.cell_optional if key in _CELL_DEFAULTS}
+    for key, value in cell.items():
+        if key not in valid:
+            raise ConfigError(f"unknown {kind} cell key {key!r} (did you mean "
+                              f"{_nearest(key, valid)!r}? allowed: {sorted(valid)})")
+        choices = _CELL_CHOICES.get(key)
+        if choices and value not in choices:
+            raise ConfigError(f"unknown {key} {value!r} in {kind} cell (did you mean "
+                              f"{_nearest(value, choices)!r}? allowed: {list(choices)})")
+        if key != "label":
+            parsed[key] = _CELL_CHECKS[key](value, key) if key in _CELL_CHECKS else value
+    if "set" in parsed:
+        set_spec = parsed["set"]
+        parsed.update(set=build_set(set_spec), set_key=json.dumps(set_spec, sort_keys=True))
+    missing = [k for k in spec.cell_keys if k not in cell]
+    if missing:
+        raise ConfigError(f"{kind} cell {cell} lacks key(s) {missing}")
+    if "tolerance" in spec.cell_optional:
+        parsed.setdefault("tolerance", 0.1 if parsed["d"] == 1 else 0.15)
+    if cell.get("alpha_p") is not None and "drift" in cell:
+        raise ConfigError(f"{kind} cell {cell} has both alpha_p and drift: "
+                          "the mixed path is drawn without a drift")
+    if spec.cell_rule:
+        spec.cell_rule(parsed)
+    return parsed
 
 
 @dataclass(frozen=True)
@@ -235,42 +290,10 @@ class ExperimentConfig:
         cells = self.params.get("cells")
         if not isinstance(cells, list) or not cells:
             raise ConfigError("params.cells must be a non-empty list")
-        valid = [*spec.cell_keys, *spec.cell_optional, "label"]
-        for cell in cells:
-            if not isinstance(cell, dict):
-                raise ConfigError(f"each cell must be a JSON object, got {cell!r}")
-            for key, value in cell.items():
-                if key not in valid:
-                    raise ConfigError(
-                        f"unknown {self.kind} cell key {key!r} (did you mean "
-                        f"{_nearest(key, valid)!r}? allowed: {sorted(valid)})"
-                    )
-                if key in _CELL_REALS:
-                    _check_param(key, value, 0.0)
-                elif key in _CELL_HURSTS and not (key == "alpha_p" and value is None):
-                    validate_hurst(value, key)
-                elif key in _CELL_COUNTS:
-                    _check_count(value, key)
-                elif key == "set":
-                    if not isinstance(value, dict):
-                        raise ConfigError(f"set must be a JSON object, got {value!r}")
-                    build_set(value)
-                choices = _CELL_CHOICES.get(key)
-                if choices and value not in choices:
-                    raise ConfigError(
-                        f"unknown {key} {value!r} in {self.kind} cell (did you mean "
-                        f"{_nearest(value, choices)!r}? allowed: {list(choices)})"
-                    )
-            if cell.get("epsilon", 1.0) <= 0.0:
-                raise ConfigError(f"epsilon must be > 0, got {cell['epsilon']!r}")
-            missing = [k for k in spec.cell_keys if k not in cell]
-            if missing:
-                raise ConfigError(f"{self.kind} cell {cell} lacks key(s) {missing}")
-            if cell.get("alpha_p") is not None and "drift" in cell:
-                raise ConfigError(f"{self.kind} cell {cell} has both alpha_p and drift: "
-                                  "the mixed path is drawn without a drift")
-            if spec.cell_rule:
-                spec.cell_rule(cell)
+        # (cell, parsed cell) pairs, in the canonical cell order rows follow
+        object.__setattr__(self, "_cells", sorted(
+            ((cell, _parse_cell(self.kind, cell)) for cell in cells),
+            key=lambda pair: json.dumps(pair[0], sort_keys=True)))
 
     @classmethod
     def from_dict(cls, doc):
@@ -344,6 +367,8 @@ def build_set(spec):
     ``generation`` and ``m`` must be whole numbers: 8.5 raises ConfigError
     rather than being truncated; a real ``r`` or a ``dim`` in (0, 1) sets the ratio.
     """
+    if not isinstance(spec, dict):
+        raise ConfigError(f"set must be a JSON object, got {spec!r}")
     unknown = set(spec) - _SET_KEYS
     if unknown:
         raise ConfigError(f"unknown set keys: {sorted(unknown)}")
@@ -361,11 +386,10 @@ def build_set(spec):
             dim = spec["dim"]
             if not (_is_real(dim) and 0.0 < dim < 1.0):
                 raise ConfigError(f"dim must be a number in (0, 1), got {dim!r}")
-            r = m ** (-1.0 / float(dim))
-        else:
-            r = spec.get("r")
-            if not _is_real(r):
-                raise ConfigError(f"r must be a finite number, got {r!r}")
+            return cantor_with_dimension(float(dim), k, m)
+        r = spec.get("r")
+        if not _is_real(r):
+            raise ConfigError(f"r must be a finite number, got {r!r}")
         return generalized_cantor(m, float(r), k)
     raise ConfigError(f"unknown set kind {kind!r}")
 
@@ -376,29 +400,12 @@ def lipschitz_drift(grid, d):
     return np.vstack([t / (j + 1.0) for j in range(d)])
 
 
-def _cell_sort_key(cell):
-    return json.dumps(cell, sort_keys=True)
-
-
 # ---------------------------------------------------------------------------
 # cell runners yield (cell index, record) and reducers turn a cell's records
-# into its outcome (see ``_run_one_cell``).  Runners look up the path,
-# estimator and set builders as module globals at call time, and the probe
-# as ``occupation.interior_probe``, so callers can wrap those.
-
-
-def _cell_d(cell):
-    """The cell's dimension d, a whole number >= 1 (1.5 raises, not truncated)."""
-    return validate_count(cell["d"], "d")
-
-
-def _cell_radius(cell):
-    """The cell's probe radius in cells, a whole number >= 1 (default 2)."""
-    return validate_count(cell.get("radius_cells", 2), "radius_cells")
-
-
-def _cell_set(cell):
-    return build_set(cell.get("set", {"kind": "full"}))
+# into its outcome (see ``_run_one_cell``); both read parsed cells only.
+# Runners look up the path, sampling and estimator functions as module globals
+# at call time, and the probe as ``occupation.interior_probe``, so callers can
+# wrap them.
 
 
 def _alpha_rule(cell):
@@ -411,16 +418,13 @@ def _comparison_rule(cell):
 
 def _kernel_rule(cell):
     _alpha_rule(cell)
-    validate_gamma(cell["gamma"], cell["hurst"], _cell_d(cell))
+    validate_gamma(cell["gamma"], cell["hurst"], cell["d"])
 
 
 def _feasible_rule(cell):
     """alpha'*d < dim A for a theorem41 cell with alpha_p that expects a verdict."""
-    alpha_p = cell.get("alpha_p")
-    if alpha_p is None or cell.get("expect", "interior") == "evidence":
-        return
-    d, dim_a = _cell_d(cell), _cell_set(cell).theoretical_dim
-    if alpha_p * d >= dim_a:
+    alpha_p, d, dim_a = cell["alpha_p"], cell["d"], cell["set"].theoretical_dim
+    if alpha_p is not None and cell["expect"] != "evidence" and alpha_p * d >= dim_a:
         raise InfeasibleParameters(f"alpha'*d = {alpha_p * d} >= dim(A) = {dim_a}")
 
 
@@ -448,10 +452,8 @@ def _graph_records(fitted, cells, common, seeds, seed_base):
     those each cell gives alone.
     """
     alpha = _path_key(cells[0])
-    dims = [_cell_d(cell) for cell in cells]
-    specs = [cell.get("set", {"kind": "full"}) for cell in cells]
-    fsets = [build_set(spec) for spec in specs]
-    set_keys = [json.dumps(spec, sort_keys=True) for spec in specs]
+    dims = [cell["d"] for cell in cells]
+    set_keys = [cell["set_key"] for cell in cells]
     hursts = [tuple(cell[key] for key in fitted) for cell in cells]
     # each count, (set, H), with the d of every cell that fits it
     count_dims = {}
@@ -468,15 +470,15 @@ def _graph_records(fitted, cells, common, seeds, seed_base):
             for d in set(dims)
         }
         subs, curves = {}, {}
-        for i, (fset, key, hs) in enumerate(zip(fsets, set_keys, hursts)):
+        for i, (cell, key, hs) in enumerate(zip(cells, set_keys, hursts)):
             for hurst in hs:
                 count = (key, hurst)
                 if count not in curves:
                     m = max(count_dims[count])
                     if (key, m) not in subs:
                         cloud = clouds[m]
-                        subs[key, m] = (cloud if fset.kind == "full-interval"
-                                        else cloud.restrict(fset))
+                        subs[key, m] = (cloud if cell["set"].kind == "full-interval"
+                                        else cloud.restrict(cell["set"]))
                     curves[count] = subs[key, m], box_count_curves(
                         subs[key, m], deltas, hurst, set(count_dims[count]))
                     if len(count_dims[count]) > 1:
@@ -506,8 +508,8 @@ def _graph_outcome(row, fitted, cell, fits, common, seeds):
 
 def _dim_formula_row(cell, fits, common):
     (out,) = fits
-    d, dim_a = _cell_d(cell), _cell_set(cell).theoretical_dim
-    theory = theoretical_graph_dimension(cell["alpha"], cell["hurst"], dim_a, d)
+    dim_a = cell["set"].theoretical_dim
+    theory = theoretical_graph_dimension(cell["alpha"], cell["hurst"], dim_a, cell["d"])
     diag = {
         "r_squared": out["r_squared"],
         "r_squared_ok": out["r_squared"] >= common["min_r_squared"],
@@ -515,7 +517,7 @@ def _dim_formula_row(cell, fits, common):
         "dim_a": dim_a,
     }
     return dict(theory=theory, estimate=out["estimate"],
-                tolerance=float(cell.get("tolerance", 0.1 if d == 1 else 0.15)),
+                tolerance=cell["tolerance"],
                 diagnostics=diag)
 
 
@@ -529,7 +531,7 @@ def _bracket(estimate, lower, upper, margin, **diag):
 def _holder_bounds_row(cell, fits, common):
     (out,) = fits
     lower, upper = holder_graph_bounds(
-        cell["alpha"], cell["hurst"], _cell_set(cell).theoretical_dim, _cell_d(cell)
+        cell["alpha"], cell["hurst"], cell["set"].theoretical_dim, cell["d"]
     )
     return _bracket(out["estimate"], lower, upper, common["margin"],
                     r_squared=out["r_squared"])
@@ -538,7 +540,7 @@ def _holder_bounds_row(cell, fits, common):
 def _comparison_bounds_row(cell, fits, common):
     out_h, out_hp = fits
     lower, upper = comparison_bounds(
-        out_h["estimate"], cell["hurst"], cell["hurst_prime"], _cell_d(cell)
+        out_h["estimate"], cell["hurst"], cell["hurst_prime"], cell["d"]
     )
     return _bracket(out_hp["estimate"], lower, upper, common["margin"],
                     estimate_h=out_h["estimate"])
@@ -551,11 +553,11 @@ def _kernel_records(cells, common, seeds, seed_base):
     for i, k in enumerate(common["t_exponents"]):
         t = 2.0**-k
         yield 0, (t, kernel_expectation_mc(t, cell["alpha"], cell["hurst"], cell["gamma"],
-                                           _cell_d(cell), common["n_samples"], seed=seed_base + i))
+                                           cell["d"], common["n_samples"], seed=seed_base + i))
 
 
 def _kernel_outcome(cell, records, common, seeds):
-    alpha, hurst, gamma, d = cell["alpha"], cell["hurst"], cell["gamma"], _cell_d(cell)
+    alpha, hurst, gamma, d = cell["alpha"], cell["hurst"], cell["gamma"], cell["d"]
     ts, vals = zip(*records)
     slope = float(np.polyfit(np.log(ts), np.log(vals), 1)[0])
     if gamma < hurst * d:
@@ -599,11 +601,11 @@ def _images(cell, grid, samples, seeds, seed_base):
     (H, alpha_p), from seeds ``seed_base + 2s`` and ``seed_base + 2s + 1``.
     A ``path: constant`` cell's path is 0, whose one image stands for all seeds.
     """
-    hurst, d, alpha_p = cell["hurst"], _cell_d(cell), cell.get("alpha_p")
+    hurst, d, alpha_p = cell["hurst"], cell["d"], cell.get("alpha_p")
     if cell.get("path") == "constant":
         yield samples.weights, np.zeros((len(samples), d))
         return
-    drift = (lipschitz_drift(grid, d) if cell.get("drift") == "lipschitz"
+    drift = (lipschitz_drift(grid, d) if cell["drift"] == "lipschitz"
              else np.zeros((d, len(grid))))
     for s in range(seeds):
         if alpha_p is None:
@@ -621,13 +623,13 @@ def _occupation_l2_records(cells, common, seeds, seed_base):
     (cell,) = cells
     grid = TimeGrid.regular(common["grid_n"])
     samples = _snap_to_grid(
-        sample_natural_measure(_cell_set(cell), common["n_samples"], seed=seed_base), grid
+        sample_natural_measure(cell["set"], common["n_samples"], seed=seed_base), grid
     )
     yield from ((0, image) for image in _images(cell, grid, samples, seeds, seed_base))
 
 
 def _occupation_l2_outcome(cell, images, common, seeds):
-    d = _cell_d(cell)
+    d = cell["d"]
     radii = 2.0 ** -np.asarray(common["radius_exponents"], dtype=float)
     vals = l2_density_diagnostic([img for _, img in images], images[0][0], radii)
     empty = np.flatnonzero(vals <= 0.0)
@@ -643,7 +645,7 @@ def _occupation_l2_outcome(cell, images, common, seeds):
         "seeds": seeds,
         "n_samples": common["n_samples"],
     }
-    if cell.get("check", "bounded") == "bounded":
+    if cell["check"] == "bounded":
         ratio = float(vals.max() / vals.min())
         diag.update(max_ratio_allowed=common["max_ratio"],
                     threshold_pass=bool(ratio <= common["max_ratio"]))
@@ -658,29 +660,28 @@ def _interior_records(cells, common, seeds, seed_base):
     """Yield each seed's interior flag: whether its occupation histogram has
     a cell whose neighborhood of the cell's radius is occupied."""
     (cell,) = cells
-    samples = sample_natural_measure(_cell_set(cell), common["n_samples"], seed=seed_base)
+    samples = sample_natural_measure(cell["set"], common["n_samples"], seed=seed_base)
     grid = TimeGrid.regular(common["grid_n"])
     for w, img in _images(cell, grid, samples, seeds, seed_base):
-        hist = occupation_histogram(w, img, float(cell["epsilon"]))
-        yield 0, len(occupation.interior_probe(hist, _cell_radius(cell))) > 0
+        hist = occupation_histogram(w, img, cell["epsilon"])
+        yield 0, len(occupation.interior_probe(hist, cell["radius_cells"])) > 0
 
 
 def _interior_outcome(cell, flags, common, seeds):
     frac = sum(flags) / len(flags)
-    expect = cell.get("expect", "interior")
-    threshold = float(cell.get("threshold", 0.9))
+    expect, threshold = cell["expect"], cell["threshold"]
     # evidence is recorded, not thresholded
     ok = {"interior": frac >= threshold, "no-interior": frac <= threshold}.get(expect)
     diag = {
         "expect": expect,
         "threshold": threshold,
         "threshold_pass": ok,
-        "epsilon": float(cell["epsilon"]),
-        "radius_cells": _cell_radius(cell),
+        "epsilon": cell["epsilon"],
+        "radius_cells": cell["radius_cells"],
         "seeds": seeds,
         "n_samples": common["n_samples"],
         "grid_n": common["grid_n"],
-        "dim_a": _cell_set(cell).theoretical_dim,
+        "dim_a": cell["set"].theoretical_dim,
     }
     return dict(theory=None, estimate=frac, tolerance=None, diagnostics=diag)
 
@@ -768,32 +769,32 @@ _KIND_SPECS = {
 def _run_one_cell(job):
     """Report rows of one job, in cell order: the one place rows are built and timed.
 
-    ``job`` is (kind, cells, common, seeds, seed_base, config_hash).  For the
-    kinds that share paths ``cells`` is a run of cells with one path key,
-    which share each seed's path; for the other kinds it holds one cell.
+    ``job`` is (kind, cells, common, seeds, seed_base, config_hash, parsed),
+    ``parsed`` the parsed ``cells``: a run of cells with one path key, which
+    share each seed's path, for the kinds that share paths, else one cell.
     The kind's runner yields (cell index, record) pairs, its reducer turns
-    each cell's records into an outcome, and each row is that outcome
-    stamped with the kind, the cell, the config hash and ``runtime_s``.
+    each parsed cell's records into an outcome, and each row is that outcome
+    stamped with the kind, the raw cell, the config hash and ``runtime_s``.
 
     The charging rule: the time up to each yield goes to the cell it names,
     and each reduction to its cell.  Shared work goes to the job's first
     cell: the grid, the paths, and every count that more than one cell
     fits (named by a None record, which charges time and keeps no record).
     """
-    kind, cells, common, seeds, seed_base, config_hash = job
+    kind, cells, common, seeds, seed_base, config_hash, parsed = job
     spec = _KIND_SPECS[kind]
     records = [[] for _ in cells]
     runtimes = [0.0] * len(cells)
     t0 = time.perf_counter()
-    for i, record in spec.run(cells, common, seeds, seed_base):
+    for i, record in spec.run(parsed, common, seeds, seed_base):
         t1 = time.perf_counter()
         runtimes[i] += t1 - t0
         t0 = t1
         if record is not None:
             records[i].append(record)
     rows = []
-    for cell, cell_records, runtime in zip(cells, records, runtimes):
-        outcome = spec.reduce(cell, cell_records, common, seeds)
+    for cell, parsed_cell, cell_records, runtime in zip(cells, parsed, records, runtimes):
+        outcome = spec.reduce(parsed_cell, cell_records, common, seeds)
         t1 = time.perf_counter()
         outcome["diagnostics"]["runtime_s"] = round(runtime + t1 - t0, 3)
         t0 = t1
@@ -801,12 +802,12 @@ def _run_one_cell(job):
     return rows
 
 
-def _cell_runs(kind, cells):
-    """Sorted cells split into jobs: contiguous runs of one path key for the
-    kinds that share paths, one cell each otherwise."""
+def _cell_runs(kind, pairs):
+    """Sorted (cell, parsed cell) pairs split into jobs: contiguous runs of
+    one path key for the kinds that share paths, one pair each otherwise."""
     if _KIND_SPECS[kind].shares_paths:
-        return [list(run) for _, run in itertools.groupby(cells, key=_path_key)]
-    return [[cell] for cell in cells]
+        return [list(run) for _, run in itertools.groupby(pairs, key=lambda p: _path_key(p[1]))]
+    return [[pair] for pair in pairs]
 
 
 def _append_rows(report_path, rows):
@@ -856,7 +857,6 @@ def run_experiment(config, out_dir=None, workers=1):
     workers = validate_count(workers, "workers")
     common = dict(_KIND_SPECS[config.kind].defaults)
     common.update({k: v for k, v in config.params.items() if k != "cells"})
-    cells = sorted(config.params["cells"], key=_cell_sort_key)
     chash = config.config_hash()
 
     report_path = None
@@ -870,8 +870,9 @@ def run_experiment(config, out_dir=None, workers=1):
             report_path.unlink()
 
     jobs = [
-        (config.kind, run, common, config.seeds, config.seed_base, chash)
-        for run in _cell_runs(config.kind, cells)
+        (config.kind, [cell for cell, _ in run], common, config.seeds, config.seed_base,
+         chash, [parsed for _, parsed in run])
+        for run in _cell_runs(config.kind, config._cells)
     ]
     workers = min(workers, len(jobs))
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext()

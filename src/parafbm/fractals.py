@@ -30,9 +30,6 @@ __all__ = [
 #: refuse constructions with more interval records than this
 MAX_INTERVALS = 2**20
 
-#: the m of every set ``cantor_with_dimension`` builds
-DIMENSION_BRANCHES = 2
-
 #: slack of ``FractalSet.contains`` at each interval end
 CONTAINS_TOL = 1e-12
 
@@ -123,12 +120,12 @@ def middle_thirds_cantor(k):
     return replace(generalized_cantor(2, 1.0 / 3.0, k), kind="middle-thirds")
 
 
-def cantor_with_dimension(dim, k):
-    """Generalized Cantor set with prescribed dimension: r solves ln m / ln(1/r) = dim."""
+def cantor_with_dimension(dim, k, m=2):
+    """Generalized Cantor set of m branches with prescribed dimension: r solves
+    ln m / ln(1/r) = dim."""
     if not 0.0 < dim < 1.0:
         raise ConfigError("target dimension must lie in (0, 1)")
-    r = DIMENSION_BRANCHES ** (-1.0 / dim)
-    return generalized_cantor(DIMENSION_BRANCHES, r, k)
+    return generalized_cantor(m, m ** (-1.0 / dim), k)
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,8 @@ The increment covariance of the Cholesky sampler is checked against a
 a quadrature of the law of the sup-norm of a normal vector.
 The mixed sampler's increments are checked against the closed-form
 increment variance of B^H + B^a'.
+The parsed experiment cell is checked against the values the per-key
+accessors and read-site defaults gave before cells were parsed at load.
 """
 
 import cmath
@@ -401,3 +403,42 @@ def lnd_sweep_by_config(n_configs, hurst, alpha_p, interval, max_points, seed):
                                          "times": times.tolist()}),
                         "u": u, "n": n, "ratio": ratio})
     return records, min(r["ratio"] for r in records)
+
+
+#: per experiment kind, the cell keys its runner and reducer read
+_KIND_CELL_KEYS = {
+    "dim-formula": ("alpha", "hurst", "d", "set", "tolerance"),
+    "holder-bounds": ("alpha", "hurst", "d", "set"),
+    "comparison-bounds": ("alpha", "hurst", "hurst_prime", "d", "set"),
+    "kernel-scaling": ("alpha", "hurst", "gamma", "d"),
+    "occupation-l2": ("hurst", "d", "set", "drift", "path", "check"),
+    "interior": ("hurst", "d", "epsilon", "set", "drift", "radius_cells", "expect",
+                 "threshold"),
+    "theorem41": ("hurst", "d", "epsilon", "set", "drift", "radius_cells", "expect",
+                  "threshold", "alpha_p"),
+}
+
+
+def naive_cell_values(kind, cell):
+    """What the runner and reducer of a valid ``kind`` cell read, key by key.
+
+    Restates the accessors and the defaults written where each value was
+    read: ``d`` and ``radius_cells`` (default 2) as int; ``tolerance``
+    (0.1 at d = 1, else 0.15), ``threshold`` (0.9), ``epsilon`` and the
+    other numbers as float, ``alpha_p`` None when left out; ``set`` the spec
+    to build, the full interval when left out; each word key its value or
+    its default (bounded, fbm, interior, zero).
+    """
+    d = int(cell["d"])
+    defaults = {"tolerance": 0.1 if d == 1 else 0.15, "radius_cells": 2, "threshold": 0.9,
+                "alpha_p": None, "set": {"kind": "full"}, "check": "bounded",
+                "path": "fbm", "expect": "interior", "drift": "zero"}
+    values = {}
+    for key in _KIND_CELL_KEYS[kind]:
+        value = cell[key] if key in cell else defaults[key]
+        if key in ("d", "radius_cells"):
+            value = int(value)
+        elif isinstance(value, (int, float)):
+            value = float(value)
+        values[key] = value
+    return values

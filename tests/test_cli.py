@@ -181,6 +181,17 @@ class TestMalformedInput:
         err = capsys.readouterr().err.splitlines()
         assert err == [f"error: {path}: no value columns after t"]
 
+    @pytest.mark.parametrize("command", sorted(_ARGS))
+    def test_rows_narrower_than_header_exit_1(self, tmp_path, capsys, command):
+        # a t,x1,x2 header over two-cell rows was read as d = 1 and reported, exit 0
+        path = tmp_path / "cloud.csv"
+        path.write_text("t,x1,x2\n0.0,0.1\n0.5,0.2\n1.0,0.3\n")
+        out = [] if command == "energy" else ["--out", str(tmp_path / "out")]
+        assert run([command, "--input", str(path), *self._ARGS[command], *out]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {path}: data row 1 has 2 cells where the header has 3"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cloud.csv"]
+
     @pytest.mark.parametrize("spec, token", [
         ("2^-x..2^-6", "2^-x"), ("0..2^-6", "0"), ("a,b", "a,b"),
     ])
@@ -218,6 +229,21 @@ class TestEnergyAndOccupancy:
         out = capsys.readouterr()
         assert out.out == ""
         assert out.err.startswith("numerical failure: points 0 and 1 coincide")
+
+    @pytest.mark.parametrize("rows, code, err", [
+        (["0.1,0", "0.1,5e-324", "0.3,0.7"], 2, "numerical failure: the energy sum is inf"),
+        (["0.1,0", "0.1,nan", "0.3,0.7"], 1,
+         "error: times, weights and values must be finite numbers"),
+    ], ids=["overflowing-term", "nan-value"])
+    def test_energy_not_finite_exits_nonzero(self, tmp_path, capsys, rows, code, err):
+        # printed {"energy": Infinity} after an overflow warning, or NaN, and exited 0
+        path = _cloud_csv(tmp_path, rows)
+        assert run(["energy", "--input", str(path), "--hurst", "0.5",
+                    "--gamma", "1"]) == code
+        out = capsys.readouterr()
+        assert out.out == ""
+        (line,) = out.err.splitlines()
+        assert line.startswith(err)
 
     def test_occupancy_bad_radius_writes_nothing(self, tmp_path, capsys):
         # the histogram CSV was written before the radius was checked

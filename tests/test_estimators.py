@@ -1,5 +1,6 @@
 import dataclasses
 import io
+import types
 
 import numpy as np
 import pytest
@@ -613,6 +614,27 @@ class TestEnergy:
             energy_integral_mc(pts, v, 0.5, 0.5)
         v[250, 1] = np.nextafter(v[250, 1], np.inf)   # distinct again, by one ulp
         assert np.isfinite(energy_integral_mc(pts, v, 0.5, 0.5))
+
+    @pytest.mark.parametrize("where", ["times", "weights", "values"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_inputs_raise_config_error(self, where, bad):
+        # a NaN value gave a NaN energy; the points' own check is bypassed here
+        t, w, v = np.array([0.2, 0.5, 0.9]), np.full(3, 1 / 3), np.array([[0.1], [0.4], [0.3]])
+        {"times": t, "weights": w, "values": v[:, 0]}[where][1] = bad
+        pts = types.SimpleNamespace(times=t, weights=w)
+        with pytest.raises(ConfigError, match="must be finite numbers"):
+            energy_integral_mc(pts, v, 0.5, 0.5)
+
+    @pytest.mark.parametrize("cap", [None, 2])
+    def test_overflowing_sum_raises_numerical_error(self, monkeypatch, cap):
+        # two distinct points 5e-324 apart made a term, so the sum, infinite
+        if cap is not None:   # the subsampled regime
+            monkeypatch.setattr(estimators, "ENERGY_PAIR_CAP", cap)
+            monkeypatch.setattr(estimators, "ENERGY_DEFAULT_PAIRS", 1000)
+        pts = WeightedTimeSet(times=np.array([0.1, 0.1, 0.3]), weights=np.full(3, 1 / 3))
+        v = np.array([[0.0], [5e-324], [0.7]])
+        with pytest.raises(NumericalError, match="the energy sum is inf"):
+            energy_integral_mc(pts, v, 1.0, 0.5)
 
     def test_needs_two_points(self):
         pts = WeightedTimeSet(times=np.array([0.5]), weights=np.array([1.0]))

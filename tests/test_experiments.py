@@ -4,9 +4,13 @@ import json
 import re
 import signal
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import naive_cell_values
 
 from parafbm import experiments
 from parafbm.errors import (
@@ -435,10 +439,33 @@ _GRAPH_CONFIGS = {
     },
 }
 
-# two or more jobs each, so two workers run a pool: six graph cells in two
-# alpha runs, and two one-cell interior jobs
+# two or more jobs each, so two workers run a pool (and parsed cells are
+# pickled): six graph cells in two alpha runs, and two one-cell jobs of
+# each other kind
 _POOLED_CONFIGS = {
     "dim-formula": _GRAPH_CONFIGS["dim-formula"],
+    "kernel-scaling": {
+        "kind": "kernel-scaling", "seeds": 1,
+        "params": {"n_samples": 1000, "t_exponents": [1, 2, 3], "cells": [
+            {"alpha": 0.2, "hurst": 0.8, "gamma": 3, "d": 1},
+            {"alpha": 0.3, "hurst": 0.6, "gamma": 0.5, "d": 2},
+        ]},
+    },
+    "occupation-l2": {
+        "kind": "occupation-l2", "seeds": 2,
+        "params": {"grid_n": 1024, "n_samples": 256, "cells": [
+            {"hurst": 0.3, "d": 1, "drift": "lipschitz"},
+            {"hurst": 0.4, "d": 1, "set": _MID, "check": "slope"},
+        ]},
+    },
+    "theorem41": {
+        "kind": "theorem41", "seeds": 2,
+        "params": {"grid_n": 512, "n_samples": 256, "cells": [
+            {"hurst": 0.5, "alpha_p": 0.3, "d": 1, "epsilon": 0.0625},
+            {"hurst": 0.6, "d": 1, "epsilon": 0.0625, "expect": "evidence",
+             "radius_cells": 1, "set": _MID},
+        ]},
+    },
     "interior": {
         "kind": "interior", "seeds": 2, "seed_base": 1,
         "params": {"n_samples": 256, "grid_n": 512, "cells": [
@@ -757,6 +784,101 @@ class TestParamsFollowTheirDefaults:
             ExperimentConfig.from_dict({"kind": "interior"})
 
 
+# -- each cell is parsed once, at load, into what runners and reducers read ---
+
+def _golden_cells():
+    with open(Path(__file__).with_name("golden_rows.json")) as fh:
+        rows = json.load(fh)
+    return [(kind, json.loads(row["cell"])) for kind in sorted(rows) for row in rows[kind]]
+
+
+# every golden cell, every load-guard cell, and explicit values an `or`-style
+# default would replace
+_PARSE_CASES = [
+    *_golden_cells(),
+    *((kind, {**base, "d": 1}) for kind, (base, _) in sorted(_ONE_CELL.items())),
+    ("dim-formula", {"alpha": 0.5, "hurst": 0.5, "d": 2.0, "tolerance": 0.0}),
+    ("dim-formula", {"alpha": 0.5, "hurst": 0.5, "d": 1, "tolerance": 0}),
+    ("interior", {"hurst": 0.5, "d": 2.0, "epsilon": 1, "threshold": 0, "radius_cells": 3.0}),
+    ("theorem41", {"hurst": 0.5, "d": 1, "epsilon": 0.25, "threshold": 0.0, "alpha_p": None,
+                   "set": {"kind": "generalized-cantor", "r": 0.3, "m": 3.0}}),
+    ("holder-bounds", {"alpha": 0.4, "hurst": 0.6, "d": 1, "label": "x",
+                       "set": {"kind": "generalized-cantor", "dim": 0.6, "generation": 4}}),
+]
+
+# optional values a drawn case may take on, where its kind takes the key
+_OPTIONAL_VALUES = {
+    "tolerance": st.one_of(st.just(0.0), st.integers(0, 3), st.floats(0.0, 1.0)),
+    "threshold": st.one_of(st.just(0), st.floats(0.0, 1.0)),
+    "radius_cells": st.one_of(st.integers(1, 4), st.sampled_from([1.0, 3.0])),
+    **{key: st.sampled_from(values) for key, values in experiments._CELL_CHOICES.items()},
+}
+
+
+def _parse(kind, cell):
+    params = {k: v for k, v in _ONE_CELL[kind][1].items() if k != "cells"}
+    cfg = ExperimentConfig.from_dict(
+        {"kind": kind, "seeds": 1, "params": {**params, "cells": [cell]}})
+    ((raw, parsed),) = cfg._cells
+    assert raw is cell
+    return dict(parsed)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=st.sampled_from(_PARSE_CASES), data=st.data())
+def test_parsed_cell_equals_naive_values(case, data):
+    kind, cell = case
+    cell = dict(cell)
+    allowed = experiments._KIND_SPECS[kind].cell_optional
+    for key, values in _OPTIONAL_VALUES.items():
+        # a mixed path takes no drift
+        if key in allowed and not (key == "drift" and cell.get("alpha_p") is not None):
+            if data.draw(st.booleans(), label=f"set {key}"):
+                cell[key] = data.draw(values, label=key)
+    parsed, want = _parse(kind, cell), naive_cell_values(kind, cell)
+    if "set" in want:
+        spec = want.pop("set")
+        fset, built = parsed.pop("set"), build_set(spec)
+        assert parsed.pop("set_key") == json.dumps(spec, sort_keys=True)
+        assert fset.intervals.tobytes() == built.intervals.tobytes()
+        assert (fset.kind, fset.theoretical_dim) == (built.kind, built.theoretical_dim)
+    assert parsed == want
+    assert {k: type(v) for k, v in parsed.items()} == {k: type(v) for k, v in want.items()}
+
+
+@pytest.fixture
+def set_builds(monkeypatch):
+    """Names the set builders experiments calls, in call order."""
+    calls = []
+    for name in ("build_set", "full_interval", "middle_thirds_cantor", "generalized_cantor",
+                 "cantor_with_dimension"):
+        real = getattr(experiments, name)
+
+        def counting(*args, _name=name, _real=real, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("kind", sorted(_ONE_CELL))
+def test_sets_are_built_at_load_only(kind, set_builds):
+    # each reducer, and each graph runner, rebuilt the cell's set at run;
+    # an occupation-l2 cell takes the default set, the full interval
+    if kind in ("kernel-scaling", "occupation-l2"):
+        cfg = _one_cell_config(kind)
+    else:
+        cfg = _one_cell_config(
+            kind, set={"kind": "generalized-cantor", "dim": 0.6, "generation": 4})
+    assert set_builds == {"kernel-scaling": [],
+                          "occupation-l2": ["build_set", "full_interval"]}.get(
+                              kind, ["build_set", "cantor_with_dimension"])
+    set_builds.clear()
+    run_experiment(cfg)
+    assert set_builds == []
+
+
 class TestCellValues:
     @pytest.mark.parametrize("kind, key, value, near", [
         ("occupation-l2", "check", "bonded", "bounded"),
@@ -882,8 +1004,7 @@ def _number_fields():
         for key in spec.defaults:
             yield kind, "params", key
         allowed = {*spec.cell_keys, *spec.cell_optional}
-        for key in (*experiments._CELL_REALS, *experiments._CELL_HURSTS,
-                    *experiments._CELL_COUNTS):
+        for key in experiments._CELL_CHECKS:
             if key in allowed:
                 yield kind, "cell", key
         if "set" in allowed:

@@ -7,6 +7,7 @@ from parafbm.errors import ConfigError, GenerationTooLarge, InvalidRatio
 from parafbm.fractals import (
     FractalSet,
     WeightedTimeSet,
+    cantor_with_dimension,
     full_interval,
     generalized_cantor,
     middle_thirds_cantor,
@@ -85,6 +86,24 @@ class TestGeneralizedCantor:
         ])
         assert np.all(np.diff(dims, axis=0) > 0)   # increasing in m
         assert np.all(np.diff(dims, axis=1) > 0)   # increasing in r
+
+
+class TestCantorWithDimension:
+    @pytest.mark.parametrize("m", [2, 3, 5])
+    @pytest.mark.parametrize("dim", [0.2, 0.5, 0.9])
+    def test_dimension_and_branches(self, dim, m):
+        c = cantor_with_dimension(dim, 2, m)
+        assert c.params[0] == m and c.intervals.shape == (m**2, 2)
+        assert c.theoretical_dim == pytest.approx(dim, rel=1e-12)
+
+    def test_two_branches_by_default(self):
+        a, b = cantor_with_dimension(0.7, 3), generalized_cantor(2, 2 ** (-1 / 0.7), 3)
+        assert a.intervals.tobytes() == b.intervals.tobytes() and a.params == b.params
+
+    @pytest.mark.parametrize("dim", [0.0, 1.0, -0.5])
+    def test_dimension_outside_unit_interval_rejected(self, dim):
+        with pytest.raises(ConfigError, match="target dimension"):
+            cantor_with_dimension(dim, 2, 3)
 
 
 class TestNaturalMeasure:
