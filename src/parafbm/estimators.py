@@ -62,6 +62,7 @@ __all__ = [
     "validate_gamma",
     "validate_kernel_times",
     "validate_fit_scales",
+    "validate_fit_settings",
     "dyadic_deltas",
 ]
 
@@ -416,13 +417,25 @@ def _fit_loglog(deltas, counts):
 
 def validate_fit_scales(deltas):
     """Return ``deltas`` as a float array if a fit can use them: at least 4
-    scales spanning at least 2 octaves; otherwise raise ConfigError."""
+    positive scales spanning at least 2 octaves; otherwise raise ConfigError."""
     deltas = np.asarray(deltas, dtype=float)
     if deltas.size < 4:
         raise ConfigError("need at least 4 scales")
-    if deltas.max() / deltas.min() < 4.0 - 1e-12:
+    if not deltas.min() > 0.0:   # 2^-k is 0 in a float from k = 1075
+        raise ConfigError("scales must be positive")
+    if deltas.max() < (4.0 - 1e-12) * deltas.min():   # a ratio could overflow
         raise ConfigError("scales must span at least 2 octaves")
     return deltas
+
+
+def validate_fit_settings(trim_octaves, max_count_fraction):
+    """Raise ConfigError unless ``trim_octaves`` is a finite number >= 0 and
+    ``max_count_fraction`` is None or a number above 0."""
+    # a NaN fails every comparison, so each check asks for the good case
+    if not 0.0 <= trim_octaves < math.inf:
+        raise ConfigError(f"trim_octaves must be a finite number >= 0, got {trim_octaves!r}")
+    if max_count_fraction is not None and not max_count_fraction > 0.0:
+        raise ConfigError(f"max_count_fraction must be above 0, got {max_count_fraction!r}")
 
 
 def estimate_parabolic_dimension(
@@ -447,15 +460,10 @@ def estimate_parabolic_dimension(
     ``cloud.n`` points (a graph-dimension job counts one cloud for the
     graphs of several of its coordinate prefixes); it takes the place of
     ``box_count_curve(cloud, deltas, hurst, anchor_shift)``.  Raises
-    ConfigError unless ``trim_octaves`` is a finite number >= 0 and
-    ``max_count_fraction`` is None or a number above 0.
+    ConfigError on settings ``validate_fit_settings`` refuses.
     """
     deltas = validate_fit_scales(deltas)
-    # a NaN fails every comparison, so each check asks for the good case
-    if not 0.0 <= trim_octaves < math.inf:
-        raise ConfigError(f"trim_octaves must be a finite number >= 0, got {trim_octaves!r}")
-    if max_count_fraction is not None and not max_count_fraction > 0.0:
-        raise ConfigError(f"max_count_fraction must be above 0, got {max_count_fraction!r}")
+    validate_fit_settings(trim_octaves, max_count_fraction)
     curve = box_count_curve(cloud, deltas, hurst, anchor_shift) if _curve is None else _curve
     d, c = curve.deltas, curve.counts
 

@@ -7,10 +7,12 @@ or gives a word-valued key a value outside ``_CELL_CHOICES``.  Each cell is
 parsed once, when the config is built and before anything is written, into
 the one record runners and reducers read (``_parse_cell``), and each rule
 that ties its keys together (alpha <= H, H < H', gamma off H*d,
-alpha'*d < dim A) is checked on it.  The one free-form cell key is
-``label``, echoed into the report's ``cell`` column with the rest of the
-cell.  Each kind declares its params (each checked by the type of its
-default), keys, runner, reducer and job grouping once, in ``_KIND_SPECS``.
+alpha'*d < dim A) is checked on it.  The params are parsed once too, into
+the one ``common`` every job reads (``_parse_params``), with the scales
+runners use built there.  The one free-form cell key is ``label``, echoed
+into the report's ``cell`` column with the rest of the cell.  Each kind
+declares its params (each checked by ``_PARAM_CHECKS``), keys, runner,
+reducer and job grouping once, in ``_KIND_SPECS``.
 A job is one cell, or a run of graph-dimension cells that measure the same
 sample paths.  Its runner yields per-seed records, and its reducer turns
 each cell's records into one report row, whose ``runtime_s`` follows the
@@ -49,6 +51,7 @@ from .estimators import (
     estimate_parabolic_dimension,
     kernel_expectation_mc,
     validate_fit_scales,
+    validate_fit_settings,
     validate_gamma,
     validate_kernel_times,
 )
@@ -106,14 +109,8 @@ _CELL_CHOICES = {"check": ("bounded", "slope"), "path": ("fbm", "constant"),
 _CELL_DEFAULTS = {"set": {"kind": "full"}, "radius_cells": 2, "threshold": 0.9,
                   "alpha_p": None, **{key: values[0] for key, values in _CELL_CHOICES.items()}}
 
-#: the whole-number params that count something, checked by ``_check_count`` at load
-_PARAM_COUNTS = ("grid_n", "n_samples")
-
 #: the largest array length, so the largest count a run can use
 _MAX_COUNT = int(np.iinfo(np.intp).max)
-
-#: per exponent-list param, the check its runner makes of the scales 2^-k
-_SCALE_CHECKS = {"radius_exponents": validate_radii, "t_exponents": validate_kernel_times}
 
 
 def _is_real(value):
@@ -136,13 +133,32 @@ def _check_count(value, key):
     return count
 
 
-def _check_real(value, key, positive=False):
-    """A finite real number, above 0 if ``positive``, as float."""
+def _check_real(value, key, low=-math.inf, high=math.inf, above=False):
+    """A finite real number in [low, high], or (low, high] if ``above``, as float."""
     if not _is_real(value):
         raise ConfigError(f"{key} must be a finite number, got {value!r}")
-    if positive and value <= 0.0:
-        raise ConfigError(f"{key} must be > 0, got {value!r}")
+    if not (value > low if above else value >= low) or value > high:
+        rules = [f"{'>' if above else '>='} {low}"] if low > -math.inf else []
+        rules += [f"<= {high}"] if high < math.inf else []
+        raise ConfigError(f"{key} must be {' and '.join(rules)}, got {value!r}")
     return float(value)
+
+
+def _exponent_scales(check, value, key):
+    """The scales 2^-k of a strictly increasing list of at least two whole
+    numbers k, the points of a log-log fit, if ``check`` (the run's) accepts them."""
+    if not (isinstance(value, list) and len(value) >= 2
+            and all(_is_real(k) and float(k).is_integer() for k in value)
+            and all(a < b for a, b in zip(value, value[1:]))):
+        raise ConfigError(f"{key} must be a strictly increasing list of at least two "
+                          f"whole numbers, got {value!r}")
+    with np.errstate(over="ignore"):
+        scales = 2.0 ** -np.asarray(value, dtype=float)
+    try:
+        return check(scales)
+    except ConfigError as exc:
+        raise ConfigError(f"{key} must be exponents of scales 2^-k the run accepts, "
+                          f"got {value!r}: {exc}") from None
 
 
 #: per number-valued cell key, its check, which returns the value runners read
@@ -150,62 +166,62 @@ _CELL_CHECKS = {
     **dict.fromkeys(("alpha", "hurst", "hurst_prime"), validate_hurst),
     "alpha_p": lambda value, key: None if value is None else validate_hurst(value, key),
     **dict.fromkeys(("d", "radius_cells"), _check_count),
-    **dict.fromkeys(("gamma", "threshold", "tolerance"), _check_real),
-    "epsilon": partial(_check_real, positive=True),
+    "gamma": _check_real,
+    "threshold": partial(_check_real, low=0, high=1),
+    "tolerance": partial(_check_real, low=0),
+    "epsilon": partial(_check_real, low=0, above=True),
+}
+
+#: per param, its check, which returns the value it stands for (an exponent
+#: list stands for its scales)
+_PARAM_CHECKS = {
+    **dict.fromkeys(("grid_n", "n_samples", "per_octave"), _check_count),
+    **dict.fromkeys(("delta_coarse_exp", "delta_fine_exp"), validate_integer),
+    **dict.fromkeys(("trim_octaves", "max_count_fraction"), _check_real),
+    "min_r_squared": partial(_check_real, high=1),
+    **dict.fromkeys(("margin", "rel_tolerance", "slope_tolerance"), partial(_check_real, low=0)),
+    "max_ratio": partial(_check_real, low=1),
+    "radius_exponents": partial(_exponent_scales, validate_radii),
+    "t_exponents": partial(_exponent_scales, validate_kernel_times),
 }
 
 
-def _is_exponent_list(value):
-    """A strictly increasing list of at least two whole numbers: the points
-    of a log-log fit."""
-    return (isinstance(value, list) and len(value) >= 2
-            and all(_is_real(k) and float(k).is_integer() for k in value)
-            and all(a < b for a, b in zip(value, value[1:])))
-
-
-def _check_param(key, value, default):
-    """Check a param by the type of its default: a whole number (at least 1
-    for a count), a real, or an exponent list whose scales 2^-k its runner
-    accepts."""
-    if isinstance(default, int):
-        (_check_count if key in _PARAM_COUNTS else validate_integer)(value, key)
-    elif isinstance(default, float):
-        _check_real(value, key)
-    elif isinstance(default, list):
-        if not _is_exponent_list(value):
-            raise ConfigError(f"{key} must be a strictly increasing list of at least two "
-                              f"whole numbers, got {value!r}")
-        with np.errstate(over="ignore"):
-            scales = 2.0 ** -np.asarray(value, dtype=float)
-        try:
-            _SCALE_CHECKS[key](scales)
-        except ConfigError as exc:
-            raise ConfigError(f"{key} must be exponents of scales 2^-k the run accepts, "
-                              f"got {value!r}: {exc}") from None
-
-
-def _check_ladder(delta_coarse_exp, delta_fine_exp, per_octave):
-    """Refuse a scale ladder 2^-coarse .. 2^-fine that no fit can use.
-
-    Every scale must lie in (0, 1], and the ladder must pass the fit's
-    :func:`validate_fit_scales`; checked at load, a bad ladder fails before
-    any path is drawn or file written.
-    """
-    per_octave = validate_count(per_octave, "per_octave")
-    if delta_coarse_exp < 0:
-        raise ConfigError(
-            f"delta_coarse_exp must be >= 0 (scales lie in (0, 1]), got {delta_coarse_exp}")
-    if delta_fine_exp <= delta_coarse_exp:
+def _parse_params(kind, params):
+    """The ``common`` every job of a ``kind`` config reads: each param but
+    ``cells`` as given (rows echo it so) or, left out, its default, each
+    checked by ``_PARAM_CHECKS``; and the scales runners use, built here
+    only: a graph kind's ladder ``deltas`` 2^-coarse .. 2^-fine, refused
+    unless every scale lies in (0, 1] and the fit can use it, and the
+    ``radii`` or kernel ``times`` 2^-k of an exponent list."""
+    spec = _KIND_SPECS[kind]
+    unknown = set(params) - {"cells", *spec.defaults}
+    if unknown:
+        raise ConfigError(f"unknown params for {kind}: {sorted(unknown)} "
+                          f"(allowed: {sorted({'cells', *spec.defaults})})")
+    common = {**spec.defaults, **params}
+    common.pop("cells", None)
+    parsed = {key: _PARAM_CHECKS[key](value, key) for key, value in common.items()}
+    for key, scales in (("radius_exponents", "radii"), ("t_exponents", "times")):
+        if key in parsed:
+            common[scales] = parsed[key]
+    if "per_octave" not in parsed:
+        return common
+    validate_fit_settings(parsed["trim_octaves"], parsed["max_count_fraction"])
+    coarse, fine, per_octave = (parsed[key] for key in
+                                ("delta_coarse_exp", "delta_fine_exp", "per_octave"))
+    if coarse < 0:
+        raise ConfigError(f"delta_coarse_exp must be >= 0 (scales lie in (0, 1]), got {coarse}")
+    if fine <= coarse:
         raise ConfigError(f"delta_fine_exp must exceed delta_coarse_exp, got "
-                          f"{delta_fine_exp} <= {delta_coarse_exp}")
-    ladder = (f"the scale ladder 2^-{delta_coarse_exp} .. 2^-{delta_fine_exp} "
-              f"at per_octave {per_octave}")
-    if delta_fine_exp * per_octave >= _MAX_COUNT:   # its indices must fit in an array
+                          f"{fine} <= {coarse}")
+    ladder = f"the scale ladder 2^-{coarse} .. 2^-{fine} at per_octave {per_octave}"
+    if fine * per_octave >= _MAX_COUNT:   # its indices must fit in an array
         raise ConfigError(f"{ladder} is too long for an array")
     try:
-        validate_fit_scales(dyadic_deltas(delta_coarse_exp, delta_fine_exp, per_octave))
+        common["deltas"] = validate_fit_scales(dyadic_deltas(coarse, fine, per_octave))
     except ConfigError as exc:
         raise ConfigError(f"{ladder}: {exc}") from None
+    return common
 
 
 def _nearest(word, valid):
@@ -269,24 +285,11 @@ class ExperimentConfig:
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
         if not isinstance(self.params, dict):
             raise ConfigError("params must be a JSON object")
-        spec = _KIND_SPECS[self.kind]
         object.__setattr__(self, "seeds", validate_count(self.seeds, "seeds"))
         object.__setattr__(self, "seed_base", validate_integer(self.seed_base, "seed_base"))
         if self.seed_base < 0:
             raise ConfigError("seed_base must be >= 0")
-        allowed = {"cells", *spec.defaults}
-        unknown = set(self.params) - allowed
-        if unknown:
-            raise ConfigError(
-                f"unknown params for {self.kind}: {sorted(unknown)} "
-                f"(allowed: {sorted(allowed)})"
-            )
-        for key, value in self.params.items():
-            if key != "cells":
-                _check_param(key, value, spec.defaults[key])
-        if "delta_coarse_exp" in spec.defaults:
-            _check_ladder(**{key: self.params.get(key, spec.defaults[key])
-                             for key in ("delta_coarse_exp", "delta_fine_exp", "per_octave")})
+        object.__setattr__(self, "_common", _parse_params(self.kind, self.params))
         cells = self.params.get("cells")
         if not isinstance(cells, list) or not cells:
             raise ConfigError("params.cells must be a non-empty list")
@@ -460,9 +463,7 @@ def _graph_records(fitted, cells, common, seeds, seed_base):
     for key, d, hs in zip(set_keys, dims, hursts):
         for hurst in set(hs):
             count_dims.setdefault((key, hurst), []).append(d)
-    grid = TimeGrid.regular(common["grid_n"])
-    deltas = dyadic_deltas(common["delta_coarse_exp"], common["delta_fine_exp"],
-                           common["per_octave"])
+    grid, deltas = TimeGrid.regular(common["grid_n"]), common["deltas"]
     for s in range(seeds):   # cell 0 yields first, so each path is charged to it
         path = generate_fbm_path(alpha, grid, d=max(dims), seed=seed_base + s)
         clouds = {
@@ -547,11 +548,10 @@ def _comparison_bounds_row(cell, fits, common):
 
 
 def _kernel_records(cells, common, seeds, seed_base):
-    """Yield (t, the kernel's MC value at t) for each t = 2^-k, from seed
-    ``seed_base + i`` for the i-th k of ``t_exponents``."""
+    """Yield (t, the kernel's MC value at t) for each of the kernel ``times``
+    2^-k, from seed ``seed_base + i`` for the i-th k of ``t_exponents``."""
     (cell,) = cells
-    for i, k in enumerate(common["t_exponents"]):
-        t = 2.0**-k
+    for i, t in enumerate(common["times"]):
         yield 0, (t, kernel_expectation_mc(t, cell["alpha"], cell["hurst"], cell["gamma"],
                                            cell["d"], common["n_samples"], seed=seed_base + i))
 
@@ -630,8 +630,7 @@ def _occupation_l2_records(cells, common, seeds, seed_base):
 
 def _occupation_l2_outcome(cell, images, common, seeds):
     d = cell["d"]
-    radii = 2.0 ** -np.asarray(common["radius_exponents"], dtype=float)
-    vals = l2_density_diagnostic([img for _, img in images], images[0][0], radii)
+    vals = l2_density_diagnostic([img for _, img in images], images[0][0], common["radii"])
     empty = np.flatnonzero(vals <= 0.0)
     if empty.size:
         raise DegenerateRange(
@@ -651,7 +650,7 @@ def _occupation_l2_outcome(cell, images, common, seeds):
                     threshold_pass=bool(ratio <= common["max_ratio"]))
         return dict(theory=None, estimate=ratio, tolerance=None, diagnostics=diag)
     # divergence slope for the no-density control
-    slope = float(np.polyfit(np.log(radii), np.log(vals), 1)[0])
+    slope = float(np.polyfit(np.log(common["radii"]), np.log(vals), 1)[0])
     return dict(theory=-float(d), estimate=slope,
                 tolerance=common["slope_tolerance"] * d, diagnostics=diag)
 
@@ -690,8 +689,8 @@ def _interior_outcome(cell, flags, common, seeds):
 class _KindSpec:
     """Everything the runner knows about one experiment kind.
 
-    ``defaults`` holds every param besides ``cells``, with its default, whose
-    type is the param's check (see ``_check_param``); ``cell_keys`` are the
+    ``defaults`` holds every param besides ``cells``, with its default
+    (see ``_parse_params``); ``cell_keys`` are the
     keys every cell must carry, ``cell_optional`` the other keys a cell may
     carry (besides ``label``), ``run`` its runner and ``reduce`` its reducer
     (see ``_run_one_cell``), ``cell_rule`` the check of a cell's keys
@@ -770,7 +769,8 @@ def _run_one_cell(job):
     """Report rows of one job, in cell order: the one place rows are built and timed.
 
     ``job`` is (kind, cells, common, seeds, seed_base, config_hash, parsed),
-    ``parsed`` the parsed ``cells``: a run of cells with one path key, which
+    ``common`` the parsed params, ``parsed`` the parsed ``cells``: a run of
+    cells with one path key, which
     share each seed's path, for the kinds that share paths, else one cell.
     The kind's runner yields (cell index, record) pairs, its reducer turns
     each parsed cell's records into an outcome, and each row is that outcome
@@ -855,8 +855,6 @@ def run_experiment(config, out_dir=None, workers=1):
     either way.
     """
     workers = validate_count(workers, "workers")
-    common = dict(_KIND_SPECS[config.kind].defaults)
-    common.update({k: v for k, v in config.params.items() if k != "cells"})
     chash = config.config_hash()
 
     report_path = None
@@ -870,7 +868,7 @@ def run_experiment(config, out_dir=None, workers=1):
             report_path.unlink()
 
     jobs = [
-        (config.kind, [cell for cell, _ in run], common, config.seeds, config.seed_base,
+        (config.kind, [cell for cell, _ in run], config._common, config.seeds, config.seed_base,
          chash, [parsed for _, parsed in run])
         for run in _cell_runs(config.kind, config._cells)
     ]

@@ -179,31 +179,23 @@ def verify_detcov_lower_bound(times, hurst):
     return _detcov_margin(det, t.tolist(), 2.0 * hurst)
 
 
-def lnd_margin(spec, u, conditioning_times=None):
+def lnd_margin(spec, u):
     """Local-nondeterminism ratio for the mixed process.
 
     ratio = Var(Z0(u) | Z0(t_1), ..., Z0(t_n)) divided by
     min_k |u - t_k|^(2 alpha') + min_k |u - t_k|^(2H), with t_0 = 0 included
-    in the minima.  Positive whenever the conditioning block is regular.
+    in the minima, the t_k the times of ``spec``.  Positive whenever the
+    conditioning block is regular.
     """
     if spec.alpha_p is None:
         raise ConfigError("lnd_margin needs a mixed-kernel spec")
-    times = spec.times if conditioning_times is None else np.asarray(
-        conditioning_times, dtype=float
-    )
     if not 0.0 < u <= 1.0:
         raise ConfigError("u must lie in (0, 1]")
-    if np.any(np.abs(times - u) < 1e-15):
+    if np.any(np.abs(spec.times - u) < 1e-15):
         raise ConfigError("u must differ from all conditioning times")
-    if times.size == 0:
-        # conditioning on nothing: Var(Z0(u)) over the t0=0 bracket
-        cvar = u ** (2.0 * spec.hurst) + u ** (2.0 * spec.alpha_p)
-    else:
-        full = GaussianVectorSpec(np.concatenate([[u], times]), spec.hurst, spec.alpha_p)
-        cvar = _schur_conditional_variance(
-            full.covariance, 0, tuple(range(1, len(full)))
-        )
-    return cvar / _lnd_bracket(u, times.tolist(), spec.hurst, spec.alpha_p)
+    full = GaussianVectorSpec(np.concatenate([[u], spec.times]), spec.hurst, spec.alpha_p)
+    cvar = _schur_conditional_variance(full.covariance, 0, tuple(range(1, len(full))))
+    return cvar / _lnd_bracket(u, spec.times.tolist(), spec.hurst, spec.alpha_p)
 
 
 def _lnd_bracket(u, times, hurst, alpha_p):

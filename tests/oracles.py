@@ -420,7 +420,9 @@ _KIND_CELL_KEYS = {
 
 
 def naive_cell_values(kind, cell):
-    """What the runner and reducer of a valid ``kind`` cell read, key by key.
+    """What the runner and reducer of a valid ``kind`` cell read, key by key,
+    or None for a cell whose verdict no run can pass: a ``tolerance`` below 0
+    or a ``threshold`` outside [0, 1].
 
     Restates the accessors and the defaults written where each value was
     read: ``d`` and ``radius_cells`` (default 2) as int; ``tolerance``
@@ -441,4 +443,6 @@ def naive_cell_values(kind, cell):
         elif isinstance(value, (int, float)):
             value = float(value)
         values[key] = value
+    if values.get("tolerance", 0.0) < 0.0 or not 0.0 <= values.get("threshold", 0.0) <= 1.0:
+        return None
     return values

@@ -1,14 +1,21 @@
 import csv
+import io
 import json
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from parafbm import estimators
+from parafbm import estimators, experiments
 from parafbm.cli import cli_main, parse_delta_spec
+from parafbm.errors import ConfigError
+from parafbm.experiments import ExperimentConfig
 
 
 def run(argv):
@@ -440,6 +447,9 @@ class TestExperimentCommand:
          "the scale ladder 2^-4 .. 2^-6 at per_octave 1: need at least 4 scales"),
         ({"delta_coarse_exp": 4, "delta_fine_exp": 5, "per_octave": 4},
          "the scale ladder 2^-4 .. 2^-5 at per_octave 4: scales must span at least 2 octaves"),
+        # 2^-1100 is 0 in a float: a division by zero, then a run that failed
+        ({"delta_coarse_exp": 4, "delta_fine_exp": 1100},
+         "the scale ladder 2^-4 .. 2^-1100 at per_octave 2: scales must be positive"),
     ])
     def test_unusable_ladder_refused_before_any_file(self, tmp_path, capsys, ladder,
                                                      message):
@@ -449,6 +459,47 @@ class TestExperimentCommand:
         out = tmp_path / "r"
         assert run(["experiment", "--config", str(cfg_path), "--out", str(out)]) == 1
         assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind, where, key, value, message", [
+        # each of these wrote config.json, then exited 1 at run
+        ("dim-formula", "params", "trim_octaves", -1.0,
+         "trim_octaves must be a finite number >= 0, got -1.0"),
+        ("dim-formula", "params", "max_count_fraction", 0.0,
+         "max_count_fraction must be above 0, got 0.0"),
+        ("dim-formula", "params", "max_count_fraction", -0.1,
+         "max_count_fraction must be above 0, got -0.1"),
+        # each of these ran to exit 0 with a verdict, or an R^2 flag, that could never pass
+        ("dim-formula", "params", "min_r_squared", 1.5, "min_r_squared must be <= 1, got 1.5"),
+        ("dim-formula", "cell", "tolerance", -1, "tolerance must be >= 0, got -1"),
+        ("holder-bounds", "params", "margin", -0.5, "margin must be >= 0, got -0.5"),
+        ("comparison-bounds", "params", "margin", -0.1, "margin must be >= 0, got -0.1"),
+        ("kernel-scaling", "params", "rel_tolerance", -0.05,
+         "rel_tolerance must be >= 0, got -0.05"),
+        ("occupation-l2", "params", "slope_tolerance", -0.1,
+         "slope_tolerance must be >= 0, got -0.1"),
+        ("occupation-l2", "params", "max_ratio", -1.0, "max_ratio must be >= 1, got -1.0"),
+        ("occupation-l2", "params", "max_ratio", 0.5, "max_ratio must be >= 1, got 0.5"),
+        ("interior", "cell", "threshold", 1.5, "threshold must be >= 0 and <= 1, got 1.5"),
+        ("theorem41", "cell", "threshold", -0.1,
+         "threshold must be >= 0 and <= 1, got -0.1"),
+    ])
+    def test_param_no_run_can_use_refused_before_any_file(self, tmp_path, capsys, kind,
+                                                         where, key, value, message):
+        cell = {"dim-formula": {"alpha": 0.5, "hurst": 0.5, "d": 1},
+                "holder-bounds": {"alpha": 0.5, "hurst": 0.5, "d": 1},
+                "comparison-bounds": {"alpha": 0.3, "hurst": 0.5, "hurst_prime": 0.7, "d": 1},
+                "kernel-scaling": {"alpha": 0.2, "hurst": 0.8, "gamma": 3.0, "d": 1},
+                "occupation-l2": {"hurst": 0.3, "d": 1},
+                "interior": {"hurst": 0.3, "d": 1, "epsilon": 0.0625},
+                "theorem41": {"hurst": 0.3, "d": 1, "epsilon": 0.0625}}[kind]
+        params = {"cells": [cell]}
+        (cell if where == "cell" else params)[key] = value
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"kind": kind, "seeds": 1, "params": params}))
+        out = tmp_path / "r"
+        assert run(["experiment", "--config", str(cfg_path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
     def test_whole_float_ladder_runs(self, tmp_path):
@@ -663,3 +714,64 @@ class TestExperimentCommand:
 
 def test_unknown_command_exit_1():
     assert run(["frobnicate"]) == 1
+
+
+# -- every param that sets no size: refused at load, or run without a fault ---
+
+_REALS = st.one_of(st.floats(-2.0, 5.0), st.integers(-2, 5),
+                   st.sampled_from([0.0, 1.0, float("nan"), float("inf"), "0.5", True, None]))
+_EXPONENTS = st.one_of(st.lists(st.integers(-3, 40), max_size=5, unique=True).map(sorted),
+                       st.lists(st.integers(-3, 40), max_size=5),
+                       st.sampled_from([[1.0, 2.5], [3, 4.0], "4,5", None]))
+
+#: the values a mutation draws for each param that sets no size
+_SETTINGS = {
+    "delta_coarse_exp": st.integers(-2, 14),
+    "delta_fine_exp": st.one_of(st.integers(-2, 70), st.sampled_from([1074, 1100, 2.5])),
+    "per_octave": st.one_of(st.integers(-1, 4), st.sampled_from([1.5, "2"])),
+    **dict.fromkeys(("trim_octaves", "max_count_fraction", "min_r_squared", "margin",
+                     "rel_tolerance", "slope_tolerance", "max_ratio"), _REALS),
+    **dict.fromkeys(("t_exponents", "radius_exponents"), _EXPONENTS),
+}
+
+_GRAPH_CELL = {"alpha": 0.3, "hurst": 0.6, "d": 1}
+
+#: a tiny config of each kind that has such params
+_TINY = {
+    "dim-formula": {"grid_n": 256, "cells": [_GRAPH_CELL]},
+    "holder-bounds": {"grid_n": 256, "cells": [_GRAPH_CELL]},
+    "comparison-bounds": {"grid_n": 256, "cells": [{**_GRAPH_CELL, "hurst_prime": 0.8}]},
+    "kernel-scaling": {"n_samples": 64,
+                       "cells": [{"alpha": 0.2, "hurst": 0.8, "gamma": 3.0, "d": 1}]},
+    "occupation-l2": {"grid_n": 256, "n_samples": 64,
+                      "cells": [{"hurst": 0.3, "d": 1}, {"hurst": 0.3, "d": 1, "check": "slope"}]},
+}
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(sorted(_TINY)), data=st.data())
+def test_mutated_settings_refused_at_load_or_run_cleanly(kind, data):
+    params = dict(_TINY[kind])
+    keys = sorted(set(experiments._KIND_SPECS[kind].defaults) & set(_SETTINGS))
+    for key in sorted(data.draw(st.sets(st.sampled_from(keys), min_size=1, max_size=2),
+                                label="keys")):
+        params[key] = data.draw(_SETTINGS[key], label=key)
+    doc = {"kind": kind, "seeds": 2, "params": params}
+    try:
+        ExperimentConfig.from_dict(doc)
+        loads = True
+    except ConfigError:
+        loads = False
+    with tempfile.TemporaryDirectory() as tmp, redirect_stderr(io.StringIO()) as err:
+        cfg_path, out = Path(tmp) / "cfg.json", Path(tmp) / "r"
+        cfg_path.write_text(json.dumps(doc))
+        # any other exception, or a numpy warning, fails the test
+        code = run(["experiment", "--config", str(cfg_path), "--out", str(out)])
+        wrote = out.exists()
+    lines = err.getvalue().splitlines()
+    if loads:   # a param the load accepts is not refused at run
+        assert (code, wrote) in ((0, True), (2, True)), lines
+        assert lines == [] if code == 0 else len(lines) == 1
+    else:
+        assert (code, wrote) == (1, False)
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines

@@ -752,12 +752,25 @@ class TestStrictCellKeys:
 
 
 class TestParamsFollowTheirDefaults:
-    def test_every_default_has_a_checked_type(self):
-        # a param's check is the type of its default, so a default of any
-        # other type would leave its param unchecked
+    def test_every_default_passes_its_check(self):
+        # the load checks each param, given or left to its default, by its key
         for kind, spec in experiments._KIND_SPECS.items():
             for key, default in spec.defaults.items():
-                assert type(default) in (int, float, list), (kind, key, default)
+                experiments._PARAM_CHECKS[key](default, key)
+
+    @pytest.mark.parametrize("kind, key, value", [
+        ("dim-formula", "trim_octaves", 0), ("dim-formula", "min_r_squared", -1.0),
+        ("dim-formula", "min_r_squared", 1),
+        ("holder-bounds", "margin", 0), ("kernel-scaling", "rel_tolerance", 0.0),
+        ("occupation-l2", "slope_tolerance", 0), ("occupation-l2", "max_ratio", 1),
+        # 2^-1074, the finest positive float: the span check overflowed
+        ("dim-formula", "delta_fine_exp", 1074),
+    ])
+    def test_settings_at_their_bounds_load(self, kind, key, value):
+        base, params = _ONE_CELL[kind]
+        cfg = ExperimentConfig.from_dict({"kind": kind, "seeds": 1, "params": {
+            **params, key: value, "cells": [{**base, "d": 1}]}})
+        assert cfg.params[key] == value
 
     @pytest.mark.parametrize("kind, key", [
         (kind, key) for kind, spec in sorted(experiments._KIND_SPECS.items())
@@ -808,8 +821,8 @@ _PARSE_CASES = [
 
 # optional values a drawn case may take on, where its kind takes the key
 _OPTIONAL_VALUES = {
-    "tolerance": st.one_of(st.just(0.0), st.integers(0, 3), st.floats(0.0, 1.0)),
-    "threshold": st.one_of(st.just(0), st.floats(0.0, 1.0)),
+    "tolerance": st.one_of(st.just(0.0), st.integers(-1, 3), st.floats(-1.0, 1.0)),
+    "threshold": st.one_of(st.sampled_from([0, 1]), st.floats(-0.5, 1.5)),
     "radius_cells": st.one_of(st.integers(1, 4), st.sampled_from([1.0, 3.0])),
     **{key: st.sampled_from(values) for key, values in experiments._CELL_CHOICES.items()},
 }
@@ -835,7 +848,12 @@ def test_parsed_cell_equals_naive_values(case, data):
         if key in allowed and not (key == "drift" and cell.get("alpha_p") is not None):
             if data.draw(st.booleans(), label=f"set {key}"):
                 cell[key] = data.draw(values, label=key)
-    parsed, want = _parse(kind, cell), naive_cell_values(kind, cell)
+    want = naive_cell_values(kind, cell)
+    if want is None:   # a verdict no run can pass is refused, naming its key
+        with pytest.raises(ConfigError, match="^(tolerance|threshold) must be >= 0"):
+            _parse(kind, cell)
+        return
+    parsed = _parse(kind, cell)
     if "set" in want:
         spec = want.pop("set")
         fset, built = parsed.pop("set"), build_set(spec)
@@ -877,6 +895,21 @@ def test_sets_are_built_at_load_only(kind, set_builds):
     set_builds.clear()
     run_experiment(cfg)
     assert set_builds == []
+
+
+@pytest.mark.parametrize("kind", sorted(_ONE_CELL))
+def test_ladders_are_built_at_load_only(kind, monkeypatch):
+    # each graph job rebuilt the scale ladder at run, after the load had
+    # built it to check it
+    calls = []
+    real = experiments.dyadic_deltas
+    monkeypatch.setattr(experiments, "dyadic_deltas",
+                        lambda *args: calls.append(args) or real(*args))
+    cfg = _one_cell_config(kind)
+    assert len(calls) == (kind in _GRAPH_CONFIGS)
+    calls.clear()
+    run_experiment(cfg)
+    assert calls == []
 
 
 class TestCellValues:

@@ -189,11 +189,6 @@ class TestChainConstant:
 
 
 class TestLndMargin:
-    def test_no_conditioning_ratio_one(self):
-        spec = GaussianVectorSpec(np.array([0.9]), 0.7, 0.35)
-        r = lnd_margin(spec, 0.5, conditioning_times=np.array([]))
-        assert r == pytest.approx(1.0)
-
     def test_equal_hurst_reduces_to_fbm(self):
         # alpha' = H: Z is sqrt(2) B^H in law; ratio must stay positive
         times = np.array([0.3, 0.8])
@@ -379,9 +374,6 @@ def test_spec_requires_positive_times():
     # a NaN time gave a NaN covariance, so NaN variances and ratios downstream
     with pytest.raises(ConfigError, match="times must lie in"):
         GaussianVectorSpec(np.array([0.2, np.nan]), 0.5)
-    with pytest.raises(ConfigError, match="times must lie in"):
-        lnd_margin(GaussianVectorSpec(np.array([0.2]), 0.5, 0.3), 0.5,
-                   conditioning_times=[0.2, np.nan])
     with pytest.raises(ConfigError, match="times must lie in"):
         lnd_distance_ratio(0.7, 0.35, 0.5, 0.1, np.array([0.2, np.nan]))
 
