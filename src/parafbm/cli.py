@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericalError
 from .estimators import (
+    DEFAULT_MAX_COUNT_FRACTION,
     GraphCloud,
     dyadic_deltas,
     energy_integral_mc,
@@ -52,7 +53,7 @@ def parse_delta_spec(spec):
     if ".." in spec:
         lo, hi = spec.split("..", 1)
         e0, e1 = _parse_pow2(lo), _parse_pow2(hi)
-        if e0 <= 0 or e1 <= 0 or e1 <= e0:
+        if e0 < 0 or e1 <= e0:
             raise ConfigError(f"bad delta range {spec!r}: need 2^-a..2^-b with a < b")
         return dyadic_deltas(e0, e1)
     try:
@@ -172,15 +173,16 @@ def _cmd_occupancy(args):
 
 
 def _cmd_gauss_sweep(args):
+    indices = {k: v for k, v in vars(args).items() if k in ("hurst", "alpha_p") and v is not None}
     if args.sweep == "detcov":
+        if indices:
+            raise ConfigError("--hurst and --alpha-p apply only to --sweep lnd")
         records = detcov_margin_sweep(args.configs, seed=args.seed)
         worst = min(r["margin"] for r in records)
         print(json.dumps({"sweep": "detcov", "configs": len(records),
                           "min_margin": worst}))
     else:
-        records, inf_ratio = lnd_margin_sweep(
-            args.configs, hurst=args.hurst, alpha_p=args.alpha_p, seed=args.seed
-        )
+        records, inf_ratio = lnd_margin_sweep(args.configs, seed=args.seed, **indices)
         print(json.dumps({"sweep": "lnd", "configs": len(records),
                           "inf_ratio": inf_ratio}))
     if args.out:
@@ -227,7 +229,7 @@ def build_parser():
     p.add_argument("--hurst", type=float, required=True)
     p.add_argument("--deltas", default="2^-4..2^-12",
                    help='scale ladder, e.g. "2^-4..2^-12" or comma list')
-    p.add_argument("--max-count-fraction", type=float, default=1.0 / 3.0)
+    p.add_argument("--max-count-fraction", type=float, default=DEFAULT_MAX_COUNT_FRACTION)
     p.add_argument("--out", default=None, help="write the estimate JSON here")
     p.add_argument("--curve", default=None, help="write the (delta,count) CSV here")
     p.set_defaults(func=_cmd_boxdim)
@@ -250,8 +252,8 @@ def build_parser():
     p = sub.add_parser("gauss-sweep", help="randomized Gaussian identity sweeps")
     p.add_argument("--sweep", choices=["detcov", "lnd"], required=True)
     p.add_argument("--configs", type=int, default=1000)
-    p.add_argument("--hurst", type=float, default=0.7)
-    p.add_argument("--alpha-p", dest="alpha_p", type=float, default=0.35)
+    p.add_argument("--hurst", type=float, help="lnd only")
+    p.add_argument("--alpha-p", dest="alpha_p", type=float, help="lnd only")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_gauss_sweep)

@@ -12,29 +12,29 @@ any point is indexed, because floor, subtraction and division are monotone
 under rounding: the extreme indices are those of the extreme coordinates.
 So the key width is chosen up front: int32 when the packed span and every
 raw index fit in it (sorting them takes about half as long), int64
-otherwise.  In int64, when the packed span would pass 2^62 the partial key
-is first replaced by its rank among its distinct values, so the key cannot
-overflow; a box index that itself reaches 2^62 in magnitude raises
-BoxIndexOverflow before any cast, instead of wrapping.  The sorted key also
-counts the boxes of every coordinate prefix: the graph of the first k value
-coordinates occupies as many boxes as there are distinct quotients of the
-key by the product of the radices of the axes after v_k, and those
-quotients are as sorted as the key.  A re-rank of the partial key before
-v_j folds (t, v_1..v_{j-1}) into one rank, after which only the prefixes
-of at least those axes can be read this way; a shorter one is counted from
-its own packing.  ``box_count_curves`` builds one counter per cloud, which
-holds the values relative to their minimum and the work buffers every scale
-reuses in place, so a scale allocates no point-sized temporary; one sort
-per scale gives the curves of every prefix it is asked for.  The log-log
-regression keeps the middle scales: the coarsest and finest octaves are
-biased (finite extent, finite path resolution), and scales whose count
-approaches the number of cloud points are resolution-limited and dropped.
+otherwise.  When the packed span would pass 2^62 no key is packed: the
+index rows themselves are sorted lexicographically and a box starts at each
+row that differs from the one before.  A box index that itself reaches 2^62
+in magnitude raises BoxIndexOverflow before any cast, instead of wrapping.
+The sorted key also counts the boxes of every coordinate prefix: the graph
+of the first k value coordinates occupies as many boxes as there are
+distinct quotients of the key by the product of the radices of the axes
+after v_k, and those quotients are as sorted as the key; in the sorted
+rows, as many as there are changes in the first k + 1 rows.
+``box_count_curves`` builds one counter per cloud, which holds the values
+relative to their minimum and the work buffers every scale reuses in place,
+so a packed scale allocates no point-sized temporary; one sort per scale
+gives the curves of every prefix it is asked for.  The log-log regression
+keeps the middle scales: the coarsest and finest octaves are biased (finite
+extent, finite path resolution), and scales whose count approaches the
+number of cloud points are resolution-limited and dropped.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,6 +77,9 @@ MIN_FIT_POINTS = 3
 
 #: kernel Monte Carlo refuses gamma this close to its branch point H*d
 GAMMA_BOUNDARY_MARGIN = 1e-6
+
+#: default fit settings of ``estimate_parabolic_dimension``
+DEFAULT_TRIM_OCTAVES, DEFAULT_MAX_COUNT_FRACTION = 1.0, 1.0 / 3.0
 
 #: bound on box-index magnitudes and on the span of a packed box key
 _KEY_SPAN_MAX = 2**62
@@ -262,17 +265,19 @@ class _BoxCounter:
             src, _, scale = axes[j]
             _floor_scaled(src, *scale, self.work, out)
 
-        # each packing serves every pending prefix it has not folded into a
-        # rank; the first packing is of all d coordinates
-        pending = sorted({len(self.rel), *self.prefix_counts}, reverse=True)
-        counts = {}
-        while pending:
-            key, radices, folded = pack_index_rows(
-                bounds[: pending[0] + 1], fill, self.key, self.col)
+        dims = {len(self.rel), *self.prefix_counts}
+        key, radices = pack_index_rows(bounds, fill, self.key, self.col)
+        if key is not None:
             key.sort()
-            for k in [k for k in pending if k + 1 >= folded]:
-                counts[k] = self._distinct(key, math.prod(radices[k + 1:]))
-                pending.remove(k)
+            counts = {k: self._distinct(key, math.prod(radices[k + 1:])) for k in dims}
+        else:
+            # the (t, v_1..v_k) box changes where any of its k + 1 sorted rows does
+            rows = np.empty((len(axes), self.times.size), dtype=np.int64)
+            for j, row in enumerate(rows):
+                fill(j, row)
+            rows = rows[:, np.lexsort(rows[::-1])]
+            changes = np.logical_or.accumulate(rows[:, 1:] != rows[:, :-1], axis=0)
+            counts = {k: 1 + int(np.count_nonzero(changes[k])) for k in dims}
         for k, out in self.prefix_counts.items():
             out.append(counts[k])
         return counts[len(self.rel)]
@@ -350,21 +355,18 @@ def pack_index_rows(bounds, fill, key, col):
     floats, and ``fill(j, out)`` writes column j into the integer array
     ``out``.  ``key`` and ``col`` are int64 work arrays of one entry per row;
     the key is returned as a view of ``key``.  Each column is shifted to
-    start at 0 and appended to the key with its index range as radix.  The
-    key is int32 when the packed span and every raw index fit in int32, and
-    int64 otherwise; in int64, before the packed span would pass 2^62, the
-    key (and, if still needed, the column) is replaced by its rank among its
-    distinct values, which is below the number of rows.  Both steps keep
-    order, so equal rows get equal keys and keys sort as the rows do
-    lexicographically.  Raises BoxIndexOverflow, before any index is cast,
-    for an index of 2^62 or more in magnitude (or NaN).  Shared by box
-    counting and occupation histograms.
+    start at 0 and appended to the key with its index range as radix, so
+    equal rows get equal keys and keys sort as the rows do
+    lexicographically.  The key is int32 when the packed span and every raw
+    index fit in int32, and int64 otherwise.  Raises BoxIndexOverflow,
+    before any index is cast, for an index of 2^62 or more in magnitude (or
+    NaN).  Shared by box counting and occupation histograms.
 
-    Returns the key with each column's final radix and ``folded``, the
-    number of leading columns the last re-rank of the key folded into one
-    rank (0 if none).  The key of any leading run of at least ``folded``
-    columns is then the key floor-divided by the product of the radices of
-    the columns after it.
+    Returns the key and each column's radix.  When the product of the
+    radices passes 2^62 the key is None and no column is filled: the caller
+    sorts the rows themselves.  The key of any leading run of columns is
+    the key floor-divided by the product of the radices of the columns
+    after it.
     """
     for lo, hi in bounds:
         if not -_KEY_SPAN_MAX < lo <= hi < _KEY_SPAN_MAX:
@@ -375,32 +377,19 @@ def pack_index_rows(bounds, fill, key, col):
     los = [int(lo) for lo, _ in bounds]
     his = [int(hi) for _, hi in bounds]
     radices = [hi - lo + 1 for lo, hi in zip(los, his)]
+    if math.prod(radices) > _KEY_SPAN_MAX:
+        return None, radices
     if math.prod(radices) <= _NARROW_MAX and -_NARROW_MAX <= min(los) and max(his) <= _NARROW_MAX:
         n = key.size
         key, col = key.view(np.int32)[:n], col.view(np.int32)[:n]
-    span, folded = 1, 0
     for j, (lo, radix) in enumerate(zip(los, radices)):
         dst = col if j else key
         fill(j, dst)
         np.subtract(dst, lo, out=dst)
-        if span * radix > _KEY_SPAN_MAX:
-            if j:
-                key[:], span = _dense_rank(key)
-                folded = j
-            if span * radix > _KEY_SPAN_MAX:
-                dst[:], radix = _dense_rank(dst)
-                radices[j] = radix
         if j:
             np.multiply(key, radix, out=key)
             np.add(key, col, out=key)
-        span *= radix
-    return key, radices, folded
-
-
-def _dense_rank(x):
-    """Rank of each entry among the distinct values of x, and the number of them."""
-    uniq, rank = np.unique(x, return_inverse=True)
-    return rank, uniq.size
+    return key, radices
 
 
 def _fit_loglog(deltas, counts):
@@ -430,11 +419,11 @@ def validate_fit_scales(deltas):
 
 def validate_fit_settings(trim_octaves, max_count_fraction):
     """Raise ConfigError unless ``trim_octaves`` is a finite number >= 0 and
-    ``max_count_fraction`` is None or a number above 0."""
+    ``max_count_fraction`` a number above 0 (1 or more keeps every scale)."""
     # a NaN fails every comparison, so each check asks for the good case
-    if not 0.0 <= trim_octaves < math.inf:
+    if not (isinstance(trim_octaves, numbers.Real) and 0.0 <= trim_octaves < math.inf):
         raise ConfigError(f"trim_octaves must be a finite number >= 0, got {trim_octaves!r}")
-    if max_count_fraction is not None and not max_count_fraction > 0.0:
+    if not (isinstance(max_count_fraction, numbers.Real) and max_count_fraction > 0.0):
         raise ConfigError(f"max_count_fraction must be above 0, got {max_count_fraction!r}")
 
 
@@ -442,8 +431,8 @@ def estimate_parabolic_dimension(
     cloud,
     deltas,
     hurst,
-    trim_octaves=1.0,
-    max_count_fraction=1.0 / 3.0,
+    trim_octaves=DEFAULT_TRIM_OCTAVES,
+    max_count_fraction=DEFAULT_MAX_COUNT_FRACTION,
     anchor_shift=0.0,
     *,
     _curve=None,
@@ -471,8 +460,7 @@ def estimate_parabolic_dimension(
     if trim_octaves > 0:
         f = 2.0**trim_octaves
         keep &= (d <= d.max() / f * (1 + 1e-12)) & (d >= d.min() * f * (1 - 1e-12))
-    if max_count_fraction is not None:
-        keep &= c <= max_count_fraction * cloud.n
+    keep &= c <= max_count_fraction * cloud.n
     if keep.sum() < MIN_FIT_POINTS:
         raise DegenerateRange(
             f"only {int(keep.sum())} scales usable after trimming "

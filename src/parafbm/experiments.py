@@ -45,6 +45,8 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateRange, InfeasibleParameters
 from .estimators import (
+    DEFAULT_MAX_COUNT_FRACTION,
+    DEFAULT_TRIM_OCTAVES,
     GraphCloud,
     box_count_curves,
     dyadic_deltas,
@@ -466,20 +468,17 @@ def _graph_records(fitted, cells, common, seeds, seed_base):
     grid, deltas = TimeGrid.regular(common["grid_n"]), common["deltas"]
     for s in range(seeds):   # cell 0 yields first, so each path is charged to it
         path = generate_fbm_path(alpha, grid, d=max(dims), seed=seed_base + s)
-        clouds = {
-            d: GraphCloud(times=grid.times, values=path.values[:d].T, h_context=alpha)
-            for d in set(dims)
-        }
-        subs, curves = {}, {}
+        clouds, subs, curves = {}, {}, {}
         for i, (cell, key, hs) in enumerate(zip(cells, set_keys, hursts)):
             for hurst in hs:
                 count = (key, hurst)
                 if count not in curves:
                     m = max(count_dims[count])
                     if (key, m) not in subs:
-                        cloud = clouds[m]
-                        subs[key, m] = (cloud if cell["set"].kind == "full-interval"
-                                        else cloud.restrict(cell["set"]))
+                        if m not in clouds:   # built when a count first needs it
+                            clouds[m] = GraphCloud(grid.times, path.values[:m].T, alpha)
+                        subs[key, m] = (clouds[m] if cell["set"].kind == "full-interval"
+                                        else clouds[m].restrict(cell["set"]))
                     curves[count] = subs[key, m], box_count_curves(
                         subs[key, m], deltas, hurst, set(count_dims[count]))
                     if len(count_dims[count]) > 1:
@@ -711,8 +710,8 @@ def _graph_spec(row, defaults, fitted=("hurst",), cell_optional=("set",),
                 cell_rule=_alpha_rule):
     return _KindSpec(
         defaults={"grid_n": 2**14, "delta_coarse_exp": 4, "delta_fine_exp": 12,
-                  "per_octave": 2, "trim_octaves": 1.0, "max_count_fraction": 1 / 3,
-                  **defaults},
+                  "per_octave": 2, "trim_octaves": DEFAULT_TRIM_OCTAVES,
+                  "max_count_fraction": DEFAULT_MAX_COUNT_FRACTION, **defaults},
         cell_keys=("alpha", *fitted, "d"),
         run=partial(_graph_records, fitted),
         reduce=partial(_graph_outcome, row, fitted),

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoxIndexOverflow, ConfigError, GridMismatch
-from .estimators import pack_index_rows
+from .estimators import _KEY_SPAN_MAX, pack_index_rows
 from .fbm import validate_count
 
 __all__ = [
@@ -134,11 +134,11 @@ def occupation_histogram(weights, values, epsilon, origin=None):
     ``origin`` anchors the cell grid (default: componentwise minimum); cell
     mass is the sum of the weights of the points it receives.  Cells are
     grouped by one packed integer key per point (``pack_index_rows``), which
-    sorts as the index rows do.  Raises ConfigError for NaN or infinite
-    inputs, for d = 0, for an ``origin`` not of size d and for an empty
-    sample without an ``origin`` (with one, it gives an empty histogram),
-    and BoxIndexOverflow for a cell index of 2^62 or
-    more in magnitude.
+    sorts as the index rows do, or past a packed span of 2^62 by the index
+    rows themselves.  Raises ConfigError for NaN or infinite inputs, for
+    d = 0, for an ``origin`` not of size d and for an empty sample without
+    an ``origin`` (with one, it gives an empty histogram), and
+    BoxIndexOverflow for a cell index of 2^62 or more in magnitude.
     """
     if not 0.0 < epsilon < math.inf:
         raise ConfigError("epsilon must be positive and finite")
@@ -162,14 +162,15 @@ def occupation_histogram(weights, values, epsilon, origin=None):
     index, mass = np.empty((0, origin.size), dtype=np.int64), np.empty(0)
     if w.size:
         idx = np.floor((v - origin) / epsilon)
-        key, _, _ = pack_index_rows(
+        key, _ = pack_index_rows(
             [(col.min(), col.max()) for col in idx.T],
             lambda j, out: np.copyto(out, idx[:, j], casting="unsafe"),
             np.empty(w.size, dtype=np.int64),
             np.empty(w.size, dtype=np.int64),
         )
-        _, first, inv = np.unique(key, return_index=True, return_inverse=True)
-        mass = np.bincount(inv, weights=w)
+        rows, axis = (idx, 0) if key is None else (key, None)
+        _, first, inv = np.unique(rows, return_index=True, return_inverse=True, axis=axis)
+        mass = np.bincount(inv.ravel(), weights=w)   # the inverse's shape varies in numpy 2.x
         kept = mass > 0.0
         index, mass = idx[first[kept]].astype(np.int64), mass[kept]
     return OccupationHistogram(cell_size=float(epsilon), origin=origin, index=index, mass=mass)
@@ -270,7 +271,7 @@ def interior_probe(hist, radius_cells):
         return np.empty((0, hist.d), dtype=np.int64)
     lo = idx.min(axis=0)
     dims = [int(b) - int(a) + 1 + 2 * r for a, b in zip(lo, idx.max(axis=0))]
-    if math.prod(dims) > 2**62:
+    if math.prod(dims) > _KEY_SPAN_MAX:
         raise BoxIndexOverflow(
             f"the occupied cells padded by {r} span a box of {math.prod(dims)} "
             "cells, more than 2^62 int64 keys; use a coarser cell size"

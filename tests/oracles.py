@@ -16,6 +16,9 @@ The mixed sampler's increments are checked against the closed-form
 increment variance of B^H + B^a'.
 The parsed experiment cell is checked against the values the per-key
 accessors and read-site defaults gave before cells were parsed at load.
+The Takagi-Landsberg function is built from integers and checked against
+an mpmath sum; the box counts of its graph are checked against the column
+count the intermediate value theorem gives.
 """
 
 import cmath
@@ -234,6 +237,22 @@ def naive_histogram(weights, values, epsilon, origin):
         key = tuple(math.floor((x - o) / epsilon) for x, o in zip(v, origin))
         cells[key] = cells.get(key, 0.0) + w
     return {k: m for k, m in cells.items() if m > 0.0}
+
+
+def takagi_values(alpha, m):
+    """The Takagi-Landsberg function T_alpha(t) = sum_n 2^(-alpha n) phi(2^n t),
+    phi the distance to the nearest integer, at t = k / 2^m for k = 0..2^m.
+
+    On this grid the terms from n = m on vanish, and each phi(2^n k / 2^m)
+    is r / 2^m with r = k 2^n mod 2^m folded to min(r, 2^m - r), exact from
+    integers.
+    """
+    k = np.arange(2**m + 1, dtype=np.int64)
+    total = np.zeros(k.size)
+    for n in range(m):
+        r = (k << n) % 2**m
+        total += 2.0 ** (-alpha * n) * (np.minimum(r, 2**m - r) / 2**m)
+    return total
 
 
 def naive_has_interior(weights, values, epsilon, origin, radius):

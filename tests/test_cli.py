@@ -49,6 +49,17 @@ class TestDeltaSpec:
         with pytest.raises(ConfigError, match=f"delta bound '{bound}' is not a power of two"):
             parse_delta_spec(spec)
 
+    @pytest.mark.parametrize("spec", ["2^-0..2^-5", "1..0.03125"])
+    def test_range_from_exponent_0_runs(self, tmp_path, capsys, spec):
+        # refused as "need 2^-a..2^-b with a < b", though the comma list
+        # 1,0.5,... ran and configs accept delta_coarse_exp 0
+        path, curve = tmp_path / "p.csv", tmp_path / "curve.csv"
+        run(["generate", "--hurst", "0.5", "--n", "4096", "--seed", "3", "--out", str(path)])
+        assert run(["boxdim", "--input", str(path), "--hurst", "0.5", "--deltas", spec,
+                    "--curve", str(curve)]) == 0
+        rows = list(csv.reader(curve.read_text().splitlines()))[1:]
+        assert [float(delta) for delta, _ in rows] == [2.0**-k for k in range(6)]
+
     def test_bound_off_a_power_of_two_exit_1(self, tmp_path, capsys):
         path = tmp_path / "p.csv"
         run(["generate", "--hurst", "0.5", "--n", "256", "--out", str(path)])
@@ -331,6 +342,27 @@ class TestGaussSweep:
     def test_no_configs_exit_1(self, sweep, configs, capsys):
         assert run(["gauss-sweep", "--sweep", sweep, "--configs", configs]) == 1
         assert "n_configs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [["--hurst", "1.5", "--alpha-p", "7"], ["--hurst", "0.7"],
+                                       ["--alpha-p", "0.35"]])
+    def test_detcov_refuses_lnd_flags(self, tmp_path, capsys, flags):
+        # detcov ignored both flags, printed a result and exited 0
+        out = tmp_path / "sweep.csv"
+        assert run(["gauss-sweep", "--sweep", "detcov", "--configs", "2", *flags,
+                    "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err.splitlines() == [
+            "error: --hurst and --alpha-p apply only to --sweep lnd"]
+
+    def test_lnd_flags_default_to_0_7_and_0_35(self, capsys):
+        base = ["gauss-sweep", "--sweep", "lnd", "--configs", "5"]
+        assert run(base) == 0
+        left_out = capsys.readouterr().out
+        assert run([*base, "--hurst", "0.7", "--alpha-p", "0.35"]) == 0
+        assert capsys.readouterr().out == left_out
+        assert run([*base, "--hurst", "0.6"]) == 0
+        assert capsys.readouterr().out != left_out
 
     @pytest.mark.parametrize("flag", ["--hurst", "--alpha-p"])
     def test_lnd_bad_index_exit_1(self, flag, capsys):

@@ -1,5 +1,6 @@
 import dataclasses
 import io
+import math
 import types
 
 import numpy as np
@@ -12,6 +13,7 @@ from oracles import (
     naive_box_keys,
     naive_energy_sum,
     naive_parabolic_box_count,
+    takagi_values,
 )
 from parafbm import estimators
 from parafbm.errors import (
@@ -134,10 +136,9 @@ class TestBoxCount:
                 parabolic_box_count(c, delta, 0.5)
 
     @pytest.mark.parametrize("top", [1.2 * 2.0**59, 1.9 * 2.0**60])
-    def test_wide_spread_reranks_key(self, top):
+    def test_wide_spread_counted_from_sorted_rows(self, top):
         # value indices reach 2 top at delta 1/4: four time boxes times that
-        # range passes 2^62, so the packed time key is re-ranked to its three
-        # distinct boxes, and at the wider spread the value column is too
+        # range passes 2^62, so no key is packed and the index rows are sorted
         t = [0.1, 0.9, 0.1, 0.9, 0.5, 0.6, 0.1]
         v = [[0.0], [top], [top / 2], [3.0], [top], [top], [3.0]]
         c = GraphCloud(times=np.array(t), values=np.array(v))
@@ -146,10 +147,10 @@ class TestBoxCount:
                 t, v, delta, 0.5
             )
 
-    def test_rerank_prevents_wrapped_key_collision(self):
-        # value indices span r = 2^62 - 2^40 + 1 over five time boxes; packing
-        # without re-ranking the value column would wrap mod 2^64 and put
-        # (time box 0, value 0) and (time box 4, value 2^42 - 4) on one key
+    def test_row_sort_prevents_wrapped_key_collision(self):
+        # value indices span r = 2^62 - 2^40 + 1 over five time boxes; a key
+        # packed in int64 would wrap mod 2^64 and put (time box 0, value 0)
+        # and (time box 4, value 2^42 - 4) on one key
         t = [0.01, 0.07, 0.13, 0.19, 0.26, 0.01]
         v = [[0.0], [0.0], [0.0], [0.0], [2.0**40 - 1], [2.0**60 - 2.0**38]]
         c = GraphCloud(times=np.array(t), values=np.array(v))
@@ -164,7 +165,8 @@ def clouds(draw):
     Times spread over [0, 1] or cluster within 2^-36 of 1/2; together with
     the widest spreads and finest scales drawn, counts go through int32
     keys, int64 keys (wide spans, or raw time indices past int32 with a
-    span of a few boxes), the int64 re-rank and BoxIndexOverflow.
+    span of a few boxes), sorted index rows (spans past 2^62) and
+    BoxIndexOverflow.
     """
     d = draw(st.integers(1, 3))
     n = draw(st.integers(1, 40))
@@ -222,8 +224,8 @@ class TestBoxCountProperties:
     )
     def test_prefix_counts_match_oracle(self, cloud, deltas, hurst, anchor_shift):
         # every coordinate prefix's curve, read from the sorts of the full
-        # key, against the oracle on the first k coordinates; the clouds
-        # reach int32 keys, int64 keys, re-ranks and BoxIndexOverflow
+        # key or rows, against the oracle on the first k coordinates; the
+        # clouds reach int32 keys, int64 keys, sorted rows and BoxIndexOverflow
         t, v = cloud
         c = GraphCloud(times=np.array(t), values=np.array(v))
         dims = range(1, c.d + 1)
@@ -242,11 +244,10 @@ class TestBoxCountProperties:
                 for delta in ladder
             ]
 
-    def test_prefix_folded_by_a_rerank_is_packed_again(self, monkeypatch):
+    def test_prefixes_counted_from_sorted_rows_past_2_62(self):
         # d = 3 at delta 1/16, H 1/2: about 2^4 time boxes, 2^10 boxes on
-        # each of v_1 and v_2 and 2^44 on v_3, so the key of (t, v_1, v_2)
-        # is re-ranked before v_3 is appended; (t, v_1, v_2) is still read
-        # from that key, (t, v_1) needs a packing of its own
+        # each of v_1 and v_2 and 2^44 on v_3, a packed span of about 2^68,
+        # so every prefix is counted from the one sort of the index rows
         rng = np.random.default_rng(5)
         n = 300
         t = rng.uniform(0.0, 1.0, n)
@@ -255,17 +256,7 @@ class TestBoxCountProperties:
         v[::7, :2] = v[1::7, :2][: v[::7].shape[0]]   # repeated (v_1, v_2) pairs
         t[::5] = t[1::5][: t[::5].size]               # and repeated times
         c = GraphCloud(times=t, values=v)
-        packings = []
-        real = estimators.pack_index_rows
-
-        def spy(bounds, *args):
-            key, radices, folded = real(bounds, *args)
-            packings.append((len(bounds), folded))
-            return key, radices, folded
-
-        monkeypatch.setattr(estimators, "pack_index_rows", spy)
         curves = box_count_curves(c, [1 / 16], 0.5, (1, 2, 3))
-        assert packings == [(4, 3), (2, 0)]
         for k in (1, 2, 3):
             want = naive_parabolic_box_count(t.tolist(), v[:, :k].tolist(), 1 / 16, 0.5)
             assert curves[k].counts.tolist() == [want]
@@ -301,14 +292,18 @@ class TestBoxCountProperties:
 
 
 def _pack(columns):
+    """The key of the rows of ``columns``, or None, for which no column is filled."""
     cols = [np.asarray(c, dtype=float) for c in columns]
     n = cols[0].size
-    key, _, _ = pack_index_rows(
-        [(c.min(), c.max()) for c in cols],
-        lambda j, out: np.copyto(out, cols[j], casting="unsafe"),
-        np.empty(n, dtype=np.int64),
-        np.empty(n, dtype=np.int64),
-    )
+    filled = []
+
+    def fill(j, out):
+        filled.append(j)
+        np.copyto(out, cols[j], casting="unsafe")
+
+    key, _ = pack_index_rows([(c.min(), c.max()) for c in cols], fill,
+                             np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64))
+    assert filled == ([] if key is None else list(range(len(cols))))
     return key
 
 
@@ -321,10 +316,13 @@ class TestPackIndexRows:
         ([[0, 2**31 - 1, 7]], np.int64),             # span 2^31
         ([[2**39, 2**39 + 2, 2**39]], np.int64),     # span 3, raw index past int32
         ([[0, 1, 0], [0, 2**16, 5], [0, 2**14, 1]], np.int64),  # product of radices
-        ([[0, 2**61, 3], [-(2**61), 0, 2**61]], np.int64),      # re-ranked
+        ([[0, 2**61, 3], [-(2**61), 0, 2**61]], None),          # span past 2^62
     ])
     def test_width_and_order(self, columns, width):
         key = _pack(columns)
+        if width is None:
+            assert key is None
+            return
         assert key.dtype == width
         rows = list(zip(*columns))
         for i in range(len(rows)):
@@ -336,8 +334,8 @@ class TestPackIndexRows:
     @given(data=st.data())
     def test_keys_sort_as_rows(self, data):
         # column ranges from a few boxes to 2^61, raw indices inside and past
-        # int32: int32 keys, int64 keys and the re-rank are all drawn, and a
-        # wrapped key would break the order
+        # int32: int32 keys, int64 keys and spans past 2^62 (no key) are all
+        # drawn, and a wrapped key would break the order
         n = data.draw(st.integers(1, 30))
         columns = []
         for _ in range(data.draw(st.integers(1, 4))):
@@ -348,6 +346,10 @@ class TestPackIndexRows:
             columns.append([float(base + o) for o in data.draw(
                 st.lists(offsets, min_size=n, max_size=n))])
         key = _pack(columns)
+        spans = [int(max(c)) - int(min(c)) + 1 for c in columns]
+        assert (key is None) == (math.prod(spans) > 2**62)
+        if key is None:
+            return
         rows = [tuple(int(x) for x in row) for row in zip(*columns)]
         for i in range(n):
             for j in range(n):
@@ -361,6 +363,50 @@ class TestPackIndexRows:
         for bounds in ([(0.0, 2.0**62)], [(-(2.0**62), 0.0)], [(0.0, np.nan)]):
             with pytest.raises(BoxIndexOverflow):
                 pack_index_rows(bounds, fill, np.empty(1, np.int64), np.empty(1, np.int64))
+
+
+class TestTakagiGraph:
+    """A second route for the counter at full size: the graph of the
+    Takagi-Landsberg function, whose columns the intermediate value theorem
+    counts without sorting anything."""
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.5])
+    def test_oracle_matches_an_mpmath_sum(self, alpha):
+        import mpmath
+
+        m = 10
+        values = takagi_values(alpha, m)
+        with mpmath.workdps(40):
+            for k in (0, 1, 3, 341, 512, 777, 1023, 1024):
+                x = mpmath.mpf(k) / 2**m
+                # terms past n = m - 1 are summed too: they must vanish
+                want = mpmath.fsum(mpmath.mpf(2) ** (-alpha * n) * abs(y - mpmath.nint(y))
+                                   for n in range(m + 20) for y in [2**n * x])
+                assert abs(values[k] - want) < 1e-14
+
+    @pytest.mark.parametrize("alpha, hurst, scales", [(0.3, 0.6, 3), (0.5, 0.5, 15),
+                                                      (0.4, 0.8, 4)])
+    def test_counts_equal_the_intermediate_value_count(self, alpha, hurst, scales):
+        # where a box is at least twice as tall as the largest step, the
+        # points of a time column fill every box between their extremes, so
+        # the column holds floor((max - v0) / h) - floor((min - v0) / h) + 1
+        m = 16
+        t = np.arange(2**m + 1) / 2**m
+        v = takagi_values(alpha, m)
+        step = np.abs(np.diff(v)).max()
+        curve = box_count_curve(GraphCloud(t, v), dyadic_deltas(4, 12, 2), hurst)
+        checked = 0
+        for delta, count in zip(curve.deltas, curve.counts):
+            h = delta**hurst
+            if h < 2 * step:
+                continue
+            column = np.minimum(np.floor(t / delta), np.ceil(1 / delta) - 1)
+            starts = np.flatnonzero(np.diff(column, prepend=-1.0))
+            lo = np.floor((np.minimum.reduceat(v, starts) - v.min()) / h)
+            hi = np.floor((np.maximum.reduceat(v, starts) - v.min()) / h)
+            assert count == np.sum(hi - lo + 1)
+            checked += 1
+        assert checked == scales
 
 
 def test_scales_call_the_module_global_with_the_cloud_first(monkeypatch):
@@ -462,7 +508,7 @@ class TestDimensionEstimate:
         with pytest.raises(DegenerateRange):
             estimate_parabolic_dimension(
                 c, dyadic_deltas(1, 6), 0.5,
-                trim_octaves=0, max_count_fraction=None,
+                trim_octaves=0, max_count_fraction=1.0,
             )
 
     def test_too_few_scales(self):
@@ -472,10 +518,12 @@ class TestDimensionEstimate:
     @pytest.mark.parametrize("key, value", [
         ("trim_octaves", np.nan), ("trim_octaves", np.inf),
         ("max_count_fraction", np.nan), ("max_count_fraction", 0.0),
+        ("trim_octaves", None), ("max_count_fraction", None), ("max_count_fraction", "0.5"),
     ])
     def test_trim_and_count_fraction_checked(self, key, value):
         # a NaN trim skipped the trim; the rest raised DegenerateRange, a
-        # numerical failure, for a config fault
+        # numerical failure, for a config fault; None (which once meant no
+        # count guard) and strings raised TypeError
         with pytest.raises(ConfigError, match=f"^{key} must be"):
             estimate_parabolic_dimension(flat_cloud(), dyadic_deltas(1, 6), 0.5,
                                          **{key: value})
@@ -493,7 +541,7 @@ class TestDimensionEstimate:
         v = rng.normal(0, 1, (2000, 2)) * 50
         c = GraphCloud(times=t, values=v)
         est = estimate_parabolic_dimension(
-            c, dyadic_deltas(1, 5), 0.2, max_count_fraction=None, trim_octaves=0
+            c, dyadic_deltas(1, 5), 0.2, max_count_fraction=1.0, trim_octaves=0
         )
         assert est.exponent > 0  # no exception, raw value returned
 
