@@ -24,7 +24,7 @@ deltas = pf.dyadic_deltas(3, 11, per_octave=2)
 exps = []
 for seed in range(8):
     path = pf.generate_fbm_path(0.5, grid, seed=seed)
-    cloud = pf.GraphCloud.from_path(path, h_context=0.5)
+    cloud = pf.GraphCloud.from_path(path)
     exps.append(pf.estimate_parabolic_dimension(cloud, deltas, 0.5).exponent)
 print(f"\nalpha=H=0.5 graphs: median exponent {np.median(exps):.3f} (formula: 1.0)")
 
@@ -33,7 +33,7 @@ for alpha, hurst in ((0.3, 0.6), (0.4, 0.8)):
     exps = []
     for seed in range(8):
         path = pf.generate_fbm_path(alpha, grid, seed=seed)
-        cloud = pf.GraphCloud.from_path(path, h_context=hurst)
+        cloud = pf.GraphCloud.from_path(path)
         exps.append(pf.estimate_parabolic_dimension(
             cloud, deltas, hurst, trim_octaves=0.0, max_count_fraction=0.2).exponent)
     theory = pf.theoretical_graph_dimension(alpha, hurst, 1.0, 1)
@@ -44,7 +44,7 @@ fset = pf.middle_thirds_cantor(8)
 exps = []
 for seed in range(8):
     path = pf.generate_fbm_path(0.3, grid, seed=seed)
-    cloud = pf.GraphCloud.from_path(path, h_context=0.6).restrict(fset)
+    cloud = pf.GraphCloud.from_path(path).restrict(fset)
     exps.append(pf.estimate_parabolic_dimension(
         cloud, deltas, 0.6, trim_octaves=0.0, max_count_fraction=0.2).exponent)
 theory = pf.theoretical_graph_dimension(0.3, 0.6, fset.theoretical_dim, 1)

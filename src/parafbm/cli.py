@@ -122,7 +122,7 @@ def _cmd_generate(args):
 
 def _cmd_boxdim(args):
     times, values = _read_cloud_csv(args.input)
-    cloud = GraphCloud(times=times, values=values, h_context=args.hurst)
+    cloud = GraphCloud(times=times, values=values)
     deltas = parse_delta_spec(args.deltas)
     est = estimate_parabolic_dimension(
         cloud, deltas, args.hurst,

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import csv
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,7 +45,14 @@ from .errors import (
     GammaAtBoundary,
     NumericalError,
 )
-from .fbm import philox_stream, validate_count, validate_hurst, validate_seed
+from .fbm import (
+    philox_stream,
+    validate_count,
+    validate_hurst,
+    validate_integer,
+    validate_real,
+    validate_seed,
+)
 from .geometry import rho_h, validate_alpha
 
 __all__ = [
@@ -62,7 +68,6 @@ __all__ = [
     "validate_gamma",
     "validate_kernel_times",
     "validate_fit_scales",
-    "validate_fit_settings",
     "dyadic_deltas",
 ]
 
@@ -213,8 +218,8 @@ def parabolic_box_count(cloud, delta, hurst, anchor_shift=0.0, *, _counter=None)
     ``box_count_curves`` passes one counter of ``cloud`` to every scale.
     """
     hurst = validate_hurst(hurst)
-    if not 0.0 < delta <= 1.0:
-        raise ConfigError("delta must lie in (0, 1]")
+    delta = validate_real(delta, "delta", low=0, high=1, above=True)
+    anchor_shift = validate_real(anchor_shift, "anchor_shift")
     if _counter is None:
         _counter = _BoxCounter(cloud)
     return _counter.count(delta, hurst, anchor_shift)
@@ -313,9 +318,18 @@ def _floor_scaled(src, shift, width, cap, work, out):
 
 
 def dyadic_deltas(coarse_exp, fine_exp, per_octave=1):
-    """Decreasing ladder 2^-coarse_exp .. 2^-fine_exp with per_octave scales per octave."""
+    """Decreasing ladder 2^-coarse_exp .. 2^-fine_exp with per_octave scales per octave.
+
+    The exponents are whole numbers, fine_exp > coarse_exp, per_octave is a
+    whole number >= 1, and every exponent times per_octave is an array
+    index; anything else raises ConfigError.
+    """
+    coarse_exp = validate_integer(coarse_exp, "coarse_exp")
+    fine_exp = validate_integer(fine_exp, "fine_exp")
+    per_octave = validate_count(per_octave, "per_octave")
     if fine_exp <= coarse_exp:
         raise ConfigError("need fine_exp > coarse_exp")
+    validate_count(max(-coarse_exp, fine_exp) * per_octave + 1, "the ladder's index range")
     k = np.arange(coarse_exp * per_octave, fine_exp * per_octave + 1) / per_octave
     return 2.0 ** (-k)
 
@@ -417,16 +431,6 @@ def validate_fit_scales(deltas):
     return deltas
 
 
-def validate_fit_settings(trim_octaves, max_count_fraction):
-    """Raise ConfigError unless ``trim_octaves`` is a finite number >= 0 and
-    ``max_count_fraction`` a number above 0 (1 or more keeps every scale)."""
-    # a NaN fails every comparison, so each check asks for the good case
-    if not (isinstance(trim_octaves, numbers.Real) and 0.0 <= trim_octaves < math.inf):
-        raise ConfigError(f"trim_octaves must be a finite number >= 0, got {trim_octaves!r}")
-    if not (isinstance(max_count_fraction, numbers.Real) and max_count_fraction > 0.0):
-        raise ConfigError(f"max_count_fraction must be above 0, got {max_count_fraction!r}")
-
-
 def estimate_parabolic_dimension(
     cloud,
     deltas,
@@ -449,10 +453,13 @@ def estimate_parabolic_dimension(
     ``cloud.n`` points (a graph-dimension job counts one cloud for the
     graphs of several of its coordinate prefixes); it takes the place of
     ``box_count_curve(cloud, deltas, hurst, anchor_shift)``.  Raises
-    ConfigError on settings ``validate_fit_settings`` refuses.
+    ConfigError unless ``trim_octaves`` is a finite number >= 0 and
+    ``max_count_fraction`` a finite number > 0 (1 or more keeps every scale).
     """
     deltas = validate_fit_scales(deltas)
-    validate_fit_settings(trim_octaves, max_count_fraction)
+    trim_octaves = validate_real(trim_octaves, "trim_octaves", low=0)
+    max_count_fraction = validate_real(max_count_fraction, "max_count_fraction", low=0,
+                                       above=True)
     curve = box_count_curve(cloud, deltas, hurst, anchor_shift) if _curve is None else _curve
     d, c = curve.deltas, curve.counts
 
@@ -496,8 +503,7 @@ def energy_integral_mc(measure_points, values, gamma, hurst, pair_seed=0):
     """
     hurst = validate_hurst(hurst)
     pair_seed = validate_seed(pair_seed, "pair_seed")
-    if not 0.0 < gamma < math.inf:
-        raise ConfigError(f"gamma must be positive and finite, got {gamma!r}")
+    gamma = validate_real(gamma, "gamma", low=0, above=True)
     times = measure_points.times
     weights = measure_points.weights
     v = np.asarray(values, dtype=float)
@@ -558,8 +564,7 @@ def validate_gamma(gamma, hurst, d):
 
     The decay in t of the kernel expectation switches branch at gamma = H*d.
     """
-    if not math.isfinite(gamma):
-        raise ConfigError(f"gamma must be a finite number, got {gamma!r}")
+    gamma = validate_real(gamma, "gamma")
     if abs(gamma - hurst * d) < GAMMA_BOUNDARY_MARGIN:
         raise GammaAtBoundary(
             f"gamma={gamma} within {GAMMA_BOUNDARY_MARGIN} of H*d={hurst * d}"

@@ -30,8 +30,6 @@ import difflib
 import hashlib
 import itertools
 import json
-import math
-import numbers
 import os
 import time
 from collections.abc import Callable
@@ -53,7 +51,6 @@ from .estimators import (
     estimate_parabolic_dimension,
     kernel_expectation_mc,
     validate_fit_scales,
-    validate_fit_settings,
     validate_gamma,
     validate_kernel_times,
 )
@@ -64,6 +61,7 @@ from .fbm import (
     validate_count,
     validate_hurst,
     validate_integer,
+    validate_real,
 )
 from .fractals import (
     WeightedTimeSet,
@@ -111,47 +109,15 @@ _CELL_CHOICES = {"check": ("bounded", "slope"), "path": ("fbm", "constant"),
 _CELL_DEFAULTS = {"set": {"kind": "full"}, "radius_cells": 2, "threshold": 0.9,
                   "alpha_p": None, **{key: values[0] for key, values in _CELL_CHOICES.items()}}
 
-#: the largest array length, so the largest count a run can use
-_MAX_COUNT = int(np.iinfo(np.intp).max)
-
-
-def _is_real(value):
-    """A finite real number that is not a bool (JSON true is not 1); an
-    integer too large for a float is not one."""
-    if not isinstance(value, numbers.Real) or isinstance(value, (bool, np.bool_)):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:
-        return False
-
-
-def _check_count(value, key):
-    """A whole number from 1 to the largest array length, as int."""
-    count = validate_count(value, key)
-    if count > _MAX_COUNT:
-        raise ConfigError(f"{key} must be at most {_MAX_COUNT}, the largest array "
-                          f"length, got {value!r}")
-    return count
-
-
-def _check_real(value, key, low=-math.inf, high=math.inf, above=False):
-    """A finite real number in [low, high], or (low, high] if ``above``, as float."""
-    if not _is_real(value):
-        raise ConfigError(f"{key} must be a finite number, got {value!r}")
-    if not (value > low if above else value >= low) or value > high:
-        rules = [f"{'>' if above else '>='} {low}"] if low > -math.inf else []
-        rules += [f"<= {high}"] if high < math.inf else []
-        raise ConfigError(f"{key} must be {' and '.join(rules)}, got {value!r}")
-    return float(value)
-
-
 def _exponent_scales(check, value, key):
     """The scales 2^-k of a strictly increasing list of at least two whole
     numbers k, the points of a log-log fit, if ``check`` (the run's) accepts them."""
-    if not (isinstance(value, list) and len(value) >= 2
-            and all(_is_real(k) and float(k).is_integer() for k in value)
-            and all(a < b for a, b in zip(value, value[1:]))):
+    try:
+        whole = isinstance(value, list) and all(validate_real(k, key).is_integer()
+                                                for k in value)
+    except ConfigError:
+        whole = False
+    if not (whole and len(value) >= 2 and all(a < b for a, b in zip(value, value[1:]))):
         raise ConfigError(f"{key} must be a strictly increasing list of at least two "
                           f"whole numbers, got {value!r}")
     with np.errstate(over="ignore"):
@@ -167,22 +133,23 @@ def _exponent_scales(check, value, key):
 _CELL_CHECKS = {
     **dict.fromkeys(("alpha", "hurst", "hurst_prime"), validate_hurst),
     "alpha_p": lambda value, key: None if value is None else validate_hurst(value, key),
-    **dict.fromkeys(("d", "radius_cells"), _check_count),
-    "gamma": _check_real,
-    "threshold": partial(_check_real, low=0, high=1),
-    "tolerance": partial(_check_real, low=0),
-    "epsilon": partial(_check_real, low=0, above=True),
+    **dict.fromkeys(("d", "radius_cells"), validate_count),
+    "gamma": validate_real,
+    "threshold": partial(validate_real, low=0, high=1),
+    "tolerance": partial(validate_real, low=0),
+    "epsilon": partial(validate_real, low=0, above=True),
 }
 
 #: per param, its check, which returns the value it stands for (an exponent
 #: list stands for its scales)
 _PARAM_CHECKS = {
-    **dict.fromkeys(("grid_n", "n_samples", "per_octave"), _check_count),
+    **dict.fromkeys(("grid_n", "n_samples", "per_octave"), validate_count),
     **dict.fromkeys(("delta_coarse_exp", "delta_fine_exp"), validate_integer),
-    **dict.fromkeys(("trim_octaves", "max_count_fraction"), _check_real),
-    "min_r_squared": partial(_check_real, high=1),
-    **dict.fromkeys(("margin", "rel_tolerance", "slope_tolerance"), partial(_check_real, low=0)),
-    "max_ratio": partial(_check_real, low=1),
+    "trim_octaves": partial(validate_real, low=0),
+    "max_count_fraction": partial(validate_real, low=0, above=True),
+    "min_r_squared": partial(validate_real, high=1),
+    **dict.fromkeys(("margin", "rel_tolerance", "slope_tolerance"), partial(validate_real, low=0)),
+    "max_ratio": partial(validate_real, low=1),
     "radius_exponents": partial(_exponent_scales, validate_radii),
     "t_exponents": partial(_exponent_scales, validate_kernel_times),
 }
@@ -208,7 +175,6 @@ def _parse_params(kind, params):
             common[scales] = parsed[key]
     if "per_octave" not in parsed:
         return common
-    validate_fit_settings(parsed["trim_octaves"], parsed["max_count_fraction"])
     coarse, fine, per_octave = (parsed[key] for key in
                                 ("delta_coarse_exp", "delta_fine_exp", "per_octave"))
     if coarse < 0:
@@ -217,8 +183,6 @@ def _parse_params(kind, params):
         raise ConfigError(f"delta_fine_exp must exceed delta_coarse_exp, got "
                           f"{fine} <= {coarse}")
     ladder = f"the scale ladder 2^-{coarse} .. 2^-{fine} at per_octave {per_octave}"
-    if fine * per_octave >= _MAX_COUNT:   # its indices must fit in an array
-        raise ConfigError(f"{ladder} is too long for an array")
     try:
         common["deltas"] = validate_fit_scales(dyadic_deltas(coarse, fine, per_octave))
     except ConfigError as exc:
@@ -367,42 +331,30 @@ CSV_FIELDS = [*(f.name for f in fields(ReportRow)), "runtime_s"]
 
 
 def build_set(spec):
-    """Construct a FractalSet from its JSON spec.
-
-    ``generation`` and ``m`` must be whole numbers: 8.5 raises ConfigError
-    rather than being truncated; a real ``r`` or a ``dim`` in (0, 1) sets the ratio.
-    """
+    """Construct a FractalSet from its JSON spec: its keys are checked here,
+    its numbers by the constructor it names."""
     if not isinstance(spec, dict):
         raise ConfigError(f"set must be a JSON object, got {spec!r}")
     unknown = set(spec) - _SET_KEYS
     if unknown:
         raise ConfigError(f"unknown set keys: {sorted(unknown)}")
     kind = spec.get("kind", "full")
+    k, m = spec.get("generation", 8), spec.get("m", 2)
     if kind in ("full", "full-interval"):
         return full_interval()
     if kind == "middle-thirds":
-        return middle_thirds_cantor(validate_integer(spec.get("generation", 8), "generation"))
+        return middle_thirds_cantor(k)
     if kind == "generalized-cantor":
-        k = validate_integer(spec.get("generation", 8), "generation")
-        m = validate_integer(spec.get("m", 2), "m")
-        if not _is_real(m):
-            raise ConfigError(f"m must be an integer a float can hold, got {m!r}")
         if "dim" in spec:
-            dim = spec["dim"]
-            if not (_is_real(dim) and 0.0 < dim < 1.0):
-                raise ConfigError(f"dim must be a number in (0, 1), got {dim!r}")
-            return cantor_with_dimension(float(dim), k, m)
-        r = spec.get("r")
-        if not _is_real(r):
-            raise ConfigError(f"r must be a finite number, got {r!r}")
-        return generalized_cantor(m, float(r), k)
+            return cantor_with_dimension(spec["dim"], k, m)
+        return generalized_cantor(m, spec.get("r"), k)
     raise ConfigError(f"unknown set kind {kind!r}")
 
 
 def lipschitz_drift(grid, d):
     """Fixed 1-Lipschitz drift f_j(t) = t / (j + 1) on the grid, shape (d, n)."""
     t = grid.times
-    return np.vstack([t / (j + 1.0) for j in range(d)])
+    return np.vstack([t / (j + 1.0) for j in range(validate_count(d, "d"))])
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +428,7 @@ def _graph_records(fitted, cells, common, seeds, seed_base):
                     m = max(count_dims[count])
                     if (key, m) not in subs:
                         if m not in clouds:   # built when a count first needs it
-                            clouds[m] = GraphCloud(grid.times, path.values[:m].T, alpha)
+                            clouds[m] = GraphCloud(grid.times, path.values[:m].T)
                         subs[key, m] = (clouds[m] if cell["set"].kind == "full-interval"
                                         else clouds[m].restrict(cell["set"]))
                     curves[count] = subs[key, m], box_count_curves(

@@ -30,6 +30,7 @@ and independent of generation order.
 from __future__ import annotations
 
 import csv
+import math
 import numbers
 import threading
 from collections import OrderedDict
@@ -44,6 +45,7 @@ __all__ = [
     "validate_integer",
     "validate_seed",
     "validate_count",
+    "validate_real",
     "philox_stream",
     "TimeGrid",
     "SamplePath",
@@ -67,6 +69,9 @@ CIRCULANT_CLAMP_TOL = 1e-8
 CIRCULANT_CACHE_BYTES = 16 * 2**20
 
 _UNIFORM_RTOL = 1e-9
+
+#: the largest array length, so the largest count a run can use
+_ARRAY_LENGTH_MAX = int(np.iinfo(np.intp).max)
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -107,11 +112,35 @@ def validate_seed(value, name="seed"):
 
 
 def validate_count(value, name):
-    """Return a whole number >= 1 as int; anything else raises ConfigError."""
+    """Return a whole number from 1 to the largest array length as int;
+    anything else raises ConfigError."""
     count = validate_integer(value, name)
     if count < 1:
         raise ConfigError(f"{name} must be >= 1, got {count}")
+    if count > _ARRAY_LENGTH_MAX:
+        raise ConfigError(f"{name} must be at most {_ARRAY_LENGTH_MAX}, the largest array "
+                          f"length, got {value!r}")
     return count
+
+
+def validate_real(value, name, low=-math.inf, high=math.inf, above=False):
+    """Return a finite real number in [low, high], or (low, high] if ``above``, as float.
+
+    Bools (JSON true is not 1), strings, None, NaN, infinities and integers
+    too large for a float raise ConfigError.
+    """
+    try:
+        finite = not isinstance(value, (bool, np.bool_)) and isinstance(
+            value, numbers.Real) and math.isfinite(value)
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    if not (value > low if above else value >= low) or value > high:
+        rules = [f"{'>' if above else '>='} {low}"] if low > -math.inf else []
+        rules += [f"<= {high}"] if high < math.inf else []
+        raise ConfigError(f"{name} must be {' and '.join(rules)}, got {value!r}")
+    return float(value)
 
 
 def philox_stream(seed, spawn_key):

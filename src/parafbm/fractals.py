@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError, GenerationTooLarge, InvalidRatio
-from .fbm import philox_stream, validate_count
+from .fbm import philox_stream, validate_count, validate_hurst, validate_integer, validate_real
 
 __all__ = [
     "FractalSet",
@@ -57,8 +57,7 @@ class FractalSet:
             raise ConfigError("intervals must be within [0, 1] with left <= right")
         if np.any(iv[1:, 0] <= iv[:-1, 1]):
             raise ConfigError("intervals must be sorted and pairwise disjoint")
-        if not 0.0 <= self.theoretical_dim <= 1.0:
-            raise ConfigError("theoretical_dim must lie in [0, 1]")
+        validate_real(self.theoretical_dim, "theoretical_dim", low=0, high=1)
         object.__setattr__(self, "intervals", iv)
 
     def contains(self, t):
@@ -93,15 +92,21 @@ def _cantor_intervals(m, r, k):
 
 
 def generalized_cantor(m, r, k):
-    """Cantor-type set: m branches of ratio r per generation, dimension ln m / ln(1/r)."""
+    """Cantor-type set: m branches of ratio r per generation, dimension ln m / ln(1/r).
+
+    m is a whole number >= 2, r a number > 0 with m r < 1 (InvalidRatio
+    otherwise) and the generation k a whole number >= 0; anything else
+    raises ConfigError.
+    """
+    m = validate_count(m, "m")
+    r = validate_real(r, "r", low=0, above=True)
+    k = validate_integer(k, "generation")
     if m < 2:
-        raise ConfigError("m must be >= 2")
-    if not 0.0 < r:
-        raise ConfigError("r must be positive")
+        raise ConfigError(f"m must be >= 2, got {m}")
     if m * r >= 1.0:
         raise InvalidRatio(f"need m*r < 1 for disjoint children, got m*r = {m * r}")
     if k < 0:
-        raise ConfigError("generation k must be >= 0")
+        raise ConfigError(f"generation must be >= 0, got {k}")
     # m >= 2, so a k past log2 of the cap is too large; refused before m**k,
     # which takes minutes for k = 10^8
     if k > MAX_INTERVALS.bit_length() - 1 or m**k > MAX_INTERVALS:
@@ -122,9 +127,9 @@ def middle_thirds_cantor(k):
 
 def cantor_with_dimension(dim, k, m=2):
     """Generalized Cantor set of m branches with prescribed dimension: r solves
-    ln m / ln(1/r) = dim."""
-    if not 0.0 < dim < 1.0:
-        raise ConfigError("target dimension must lie in (0, 1)")
+    ln m / ln(1/r) = dim, a number in (0, 1)."""
+    dim = validate_hurst(dim, "dim")
+    m = validate_count(m, "m")   # small enough for m ** (-1 / dim)
     return generalized_cantor(m, m ** (-1.0 / dim), k)
 
 

@@ -24,7 +24,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, SingularConditioning
-from .fbm import fbm_covariance, philox_stream, validate_count, validate_hurst
+from .fbm import (
+    fbm_covariance,
+    philox_stream,
+    validate_count,
+    validate_hurst,
+    validate_integer,
+    validate_real,
+)
 
 __all__ = [
     "GaussianVectorSpec",
@@ -111,7 +118,8 @@ def conditional_variance(spec, target, given=()):
     SingularConditioning when the given-block is numerically singular.
     """
     n = len(spec)
-    given = tuple(given)
+    target = validate_integer(target, "target")
+    given = tuple(validate_integer(g, "given") for g in given)
     if not 0 <= target < n or any(not 0 <= g < n for g in given):
         raise ConfigError("indices out of range")
     if target in given:
@@ -189,8 +197,7 @@ def lnd_margin(spec, u):
     """
     if spec.alpha_p is None:
         raise ConfigError("lnd_margin needs a mixed-kernel spec")
-    if not 0.0 < u <= 1.0:
-        raise ConfigError("u must lie in (0, 1]")
+    u = validate_real(u, "u", low=0, high=1, above=True)
     if np.any(np.abs(spec.times - u) < 1e-15):
         raise ConfigError("u must differ from all conditioning times")
     full = GaussianVectorSpec(np.concatenate([[u], spec.times]), spec.hurst, spec.alpha_p)
@@ -213,8 +220,8 @@ def lnd_distance_ratio(hurst, alpha_p, t, r, conditioning_times):
     validate_hurst(hurst)
     validate_hurst(alpha_p, "alpha_p")
     s = np.asarray(conditioning_times, dtype=float)
-    if not 0.0 < r <= t:
-        raise ConfigError("need 0 < r <= t")
+    r = validate_real(r, "r", low=0, above=True)
+    t = validate_real(t, "t", low=r)
     if np.any(np.abs(s - t) < r):
         raise ConfigError("conditioning times must be at distance >= r from t")
     full = GaussianVectorSpec(np.concatenate([[t], s]), hurst, alpha_p)
@@ -240,11 +247,11 @@ def _validate_sweep(n_configs, max_points, interval, min_gap, extra=0):
     n_configs = validate_count(n_configs, "n_configs")
     max_points = validate_count(max_points, "max_points")
     try:
-        lo, hi = (float(x) for x in interval)
+        lo, hi = interval
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"interval must be a pair of numbers, got {interval!r}") from exc
-    if not 0.0 < lo < hi <= 1.0:
-        raise ConfigError(f"interval must satisfy 0 < lo < hi <= 1, got {interval!r}")
+    lo = validate_real(lo, "the interval's lo", low=0, above=True)
+    hi = validate_real(hi, "the interval's hi", low=lo, high=1, above=True)
     if not hi - lo > (max_points + extra - 1) * min_gap:
         raise ConfigError(
             f"{max_points + extra} times at least {min_gap} apart do not fit "

@@ -8,8 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import AlphaExceedsH, ConfigError, HOrderViolation
-from .fbm import validate_count, validate_hurst
+from .errors import AlphaExceedsH, HOrderViolation
+from .fbm import validate_count, validate_hurst, validate_real
 
 __all__ = [
     "rho_h",
@@ -68,8 +68,7 @@ def theoretical_graph_dimension(alpha, hurst, dim_a, d):
     alpha < H and dim_a > 0.
     """
     alpha, hurst = validate_alpha(alpha, hurst)
-    if not 0.0 <= dim_a <= 1.0:
-        raise ConfigError("dim_a must lie in [0, 1]")
+    dim_a = validate_real(dim_a, "dim_a", low=0, high=1)
     d = validate_count(d, "d")
     return min((hurst / alpha) * dim_a, dim_a + d * (hurst - alpha))
 
@@ -83,8 +82,7 @@ def comparison_bounds(dim_psi_h, hurst, hurst_prime, d):
     number >= 1.
     """
     hurst, hurst_prime = validate_hurst_order(hurst, hurst_prime)
-    if not dim_psi_h >= 0.0:   # a NaN fails this too
-        raise ConfigError("dim_psi_h must be non-negative")
+    dim_psi_h = validate_real(dim_psi_h, "dim_psi_h", low=0)
     d = validate_count(d, "d")
     ratio = hurst_prime / hurst
     lower = max(dim_psi_h, ratio * dim_psi_h + 1.0 - ratio)
@@ -104,13 +102,11 @@ def holder_graph_bounds(alpha, hurst, dim_a, d):
 
 def psi_dim_from_metric_dim(dim_rho, hurst):
     """Convert a rho_H-metric dimension to the parabolic dimension (multiply by H)."""
-    if not dim_rho >= 0.0:
-        raise ConfigError("dim_rho must be non-negative")
+    dim_rho = validate_real(dim_rho, "dim_rho", low=0)
     return validate_hurst(hurst) * dim_rho
 
 
 def metric_dim_from_psi_dim(dim_psi, hurst):
     """Inverse conversion: parabolic dimension to rho_H-metric dimension (divide by H)."""
-    if not dim_psi >= 0.0:
-        raise ConfigError("dim_psi must be non-negative")
+    dim_psi = validate_real(dim_psi, "dim_psi", low=0)
     return dim_psi / validate_hurst(hurst)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import BoxIndexOverflow, ConfigError, GridMismatch
 from .estimators import _KEY_SPAN_MAX, pack_index_rows
-from .fbm import validate_count
+from .fbm import validate_count, validate_real
 
 __all__ = [
     "OccupationHistogram",
@@ -48,8 +48,7 @@ class OccupationHistogram:
     mass: np.ndarray
 
     def __post_init__(self):
-        if not 0.0 < self.cell_size < math.inf:   # a NaN fails this too
-            raise ConfigError(f"cell_size must be positive and finite, got {self.cell_size!r}")
+        validate_real(self.cell_size, "cell_size", low=0, above=True)
         origin = np.atleast_1d(np.asarray(self.origin, dtype=float))
         if origin.ndim != 1 or origin.size == 0 or not np.isfinite(origin).all():
             raise ConfigError("origin must be a finite vector of d >= 1 entries")
@@ -140,8 +139,7 @@ def occupation_histogram(weights, values, epsilon, origin=None):
     an ``origin`` (with one, it gives an empty histogram), and
     BoxIndexOverflow for a cell index of 2^62 or more in magnitude.
     """
-    if not 0.0 < epsilon < math.inf:
-        raise ConfigError("epsilon must be positive and finite")
+    epsilon = validate_real(epsilon, "epsilon", low=0, above=True)
     w = np.asarray(weights, dtype=float)
     v = np.asarray(values, dtype=float)
     if v.ndim == 1:
@@ -182,8 +180,7 @@ def positive_measure_estimate(hist, mass_floor=0.0):
     A cell counts when its mass is at least mass_floor * eps^d, i.e. its
     density proxy mass/eps^d clears the floor.  Non-increasing in the floor.
     """
-    if not mass_floor >= 0.0:   # a NaN fails this too
-        raise ConfigError("mass_floor must be >= 0")
+    mass_floor = validate_real(mass_floor, "mass_floor", low=0)
     cell_vol = hist.cell_size**hist.d
     threshold = mass_floor * cell_vol
     return int(np.count_nonzero(hist.mass >= threshold)) * cell_vol

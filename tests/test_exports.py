@@ -79,3 +79,15 @@ def test_no_module_reads_the_histogram_cells_view():
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Attribute) and node.attr == "cells"]
     assert not reads, f"src/parafbm reads the benchmark-only .cells view at {reads}"
+
+
+def test_only_fbm_imports_numbers():
+    # fbm's validators are the one type check of a scalar; a module that
+    # imports ``numbers`` is growing its own
+    imports = [f"{path.name}:{node.lineno}"
+               for path in sorted((ROOT / "src" / "parafbm").glob("*.py"))
+               if path.name != "fbm.py"
+               for node in ast.walk(ast.parse(path.read_text()))
+               if (isinstance(node, ast.Import) and any(a.name == "numbers" for a in node.names))
+               or (isinstance(node, ast.ImportFrom) and node.module == "numbers")]
+    assert not imports, f"only fbm.py may import numbers; imported at {imports}"

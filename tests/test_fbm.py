@@ -1,5 +1,6 @@
 import io
 import json
+import re
 
 import numpy as np
 import pytest
@@ -172,6 +173,34 @@ class TestValidateCount:
     def test_whole_numbers_returned_as_int(self):
         assert [fbm.validate_count(v, "n") for v in (1, 3.0, np.int64(7))] == [1, 3, 7]
         assert type(fbm.validate_count(np.int64(7), "n")) is int
+
+    @pytest.mark.parametrize("value", [2**63, 10**400, 1e300])
+    def test_above_the_largest_array_length_rejected(self, value):
+        with pytest.raises(ConfigError, match="^n must be at most 9223372036854775807, the "
+                                              "largest array length"):
+            fbm.validate_count(value, "n")
+
+
+class TestValidateReal:
+    @pytest.mark.parametrize("value", [True, np.bool_(False), "0.5", None, float("nan"),
+                                       float("inf"), -float("inf"), 10**400, [0.5]])
+    def test_non_numbers_rejected(self, value):
+        with pytest.raises(ConfigError, match="^x must be a finite number, got "):
+            fbm.validate_real(value, "x")
+
+    @pytest.mark.parametrize("value, kwargs, message", [
+        (-1, dict(low=0), "x must be >= 0, got -1"),
+        (0.0, dict(low=0, above=True), "x must be > 0, got 0.0"),
+        (1.5, dict(low=0, high=1), "x must be >= 0 and <= 1, got 1.5"),
+        (2, dict(high=1), "x must be <= 1, got 2"),
+    ])
+    def test_out_of_range_rejected_with_the_rule(self, value, kwargs, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            fbm.validate_real(value, "x", **kwargs)
+
+    def test_numbers_returned_as_float(self):
+        values = [fbm.validate_real(v, "x", low=0, high=1) for v in (0, 1, np.float32(0.5), 0.25)]
+        assert values == [0.0, 1.0, 0.5, 0.25] and all(type(v) is float for v in values)
 
 
 class TestTimeGrid:

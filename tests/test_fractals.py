@@ -102,7 +102,7 @@ class TestCantorWithDimension:
 
     @pytest.mark.parametrize("dim", [0.0, 1.0, -0.5])
     def test_dimension_outside_unit_interval_rejected(self, dim):
-        with pytest.raises(ConfigError, match="target dimension"):
+        with pytest.raises(ConfigError, match=r"dim must be a number in \(0, 1\)"):
             cantor_with_dimension(dim, 2, 3)
 
 

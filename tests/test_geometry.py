@@ -142,7 +142,7 @@ class TestComparisonBounds:
     @pytest.mark.parametrize("dim", [-0.1, np.nan])
     def test_dimension_must_be_non_negative(self, dim):
         # a NaN gave (nan, nan)
-        with pytest.raises(ConfigError, match="dim_psi_h must be non-negative"):
+        with pytest.raises(ConfigError, match="dim_psi_h must be (>= 0|a finite number)"):
             comparison_bounds(dim, 0.5, 0.7, 1)
 
     def test_order_violation(self):
@@ -226,7 +226,7 @@ class TestDimConversions:
         with pytest.raises(ConfigError):
             psi_dim_from_metric_dim(-0.1, 0.5)
         # a NaN dimension gave NaN both ways
-        with pytest.raises(ConfigError, match="dim_rho must be non-negative"):
+        with pytest.raises(ConfigError, match="dim_rho must be a finite number, got nan"):
             psi_dim_from_metric_dim(np.nan, 0.5)
-        with pytest.raises(ConfigError, match="dim_psi must be non-negative"):
+        with pytest.raises(ConfigError, match="dim_psi must be a finite number, got nan"):
             metric_dim_from_psi_dim(np.nan, 0.5)
