@@ -60,8 +60,6 @@ def parse_delta_spec(spec):
         vals = np.array([float(tok) for tok in spec.split(",") if tok.strip()])
     except ValueError:
         raise ConfigError(f"bad delta list {spec!r}: need comma-separated numbers") from None
-    if vals.size == 0:
-        raise ConfigError("empty delta list")
     return np.sort(vals)[::-1]
 
 

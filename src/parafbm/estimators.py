@@ -51,6 +51,7 @@ from .fbm import (
     validate_hurst,
     validate_integer,
     validate_real,
+    validate_reals,
     validate_seed,
 )
 from .geometry import rho_h, validate_alpha
@@ -98,8 +99,8 @@ _NARROW_MAX = 2**31 - 1
 class GraphCloud:
     """Finite set of (time, value-vector) points, e.g. a sampled graph.
 
-    ``h_context`` is the parabolic index the cloud is meant to be measured
-    with.
+    ``h_context`` is read by no code; it stays only because the benchmark's
+    workloads pass it.
     """
 
     times: np.ndarray
@@ -107,17 +108,11 @@ class GraphCloud:
     h_context: float = 0.5
 
     def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim == 1:
-            v = v[:, None]
-        if t.ndim != 1 or t.size == 0 or v.ndim != 2 or v.shape[0] != t.size or v.shape[1] == 0:
-            raise ConfigError("times (n,) and values (n, d) must be non-empty and aligned, "
-                              "with d >= 1")
-        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(v))):
-            raise ConfigError("cloud times and values must be finite")
-        if t.min() < 0.0 or t.max() > 1.0:
-            raise ConfigError("cloud times must lie in [0, 1]")
+        t = validate_reals(self.times, "times", low=0, high=1)
+        v = validate_reals(self.values, "values", ndim=(1, 2), min_size=0)
+        v = v[:, None] if v.ndim == 1 else v
+        if v.shape[0] != t.size or v.shape[1] == 0:
+            raise ConfigError("times (n,) and values (n, d) must be aligned, with d >= 1")
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "values", v)
 
@@ -152,22 +147,21 @@ class GraphCloud:
 
 @dataclass(frozen=True)
 class BoxCountCurve:
-    """Occupied-box counts over a decreasing ladder of scales."""
+    """Occupied-box counts, whole numbers from 1 to 2^53, over a strictly
+    decreasing ladder of scales in (0, 1]."""
 
     deltas: np.ndarray
     counts: np.ndarray
 
     def __post_init__(self):
-        d = np.asarray(self.deltas, dtype=float)
-        c = np.asarray(self.counts, dtype=np.int64)
-        if d.shape != c.shape or d.ndim != 1 or d.size == 0:
-            raise ConfigError("deltas and counts must be 1-d arrays of equal length")
+        d = validate_reals(self.deltas, "deltas", low=0, high=1, above=True)
+        c = validate_reals(self.counts, "counts", low=1, high=2**53)   # whole in a float
         if np.any(np.diff(d) >= 0.0):
             raise ConfigError("deltas must be strictly decreasing")
-        if np.any(c < 1):
-            raise ConfigError("counts must be >= 1")
+        if d.shape != c.shape or np.any(c != np.floor(c)):
+            raise ConfigError("counts must be whole numbers, one per scale")
         object.__setattr__(self, "deltas", d)
-        object.__setattr__(self, "counts", c)
+        object.__setattr__(self, "counts", c.astype(np.int64))
 
     def to_csv(self, file):
         """Write the curve to an open text file as CSV with columns delta, count."""
@@ -353,13 +347,13 @@ def box_count_curves(cloud, deltas, hurst, dims, anchor_shift=0.0):
     dims = [validate_count(k, "k") for k in dims]
     if max(dims) > cloud.d:
         raise ConfigError(f"coordinate counts {dims} exceed the cloud's d = {cloud.d}")
-    deltas = np.sort(np.asarray(deltas, dtype=float))[::-1]
+    deltas = np.sort(validate_reals(deltas, "deltas", low=0, high=1, above=True))[::-1]
     counter = _BoxCounter(cloud, [k for k in dims if k < cloud.d])
     counts = {cloud.d: [
         parabolic_box_count(cloud, d, hurst, anchor_shift, _counter=counter) for d in deltas
     ]}
     counts.update(counter.prefix_counts)
-    return {k: BoxCountCurve(deltas=deltas, counts=np.asarray(counts[k])) for k in dims}
+    return {k: BoxCountCurve(deltas=deltas, counts=counts[k]) for k in dims}
 
 
 def pack_index_rows(bounds, fill, key, col):
@@ -420,12 +414,10 @@ def _fit_loglog(deltas, counts):
 
 def validate_fit_scales(deltas):
     """Return ``deltas`` as a float array if a fit can use them: at least 4
-    positive scales spanning at least 2 octaves; otherwise raise ConfigError."""
-    deltas = np.asarray(deltas, dtype=float)
+    scales in (0, 1] spanning at least 2 octaves; otherwise raise ConfigError."""
+    deltas = validate_reals(deltas, "scales", low=0, high=1, above=True)   # 2^-1075 is 0
     if deltas.size < 4:
         raise ConfigError("need at least 4 scales")
-    if not deltas.min() > 0.0:   # 2^-k is 0 in a float from k = 1075
-        raise ConfigError("scales must be positive")
     if deltas.max() < (4.0 - 1e-12) * deltas.min():   # a ratio could overflow
         raise ConfigError("scales must span at least 2 octaves")
     return deltas
@@ -498,24 +490,19 @@ def energy_integral_mc(measure_points, values, gamma, hurst, pair_seed=0):
     Two points of equal time and value lie at distance 0, where the kernel
     diverges; in either regime they raise NumericalError, naming the pair,
     before anything is summed.  Times, weights or values that are not finite
-    raise ConfigError, and a sum that is not finite (pairs so close that a
-    term overflows) raises NumericalError.
+    raise ConfigError, whatever object holds the points, and a sum that is not
+    finite (pairs so close that a term overflows) raises NumericalError.
     """
     hurst = validate_hurst(hurst)
     pair_seed = validate_seed(pair_seed, "pair_seed")
     gamma = validate_real(gamma, "gamma", low=0, above=True)
-    times = measure_points.times
-    weights = measure_points.weights
-    v = np.asarray(values, dtype=float)
-    if v.ndim == 1:
-        v = v[:, None]
+    times = validate_reals(measure_points.times, "times", min_size=2)
+    weights = validate_reals(measure_points.weights, "weights")
+    v = validate_reals(values, "values", ndim=(1, 2), min_size=0)
+    v = v[:, None] if v.ndim == 1 else v
     n = times.size
-    if v.shape[0] != n:
-        raise ConfigError("values must align with measure points")
-    if n < 2:
-        raise ConfigError("need at least 2 points")
-    if not (np.isfinite(times).all() and np.isfinite(weights).all() and np.isfinite(v).all()):
-        raise ConfigError("times, weights and values must be finite numbers")
+    if v.shape[0] != n or weights.size != n:
+        raise ConfigError("values and weights must align with measure points")
     # sorted lexicographically, equal points are neighbours
     pts = np.column_stack([times, v])
     order = np.lexsort(pts.T[::-1])
@@ -572,23 +559,19 @@ def validate_gamma(gamma, hurst, d):
 
 
 def validate_kernel_times(t):
-    """Return ``t``, a time or an array of them, if each lies in (0, 1], the
-    times of the kernel Monte Carlo; otherwise raise ConfigError."""
-    ts = np.asarray(t)
-    if not np.all((ts > 0.0) & (ts <= 1.0)):
-        raise ConfigError("t must lie in (0, 1]")
-    return t
+    """The kernel Monte Carlo's times as a float array if each lies in (0, 1], else ConfigError."""
+    return validate_reals(t, "t", low=0, high=1, above=True)
 
 
 def kernel_expectation_mc(t, alpha, hurst, gamma, d, n, seed=0):
     """Monte Carlo mean of (max(t^H, t^alpha * ||N||_inf))^(-gamma/H).
 
-    N is a d-dimensional standard normal (d a whole number >= 1) and
-    alpha <= H (AlphaExceedsH otherwise); gamma at the branch point H*d is
-    refused by ``validate_gamma``.
+    t is one time in (0, 1], N a d-dimensional standard normal (d a whole number
+    >= 1) and alpha <= H (AlphaExceedsH otherwise); gamma at the branch point H*d
+    is refused by ``validate_gamma``.
     """
     alpha, hurst = validate_alpha(alpha, hurst)
-    validate_kernel_times(t)
+    t = validate_real(t, "t", low=0, high=1, above=True)
     d = validate_count(d, "d")
     validate_gamma(gamma, hurst, d)
     n = validate_count(n, "n")

@@ -62,6 +62,7 @@ from .fbm import (
     validate_hurst,
     validate_integer,
     validate_real,
+    validate_reals,
 )
 from .fractals import (
     WeightedTimeSet,
@@ -113,15 +114,14 @@ def _exponent_scales(check, value, key):
     """The scales 2^-k of a strictly increasing list of at least two whole
     numbers k, the points of a log-log fit, if ``check`` (the run's) accepts them."""
     try:
-        whole = isinstance(value, list) and all(validate_real(k, key).is_integer()
-                                                for k in value)
+        exps = validate_reals(value, key, min_size=2) if isinstance(value, list) else None
     except ConfigError:
-        whole = False
-    if not (whole and len(value) >= 2 and all(a < b for a, b in zip(value, value[1:]))):
+        exps = None
+    if exps is None or np.any(exps != np.floor(exps)) or np.any(np.diff(exps) <= 0.0):
         raise ConfigError(f"{key} must be a strictly increasing list of at least two "
                           f"whole numbers, got {value!r}")
     with np.errstate(over="ignore"):
-        scales = 2.0 ** -np.asarray(value, dtype=float)
+        scales = 2.0 ** -exps
     try:
         return check(scales)
     except ConfigError as exc:

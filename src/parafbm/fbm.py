@@ -46,6 +46,7 @@ __all__ = [
     "validate_seed",
     "validate_count",
     "validate_real",
+    "validate_reals",
     "philox_stream",
     "TimeGrid",
     "SamplePath",
@@ -143,6 +144,40 @@ def validate_real(value, name, low=-math.inf, high=math.inf, above=False):
     return float(value)
 
 
+def validate_reals(value, name, low=-math.inf, high=math.inf, above=False, ndim=(1,),
+                   min_size=1):
+    """Return a float64 array (the value itself if it is one) of ``min_size`` or
+    more finite real numbers in [low, high], or (low, high] if ``above``, whose
+    number of dimensions is in ``ndim``; its min and max are its two passes.
+
+    Anything else raises ConfigError naming ``name``: bools (in a list of
+    numbers too), strings (numeric ones too), None and other objects, integers
+    too large for a float, complex numbers, ragged nesting, NaN and infinities.
+    """
+    try:
+        arr = np.asarray(value)
+        # numpy reads a bool in a list of numbers as 0 or 1
+        real = arr.dtype.kind in "iuf" and (isinstance(value, np.ndarray) or not any(
+            isinstance(x, (bool, np.bool_)) for x in np.asarray(value, dtype=object).flat))
+    except (ValueError, TypeError, OverflowError):   # ragged nesting, among others
+        real = False
+    if not (real and arr.ndim in ndim and arr.size >= min_size):
+        shown = " ".join(f"{value!r:.80}".split())   # on one line, as the CLI prints it
+        raise ConfigError(f"{name} must be a {' or '.join(map(str, ndim))}-d array of "
+                          f"{min_size} or more real numbers, got {shown}")
+    arr = arr.astype(np.float64, copy=False)
+    # a NaN is the min and the max; an empty array has min inf and max -inf
+    lo, hi = float(arr.min(initial=math.inf)), float(arr.max(initial=-math.inf))
+    if not (-math.inf < lo and hi < math.inf and (lo > low if above else lo >= low)
+            and hi <= high):
+        rule = "be finite numbers" if low == -math.inf and high == math.inf else (
+            f"lie in {'(' if above or low == -math.inf else '['}{low!r}, {high!r}"
+            f"{']' if high < math.inf else ')'}")
+        got = "a NaN" if math.isnan(lo) else f"entries from {lo!r} to {hi!r}"
+        raise ConfigError(f"{name} must {rule}, got {got}")
+    return arr
+
+
 def philox_stream(seed, spawn_key):
     """Counter-based Philox generator for one seed and spawn key.
 
@@ -167,11 +202,7 @@ class TimeGrid:
     uniform: bool = field(init=False)
 
     def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        if t.ndim != 1 or t.size == 0:
-            raise ConfigError("times must be a non-empty 1-d array")
-        if not np.all((t >= 0.0) & (t <= 1.0)):   # a NaN fails this too
-            raise ConfigError("times must lie in [0, 1]")
+        t = validate_reals(self.times, "times", low=0, high=1)
         steps = np.diff(t)
         if np.any(steps <= 0.0):
             raise ConfigError("times must be strictly increasing")
@@ -427,7 +458,7 @@ def _sample_path(grid, d, hursts, seeds, tags):
     the grid keeps the value 0.
     """
     if not isinstance(grid, TimeGrid):
-        grid = TimeGrid(np.asarray(grid, dtype=float))
+        grid = TimeGrid(grid)
     d = validate_count(d, "d")
     samplers = [_increment_sampler(h, grid) for h in hursts]
     (first, seed0, tag0), *others = zip(samplers, seeds, tags)
@@ -493,17 +524,31 @@ def path_to_json(path):
     }
 
 
+def _entry(doc, *keys):
+    """``doc[keys[0]][keys[1]]...``; ConfigError names a key that is missing."""
+    for i, key in enumerate(keys):
+        if not isinstance(doc, dict) or key not in doc:
+            raise ConfigError(f"the path envelope lacks the key {'.'.join(keys[:i + 1])!r}")
+        doc = doc[key]
+    return doc
+
+
 def path_from_json(doc):
-    """Rebuild a SamplePath from the envelope produced by :func:`path_to_json`."""
-    gspec = doc["grid"]
-    if gspec["kind"] == "uniform":
-        grid = TimeGrid(_uniform_times(gspec["n"], gspec["t0"], gspec["t1"]))
+    """Rebuild a SamplePath from the envelope of :func:`path_to_json`; a missing key or a
+    value of the wrong type, shape or range (a NaN value too) raises ConfigError naming it."""
+    values = validate_reals(_entry(doc, "values"), "values", ndim=(2,))
+    if _entry(doc, "grid", "kind") == "uniform":
+        n = validate_count(_entry(doc, "grid", "n"), "grid.n")
+        if n != values.shape[1]:   # refused before n times are made
+            raise ConfigError(f"grid.n = {n} does not match the {values.shape[1]} values")
+        times = _uniform_times(n, *(validate_real(_entry(doc, "grid", k), f"grid.{k}", low=0,
+                                                  high=1) for k in ("t0", "t1")))
     else:
-        grid = TimeGrid(np.asarray(gspec["times"], dtype=float))
-    comps = (doc["hurst"],) if doc.get("alpha_p") is None else (doc["hurst"], doc["alpha_p"])
-    return SamplePath(
-        grid=grid,
-        values=np.asarray(doc["values"], dtype=float),
-        hurst_components=comps,
-        seed=tuple(doc["seed"]),
-    )
+        times = validate_reals(_entry(doc, "grid", "times"), "grid.times", low=0, high=1)
+    keys = ("hurst",) if doc.get("alpha_p") is None else ("hurst", "alpha_p")
+    seeds = _entry(doc, "seed")
+    if not isinstance(seeds, list):
+        raise ConfigError(f"seed must be a list of seeds, got {seeds!r}")
+    return SamplePath(grid=TimeGrid(times), values=values,
+                      hurst_components=tuple(validate_hurst(_entry(doc, k), k) for k in keys),
+                      seed=tuple(validate_seed(s) for s in seeds))

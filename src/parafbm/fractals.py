@@ -15,7 +15,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError, GenerationTooLarge, InvalidRatio
-from .fbm import philox_stream, validate_count, validate_hurst, validate_integer, validate_real
+from .fbm import (philox_stream, validate_count, validate_hurst, validate_integer, validate_real,
+                  validate_reals)
 
 __all__ = [
     "FractalSet",
@@ -49,14 +50,10 @@ class FractalSet:
     params: tuple = ()
 
     def __post_init__(self):
-        iv = np.asarray(self.intervals, dtype=float)
-        if iv.ndim != 2 or iv.shape[1] != 2:
-            raise ConfigError("intervals must have shape (m, 2)")
-        # a NaN fails every comparison, so each check asks for the good case
-        if not (np.all(iv[:, 0] <= iv[:, 1]) and iv.min() >= 0.0 and iv.max() <= 1.0):
-            raise ConfigError("intervals must be within [0, 1] with left <= right")
-        if np.any(iv[1:, 0] <= iv[:-1, 1]):
-            raise ConfigError("intervals must be sorted and pairwise disjoint")
+        iv = validate_reals(self.intervals, "intervals", low=0, high=1, ndim=(2,))
+        if iv.shape[1] != 2 or np.any(iv[:, 0] > iv[:, 1]) or np.any(iv[1:, 0] <= iv[:-1, 1]):
+            raise ConfigError("intervals must be (m, 2) rows [left, right], sorted and "
+                              f"pairwise disjoint, with left <= right; got shape {iv.shape}")
         validate_real(self.theoretical_dim, "theoretical_dim", low=0, high=1)
         object.__setattr__(self, "intervals", iv)
 
@@ -141,15 +138,10 @@ class WeightedTimeSet:
     weights: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        w = np.asarray(self.weights, dtype=float)
-        if t.shape != w.shape or t.ndim != 1:
-            raise ConfigError("times and weights must be 1-d arrays of equal length")
-        # a NaN fails every comparison, so each check asks for the good case
-        if not np.all((t >= 0.0) & (t <= 1.0)):
-            raise ConfigError("times must lie in [0, 1]")
-        if not (np.all(w >= 0.0) and abs(w.sum() - 1.0) <= 1e-12):
-            raise ConfigError("weights must be non-negative and sum to 1")
+        t = validate_reals(self.times, "times", low=0, high=1)
+        w = validate_reals(self.weights, "weights", low=0)
+        if t.shape != w.shape or not abs(w.sum() - 1.0) <= 1e-12:
+            raise ConfigError("times and weights must have equal length, the weights summing to 1")
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "weights", w)
 

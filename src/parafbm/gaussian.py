@@ -31,6 +31,7 @@ from .fbm import (
     validate_hurst,
     validate_integer,
     validate_real,
+    validate_reals,
 )
 
 __all__ = [
@@ -70,11 +71,7 @@ class GaussianVectorSpec:
     covariance: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        if t.ndim != 1 or t.size == 0:
-            raise ConfigError("times must be a non-empty 1-d array")
-        if not np.all((t > 0.0) & (t <= 1.0)):   # a NaN fails this too
-            raise ConfigError("times must lie in (0, 1]")
+        t = validate_reals(self.times, "times", low=0, high=1, above=True)
         validate_hurst(self.hurst)
         if self.alpha_p is not None:
             validate_hurst(self.alpha_p, "alpha_p")
@@ -177,14 +174,11 @@ def verify_detcov_lower_bound(times, hurst):
     H != 1/2 the margin therefore falls below 1, and the constant-free
     product bound fails.
     """
-    hurst = validate_hurst(hurst)
-    t = np.asarray(times, dtype=float)
-    if t.ndim != 1 or t.size == 0:
-        raise ConfigError("times must be a non-empty 1-d array")
-    if np.unique(t).size != t.size or not np.all((t > 0.0) & (t <= 1.0)):
+    spec = GaussianVectorSpec(times, hurst)
+    if np.unique(spec.times).size != len(spec):
         raise ConfigError("times must be distinct and in (0, 1]")
-    det = float(np.linalg.det(_covariance(t, hurst)))
-    return _detcov_margin(det, t.tolist(), 2.0 * hurst)
+    det = float(np.linalg.det(spec.covariance))
+    return _detcov_margin(det, spec.times.tolist(), 2.0 * validate_hurst(hurst))
 
 
 def lnd_margin(spec, u):
@@ -219,7 +213,8 @@ def lnd_distance_ratio(hurst, alpha_p, t, r, conditioning_times):
     """
     validate_hurst(hurst)
     validate_hurst(alpha_p, "alpha_p")
-    s = np.asarray(conditioning_times, dtype=float)
+    s = validate_reals(conditioning_times, "conditioning_times", low=0, high=1, above=True,
+                       min_size=0)
     r = validate_real(r, "r", low=0, above=True)
     t = validate_real(t, "t", low=r)
     if np.any(np.abs(s - t) < r):

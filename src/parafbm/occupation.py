@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import BoxIndexOverflow, ConfigError, GridMismatch
 from .estimators import _KEY_SPAN_MAX, pack_index_rows
-from .fbm import validate_count, validate_real
+from .fbm import validate_count, validate_real, validate_reals
 
 __all__ = [
     "OccupationHistogram",
@@ -49,9 +49,7 @@ class OccupationHistogram:
 
     def __post_init__(self):
         validate_real(self.cell_size, "cell_size", low=0, above=True)
-        origin = np.atleast_1d(np.asarray(self.origin, dtype=float))
-        if origin.ndim != 1 or origin.size == 0 or not np.isfinite(origin).all():
-            raise ConfigError("origin must be a finite vector of d >= 1 entries")
+        origin = np.atleast_1d(validate_reals(self.origin, "origin", ndim=(0, 1)))
         index = np.asarray(self.index)
         if not (index.ndim == 2 and index.shape[1] == origin.size
                 and np.issubdtype(index.dtype, np.integer)
@@ -65,11 +63,9 @@ class OccupationHistogram:
         if not above[np.arange(first.size), first].all():
             raise ConfigError("index rows must be distinct and in increasing "
                               "lexicographic order")
-        mass = np.asarray(self.mass, dtype=float)
+        mass = validate_reals(self.mass, "mass", low=0, min_size=0)
         if mass.shape != (index.shape[0],):
             raise ConfigError(f"mass must have shape ({index.shape[0]},), got {mass.shape}")
-        if not (mass >= 0.0).all():
-            raise ConfigError("cell masses must be non-negative")
         if mass.size and not abs(mass.sum() - 1.0) <= 1e-9:
             raise ConfigError(f"total mass {mass.sum()} differs from 1 beyond 1e-9")
         object.__setattr__(self, "origin", origin)
@@ -105,9 +101,7 @@ def drifted_image(path, drift_values, a_samples):
     times must lie within the grid range.  Returns (weights, values) with
     values of shape (m, d); weights pass through unchanged.
     """
-    f = np.asarray(drift_values, dtype=float)
-    if f.ndim == 1:
-        f = f[None, :]
+    f = np.atleast_2d(validate_reals(drift_values, "drift_values", ndim=(1, 2), min_size=0))
     if f.shape != path.values.shape:
         raise GridMismatch(
             f"drift shape {f.shape} does not match path values {path.values.shape}"
@@ -140,23 +134,20 @@ def occupation_histogram(weights, values, epsilon, origin=None):
     BoxIndexOverflow for a cell index of 2^62 or more in magnitude.
     """
     epsilon = validate_real(epsilon, "epsilon", low=0, above=True)
-    w = np.asarray(weights, dtype=float)
-    v = np.asarray(values, dtype=float)
-    if v.ndim == 1:
-        v = v[:, None]
-    if w.ndim != 1 or v.ndim != 2 or v.shape[0] != w.size or v.shape[1] == 0:
+    w = validate_reals(weights, "weights", min_size=0)
+    v = validate_reals(values, "values", ndim=(1, 2), min_size=0)
+    v = v[:, None] if v.ndim == 1 else v
+    if v.shape[0] != w.size or v.shape[1] == 0:
         raise ConfigError("weights (m,) and values (m, d) with d >= 1 must align")
     if origin is None:
         if w.size == 0:
             raise ConfigError("the sample is empty, so there is no minimum to anchor "
                               "the cells at; pass an origin")
         origin = v.min(axis=0)
-    origin = np.atleast_1d(np.asarray(origin, dtype=float))
+    origin = np.atleast_1d(validate_reals(origin, "origin", ndim=(0, 1)))
     if origin.shape != (v.shape[1],):
         raise ConfigError(f"origin needs {v.shape[1]} entries, one per value column, "
                           f"got shape {origin.shape}")
-    if not (np.isfinite(w).all() and np.isfinite(v).all() and np.isfinite(origin).all()):
-        raise ConfigError("weights, values and origin must be finite")
     index, mass = np.empty((0, origin.size), dtype=np.int64), np.empty(0)
     if w.size:
         idx = np.floor((v - origin) / epsilon)
@@ -207,20 +198,16 @@ def l2_density_diagnostic(images, weights, radii):
     from scipy.spatial import cKDTree
 
     radii = validate_radii(radii)
-    w = np.asarray(weights, dtype=float)
+    w = validate_reals(weights, "weights", min_size=0)
     if not hasattr(images, "__len__"):
         raise ConfigError("images must be a sequence of arrays, not an iterator")
-    ys = [np.asarray(img, dtype=float) for img in images]
+    ys = [validate_reals(img, "images", ndim=(1, 2), min_size=0) for img in images]
     ys = [y[:, None] if y.ndim == 1 else y for y in ys]
     if not ys:
         raise ConfigError("need at least one image")
-    if any(y.ndim != 2 or y.shape[0] != w.size for y in ys):
-        raise ConfigError("image rows must align with weights")
     d = ys[0].shape[1]
-    if any(y.shape[1] != d for y in ys):
-        raise ConfigError("images must all have the same dimension d")
-    if not (np.isfinite(w).all() and all(np.isfinite(y).all() for y in ys)):
-        raise ConfigError("weights and image values must be finite")
+    if any(y.shape != (w.size, d) for y in ys):
+        raise ConfigError("images must all have one row per weight and the same dimension d")
     if w.size == 0:  # no pairs; count_neighbors rejects empty weight arrays
         return np.zeros(radii.size)
     below = np.nextafter(radii, 0.0)
@@ -237,13 +224,11 @@ def l2_density_diagnostic(images, weights, radii):
 def validate_radii(radii):
     """Return ``radii`` as a float array if they are at least 2, positive,
     finite and strictly decreasing; otherwise raise ConfigError."""
-    radii = np.asarray(radii, dtype=float)
-    if radii.ndim != 1 or radii.size < 2:
+    radii = validate_reals(radii, "radii", low=0, above=True)
+    if radii.size < 2:
         raise ConfigError("need at least 2 radii")
     if np.any(np.diff(radii) >= 0.0):
         raise ConfigError("radii must be strictly decreasing")
-    if not (np.isfinite(radii).all() and radii[-1] > 0.0):
-        raise ConfigError("radii must be positive and finite")
     return radii
 
 

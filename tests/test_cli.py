@@ -251,7 +251,7 @@ class TestEnergyAndOccupancy:
     @pytest.mark.parametrize("rows, code, err", [
         (["0.1,0", "0.1,5e-324", "0.3,0.7"], 2, "numerical failure: the energy sum is inf"),
         (["0.1,0", "0.1,nan", "0.3,0.7"], 1,
-         "error: times, weights and values must be finite numbers"),
+         "error: values must be finite numbers, got a NaN"),
     ], ids=["overflowing-term", "nan-value"])
     def test_energy_not_finite_exits_nonzero(self, tmp_path, capsys, rows, code, err):
         # printed {"energy": Infinity} after an overflow warning, or NaN, and exited 0
@@ -481,7 +481,7 @@ class TestExperimentCommand:
          "the scale ladder 2^-4 .. 2^-5 at per_octave 4: scales must span at least 2 octaves"),
         # 2^-1100 is 0 in a float: a division by zero, then a run that failed
         ({"delta_coarse_exp": 4, "delta_fine_exp": 1100},
-         "the scale ladder 2^-4 .. 2^-1100 at per_octave 2: scales must be positive"),
+         "the scale ladder 2^-4 .. 2^-1100 at per_octave 2: scales must lie in (0, 1]"),
     ])
     def test_unusable_ladder_refused_before_any_file(self, tmp_path, capsys, ladder,
                                                      message):

@@ -91,3 +91,38 @@ def test_only_fbm_imports_numbers():
                if (isinstance(node, ast.Import) and any(a.name == "numbers" for a in node.names))
                or (isinstance(node, ast.ImportFrom) and node.module == "numbers")]
     assert not imports, f"only fbm.py may import numbers; imported at {imports}"
+
+
+#: functions that may convert a parameter with np.asarray(..., dtype=float):
+#: a broadcasting kernel that runs on every path, on arrays the package built
+_UNCHECKED_CONVERSIONS = {("fractals.py", "contains")}
+
+
+def _is_input(node, params):
+    """Whether ``node`` names a parameter of the enclosing function or a ``self.`` field."""
+    return (isinstance(node, ast.Name) and node.id in params) or (
+        isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id == "self")
+
+
+def test_only_fbm_converts_array_inputs():
+    # fbm.validate_reals is the one check of an array input; a module that
+    # converts a parameter or a field with np.asarray(..., dtype=float) is
+    # growing its own
+    found = set()
+    for path in sorted((ROOT / "src" / "parafbm").glob("*.py")):
+        if path.name == "fbm.py":
+            continue
+        for func in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(func, ast.FunctionDef) or (
+                    (path.name, func.name) in _UNCHECKED_CONVERSIONS):
+                continue
+            params = {a.arg for a in ast.walk(func.args) if isinstance(a, ast.arg)}
+            found.update(
+                f"{path.name}:{node.lineno}" for node in ast.walk(func)
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("asarray", "array") and node.args
+                and _is_input(node.args[0], params)
+                and any(k.arg == "dtype" and ast.unparse(k.value) in ("float", "np.float64")
+                        for k in node.keywords))
+    assert not found, f"array inputs converted outside fbm.validate_reals at {sorted(found)}"

@@ -148,6 +148,6 @@ class TestWeightedTimeSet:
 
 
 def test_fractal_set_rejects_nan_interval():
-    with pytest.raises(ConfigError, match="within"):
+    with pytest.raises(ConfigError, match=r"intervals must lie in \[0, 1\]"):
         FractalSet(intervals=[[0.1, np.nan]], generation=0, theoretical_dim=1.0,
                    kind="full-interval")

@@ -131,7 +131,7 @@ class TestDetcovLowerBound:
     @pytest.mark.parametrize("times", [[0.2, 0.2], [0.0, 0.5], [0.2, 1.5], [0.2, np.nan]])
     def test_times_distinct_and_in_unit_interval(self, times):
         # [0.2, nan] gave a NaN margin
-        with pytest.raises(ConfigError, match="distinct and in"):
+        with pytest.raises(ConfigError, match=r"times must (be distinct and in|lie in) \(0, 1\]"):
             verify_detcov_lower_bound(np.array(times), 0.5)
 
     def test_brownian_independent_increments(self):

@@ -3,10 +3,15 @@
 large for a float or an out-of-range value raises a ``ConfigError`` (or a
 subclass of it), never a raw TypeError, ValueError or OverflowError and never
 a warning; an in-range value of any numeric type gives the result its float
-gives."""
+gives.  Every public array input is checked by ``fbm.validate_reals`` in the
+same way: bool, string, None, object and complex entries, ragged nesting,
+NaN, infinities, a wrong number of dimensions and out-of-range entries are
+refused, and an in-range list or array of any real dtype gives the result
+its float64 array gives."""
 
 import dataclasses
 import math
+import types
 
 import numpy as np
 import pytest
@@ -15,15 +20,19 @@ from hypothesis import strategies as st
 
 from parafbm.errors import ConfigError
 from parafbm.estimators import (
+    BoxCountCurve,
     GraphCloud,
+    box_count_curve,
     dyadic_deltas,
     energy_integral_mc,
     estimate_parabolic_dimension,
     kernel_expectation_mc,
     parabolic_box_count,
+    validate_fit_scales,
+    validate_kernel_times,
 )
 from parafbm.experiments import lipschitz_drift
-from parafbm.fbm import TimeGrid
+from parafbm.fbm import TimeGrid, generate_fbm_path, path_from_json
 from parafbm.fractals import (
     FractalSet,
     WeightedTimeSet,
@@ -37,6 +46,7 @@ from parafbm.gaussian import (
     lnd_distance_ratio,
     lnd_margin,
     lnd_margin_sweep,
+    verify_detcov_lower_bound,
 )
 from parafbm.geometry import (
     comparison_bounds,
@@ -44,7 +54,14 @@ from parafbm.geometry import (
     psi_dim_from_metric_dim,
     theoretical_graph_dimension,
 )
-from parafbm.occupation import OccupationHistogram, occupation_histogram, positive_measure_estimate
+from parafbm.occupation import (
+    OccupationHistogram,
+    drifted_image,
+    l2_density_diagnostic,
+    occupation_histogram,
+    positive_measure_estimate,
+    validate_radii,
+)
 
 _LINE = GraphCloud(np.linspace(0.0, 1.0, 1025), np.linspace(0.0, 1.0, 1025))
 _PAIR = WeightedTimeSet(times=np.array([0.25, 0.75]), weights=np.array([0.5, 0.5]))
@@ -74,6 +91,8 @@ SCALARS = {
                        [0.5, 1, np.float64(1.5)], [0.0, -1.0]),
     "gamma (kernel)": (lambda v: kernel_expectation_mc(0.5, 0.2, 0.8, v, 1, 64),
                        [3.0, 2, np.float64(0.5)], [0.8]),
+    "t (kernel)": (lambda v: kernel_expectation_mc(v, 0.2, 0.8, 3.0, 1, 64),
+                   [0.5, 1, np.float64(0.25)], [0.0, 1.5, [0.5, 0.25], np.array([0.5])]),
     "trim_octaves": (lambda v: estimate_parabolic_dimension(
                          _LINE, dyadic_deltas(1, 7), 0.5, trim_octaves=v),
                      [0.0, 1, np.float64(1.5)], [-1.0]),
@@ -169,3 +188,178 @@ def test_every_scalar_is_refused_typed_or_gives_its_floats_result(data):
 def test_raw_fault_now_config_error(call):
     with pytest.raises(ConfigError):
         call()
+
+
+_PATH = generate_fbm_path(0.5, TimeGrid.regular(4), seed=0)
+_DOC = {"hurst": 0.5, "alpha_p": None, "seed": [0],
+        "grid": {"kind": "explicit", "times": [0.25, 0.5, 1.0]}, "values": [[0.5, -0.25, 1.0]]}
+
+#: per array parameter: the call that takes it, an in-range value as a list,
+#: and out-of-range values
+ARRAYS = {
+    "TimeGrid times": (TimeGrid, [0, 0.25, 1], [[-0.25, 0.5], [0.5, 1.5]]),
+    "GraphCloud times": (lambda v: GraphCloud(v, [0.0, 1.0]), [0.25, 0.75],
+                         [[-0.25, 0.5], [0.5, 1.5]]),
+    "GraphCloud values": (lambda v: GraphCloud([0.25, 0.75], v), [[0, 1], [2, 3]], []),
+    "BoxCountCurve deltas": (lambda v: BoxCountCurve(v, [1, 2]), [0.5, 0.25],
+                             [[1.5, 0.5], [0.5, 0.0]]),
+    "BoxCountCurve counts": (lambda v: BoxCountCurve([0.5, 0.25], v), [1, 3],
+                             [[0, 1], [1.5, 2], [1, 2**60]]),
+    "box_count_curve deltas": (lambda v: box_count_curve(_LINE, v, 0.5), [0.5, 0.25],
+                               [[0.5, 0.0], [2.0, 0.5]]),
+    "validate_fit_scales": (validate_fit_scales, [0.5, 0.25, 0.125, 0.0625],
+                            [[1, 0.5, 0.25, 0.0], [2, 1, 0.5, 0.25]]),
+    "validate_radii": (validate_radii, [0.5, 0.25], [[0.5, -0.25], [0.5, 0.0]]),
+    "validate_kernel_times": (validate_kernel_times, [0.5, 0.25], [[0.5, 0.0], [1.5, 0.5]]),
+    "energy values": (lambda v: energy_integral_mc(_PAIR, v, 0.5, 0.5), [[0], [1]], []),
+    # the points' own check is bypassed here
+    "energy times": (lambda v: energy_integral_mc(types.SimpleNamespace(
+        times=v, weights=np.array([0.5, 0.5])), np.zeros((2, 1)), 0.5, 0.5), [0.25, 0.75], []),
+    "energy weights": (lambda v: energy_integral_mc(types.SimpleNamespace(
+        times=np.array([0.25, 0.75]), weights=v), np.zeros((2, 1)), 0.5, 0.5), [0.5, 0.5], []),
+    "FractalSet intervals": (lambda v: FractalSet(v, 1, 0.5, "generalized-cantor"),
+                             [[0, 0.25], [0.75, 1]], [[[-0.25, 0.5]], [[0.5, 1.5]]]),
+    "WeightedTimeSet times": (lambda v: WeightedTimeSet(v, [0.5, 0.5]), [0.25, 0.75],
+                              [[-0.25, 0.5], [0.5, 1.5]]),
+    "WeightedTimeSet weights": (lambda v: WeightedTimeSet([0.25, 0.75], v), [0.25, 0.75],
+                                [[-0.5, 1.5]]),
+    "GaussianVectorSpec times": (lambda v: GaussianVectorSpec(v, 0.7), [0.25, 0.75],
+                                 [[0.0, 0.5], [0.5, 1.5]]),
+    "verify_detcov_lower_bound times": (lambda v: verify_detcov_lower_bound(v, 0.7),
+                                        [0.25, 0.75], [[0.0, 0.5], [0.5, 1.5]]),
+    "lnd_distance_ratio times": (lambda v: lnd_distance_ratio(0.7, 0.35, 0.5, 0.1, v),
+                                 [0.25, 0.75], [[0.0, 0.25], [0.25, 1.5]]),
+    "OccupationHistogram origin": (lambda v: OccupationHistogram(
+        0.5, v, np.zeros((1, 2), dtype=np.int64), [1.0]), [0, 1], []),
+    "OccupationHistogram mass": (lambda v: OccupationHistogram(
+        0.5, [0.0], np.array([[0], [1]]), v), [0.25, 0.75], [[-0.5, 1.5]]),
+    "drifted_image drift": (lambda v: drifted_image(_PATH, v, _PAIR), [[0, 0.5, 0.25, 1]], []),
+    "occupation_histogram weights": (lambda v: occupation_histogram(v, _V, 0.5), [0.25, 0.75],
+                                     []),
+    "occupation_histogram values": (lambda v: occupation_histogram(_W, v, 0.5), [[0], [1]], []),
+    "occupation_histogram origin": (lambda v: occupation_histogram(_W, _V, 0.5, v), [0], []),
+    "l2_density_diagnostic weights": (lambda v: l2_density_diagnostic([_V], v, [0.5, 0.25]),
+                                      [0.25, 0.75], []),
+    "l2_density_diagnostic images": (lambda v: l2_density_diagnostic([v], _W, [0.5, 0.25]),
+                                     [[0], [1]], []),
+    "path_from_json values": (lambda v: path_from_json({**_DOC, "values": v}),
+                              [[0.5, -0.25, 1]], []),
+    "path_from_json grid.times": (lambda v: path_from_json(
+        {**_DOC, "grid": {"kind": "explicit", "times": v}}), [0.25, 0.5, 1],
+        [[-0.25, 0.5, 1.0], [0.25, 0.5, 1.5]]),
+}
+
+
+def _with_last(good, entry):
+    """``good`` as a nested list with its last entry replaced by ``entry``."""
+    cells = np.array(good, dtype=object)
+    cells.flat[-1] = entry
+    return cells.tolist()
+
+
+def _junk(good):
+    """(label, value) pairs no array input accepts, each shaped like ``good``."""
+    arr = np.array(good, dtype=float)
+    return [
+        ("strings", np.full(arr.shape, "x").tolist()),
+        ("numeric strings", arr.astype(str).tolist()),
+        ("a numeric string among numbers", _with_last(good, "0.5")),
+        ("a string", "0.5"),
+        ("bools", arr.astype(bool).tolist()),
+        ("a bool array", arr.astype(bool)),
+        ("a bool among numbers", _with_last(good, True)),
+        ("None", None),
+        ("None among numbers", _with_last(good, None)),
+        ("complex numbers", (arr + 1j).tolist()),
+        ("a complex among numbers", _with_last(good, 0.5 + 1j)),
+        ("ragged nesting", [[0.5], [0.5, 0.25]]),
+        ("an object array", arr.astype(object)),
+        ("an integer too large for a float", _with_last(good, 10**400)),
+        ("too many dimensions", arr[None, None]),
+        *((f"{x} among numbers", _with_last(good, x)) for x in (math.nan, math.inf, -math.inf)),
+        ("a NaN array", np.array(_with_last(good, math.nan), dtype=float)),
+    ]
+
+
+def _refuses(call, value):
+    """Whether ``call(value)`` raises ConfigError; any other error propagates."""
+    try:
+        call(value)
+    except ConfigError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("name", sorted(ARRAYS))
+def test_every_array_is_refused_typed_or_gives_its_float64_result(name):
+    call, good, bad = ARRAYS[name]
+    for value in (good, np.array(good), np.array(good, dtype=np.float32)):
+        assert _same(call(value), call(np.asarray(value, dtype=np.float64)))
+    cases = [*_junk(good), *(("out of range", b) for b in bad)]
+    if name == "occupation_histogram origin":   # None is its default, the minimum
+        cases = [(label, value) for label, value in cases if value is not None]
+    accepted = [(label, value) for label, value in cases if not _refuses(call, value)]
+    assert not accepted, f"{name} accepted {accepted}"
+
+
+@pytest.mark.parametrize("call", [
+    # the kernel time: a raw UFuncTypeError, 0.711 for a bool, the complex list
+    # returned as it was, and a raw TypeError for a list
+    pytest.param(lambda: kernel_expectation_mc("0.5", 0.2, 0.8, 3.0, 1, 64), id="kernel-t-str"),
+    pytest.param(lambda: kernel_expectation_mc(True, 0.2, 0.8, 3.0, 1, 64), id="kernel-t-true"),
+    pytest.param(lambda: validate_kernel_times([0.5 + 1j, 0.25]), id="kernel-times-complex"),
+    pytest.param(lambda: kernel_expectation_mc([0.5, 0.25], 0.2, 0.8, 3.0, 1, 64),
+                 id="kernel-t-list"),
+    # each raised a raw ValueError: could not convert string to float
+    pytest.param(lambda: TimeGrid(["a", "b"]), id="time-grid-str"),
+    pytest.param(lambda: GraphCloud(["a", "b"], [0, 1]), id="graph-cloud-str"),
+    pytest.param(lambda: WeightedTimeSet(["a", "b"], [0.5, 0.5]), id="weighted-time-set-str"),
+    pytest.param(lambda: FractalSet([["a", "b"]], 0, 1.0, "full-interval"),
+                 id="fractal-set-str"),
+    pytest.param(lambda: BoxCountCurve(["a", "b"], [1, 2]), id="box-count-curve-str"),
+    pytest.param(lambda: GaussianVectorSpec(["a", "b"], 0.5), id="gaussian-spec-str"),
+    pytest.param(lambda: verify_detcov_lower_bound(["a", "b"], 0.5), id="detcov-str"),
+    pytest.param(lambda: lnd_distance_ratio(0.7, 0.35, 0.5, 0.1, ["a"]), id="lnd-ratio-str"),
+    pytest.param(lambda: box_count_curve(_LINE, ["a", "b"], 0.5), id="box-count-curve-fn-str"),
+    pytest.param(lambda: validate_fit_scales(["a"] * 4), id="fit-scales-str"),
+    pytest.param(lambda: validate_radii(["a", "b"]), id="radii-str"),
+    pytest.param(lambda: occupation_histogram(["a", "b"], _V, 0.5), id="histogram-str"),
+    pytest.param(lambda: l2_density_diagnostic([_V], ["a", "b"], [0.5, 0.25]), id="l2-str"),
+    pytest.param(lambda: energy_integral_mc(_PAIR, [["a"], ["b"]], 0.5, 0.5), id="energy-str"),
+    # numeric strings and bools were read as numbers: 0.5 for the margin
+    pytest.param(lambda: validate_radii(["0.5", "0.25"]), id="radii-numeric-str"),
+    pytest.param(lambda: GraphCloud(["0.5", "0.25"], [0, 1]), id="graph-cloud-numeric-str"),
+    pytest.param(lambda: verify_detcov_lower_bound(["0.5", "0.25"], 0.5),
+                 id="detcov-numeric-str"),
+    pytest.param(lambda: WeightedTimeSet([0.1, 0.2], [True, False]), id="weights-bool"),
+    pytest.param(lambda: occupation_histogram([True, False], [0.1, 0.2], 0.1),
+                 id="histogram-weights-bool"),
+    # a NaN curve was built, the counts truncated to [1, 2], a NaN image
+    # returned, and np.dot raised on 2-d weights
+    pytest.param(lambda: BoxCountCurve([math.nan, math.nan], [1, 2]), id="curve-nan-deltas"),
+    pytest.param(lambda: BoxCountCurve([0.5, 0.25], [1.7, 2.9]), id="curve-fractional-counts"),
+    pytest.param(lambda: drifted_image(_PATH, np.full((1, 4), math.nan), _PAIR),
+                 id="drift-nan"),
+    pytest.param(lambda: l2_density_diagnostic([_V], [[0.5, 0.5]], [0.5, 0.25]),
+                 id="l2-weights-2d"),
+])
+def test_raw_array_fault_now_config_error(call):
+    with pytest.raises(ConfigError):
+        call()
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({}, "'values'"),   # KeyError: 'grid'
+    ({**_DOC, "grid": {"kind": "uniform", "n": "x", "t0": 0.0, "t1": 1.0}},
+     "grid.n"),   # a raw TypeError
+    ({**_DOC, "values": [[0.5, math.nan, 1.0]]}, "values must be finite"),   # accepted
+    ({**_DOC, "grid": {"kind": "uniform", "n": 10**12, "t0": 0.0, "t1": 1.0}},
+     "grid.n = 1000000000000 does not match"),
+    ({**_DOC, "grid": {"times": [0.25, 0.5, 1.0]}}, "'grid.kind'"),
+    ({**_DOC, "grid": {"kind": "dense"}}, "'grid.times'"),   # not uniform, so explicit
+    ({**_DOC, "seed": 0}, "seed must be a list"),
+    ({**_DOC, "hurst": "0.5"}, "hurst must be"),
+])
+def test_malformed_path_envelope_names_the_key(doc, message):
+    with pytest.raises(ConfigError, match=message):
+        path_from_json(doc)
