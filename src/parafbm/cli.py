@@ -52,10 +52,7 @@ def parse_delta_spec(spec):
     spec = spec.strip()
     if ".." in spec:
         lo, hi = spec.split("..", 1)
-        e0, e1 = _parse_pow2(lo), _parse_pow2(hi)
-        if e0 < 0 or e1 <= e0:
-            raise ConfigError(f"bad delta range {spec!r}: need 2^-a..2^-b with a < b")
-        return dyadic_deltas(e0, e1)
+        return dyadic_deltas(_parse_pow2(lo), _parse_pow2(hi))
     try:
         vals = np.array([float(tok) for tok in spec.split(",") if tok.strip()])
     except ValueError:

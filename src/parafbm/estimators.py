@@ -314,16 +314,16 @@ def _floor_scaled(src, shift, width, cap, work, out):
 def dyadic_deltas(coarse_exp, fine_exp, per_octave=1):
     """Decreasing ladder 2^-coarse_exp .. 2^-fine_exp with per_octave scales per octave.
 
-    The exponents are whole numbers, fine_exp > coarse_exp, per_octave is a
-    whole number >= 1, and every exponent times per_octave is an array
-    index; anything else raises ConfigError.
+    The exponents are whole numbers with 0 <= coarse_exp < fine_exp, so every
+    scale lies in (0, 1], per_octave is a whole number >= 1, and fine_exp
+    times per_octave is an array index; anything else raises ConfigError.
     """
     coarse_exp = validate_integer(coarse_exp, "coarse_exp")
     fine_exp = validate_integer(fine_exp, "fine_exp")
     per_octave = validate_count(per_octave, "per_octave")
-    if fine_exp <= coarse_exp:
-        raise ConfigError("need fine_exp > coarse_exp")
-    validate_count(max(-coarse_exp, fine_exp) * per_octave + 1, "the ladder's index range")
+    if not 0 <= coarse_exp < fine_exp:
+        raise ConfigError(f"need 0 <= coarse_exp < fine_exp, got {coarse_exp} and {fine_exp}")
+    validate_count(fine_exp * per_octave + 1, "the ladder's index range")
     k = np.arange(coarse_exp * per_octave, fine_exp * per_octave + 1) / per_octave
     return 2.0 ** (-k)
 
@@ -501,8 +501,9 @@ def energy_integral_mc(measure_points, values, gamma, hurst, pair_seed=0):
     v = validate_reals(values, "values", ndim=(1, 2), min_size=0)
     v = v[:, None] if v.ndim == 1 else v
     n = times.size
-    if v.shape[0] != n or weights.size != n:
-        raise ConfigError("values and weights must align with measure points")
+    if v.shape[0] != n or weights.size != n or v.shape[1] == 0:
+        raise ConfigError("values (n, d) with d >= 1 and weights (n,) must align with "
+                          "the n measure points")
     # sorted lexicographically, equal points are neighbours
     pts = np.column_stack([times, v])
     order = np.lexsort(pts.T[::-1])

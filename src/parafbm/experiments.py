@@ -385,21 +385,14 @@ def _feasible_rule(cell):
         raise InfeasibleParameters(f"alpha'*d = {alpha_p * d} >= dim(A) = {dim_a}")
 
 
-def _path_key(cell):
-    """alpha: graph-dimension cells with equal keys measure the same paths.
-
-    Coordinate j of a path is drawn from its own stream whatever d is, so a
-    d-dimensional path is the first d coordinates of any wider one.
-    """
-    return cell["alpha"]
-
-
 def _graph_records(fitted, cells, common, seeds, seed_base):
-    """Yield the fits of a run of graph-dimension cells sharing one path key.
+    """Yield the fits of a run of graph-dimension cells sharing one alpha.
 
     Per seed, the B^alpha path is drawn once, at the largest d of the cells:
-    the paper's setting of one sample path and many sets A.  Each cell is
-    fitted at the Hurst index of every key in ``fitted`` (H, or H and H' for
+    the paper's setting of one sample path and many sets A.  Coordinate j of
+    a path is drawn from its own stream whatever d is, so a d-dimensional
+    path is the first d coordinates of any wider one.  Each cell is fitted
+    at the Hurst index of every key in ``fitted`` (H, or H and H' for
     comparison bounds), and each fit is a record of its cell.  The cells
     that share a set and a fitted H share one count: the graph cloud of the
     path's first m coordinates, m the largest d among them, is restricted to
@@ -408,38 +401,31 @@ def _graph_records(fitted, cells, common, seeds, seed_base):
     each cell fits the curve of its own d.  The fits, and so the rows, are
     those each cell gives alone.
     """
-    alpha = _path_key(cells[0])
-    dims = [cell["d"] for cell in cells]
-    set_keys = [cell["set_key"] for cell in cells]
-    hursts = [tuple(cell[key] for key in fitted) for cell in cells]
-    # each count, (set, H), with the d of every cell that fits it
-    count_dims = {}
-    for key, d, hs in zip(set_keys, dims, hursts):
-        for hurst in set(hs):
-            count_dims.setdefault((key, hurst), []).append(d)
+    # each count, (set, H), with its set and the d of every cell that fits it
+    plan = {}
+    for cell in cells:
+        for hurst in (cell[key] for key in fitted):
+            plan.setdefault((cell["set_key"], hurst), (cell["set"], []))[1].append(cell["d"])
     grid, deltas = TimeGrid.regular(common["grid_n"]), common["deltas"]
     for s in range(seeds):   # cell 0 yields first, so each path is charged to it
-        path = generate_fbm_path(alpha, grid, d=max(dims), seed=seed_base + s)
-        clouds, subs, curves = {}, {}, {}
-        for i, (cell, key, hs) in enumerate(zip(cells, set_keys, hursts)):
-            for hurst in hs:
-                count = (key, hurst)
-                if count not in curves:
-                    m = max(count_dims[count])
-                    if (key, m) not in subs:
-                        if m not in clouds:   # built when a count first needs it
-                            clouds[m] = GraphCloud(grid.times, path.values[:m].T)
-                        subs[key, m] = (clouds[m] if cell["set"].kind == "full-interval"
-                                        else clouds[m].restrict(cell["set"]))
-                    curves[count] = subs[key, m], box_count_curves(
-                        subs[key, m], deltas, hurst, set(count_dims[count]))
-                    if len(count_dims[count]) > 1:
+        path = generate_fbm_path(cells[0]["alpha"], grid, d=max(c["d"] for c in cells),
+                                 seed=seed_base + s)
+        curves = {}
+        for i, cell in enumerate(cells):
+            for hurst in (cell[key] for key in fitted):
+                count = cell["set_key"], hurst
+                if count not in curves:   # counted when a cell first needs it
+                    fset, dims = plan[count]
+                    cloud = GraphCloud(grid.times, path.values[:max(dims)].T)
+                    sub = cloud if fset.kind == "full-interval" else cloud.restrict(fset)
+                    curves[count] = sub, box_count_curves(sub, deltas, hurst, set(dims))
+                    if len(dims) > 1:
                         yield 0, None   # a shared count is the first cell's work
                 sub, curve = curves[count]
                 yield i, estimate_parabolic_dimension(
                     sub, deltas, hurst, trim_octaves=common["trim_octaves"],
                     max_count_fraction=common["max_count_fraction"],
-                    _curve=curve[dims[i]],
+                    _curve=curve[cell["d"]],
                 )
 
 
@@ -721,8 +707,8 @@ def _run_one_cell(job):
 
     ``job`` is (kind, cells, common, seeds, seed_base, config_hash, parsed),
     ``common`` the parsed params, ``parsed`` the parsed ``cells``: a run of
-    cells with one path key, which
-    share each seed's path, for the kinds that share paths, else one cell.
+    cells with one alpha, which share each seed's path, for the kinds that
+    share paths, else one cell.
     The kind's runner yields (cell index, record) pairs, its reducer turns
     each parsed cell's records into an outcome, and each row is that outcome
     stamped with the kind, the raw cell, the config hash and ``runtime_s``.
@@ -755,9 +741,9 @@ def _run_one_cell(job):
 
 def _cell_runs(kind, pairs):
     """Sorted (cell, parsed cell) pairs split into jobs: contiguous runs of
-    one path key for the kinds that share paths, one pair each otherwise."""
+    one alpha for the kinds that share paths, one pair each otherwise."""
     if _KIND_SPECS[kind].shares_paths:
-        return [list(run) for _, run in itertools.groupby(pairs, key=lambda p: _path_key(p[1]))]
+        return [list(run) for _, run in itertools.groupby(pairs, key=lambda p: p[1]["alpha"])]
     return [[pair] for pair in pairs]
 
 

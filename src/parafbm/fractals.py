@@ -58,8 +58,12 @@ class FractalSet:
         object.__setattr__(self, "intervals", iv)
 
     def contains(self, t):
-        """Boolean mask: which of the given times lie in the set (closed intervals)."""
-        t = np.atleast_1d(np.asarray(t, dtype=float))
+        """Boolean mask: which of the given times lie in the set (closed intervals).
+
+        Times that ``validate_reals`` refuses (NaN, strings, more than one
+        dimension) raise ConfigError.
+        """
+        t = np.atleast_1d(validate_reals(t, "times", ndim=(0, 1), min_size=0))
         starts = self.intervals[:, 0]
         ends = self.intervals[:, 1]
         idx = np.clip(np.searchsorted(starts, t, side="right") - 1, 0, len(starts) - 1)

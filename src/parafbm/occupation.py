@@ -206,8 +206,9 @@ def l2_density_diagnostic(images, weights, radii):
     if not ys:
         raise ConfigError("need at least one image")
     d = ys[0].shape[1]
-    if any(y.shape != (w.size, d) for y in ys):
-        raise ConfigError("images must all have one row per weight and the same dimension d")
+    if d == 0 or any(y.shape != (w.size, d) for y in ys):
+        raise ConfigError("images must all have one row per weight and the same "
+                          "dimension d >= 1")
     if w.size == 0:  # no pairs; count_neighbors rejects empty weight arrays
         return np.zeros(radii.size)
     below = np.nextafter(radii, 0.0)

@@ -485,6 +485,13 @@ class TestDimensionEstimate:
         assert est.fit_range[1] <= deltas.max()
         assert est.n_points_used <= deltas.size - 2
 
+    def test_default_trim_keeps_both_window_ends(self):
+        # one octave off each end of 2^-2 .. 2^-8 leaves 2^-3 .. 2^-7; the
+        # window's ends are ladder scales, and both are fitted
+        est = estimate_parabolic_dimension(flat_cloud(n=4096), dyadic_deltas(2, 8), 0.5)
+        assert est.fit_range == (2.0**-7, 2.0**-3)
+        assert est.n_points_used == 5
+
     def test_carries_the_fitted_curve(self):
         c = flat_cloud(n=4096)
         deltas = dyadic_deltas(2, 8)
@@ -645,6 +652,17 @@ class TestEnergy:
         monkeypatch.setattr(estimators, "ENERGY_DEFAULT_PAIRS", 200_000)
         sub = energy_integral_mc(pts, v, 0.5, 0.5)
         assert sub == pytest.approx(exact, rel=0.05)
+
+    def test_subsampled_value_is_pinned(self):
+        # one point past the cap: the seeded pair mean is rescaled to all
+        # n*(n-1) ordered pairs (the exact sum is 1.21976...)
+        rng = np.random.default_rng(19)
+        n = estimators.ENERGY_PAIR_CAP + 1
+        t = np.sort(rng.uniform(0, 1, n))
+        v = rng.normal(0, 1, (n, 1))
+        pts = WeightedTimeSet(times=t, weights=np.full(n, 1 / n))
+        got = energy_integral_mc(pts, v, 0.5, 0.5, pair_seed=3)
+        assert got == pytest.approx(1.2195768990358642, rel=1e-12)
 
     @pytest.mark.parametrize("cap", [None, 100])
     def test_coincident_points_raise_naming_the_pair(self, monkeypatch, cap):

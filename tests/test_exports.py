@@ -93,11 +93,6 @@ def test_only_fbm_imports_numbers():
     assert not imports, f"only fbm.py may import numbers; imported at {imports}"
 
 
-#: functions that may convert a parameter with np.asarray(..., dtype=float):
-#: a broadcasting kernel that runs on every path, on arrays the package built
-_UNCHECKED_CONVERSIONS = {("fractals.py", "contains")}
-
-
 def _is_input(node, params):
     """Whether ``node`` names a parameter of the enclosing function or a ``self.`` field."""
     return (isinstance(node, ast.Name) and node.id in params) or (
@@ -114,8 +109,7 @@ def test_only_fbm_converts_array_inputs():
         if path.name == "fbm.py":
             continue
         for func in ast.walk(ast.parse(path.read_text())):
-            if not isinstance(func, ast.FunctionDef) or (
-                    (path.name, func.name) in _UNCHECKED_CONVERSIONS):
+            if not isinstance(func, ast.FunctionDef):
                 continue
             params = {a.arg for a in ast.walk(func.args) if isinstance(a, ast.arg)}
             found.update(

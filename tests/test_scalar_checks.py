@@ -120,7 +120,7 @@ SCALARS = {
                 [0.2, np.float64(0.3)], [0.0, 0.6]),
     "t (lnd)": (lambda v: lnd_distance_ratio(0.7, 0.35, v, 0.1, np.array([0.1])),
                 [0.5, 1, np.float64(0.7)], [0.05]),
-    "coarse_exp": (lambda v: dyadic_deltas(v, 6), [0, 2, 3.0, np.int64(1)], [6, 2.5]),
+    "coarse_exp": (lambda v: dyadic_deltas(v, 6), [0, 2, 3.0, np.int64(1)], [6, 2.5, -1]),
     "fine_exp": (lambda v: dyadic_deltas(1, v), [2, 6, 7.0, np.int64(4)], [1, 2.5]),
     "per_octave": (lambda v: dyadic_deltas(1, 6, v), [1, 3, 2.0, np.int64(4)], [0, -1, 1.5]),
     "lipschitz_drift's d": (lambda v: lipschitz_drift(TimeGrid.regular(8), v),
@@ -200,7 +200,8 @@ ARRAYS = {
     "TimeGrid times": (TimeGrid, [0, 0.25, 1], [[-0.25, 0.5], [0.5, 1.5]]),
     "GraphCloud times": (lambda v: GraphCloud(v, [0.0, 1.0]), [0.25, 0.75],
                          [[-0.25, 0.5], [0.5, 1.5]]),
-    "GraphCloud values": (lambda v: GraphCloud([0.25, 0.75], v), [[0, 1], [2, 3]], []),
+    "GraphCloud values": (lambda v: GraphCloud([0.25, 0.75], v), [[0, 1], [2, 3]],
+                          [[], [[], []]]),
     "BoxCountCurve deltas": (lambda v: BoxCountCurve(v, [1, 2]), [0.5, 0.25],
                              [[1.5, 0.5], [0.5, 0.0]]),
     "BoxCountCurve counts": (lambda v: BoxCountCurve([0.5, 0.25], v), [1, 3],
@@ -211,7 +212,8 @@ ARRAYS = {
                             [[1, 0.5, 0.25, 0.0], [2, 1, 0.5, 0.25]]),
     "validate_radii": (validate_radii, [0.5, 0.25], [[0.5, -0.25], [0.5, 0.0]]),
     "validate_kernel_times": (validate_kernel_times, [0.5, 0.25], [[0.5, 0.0], [1.5, 0.5]]),
-    "energy values": (lambda v: energy_integral_mc(_PAIR, v, 0.5, 0.5), [[0], [1]], []),
+    "energy values": (lambda v: energy_integral_mc(_PAIR, v, 0.5, 0.5), [[0], [1]],
+                      [[], [[], []]]),
     # the points' own check is bypassed here
     "energy times": (lambda v: energy_integral_mc(types.SimpleNamespace(
         times=v, weights=np.array([0.5, 0.5])), np.zeros((2, 1)), 0.5, 0.5), [0.25, 0.75], []),
@@ -219,6 +221,8 @@ ARRAYS = {
         times=np.array([0.25, 0.75]), weights=v), np.zeros((2, 1)), 0.5, 0.5), [0.5, 0.5], []),
     "FractalSet intervals": (lambda v: FractalSet(v, 1, 0.5, "generalized-cantor"),
                              [[0, 0.25], [0.75, 1]], [[[-0.25, 0.5]], [[0.5, 1.5]]]),
+    "FractalSet.contains times": (middle_thirds_cantor(2).contains, [0.25, 0.5, 1.5],
+                                  [[[0.25], [0.5]]]),
     "WeightedTimeSet times": (lambda v: WeightedTimeSet(v, [0.5, 0.5]), [0.25, 0.75],
                               [[-0.25, 0.5], [0.5, 1.5]]),
     "WeightedTimeSet weights": (lambda v: WeightedTimeSet([0.25, 0.75], v), [0.25, 0.75],
@@ -236,12 +240,13 @@ ARRAYS = {
     "drifted_image drift": (lambda v: drifted_image(_PATH, v, _PAIR), [[0, 0.5, 0.25, 1]], []),
     "occupation_histogram weights": (lambda v: occupation_histogram(v, _V, 0.5), [0.25, 0.75],
                                      []),
-    "occupation_histogram values": (lambda v: occupation_histogram(_W, v, 0.5), [[0], [1]], []),
+    "occupation_histogram values": (lambda v: occupation_histogram(_W, v, 0.5), [[0], [1]],
+                                    [[], [[], []]]),
     "occupation_histogram origin": (lambda v: occupation_histogram(_W, _V, 0.5, v), [0], []),
     "l2_density_diagnostic weights": (lambda v: l2_density_diagnostic([_V], v, [0.5, 0.25]),
                                       [0.25, 0.75], []),
     "l2_density_diagnostic images": (lambda v: l2_density_diagnostic([v], _W, [0.5, 0.25]),
-                                     [[0], [1]], []),
+                                     [[0], [1]], [[], [[], []]]),
     "path_from_json values": (lambda v: path_from_json({**_DOC, "values": v}),
                               [[0.5, -0.25, 1]], []),
     "path_from_json grid.times": (lambda v: path_from_json(
