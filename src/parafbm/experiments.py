@@ -17,8 +17,10 @@ A job is one cell, or a run of graph-dimension cells that measure the same
 sample paths.  Its runner yields per-seed records, and its reducer turns
 each cell's records into one report row, whose ``runtime_s`` follows the
 one charging rule of ``_run_one_cell``.
-Rows are appended to report.csv as jobs complete, in deterministic cell
-order, with the config hash embedded so reruns are comparable.
+report.csv is opened once per run, its header written at once, and each
+job's rows are written through that handle as the job completes, in
+deterministic cell order, with the config hash embedded so reruns are
+comparable.
 Almost-sure statements are operationalized as seed-fraction thresholds at
 finite resolution; the threshold and resolution appear in every row.
 """
@@ -63,6 +65,7 @@ from .fbm import (
     validate_integer,
     validate_real,
     validate_reals,
+    validate_seed,
 )
 from .fractals import (
     WeightedTimeSet,
@@ -252,9 +255,7 @@ class ExperimentConfig:
         if not isinstance(self.params, dict):
             raise ConfigError("params must be a JSON object")
         object.__setattr__(self, "seeds", validate_count(self.seeds, "seeds"))
-        object.__setattr__(self, "seed_base", validate_integer(self.seed_base, "seed_base"))
-        if self.seed_base < 0:
-            raise ConfigError("seed_base must be >= 0")
+        object.__setattr__(self, "seed_base", validate_seed(self.seed_base, "seed_base"))
         object.__setattr__(self, "_common", _parse_params(self.kind, self.params))
         cells = self.params.get("cells")
         if not isinstance(cells, list) or not cells:
@@ -293,7 +294,7 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class ReportRow:
-    """One experiment outcome: parameters, theory vs estimate, diagnostics."""
+    """One experiment outcome: parameters, theory vs estimate, diagnostics, runtime."""
 
     kind: str
     cell: dict
@@ -303,6 +304,7 @@ class ReportRow:
     passed: bool | None = field(init=False)
     diagnostics: dict = field(default_factory=dict)
     config_hash: str = ""
+    runtime_s: float | None = None
 
     def __post_init__(self):
         if self.theory is not None and self.tolerance is not None:
@@ -312,8 +314,6 @@ class ReportRow:
         object.__setattr__(self, "passed", ok)
 
     def csv_record(self):
-        diag = dict(self.diagnostics)
-        runtime = diag.pop("runtime_s", "")
         return {
             "kind": self.kind,
             "cell": json.dumps(self.cell, sort_keys=True),
@@ -321,13 +321,13 @@ class ReportRow:
             "estimate": repr(self.estimate),
             "tolerance": "" if self.tolerance is None else repr(self.tolerance),
             "passed": "" if self.passed is None else str(bool(self.passed)),
-            "diagnostics": json.dumps(diag, sort_keys=True),
+            "diagnostics": json.dumps(self.diagnostics, sort_keys=True),
             "config_hash": self.config_hash,
-            "runtime_s": runtime,
+            "runtime_s": "" if self.runtime_s is None else self.runtime_s,
         }
 
 
-CSV_FIELDS = [*(f.name for f in fields(ReportRow)), "runtime_s"]
+CSV_FIELDS = [f.name for f in fields(ReportRow)]
 
 
 def build_set(spec):
@@ -733,9 +733,9 @@ def _run_one_cell(job):
     for cell, parsed_cell, cell_records, runtime in zip(cells, parsed, records, runtimes):
         outcome = spec.reduce(parsed_cell, cell_records, common, seeds)
         t1 = time.perf_counter()
-        outcome["diagnostics"]["runtime_s"] = round(runtime + t1 - t0, 3)
+        rows.append(ReportRow(kind=kind, cell=cell, config_hash=config_hash,
+                              runtime_s=round(runtime + t1 - t0, 3), **outcome))
         t0 = t1
-        rows.append(ReportRow(kind=kind, cell=cell, config_hash=config_hash, **outcome))
     return rows
 
 
@@ -745,21 +745,6 @@ def _cell_runs(kind, pairs):
     if _KIND_SPECS[kind].shares_paths:
         return [list(run) for _, run in itertools.groupby(pairs, key=lambda p: p[1]["alpha"])]
     return [[pair] for pair in pairs]
-
-
-def _append_rows(report_path, rows):
-    """Append rows to the CSV, header first if new, flushed and synced per call."""
-    if report_path is None:
-        return
-    new = not report_path.exists() or report_path.stat().st_size == 0
-    with open(report_path, "a", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=CSV_FIELDS)
-        if new:
-            writer.writeheader()
-        for row in rows:
-            writer.writerow(row.csv_record())
-        fh.flush()
-        os.fsync(fh.fileno())
 
 
 @contextmanager
@@ -785,35 +770,38 @@ def run_experiment(config, out_dir=None, workers=1):
     Cells execute in deterministic order (sorted by their canonical JSON).
     Graph-dimension cells that follow each other with the same alpha form
     one job that draws each seed's path once, at their largest d; every
-    other cell is a job of its own.  Each completed job's rows are appended to
-    <out_dir>/report.csv immediately, so an abort keeps the finished rows.
+    other cell is a job of its own.  <out_dir>/report.csv is replaced by one
+    that holds the header from the start; each completed job's rows are
+    written, flushed and synced at once, so an abort keeps the finished rows.
     ``workers``, a whole number >= 1, above 1 distributes jobs over a process
     pool, at most one worker per job; rows are committed in cell order
     either way.
     """
     workers = validate_count(workers, "workers")
     chash = config.config_hash()
-
-    report_path = None
-    if out_dir is not None:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        with atomic_writer(out_dir / "config.json") as fh:
-            json.dump(config.to_dict(), fh, indent=2, sort_keys=True)
-        report_path = out_dir / "report.csv"
-        if report_path.exists():
-            report_path.unlink()
-
     jobs = [
         (config.kind, [cell for cell, _ in run], config._common, config.seeds, config.seed_base,
          chash, [parsed for _, parsed in run])
         for run in _cell_runs(config.kind, config._cells)
     ]
     workers = min(workers, len(jobs))
-    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext()
+    new_pool = partial(ProcessPoolExecutor, max_workers=workers) if workers > 1 else nullcontext
     all_rows = []
-    with pool:
-        for rows in (pool.map if workers > 1 else map)(_run_one_cell, jobs):
-            _append_rows(report_path, rows)
+    report = nullcontext()
+    if out_dir is not None:
+        out_dir = Path(out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        with atomic_writer(out_dir / "config.json") as fh:
+            json.dump(config.to_dict(), fh, indent=2, sort_keys=True)
+        report = open(out_dir / "report.csv", "w", newline="")
+    with report as fh, new_pool() as pool:   # made once the report is open, so a raise closes it
+        if fh:
+            writer = csv.DictWriter(fh, fieldnames=CSV_FIELDS)
+            writer.writeheader()
+        for rows in (pool.map if pool else map)(_run_one_cell, jobs):
+            if fh:
+                writer.writerows(row.csv_record() for row in rows)
+                fh.flush()
+                os.fsync(fh.fileno())
             all_rows.extend(rows)
     return all_rows

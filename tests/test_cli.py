@@ -200,6 +200,17 @@ class TestMalformedInput:
         assert err == [f"error: {path}: no value columns after t"]
 
     @pytest.mark.parametrize("command", sorted(_ARGS))
+    @pytest.mark.parametrize("text, message", [
+        ("x,y\n0.1,0.2\n", "expected a CSV with header t,x1,...,xd"),
+        ("t,x1\n", "no data rows"),
+    ], ids=["header-not-t", "header-only"])
+    def test_bad_header_or_no_rows_exit_1(self, tmp_path, capsys, command, text, message):
+        path = tmp_path / "cloud.csv"
+        path.write_text(text)
+        assert run([command, "--input", str(path), *self._ARGS[command]]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {path}: {message}"]
+
+    @pytest.mark.parametrize("command", sorted(_ARGS))
     def test_rows_narrower_than_header_exit_1(self, tmp_path, capsys, command):
         # a t,x1,x2 header over two-cell rows was read as d = 1 and reported, exit 0
         path = tmp_path / "cloud.csv"

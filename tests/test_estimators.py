@@ -492,6 +492,15 @@ class TestDimensionEstimate:
         assert est.fit_range == (2.0**-7, 2.0**-3)
         assert est.n_points_used == 5
 
+    def test_count_guard_keeps_a_count_equal_to_its_cap(self):
+        # counts 2, 4, .., 64 of 64 points; 16 is exactly 0.25 * 64 and is kept
+        cloud = GraphCloud(np.linspace(0, 1, 64), np.zeros(64))
+        est = estimate_parabolic_dimension(cloud, dyadic_deltas(1, 6), 0.5, trim_octaves=0.0,
+                                           max_count_fraction=0.25)
+        assert est.curve.counts.tolist() == [2, 4, 8, 16, 32, 64]
+        assert est.n_points_used == 4
+        assert est.fit_range == (0.0625, 0.5)
+
     def test_carries_the_fitted_curve(self):
         c = flat_cloud(n=4096)
         deltas = dyadic_deltas(2, 8)
@@ -793,6 +802,11 @@ class TestGraphCloud:
         sub = cloud.restrict(fset)
         assert 0 < sub.n < cloud.n
         assert np.all(fset.contains(sub.times))
+
+    def test_restrict_to_a_set_holding_no_point(self):
+        cloud = GraphCloud(times=np.array([0.4, 0.5, 0.6]), values=np.zeros((3, 1)))
+        with pytest.raises(ConfigError, match="no cloud points fall inside the set"):
+            cloud.restrict(middle_thirds_cantor(1))
 
     def test_times_outside_unit_interval(self):
         with pytest.raises(ConfigError):

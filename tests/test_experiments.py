@@ -113,6 +113,20 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_json("{not json")
 
+    def test_json_list_is_not_a_config(self):
+        with pytest.raises(ConfigError, match="config must be a JSON object"):
+            ExperimentConfig.from_json(json.dumps([small_dim_formula_config()]))
+
+    def test_missing_kind(self):
+        doc = small_dim_formula_config()
+        del doc["kind"]
+        with pytest.raises(ConfigError, match="config needs a 'kind'"):
+            ExperimentConfig.from_dict(doc)
+
+    def test_negative_seed_base_rejected(self):
+        with pytest.raises(ConfigError, match="seed_base must be a non-negative integer, got -1"):
+            ExperimentConfig.from_dict(small_dim_formula_config(seed_base=-1))
+
     def test_integer_past_4300_digits_is_bad_json(self):
         # Python's parser refuses it with a bare ValueError, not a JSONDecodeError
         with pytest.raises(ConfigError, match="config is not valid JSON"):
@@ -380,6 +394,28 @@ class TestInteriorRuns:
         assert len(rows) == 1   # the passing cell was flushed before the abort
         assert json.loads(rows[0]["cell"])["path"] == "constant"
 
+    def test_first_job_raising_leaves_a_header_only_report(self, tmp_path):
+        # the header is written when the report is opened, before any job
+        cfg = ExperimentConfig.from_dict(zero_pair_mass_config("bounded"))
+        out = tmp_path / "out"
+        with pytest.raises(DegenerateRange):
+            run_experiment(cfg, out_dir=out)
+        with open(out / "report.csv", newline="") as fh:
+            assert list(csv.reader(fh)) == [experiments.CSV_FIELDS]
+
+    def test_rerun_replaces_the_report(self, tmp_path):
+        constant = {"hurst": 0.3, "d": 2, "path": "constant", "check": "bounded"}
+        doc = zero_pair_mass_config("bounded")
+        out = tmp_path / "out"
+        for cells in ([constant, {**constant, "d": 1}], [constant]):
+            rows = run_experiment(ExperimentConfig.from_dict(
+                {**doc, "params": {**doc["params"], "cells": cells}}), out_dir=out)
+        with open(out / "report.csv", newline="") as fh:
+            report = list(csv.DictReader(fh))
+        assert [json.loads(r["cell"]) for r in report] == [constant]
+        assert report[0]["runtime_s"] == str(rows[0].runtime_s)
+        assert "runtime_s" not in rows[0].diagnostics
+
 
 def test_atomic_writer_removes_its_temp_file_on_failure(tmp_path):
     target = tmp_path / "out.csv"
@@ -580,7 +616,7 @@ class TestSharedPaths:
         monkeypatch.setattr(experiments, "generate_fbm_path", slow)
         doc = _GRAPH_CONFIGS["holder-bounds"]   # runs: (0.2, 2) alone, then three (0.4, 1)
         rows = run_experiment(ExperimentConfig.from_dict(doc))
-        runtimes = [r.diagnostics["runtime_s"] for r in rows]
+        runtimes = [r.runtime_s for r in rows]
         assert [(r.cell["alpha"], r.cell["d"]) for r in rows] == [(0.2, 2)] + [(0.4, 1)] * 3
         assert runtimes[0] >= 0.1 * doc["seeds"] and runtimes[1] >= 0.1 * doc["seeds"]
         assert max(runtimes[2:]) < 0.1
@@ -668,7 +704,7 @@ class TestSharedCounts:
         rows = run_experiment(ExperimentConfig.from_dict(
             {**doc, "seeds": 1, "params": {**doc["params"], "cells": cells}}))
         assert [r.cell for r in rows] == cells
-        runtimes = [r.diagnostics["runtime_s"] for r in rows]
+        runtimes = [r.runtime_s for r in rows]
         assert runtimes[0] >= 0.2 and max(runtimes[1:]) < 0.1
 
 

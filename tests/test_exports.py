@@ -120,3 +120,34 @@ def test_only_fbm_converts_array_inputs():
                 and any(k.arg == "dtype" and ast.unparse(k.value) in ("float", "np.float64")
                         for k in node.keywords))
     assert not found, f"array inputs converted outside fbm.validate_reals at {sorted(found)}"
+
+
+def _calls(node, func="<module>"):
+    """(innermost enclosing function name, call) for every call under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Call):
+            yield func, child
+        inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else func
+        yield from _calls(child, inner)
+
+
+def _opens_for_writing(call):
+    """Whether ``call`` is an ``open`` whose mode is not a read-only literal."""
+    name = call.func.id if isinstance(call.func, ast.Name) else getattr(call.func, "attr", None)
+    if name != "open":
+        return False
+    mode = call.args[1] if len(call.args) > 1 else next(
+        (k.value for k in call.keywords if k.arg == "mode"), None)
+    return mode is not None and not (
+        isinstance(mode, ast.Constant) and set(str(mode.value)) <= set("rbt"))
+
+
+def test_only_the_two_writers_open_files_for_writing():
+    # atomic_writer writes every output file and run_experiment holds the
+    # one report handle; any other function that opens a file to write or
+    # append is a second writer with its own rules
+    found = [f"{path.name}:{call.lineno} ({func})"
+             for path in sorted((ROOT / "src" / "parafbm").glob("*.py"))
+             for func, call in _calls(ast.parse(path.read_text()))
+             if _opens_for_writing(call) and func not in ("atomic_writer", "run_experiment")]
+    assert not found, f"files opened for writing outside the two writers at {found}"

@@ -333,6 +333,26 @@ class TestGeneration:
         values[0, 0] = -0.0
         SamplePath(grid=TimeGrid.regular(4), values=values, hurst_components=(0.5,), seed=(0,))
 
+    def test_values_not_matching_the_grid_rejected(self):
+        from parafbm.fbm import SamplePath
+        with pytest.raises(ConfigError, match="does not match grid length 4"):
+            SamplePath(grid=TimeGrid.regular(4), values=np.zeros((1, 3)),
+                       hurst_components=(0.5,), seed=(0,))
+
+    def test_cholesky_failure_raises_not_psd(self, monkeypatch):
+        # no grid tried makes the factorization fail, so the covariance is made indefinite
+        monkeypatch.setattr(fbm, "_increment_covariance", lambda tpos, hurst: -np.eye(tpos.size))
+        with pytest.raises(CovarianceNotPSD, match="failed Cholesky factorization"):
+            generate_fbm_path(0.5, TimeGrid([0.25, 0.5, 1.0]))
+
+    @pytest.mark.parametrize("times", [np.linspace(0.0, 1.0, 17), np.array([0.25, 0.5, 1.0])],
+                             ids=["uniform", "cholesky"])
+    def test_array_grid_gives_the_time_grid_path(self, times):
+        from_array = generate_fbm_path(0.4, times, d=2, seed=3)
+        from_grid = generate_fbm_path(0.4, TimeGrid(times), d=2, seed=3)
+        assert from_array.values.tobytes() == from_grid.values.tobytes()
+        assert from_array.grid.times.tobytes() == from_grid.grid.times.tobytes()
+
     @settings(max_examples=80, deadline=None)
     @given(
         hurst=st.floats(0.05, 0.95),

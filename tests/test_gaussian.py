@@ -134,6 +134,11 @@ class TestDetcovLowerBound:
         with pytest.raises(ConfigError, match=r"times must (be distinct and in|lie in) \(0, 1\]"):
             verify_detcov_lower_bound(np.array(times), 0.5)
 
+    def test_near_coincident_times_are_singular(self):
+        # distinct times 1e-9 apart at H = 0.95: the determinant rounds to <= 0
+        with pytest.raises(SingularConditioning, match="determinant is not positive"):
+            verify_detcov_lower_bound(0.5 + 1e-9 * np.arange(3), 0.95)
+
     def test_brownian_independent_increments(self):
         assert verify_detcov_lower_bound(np.array([0.5, 1.0]), 0.5) == pytest.approx(1.0)
 
@@ -189,6 +194,11 @@ class TestChainConstant:
 
 
 class TestLndMargin:
+    def test_u_at_a_conditioning_time_rejected(self):
+        spec = GaussianVectorSpec(np.array([0.3, 0.8]), 0.6, 0.4)
+        with pytest.raises(ConfigError, match="u must differ from all conditioning times"):
+            lnd_margin(spec, 0.3)
+
     def test_equal_hurst_reduces_to_fbm(self):
         # alpha' = H: Z is sqrt(2) B^H in law; ratio must stay positive
         times = np.array([0.3, 0.8])

@@ -85,6 +85,20 @@ class TestDriftedImage:
         with pytest.raises(GridMismatch):
             drifted_image(p, np.zeros((1, 8)), uniform_samples(4))
 
+    def test_sample_beyond_grid_rejected(self):
+        p = generate_fbm_path(0.3, TimeGrid([0.25, 0.5]), seed=1)
+        samples = WeightedTimeSet(times=np.array([0.25, 0.75]), weights=np.array([0.5, 0.5]))
+        with pytest.raises(GridMismatch, match="outside the path grid range"):
+            drifted_image(p, np.zeros_like(p.values), samples)
+
+    def test_samples_at_the_range_tolerance_read_the_end_values(self):
+        # each sample lies exactly 1e-12 outside the grid, which is accepted
+        p = generate_fbm_path(0.3, TimeGrid([0.25, 0.5]), d=2, seed=1)
+        samples = WeightedTimeSet(times=np.array([0.25 - 1e-12, 0.5 + 1e-12]),
+                                  weights=np.array([0.5, 0.5]))
+        _, img = drifted_image(p, np.zeros_like(p.values), samples)
+        assert np.array_equal(img, p.values.T)
+
 
 class TestHistogram:
     def test_single_cell(self):

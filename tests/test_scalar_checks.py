@@ -203,14 +203,14 @@ ARRAYS = {
     "GraphCloud values": (lambda v: GraphCloud([0.25, 0.75], v), [[0, 1], [2, 3]],
                           [[], [[], []]]),
     "BoxCountCurve deltas": (lambda v: BoxCountCurve(v, [1, 2]), [0.5, 0.25],
-                             [[1.5, 0.5], [0.5, 0.0]]),
+                             [[1.5, 0.5], [0.5, 0.0], [0.25, 0.5]]),
     "BoxCountCurve counts": (lambda v: BoxCountCurve([0.5, 0.25], v), [1, 3],
                              [[0, 1], [1.5, 2], [1, 2**60]]),
     "box_count_curve deltas": (lambda v: box_count_curve(_LINE, v, 0.5), [0.5, 0.25],
                                [[0.5, 0.0], [2.0, 0.5]]),
     "validate_fit_scales": (validate_fit_scales, [0.5, 0.25, 0.125, 0.0625],
                             [[1, 0.5, 0.25, 0.0], [2, 1, 0.5, 0.25]]),
-    "validate_radii": (validate_radii, [0.5, 0.25], [[0.5, -0.25], [0.5, 0.0]]),
+    "validate_radii": (validate_radii, [0.5, 0.25], [[0.5, -0.25], [0.5, 0.0], [0.25, 0.5]]),
     "validate_kernel_times": (validate_kernel_times, [0.5, 0.25], [[0.5, 0.0], [1.5, 0.5]]),
     "energy values": (lambda v: energy_integral_mc(_PAIR, v, 0.5, 0.5), [[0], [1]],
                       [[], [[], []]]),
@@ -220,7 +220,7 @@ ARRAYS = {
     "energy weights": (lambda v: energy_integral_mc(types.SimpleNamespace(
         times=np.array([0.25, 0.75]), weights=v), np.zeros((2, 1)), 0.5, 0.5), [0.5, 0.5], []),
     "FractalSet intervals": (lambda v: FractalSet(v, 1, 0.5, "generalized-cantor"),
-                             [[0, 0.25], [0.75, 1]], [[[-0.25, 0.5]], [[0.5, 1.5]]]),
+                             [[0, 0.25], [0.75, 1]], [[[-0.25, 0.5]], [[0.5, 1.5]], [[0.5, 0.25]]]),
     "FractalSet.contains times": (middle_thirds_cantor(2).contains, [0.25, 0.5, 1.5],
                                   [[[0.25], [0.5]]]),
     "WeightedTimeSet times": (lambda v: WeightedTimeSet(v, [0.5, 0.5]), [0.25, 0.75],
