@@ -2,8 +2,8 @@
 
 Subcommands: generate, boxdim, energy, occupancy, gauss-sweep, experiment.
 Exit codes: 0 success, 1 configuration/usage error, 2 numerical failure.
-Outputs are written atomically (temp file + rename) except the per-row
-report appends of the experiment runner, which are flushed per row.
+Outputs are written atomically (temp file + rename) except the experiment
+runner's report.csv: one handle, flushed and fsynced after each job.
 """
 
 from __future__ import annotations

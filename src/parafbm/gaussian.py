@@ -12,7 +12,9 @@ see verify_detcov_lower_bound.
 
 Every covariance here is ``fbm.fbm_covariance`` over the last axis of a
 time array: one matrix for a spec, one stack per size for the sweeps, and
-the sum of the kernels at H and alpha' for the mixed process.
+the sum of the kernels at H and alpha' for the mixed process.  Each
+computation has one stacked kernel; a per-config function runs it on a
+stack of one.
 """
 
 from __future__ import annotations
@@ -72,56 +74,59 @@ class GaussianVectorSpec:
 
     def __post_init__(self):
         t = validate_reals(self.times, "times", low=0, high=1, above=True)
-        validate_hurst(self.hurst)
-        if self.alpha_p is not None:
-            validate_hurst(self.alpha_p, "alpha_p")
+        hurst = validate_hurst(self.hurst)
+        alpha_p = None if self.alpha_p is None else validate_hurst(self.alpha_p, "alpha_p")
         object.__setattr__(self, "times", t)
-        object.__setattr__(self, "covariance", _covariance(t, self.hurst, self.alpha_p))
+        object.__setattr__(self, "hurst", hurst)
+        object.__setattr__(self, "alpha_p", alpha_p)
+        object.__setattr__(self, "covariance", _covariance(t, hurst, alpha_p))
 
     def __len__(self):
         return self.times.size
 
 
-def _schur_conditional_variance(cov, target, given):
-    if len(given) == 0:
-        return float(cov[target, target])
-    g = np.asarray(given, dtype=int)
-    block = cov[np.ix_(g, g)]
-    w, v = np.linalg.eigh(block)
-    tol = SINGULARITY_RTOL * float(np.trace(block))
-    return _schur_from_eigh(cov[target, target], cov[g, target], w, v, tol)
+def _conditional_variances(cov):
+    """Var(X_0 | X_1..X_m), floored at 0, for each matrix of a (k, m+1, m+1) stack.
 
-
-def _schur_from_eigh(var, cross, w, v, tol):
-    """var - cross' block^-1 cross from the block's eigenpairs (w, v), floored at 0.
-
-    ``cross`` must be a contiguous vector: a strided view takes another BLAS
-    path and changes the last bit.  Raises SingularConditioning when the
-    smallest eigenvalue is at most ``tol``.
+    The conditioning blocks are diagonalised by one eigh over the stack;
+    raises SingularConditioning when a block's smallest eigenvalue is at most
+    SINGULARITY_RTOL times its trace.  With m = 0 this is Var(X_0).
     """
-    if w.min() <= tol:
-        raise SingularConditioning(
-            f"conditioning block is singular beyond tolerance "
-            f"(min eig {w.min():.3e}, tol {tol:.3e})"
-        )
-    solved = v @ ((v.T @ cross) / w)
-    return max(float(var - cross @ solved), 0.0)
+    if cov.shape[1] == 1:
+        return cov[:, 0, 0].tolist()
+    block = cov[:, 1:, 1:]
+    w, v = np.linalg.eigh(block)
+    tol = SINGULARITY_RTOL * np.trace(block, axis1=1, axis2=2)
+    # a strided view of the cross vectors takes another BLAS path and changes the last bit
+    cross = np.ascontiguousarray(cov[:, 1:, 0])
+    out = []
+    for var, c, wk, vk, tk in zip(cov[:, 0, 0], cross, w, v, tol):
+        if wk.min() <= tk:
+            raise SingularConditioning(f"conditioning block is singular beyond tolerance "
+                                       f"(min eig {wk.min():.3e}, tol {tk:.3e})")
+        out.append(max(float(var - c @ (vk @ ((vk.T @ c) / wk))), 0.0))
+    return out
 
 
 def conditional_variance(spec, target, given=()):
     """Var of coordinate ``target`` given the coordinates in ``given`` (Schur complement).
 
     Lies between 0 and the unconditional variance; raises
-    SingularConditioning when the given-block is numerically singular.
+    SingularConditioning when the given-block is numerically singular, and
+    ConfigError unless target and ``given`` are distinct indices in range.
     """
     n = len(spec)
     target = validate_integer(target, "target")
-    given = tuple(validate_integer(g, "given") for g in given)
+    try:
+        given = tuple(validate_integer(g, "given") for g in given)
+    except TypeError as exc:
+        raise ConfigError(f"given must be a sequence of indices, got {given!r}") from exc
     if not 0 <= target < n or any(not 0 <= g < n for g in given):
         raise ConfigError("indices out of range")
-    if target in given:
-        raise ConfigError("target must not be in the conditioning set")
-    return _schur_conditional_variance(spec.covariance, target, given)
+    if len({target, *given}) != 1 + len(given):
+        raise ConfigError(f"target and given must be distinct indices, got {target}, {given}")
+    idx = [target, *given]
+    return _conditional_variances(spec.covariance[np.ix_(idx, idx)][None])[0]
 
 
 def detcov_chain_identity(spec):
@@ -130,11 +135,10 @@ def detcov_chain_identity(spec):
     Returns (det, chain_product); they agree to ~1e-8 relative for
     well-conditioned inputs.
     """
-    cov = spec.covariance
-    det = float(np.linalg.det(cov))
-    chain = float(cov[0, 0])
-    for k in range(1, len(spec)):
-        chain *= _schur_conditional_variance(cov, k, tuple(range(k)))
+    det = float(np.linalg.det(spec.covariance))
+    chain = 1.0
+    for k in range(len(spec)):
+        chain *= conditional_variance(spec, k, range(k))
     return det, chain
 
 
@@ -147,10 +151,14 @@ def _nearest_prior_bound(times, h2):
     return bound
 
 
-def _detcov_margin(det, times, h2):
-    if det <= 0.0:
+def _detcov_margins(times, hurst):
+    """verify_detcov_lower_bound's margin for each row of a (k, n) stack of
+    times, with one determinant over the stack of covariances."""
+    dets = np.linalg.det(_covariance(times, hurst))
+    if np.any(dets <= 0.0):
         raise SingularConditioning("covariance determinant is not positive")
-    return det / _nearest_prior_bound(times, h2)
+    return [det / _nearest_prior_bound(row, 2.0 * hurst)
+            for row, det in zip(times.tolist(), dets.tolist())]
 
 
 def verify_detcov_lower_bound(times, hurst):
@@ -174,11 +182,20 @@ def verify_detcov_lower_bound(times, hurst):
     H != 1/2 the margin therefore falls below 1, and the constant-free
     product bound fails.
     """
-    spec = GaussianVectorSpec(times, hurst)
-    if np.unique(spec.times).size != len(spec):
+    t = validate_reals(times, "times", low=0, high=1, above=True)
+    if np.unique(t).size != t.size:
         raise ConfigError("times must be distinct and in (0, 1]")
-    det = float(np.linalg.det(spec.covariance))
-    return _detcov_margin(det, spec.times.tolist(), 2.0 * validate_hurst(hurst))
+    return _detcov_margins(t[None], validate_hurst(hurst))[0]
+
+
+def _lnd_ratios(points, hurst, alpha_p):
+    """lnd_margin's ratio for each row (u, t_1..t_n) of a (k, n+1) stack."""
+    cvars = _conditional_variances(_covariance(points, hurst, alpha_p))
+    ratios = []
+    for (u, *times), cvar in zip(points.tolist(), cvars):
+        gap = min(abs(u - t) for t in [0.0, *times])
+        ratios.append(cvar / (gap ** (2.0 * alpha_p) + gap ** (2.0 * hurst)))
+    return ratios
 
 
 def lnd_margin(spec, u):
@@ -194,15 +211,7 @@ def lnd_margin(spec, u):
     u = validate_real(u, "u", low=0, high=1, above=True)
     if np.any(np.abs(spec.times - u) < 1e-15):
         raise ConfigError("u must differ from all conditioning times")
-    full = GaussianVectorSpec(np.concatenate([[u], spec.times]), spec.hurst, spec.alpha_p)
-    cvar = _schur_conditional_variance(full.covariance, 0, tuple(range(1, len(full))))
-    return cvar / _lnd_bracket(u, spec.times.tolist(), spec.hurst, spec.alpha_p)
-
-
-def _lnd_bracket(u, times, hurst, alpha_p):
-    """g^(2 alpha') + g^(2H) for the gap g from u to the nearest of 0 and ``times``."""
-    gap = min(abs(u - t) for t in [0.0, *times])
-    return gap ** (2.0 * alpha_p) + gap ** (2.0 * hurst)
+    return _lnd_ratios(np.concatenate([[u], spec.times])[None], spec.hurst, spec.alpha_p)[0]
 
 
 def lnd_distance_ratio(hurst, alpha_p, t, r, conditioning_times):
@@ -211,17 +220,16 @@ def lnd_distance_ratio(hurst, alpha_p, t, r, conditioning_times):
     Times closer to t than r are rejected; bounded below by a positive
     constant uniformly in r for fixed working interval.
     """
-    validate_hurst(hurst)
-    validate_hurst(alpha_p, "alpha_p")
+    hurst = validate_hurst(hurst)
+    alpha_p = validate_hurst(alpha_p, "alpha_p")
     s = validate_reals(conditioning_times, "conditioning_times", low=0, high=1, above=True,
                        min_size=0)
     r = validate_real(r, "r", low=0, above=True)
-    t = validate_real(t, "t", low=r)
+    t = validate_real(t, "t", low=r, high=1)
     if np.any(np.abs(s - t) < r):
         raise ConfigError("conditioning times must be at distance >= r from t")
     full = GaussianVectorSpec(np.concatenate([[t], s]), hurst, alpha_p)
-    cvar = _schur_conditional_variance(full.covariance, 0, tuple(range(1, len(full))))
-    return cvar / r ** (2.0 * alpha_p)
+    return conditional_variance(full, 0, range(1, len(full))) / r ** (2.0 * alpha_p)
 
 
 #: json.dumps(doc, sort_keys=True) builds an encoder per call; one serves all
@@ -280,13 +288,14 @@ def detcov_margin_sweep(n_configs, hurst_values=(0.2, 0.5, 0.8), max_points=5, s
     margin obeys kappa_H^(n-1) <= margin <= 1 (see verify_detcov_lower_bound).
 
     Every config is drawn first, in the order of the per-config loop; the
-    covariances of one H and one n are then built and their determinants
-    taken as one stack, and each record equals verify_detcov_lower_bound's
-    margin bit for bit.  Raises ConfigError unless ``n_configs`` and
-    ``max_points`` are whole numbers >= 1 and every H lies in (0, 1).
+    configs of one H and one n then go through verify_detcov_lower_bound's
+    kernel as one stack.  Raises ConfigError unless ``n_configs`` and
+    ``max_points`` are whole numbers >= 1 and ``hurst_values`` is a
+    non-empty sequence of numbers in (0, 1).
     """
     n_configs, max_points, lo, hi = _validate_sweep(n_configs, max_points, (0.01, 1.0), 1e-4)
-    hursts = [validate_hurst(h) for h in hurst_values]
+    hursts = [validate_hurst(h, "hurst_values")
+              for h in validate_reals(hurst_values, "hurst_values").tolist()]
     rng = philox_stream(seed, (5, 0))
     times = np.empty((len(hursts) * n_configs, max_points))
     sizes = np.empty(len(times), dtype=int)
@@ -298,14 +307,12 @@ def detcov_margin_sweep(n_configs, hurst_values=(0.2, 0.5, 0.8), max_points=5, s
     for base, h in zip(range(0, len(times), n_configs), hursts):
         block = slice(base, base + n_configs)
         for n, idx, stack in _stacks(times[block], sizes[block]):
-            dets = np.linalg.det(_covariance(stack, h)).tolist()
-            for i, row, det in zip(idx, stack, dets):
-                t = row.tolist()
+            for i, t, margin in zip(idx, stack.tolist(), _detcov_margins(stack, h)):
                 records[base + i] = {
                     "config": _config_hash({"H": h, "times": t}),
                     "hurst": h,
                     "n": n,
-                    "margin": _detcov_margin(det, t, 2.0 * h),
+                    "margin": margin,
                 }
     return records
 
@@ -325,9 +332,8 @@ def lnd_margin_sweep(
 
     Every config (u and n conditioning times, all 1e-5 apart in
     ``interval``) is drawn first, in the order of the per-config loop; the
-    mixed covariances of one n are then built and their conditioning blocks
-    diagonalised as one stack, and each ratio equals lnd_margin's bit for
-    bit.  Raises ConfigError unless ``n_configs`` and ``max_points`` are
+    configs of one n then go through lnd_margin's kernel as one stack.
+    Raises ConfigError unless ``n_configs`` and ``max_points`` are
     whole numbers >= 1, 0 < lo < hi <= 1 and hi - lo > max_points * 1e-5.
     """
     n_configs, max_points, lo, hi = _validate_sweep(
@@ -345,18 +351,11 @@ def lnd_margin_sweep(
         sizes[i] = n + 1
     records = [None] * n_configs
     for size, idx, stack in _stacks(points, sizes):
-        cov = _covariance(stack, hurst, alpha_p)
-        block = cov[:, 1:, 1:]
-        w, v = np.linalg.eigh(block)
-        tol = SINGULARITY_RTOL * np.trace(block, axis1=1, axis2=2)
-        cross = np.ascontiguousarray(cov[:, 1:, 0])
-        for k, i in enumerate(idx):
-            u, *times = stack[k].tolist()
-            cvar = _schur_from_eigh(cov[k, 0, 0], cross[k], w[k], v[k], tol[k])
+        for i, (u, *times), ratio in zip(idx, stack.tolist(), _lnd_ratios(stack, hurst, alpha_p)):
             records[i] = {
                 "config": _config_hash({"H": hurst, "a": alpha_p, "u": u, "times": times}),
                 "u": u,
                 "n": size - 1,
-                "ratio": cvar / _lnd_bracket(u, times, hurst, alpha_p),
+                "ratio": ratio,
             }
     return records, min(r["ratio"] for r in records)

@@ -151,3 +151,18 @@ def test_only_the_two_writers_open_files_for_writing():
              for func, call in _calls(ast.parse(path.read_text()))
              if _opens_for_writing(call) and func not in ("atomic_writer", "run_experiment")]
     assert not found, f"files opened for writing outside the two writers at {found}"
+
+
+def test_one_gaussian_route_per_factorisation():
+    # every conditional variance goes through one eigh and every detcov margin
+    # through one det, so a per-config function and a sweep cannot drift apart;
+    # detcov_chain_identity's direct determinant is its second route on purpose
+    allowed = {"eigh": {"_conditional_variances"},
+               "det": {"_detcov_margins", "detcov_chain_identity"}}
+    found = [f"{path.name}:{call.lineno} ({func})"
+             for path in sorted((ROOT / "src" / "parafbm").glob("*.py"))
+             for func, call in _calls(ast.parse(path.read_text()))
+             if isinstance(call.func, ast.Attribute) and call.func.attr in allowed
+                and ast.unparse(call.func.value).endswith("linalg")
+                and not (path.name == "gaussian.py" and func in allowed[call.func.attr])]
+    assert not found, f"np.linalg.eigh or det called outside the Gaussian kernels at {found}"

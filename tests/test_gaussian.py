@@ -86,10 +86,24 @@ class TestConditionalVariance:
         with pytest.raises(SingularConditioning):
             conditional_variance(spec, 2, (0, 1))
 
-    def test_index_validation(self):
+    @pytest.mark.parametrize("target, given", [
+        (0, (0,)), (2, (0,)), (0, (-1,)), (0, (0.5,)),
+        # a caller fault, not a singular block or a raw TypeError
+        (0, 1), (0, None), (0, (1, 1)),
+    ])
+    def test_index_validation(self, target, given):
         spec = GaussianVectorSpec(np.array([0.5, 1.0]), 0.5)
         with pytest.raises(ConfigError):
-            conditional_variance(spec, 0, (0,))
+            conditional_variance(spec, target, given)
+
+    def test_float32_indices_give_the_float64_result(self):
+        t = [0.3, 0.8]
+        h, a = np.float32(0.6), np.float32(0.4)
+        spec = GaussianVectorSpec(t, h, a)
+        assert type(spec.hurst) is float and type(spec.alpha_p) is float
+        got = lnd_margin(spec, 0.55)
+        want = lnd_margin(GaussianVectorSpec(t, float(h), float(a)), 0.55)
+        assert type(got) is float and got == want
 
 
 class TestDetcovChain:
@@ -207,9 +221,7 @@ class TestLndMargin:
         assert r > 0
         # cross-check against the fbm kernel: Cov_Z = 2 Cov_fbm
         full = np.array([0.55, 0.3, 0.8])
-        fbm_cov = fbm_covariance(full[:, None], full, 0.6)
-        from parafbm.gaussian import _schur_conditional_variance
-        cv = 2.0 * _schur_conditional_variance(fbm_cov, 0, (1, 2))
+        cv = 2.0 * conditional_variance(GaussianVectorSpec(full, 0.6), 0, (1, 2))
         gap = min(0.55, 0.25)
         assert r == pytest.approx(cv / (2 * gap**1.2), rel=1e-10)
 
@@ -239,6 +251,16 @@ class TestLndMargin:
     def test_rejects_near_times(self):
         with pytest.raises(ConfigError):
             lnd_distance_ratio(0.7, 0.35, 0.5, 0.1, np.array([0.55]))
+
+    def test_distance_ratio_names_t_beyond_one(self):
+        with pytest.raises(ConfigError, match="t must be >= 0.1 and <= 1"):
+            lnd_distance_ratio(0.7, 0.35, 1.5, 0.1, [0.5])
+
+    def test_distance_ratio_with_no_conditioning_times(self):
+        # the empty conditioning block: Var(Z0(t)) = t^2H + t^2a' over r^2a'
+        got = lnd_distance_ratio(0.7, 0.35, 0.5, 0.1, [])
+        assert got == 4.984313795930983
+        assert got == pytest.approx((0.5**1.4 + 0.5**0.7) / 0.1**0.7, rel=1e-15)
 
 
 class TestBatchedSweeps:
@@ -334,8 +356,10 @@ class TestSweepArguments:
     def test_whole_float_max_points_is_that_count(self):
         assert detcov_margin_sweep(7, max_points=3.0) == detcov_margin_sweep(7, max_points=3)
 
-    def test_detcov_hurst_values_validated(self):
-        _raises_promptly(lambda: detcov_margin_sweep(3, hurst_values=(0.5, 1.2)))
+    @pytest.mark.parametrize("hurst_values", [(0.5, 1.2), 0.5, "0.5", (), None, (0.5, True)])
+    def test_detcov_hurst_values_validated(self, hurst_values):
+        with pytest.raises(ConfigError, match="hurst_values"):
+            detcov_margin_sweep(3, hurst_values=hurst_values)
 
     def test_max_points_too_large_for_the_detcov_range(self):
         _raises_promptly(lambda: detcov_margin_sweep(3, max_points=10**4))
