@@ -11,9 +11,9 @@ transforms of all 2n.  In exact arithmetic its eigenvalues are nonnegative
 for every H in (0, 1) (Craigmile, J. Time Ser. Anal. 24 (2003)); one below
 the rounding clamp raises CovarianceNotPSD, with no fallback to Cholesky.
 Each grid's square roots of the eigenvalues 0..n, the only ones a draw
-reads, are memoised (n+1 values).  A sampler keeps two arrays of path size,
-which every coordinate's draw reuses: its 2n normals, into which the inverse
-FFT is written, and the half spectrum.
+reads, are memoised (n+1 values).  A path call keeps one workspace, shared by
+the draw of every component and coordinate: the 2n normals, into which the
+inverse FFT is written, and the half spectrum.
 Increments are simulated and summed, which conditions much better than
 factoring the path covariance directly.
 
@@ -248,9 +248,10 @@ def _uniform_times(n, t0, t1):
 class SamplePath:
     """A d-coordinate sample path on a time grid.
 
-    ``values`` has shape (d, n); ``hurst_components`` holds one Hurst index
-    for plain fBm, two (H, alpha') for the mixed process; ``seed`` is the
-    integer seed (or pair) the path is a deterministic function of.
+    ``values`` holds finite real numbers of shape (d, n), 0 at a time 0;
+    anything else raises ConfigError.  ``hurst_components`` holds one Hurst
+    index for plain fBm, two (H, alpha') for the mixed process; ``seed`` is
+    the integer seed (or pair) the path is a deterministic function of.
     """
 
     grid: TimeGrid
@@ -259,12 +260,12 @@ class SamplePath:
     seed: tuple
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 2 or v.shape[1] != len(self.grid):
+        v = validate_reals(self.values, "values", ndim=(2,))
+        if v.shape[1] != len(self.grid):
             raise ConfigError(
                 f"values shape {v.shape} does not match grid length {len(self.grid)}"
             )
-        # any() is true for NaN as well as for a nonzero value; -0.0 passes
+        # any() is false for -0.0, so a negative zero passes
         if self.grid.times[0] == 0.0 and v[:, 0].any():
             raise ConfigError("path value at t=0 must be 0 in every coordinate")
         object.__setattr__(self, "values", v)
@@ -378,73 +379,41 @@ def _fgn_circulant_root(n, hurst, gap):
     return root
 
 
-def _circulant_sampler(root):
-    """rng -> one exact fGn sample of length n, from the spectral root (n+1).
+def _circulant_increments(root, rng, z, half):
+    """One exact fGn sample of length n from the spectral root (n+1), drawn in a workspace.
 
-    The 2n normals fill the non-redundant half of a Hermitian spectrum:
-    z[0] at frequency 0, z[1] at frequency n, and (z[k+1] + i z[n+k]) / sqrt 2
-    at frequency k for 0 < k < n.  Scaled by the root of the eigenvalues,
-    its orthonormal Hermitian transform hfft is real and stationary with the
-    fGn covariance; it is computed as the real inverse FFT (irfft) of the
+    The workspace is ``z``, 2n floats, and ``half``, n+1 complex values.  The
+    2n normals fill the non-redundant half of a Hermitian spectrum: z[0] at
+    frequency 0, z[1] at frequency n, and (z[k+1] + i z[n+k]) / sqrt 2 at
+    frequency k for 0 < k < n.  Scaled by the root of the eigenvalues, its
+    orthonormal Hermitian transform hfft is real and stationary with the fGn
+    covariance; it is computed as the real inverse FFT (irfft) of the
     conjugate half spectrum, written over the spent normals, whose first n
-    entries are the sample.  Every draw reuses the sampler's two arrays of
-    path size, z and the half spectrum, so a sample is valid only until the
-    next draw.
+    entries are the sample.  The sample is a view of ``z``, so it is valid
+    only until the next draw into the same workspace.
     """
     n = root.size - 1
-    m2 = 2 * n
-    z = np.empty(m2)
-    half = np.empty(n + 1, dtype=complex)
     re, im = half.real, half.imag
-
-    def draw(rng):
-        rng.standard_normal(out=z)
-        # filled in place, scaled by the reciprocal: numpy divides a complex by
-        # a real as a product with 1/c, so this is the complex expression bit
-        # for bit
-        re[0], re[n], im[0], im[n] = z[0], z[1], 0.0, 0.0
-        np.multiply(z[2:n + 1], _INV_SQRT2, out=re[1:n])
-        np.multiply(z[n + 1:m2], -_INV_SQRT2, out=im[1:n])
-        np.multiply(re, root, out=re)
-        np.multiply(im, root, out=im)
-        return np.fft.irfft(half, m2, norm="ortho", out=z)[:n]
-
-    return draw
+    rng.standard_normal(out=z)
+    # filled in place, scaled by the reciprocal: numpy divides a complex by a
+    # real as a product with 1/c, so this is the complex expression bit for bit
+    re[0], re[n], im[0], im[n] = z[0], z[1], 0.0, 0.0
+    np.multiply(z[2:n + 1], _INV_SQRT2, out=re[1:n])
+    np.multiply(z[n + 1:], -_INV_SQRT2, out=im[1:n])
+    np.multiply(re, root, out=re)
+    np.multiply(im, root, out=im)
+    return np.fft.irfft(half, 2 * n, norm="ortho", out=z)[:n]
 
 
-def _cholesky_sampler(tpos, hurst):
-    """rng -> exact increments over the gaps of (0, tpos), from one dense factor."""
-    cov = _increment_covariance(tpos, hurst)
+def _cholesky_factor(tpos, hurst):
+    """Lower Cholesky factor of the increment covariance over the gaps of (0, tpos)."""
     try:
-        chol = np.linalg.cholesky(cov)
+        return np.linalg.cholesky(_increment_covariance(tpos, hurst))
     except np.linalg.LinAlgError as exc:
         raise CovarianceNotPSD(
             f"increment covariance failed Cholesky factorization "
             f"(n={tpos.size}, H={hurst})"
         ) from exc
-    return lambda rng: chol @ rng.standard_normal(tpos.size)
-
-
-def _increment_sampler(hurst, grid):
-    """rng -> exact increments for one Hurst index on ``grid``.
-
-    A uniform grid with two or more increments uses circulant embedding;
-    any other grid uses the dense Cholesky factor, up to MAX_CHOLESKY_N
-    points.  The spectral root or the factor is computed once here and
-    shared by every coordinate the sampler draws; a circulant sample is
-    valid only until the sampler's next draw.
-    """
-    tpos = grid.positive_times
-    n = tpos.size
-    if grid.uniform and n > 1:
-        # uniform grids have constant gap equal to the first positive time
-        return _circulant_sampler(_fgn_circulant_root(n, hurst, tpos[0]))
-    if n > MAX_CHOLESKY_N:
-        raise ConfigError(
-            f"dense Cholesky sampler is capped at n={MAX_CHOLESKY_N}; "
-            "use a uniform grid for larger n"
-        )
-    return _cholesky_sampler(tpos, hurst)
 
 
 def _sample_path(grid, d, hursts, seeds, tags):
@@ -452,24 +421,39 @@ def _sample_path(grid, d, hursts, seeds, tags):
 
     Component k has Hurst index ``hursts[k]`` and validated seed
     ``seeds[k]``; its coordinate j is the cumulative sum of its increments
-    from the stream (seeds[k], (tags[k], j)).  The first component is summed
-    into the row in place and the others are added to it, so a sum of
-    components is bit for bit the sum of their separate paths.  A time 0 in
-    the grid keeps the value 0.
+    from the stream (seeds[k], (tags[k], j)), drawn from the component's
+    memoised spectral root into the call's one workspace on a uniform grid
+    with two or more increments, else from its dense Cholesky factor.  The
+    first component is summed into the row in place and the others are
+    added to it, so a sum of components is bit for bit the sum of their
+    separate paths.  A time 0 in the grid keeps the value 0.
     """
     if not isinstance(grid, TimeGrid):
         grid = TimeGrid(grid)
     d = validate_count(d, "d")
-    samplers = [_increment_sampler(h, grid) for h in hursts]
-    (first, seed0, tag0), *others = zip(samplers, seeds, tags)
+    tpos = grid.positive_times
+    n = tpos.size
+    circulant = grid.uniform and n > 1
+    if circulant:
+        # uniform grids have constant gap equal to the first positive time
+        factors = [_fgn_circulant_root(n, h, tpos[0]) for h in hursts]
+        z, half = np.empty(2 * n), np.empty(n + 1, dtype=complex)
+    elif n > MAX_CHOLESKY_N:
+        raise ConfigError(f"dense Cholesky sampler is capped at n={MAX_CHOLESKY_N}; "
+                          "use a uniform grid for larger n")
+    else:
+        factors = [_cholesky_factor(tpos, h) for h in hursts]
     values = np.zeros((d, len(grid)))
-    rows = values[:, len(grid) - len(grid.positive_times):]
-    # each coordinate's increments are summed before its sampler draws again
-    for j, row in enumerate(rows):
-        first(philox_stream(seed0, (tag0, j))).cumsum(out=row)
-        for sample, seed, tag in others:
-            inc = sample(philox_stream(seed, (tag, j)))
-            row += inc.cumsum(out=inc)
+    # each coordinate's increments are summed before the workspace is drawn into again
+    for j, row in enumerate(values[:, len(grid) - n:]):
+        for k, (factor, seed, tag) in enumerate(zip(factors, seeds, tags)):
+            rng = philox_stream(seed, (tag, j))
+            inc = (_circulant_increments(factor, rng, z, half) if circulant
+                   else factor @ rng.standard_normal(n))
+            if k == 0:
+                inc.cumsum(out=row)
+            else:
+                row += inc.cumsum(out=inc)
     return SamplePath(grid=grid, values=values, hurst_components=hursts, seed=seeds)
 
 

@@ -110,14 +110,15 @@ def drifted_image(path, drift_values, a_samples):
     st = a_samples.times
     if st.min() < t[0] - 1e-12 or st.max() > t[-1] + 1e-12:
         raise GridMismatch("sample times fall outside the path grid range")
-    y = path.values + f
     # np.interp gives each point's value from that point alone, but it finds
     # each interval from the last one, so sorted query times are much faster
     order = np.argsort(st)
     st_sorted = st[order]
     out = np.empty((st.size, path.d))
+    y = np.empty(t.size)   # one coordinate of path + drift at a time
     for j in range(path.d):
-        out[order, j] = np.interp(st_sorted, t, y[j])
+        np.add(path.values[j], f[j], out=y)
+        out[order, j] = np.interp(st_sorted, t, y)
     return a_samples.weights.copy(), out
 
 

@@ -166,3 +166,16 @@ def test_one_gaussian_route_per_factorisation():
                 and ast.unparse(call.func.value).endswith("linalg")
                 and not (path.name == "gaussian.py" and func in allowed[call.func.attr])]
     assert not found, f"np.linalg.eigh or det called outside the Gaussian kernels at {found}"
+
+
+def test_one_spectral_route():
+    # every circulant sample goes through one irfft and every embedding
+    # spectrum through one hfft, both in fbm, so no second FFT route can drift
+    allowed = {"irfft": "_circulant_increments", "hfft": "_fgn_circulant_eigenvalues"}
+    calls = [(path.name, func, call.func.attr)
+             for path in sorted((ROOT / "src" / "parafbm").glob("*.py"))
+             for func, call in _calls(ast.parse(path.read_text()))
+             if isinstance(call.func, ast.Attribute) and call.func.attr in allowed
+                and ast.unparse(call.func.value).endswith("fft")]
+    assert sorted(calls) == sorted(("fbm.py", func, name) for name, func in allowed.items()), (
+        f"np.fft.irfft or hfft called outside its one fbm kernel: {calls}")

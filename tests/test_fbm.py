@@ -1,6 +1,7 @@
 import io
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -339,6 +340,15 @@ class TestGeneration:
             SamplePath(grid=TimeGrid.regular(4), values=np.zeros((1, 3)),
                        hurst_components=(0.5,), seed=(0,))
 
+    @pytest.mark.parametrize("values", [[[0.0, np.nan]], [[0.0, np.inf]], [["0", "0.5"]],
+                                        [[0.0, True]], np.zeros((1, 2), dtype=bool)],
+                             ids=["nan", "inf", "string", "bool-in-list", "bool-array"])
+    def test_values_not_finite_reals_rejected(self, values):
+        from parafbm.fbm import SamplePath
+        with pytest.raises(ConfigError, match="values must"):
+            SamplePath(grid=TimeGrid.regular(2), values=values,
+                       hurst_components=(0.5,), seed=(0,))
+
     def test_cholesky_failure_raises_not_psd(self, monkeypatch):
         # no grid tried makes the factorization fail, so the covariance is made indefinite
         monkeypatch.setattr(fbm, "_increment_covariance", lambda tpos, hurst: -np.eye(tpos.size))
@@ -460,9 +470,11 @@ class TestHalfSpectrumSampler:
         seed=st.integers(0, 2**63),
     )
     def test_spectrum_assembly_bit_equal_to_complex_expression(self, n, hurst, seed):
-        draw = fbm._circulant_sampler(fbm._fgn_circulant_root(n, hurst, 1.0 / n))
-        draw(fbm.philox_stream(seed, (0, 1)))   # the draw below reuses its buffers
-        got = draw(fbm.philox_stream(seed, (0, 0)))
+        root = fbm._fgn_circulant_root(n, hurst, 1.0 / n)
+        z, half = np.empty(2 * n), np.empty(n + 1, dtype=complex)
+        # another stream draws into the workspace first, as in a path of d >= 2
+        fbm._circulant_increments(root, fbm.philox_stream(seed, (0, 1)), z, half)
+        got = fbm._circulant_increments(root, fbm.philox_stream(seed, (0, 0)), z, half)
         lam = fbm._fgn_circulant_eigenvalues(n, hurst, 1.0 / n)
         z = fbm.philox_stream(seed, (0, 0)).standard_normal(2 * n)
         want = complex_half_spectrum_fgn(lam, z)
@@ -471,12 +483,33 @@ class TestHalfSpectrumSampler:
     def test_spectrum_assembly_bit_equal_at_2_16(self):
         n = 2**16 - 1
         for hurst in (0.05, 0.5, 0.95):
-            draw = fbm._circulant_sampler(fbm._fgn_circulant_root(n, hurst, 1.0 / n))
-            got = draw(fbm.philox_stream(3, (0, 0)))
+            root = fbm._fgn_circulant_root(n, hurst, 1.0 / n)
+            got = fbm._circulant_increments(root, fbm.philox_stream(3, (0, 0)),
+                                            np.empty(2 * n), np.empty(n + 1, dtype=complex))
             lam = fbm._fgn_circulant_eigenvalues(n, hurst, 1.0 / n)
             z = fbm.philox_stream(3, (0, 0)).standard_normal(2 * n)
             want = complex_half_spectrum_fgn(lam, z)
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_one_workspace_per_path(self):
+        # a 2^16-point mixed path keeps its values (0.5 MiB) and one workspace
+        # of 2n normals and n+1 complex coefficients (1 MiB each); a workspace
+        # per component would peak at 4.5 MiB.  The first call memoises the
+        # spectral roots, which the traced call then only reads.
+        g = TimeGrid.regular(2**16)
+        generate_mixed_path(0.8, 0.6, g, d=1, seed_pair=(0, 1))
+        # under -X tracemalloc tracing is already on: reset its peak and leave it on
+        started = not tracemalloc.is_tracing()
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            generate_mixed_path(0.8, 0.6, g, d=1, seed_pair=(0, 1))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert peak <= 2.6 * 2**20
 
     def test_eigenvalues_match_full_complex_fft(self):
         for n, hurst in ((1, 0.3), (2, 0.7), (47, 0.05), (2**12, 0.95)):
