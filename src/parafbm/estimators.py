@@ -336,17 +336,17 @@ def box_count_curve(cloud, deltas, hurst, anchor_shift=0.0):
 def box_count_curves(cloud, deltas, hurst, dims, anchor_shift=0.0):
     """Box-count curves of the graphs of the cloud's first k value coordinates.
 
-    Returns {k: BoxCountCurve} for each k in ``dims`` (whole numbers in
-    1..cloud.d), each as ``box_count_curve`` gives it for the cloud of the
-    first k coordinates: that cloud has the same times and, axis by axis,
-    the same values and minima.  One counter of ``cloud`` serves every
-    scale, and each scale is one ``parabolic_box_count`` call of ``cloud``,
-    looked up as a module global, whose sort also counts the prefixes (see
-    the module docstring).
+    Returns {k: BoxCountCurve} for each k in ``dims`` (one or more whole
+    numbers in 1..cloud.d; ConfigError otherwise), each as
+    ``box_count_curve`` gives it for the cloud of the first k coordinates:
+    that cloud has the same times and, axis by axis, the same values and
+    minima.  One counter of ``cloud`` serves every scale, and each scale is
+    one ``parabolic_box_count`` call of ``cloud``, looked up as a module
+    global, whose sort also counts the prefixes (see the module docstring).
     """
     dims = [validate_count(k, "k") for k in dims]
-    if max(dims) > cloud.d:
-        raise ConfigError(f"coordinate counts {dims} exceed the cloud's d = {cloud.d}")
+    if not dims or max(dims) > cloud.d:
+        raise ConfigError(f"coordinate counts {dims} must be one or more of 1..{cloud.d}")
     deltas = np.sort(validate_reals(deltas, "deltas", low=0, high=1, above=True))[::-1]
     counter = _BoxCounter(cloud, [k for k in dims if k < cloud.d])
     counts = {cloud.d: [
@@ -489,15 +489,16 @@ def energy_integral_mc(measure_points, values, gamma, hurst, pair_seed=0):
     whole, non-negative number in either regime (ConfigError otherwise).
     Two points of equal time and value lie at distance 0, where the kernel
     diverges; in either regime they raise NumericalError, naming the pair,
-    before anything is summed.  Times, weights or values that are not finite
-    raise ConfigError, whatever object holds the points, and a sum that is not
-    finite (pairs so close that a term overflows) raises NumericalError.
+    before anything is summed.  Times, weights or values that are not finite,
+    and negative weights, raise ConfigError, whatever object holds the
+    points, and a sum that is not finite (pairs so close that a term
+    overflows) raises NumericalError.
     """
     hurst = validate_hurst(hurst)
     pair_seed = validate_seed(pair_seed, "pair_seed")
     gamma = validate_real(gamma, "gamma", low=0, above=True)
     times = validate_reals(measure_points.times, "times", min_size=2)
-    weights = validate_reals(measure_points.weights, "weights")
+    weights = validate_reals(measure_points.weights, "weights", low=0)
     v = validate_reals(values, "values", ndim=(1, 2), min_size=0)
     v = v[:, None] if v.ndim == 1 else v
     n = times.size

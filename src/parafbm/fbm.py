@@ -20,7 +20,8 @@ factoring the path covariance directly.
 ``fbm_covariance`` is the one statement of the path covariance kernel; it
 broadcasts, so matrices, stacks and the mixed kernel are spelled with it.
 The increment covariance the Cholesky sampler factors is the kernel's one
-restatement, expanded over the gaps of the grid.
+restatement, expanded over the gaps of the grid, and ``_fgn_autocovariance``
+is that restatement's lag form on a uniform grid, the circulant's first row.
 
 Randomness is counter-based (Philox) with one stream per
 (seed, process tag, coordinate), so d-dimensional paths are reproducible
@@ -312,26 +313,10 @@ _circulant_cache_lock = threading.Lock()
 
 
 def _fgn_autocovariance(n, hurst, gap):
-    """fGn autocovariance at lags 0..n for the gap ``gap``, built in place.
-
-    ½((k+1)^2H - 2 k^2H + |k-1|^2H) gap^2H, by the same operations in the
-    same order as the one-expression form, in three (n+1) arrays rather
-    than the expression's temporaries.
-    """
-    h2 = 2.0 * hurst
+    """fGn autocovariance at lags 0..n for the gap ``gap``."""
     k = np.arange(n + 1, dtype=float)
-    acov = k + 1
-    acov **= h2
-    lag = k - 1
-    np.abs(lag, out=lag)
-    lag **= h2
-    k **= h2
-    k *= 2.0
-    acov -= k
-    acov += lag
-    acov *= 0.5
-    acov *= gap**h2
-    return acov
+    h2 = 2.0 * hurst
+    return 0.5 * ((k + 1) ** h2 - 2.0 * k**h2 + np.abs(k - 1) ** h2) * gap**h2
 
 
 def _fgn_circulant_eigenvalues(n, hurst, gap):

@@ -232,12 +232,8 @@ def lnd_distance_ratio(hurst, alpha_p, t, r, conditioning_times):
     return conditional_variance(full, 0, range(1, len(full))) / r ** (2.0 * alpha_p)
 
 
-#: json.dumps(doc, sort_keys=True) builds an encoder per call; one serves all
-_HASH_ENCODER = json.JSONEncoder(sort_keys=True)
-
-
 def _config_hash(doc):
-    return hashlib.sha256(_HASH_ENCODER.encode(doc).encode()).hexdigest()[:16]
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()[:16]
 
 
 def _validate_sweep(n_configs, max_points, interval, min_gap, extra=0):

@@ -11,6 +11,7 @@ memory follows the occupied cells, not their bounding box.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -130,12 +131,13 @@ def occupation_histogram(weights, values, epsilon, origin=None):
     grouped by one packed integer key per point (``pack_index_rows``), which
     sorts as the index rows do, or past a packed span of 2^62 by the index
     rows themselves.  Raises ConfigError for NaN or infinite inputs, for
-    d = 0, for an ``origin`` not of size d and for an empty sample without
-    an ``origin`` (with one, it gives an empty histogram), and
-    BoxIndexOverflow for a cell index of 2^62 or more in magnitude.
+    negative weights, for d = 0, for an ``origin`` not of size d and for an
+    empty sample without an ``origin`` (with one, it gives an empty
+    histogram), and BoxIndexOverflow for a cell index of 2^62 or more in
+    magnitude.
     """
     epsilon = validate_real(epsilon, "epsilon", low=0, above=True)
-    w = validate_reals(weights, "weights", min_size=0)
+    w = validate_reals(weights, "weights", low=0, min_size=0)
     v = validate_reals(values, "values", ndim=(1, 2), min_size=0)
     v = v[:, None] if v.ndim == 1 else v
     if v.shape[0] != w.size or v.shape[1] == 0:
@@ -194,12 +196,12 @@ def l2_density_diagnostic(images, weights, radii):
     subtracted; a radius with no other pair inside it gives exactly 0.
     Raises ConfigError for radii that ``validate_radii`` refuses, for an
     iterator in place of a sequence of images, for images of different d or
-    rows, and for NaN or infinite weights or values.
+    rows, for NaN or infinite weights or values, and for negative weights.
     """
     from scipy.spatial import cKDTree
 
     radii = validate_radii(radii)
-    w = validate_reals(weights, "weights", min_size=0)
+    w = validate_reals(weights, "weights", low=0, min_size=0)
     if not hasattr(images, "__len__"):
         raise ConfigError("images must be a sequence of arrays, not an iterator")
     ys = [validate_reals(img, "images", ndim=(1, 2), min_size=0) for img in images]
@@ -245,16 +247,23 @@ def interior_probe(hist, radius_cells):
     cells on every side, where a shift of k cells along an axis adds k times
     that axis's stride.  Axis by axis, a cell is kept only if the cells at
     +-1..+-r along that axis are in the set, looked up by ``np.searchsorted``
-    in the sorted keys.  Memory is O(occupied cells).  Raises ConfigError
-    unless the radius is a whole number >= 1, and BoxIndexOverflow when the
-    padded box holds more than 2^62 keys.
+    in the sorted keys; the walk stops once no cell is left, and none starts
+    when the cube's side 2 r + 1 passes the occupied extent along some axis.
+    Memory is O(occupied cells).  Raises ConfigError unless the radius is a
+    whole number >= 1, and BoxIndexOverflow when the padded box holds more
+    than 2^62 keys.
     """
     r = validate_count(radius_cells, "radius_cells")
     idx = hist.index
+    none = np.empty((0, hist.d), dtype=np.int64)
     if not len(idx):
-        return np.empty((0, hist.d), dtype=np.int64)
+        return none
     lo = idx.min(axis=0)
-    dims = [int(b) - int(a) + 1 + 2 * r for a, b in zip(lo, idx.max(axis=0))]
+    extent = [int(b) - int(a) + 1 for a, b in zip(lo, idx.max(axis=0))]
+    # a kept cell's whole cube is occupied, so its side fits every extent
+    if 2 * r + 1 > min(extent):
+        return none
+    dims = [e + 2 * r for e in extent]
     if math.prod(dims) > _KEY_SPAN_MAX:
         raise BoxIndexOverflow(
             f"the occupied cells padded by {r} span a box of {math.prod(dims)} "
@@ -266,7 +275,9 @@ def interior_probe(hist, radius_cells):
     for j in range(len(dims)):
         stride = math.prod(dims[j + 1:])
         members = keys
-        for k in (*range(-r, 0), *range(1, r + 1)):
+        for k in itertools.chain(range(-r, 0), range(1, r + 1)):
+            if not len(keys):
+                break
             probe = keys + k * stride
             keys = keys[members.take(np.searchsorted(members, probe), mode="clip") == probe]
     return np.column_stack(np.unravel_index(keys, dims)) - r + lo

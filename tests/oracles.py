@@ -5,8 +5,8 @@ vectorized routines) so that agreement is a genuine dual-route check.
 The fBm chain constant kappa_H has two routes here as well: its Gamma closed
 form and a quadrature of the Mandelbrot-Van Ness kernel.  The circulant fBm
 sampler has two: a pure-Python DFT and the complex-FFT route it replaced;
-its in-place autocovariance is checked against the one numpy expression it
-replaced.
+its autocovariance is checked bit for bit against the one numpy expression
+written out here, so that no rewrite of it moves a path.
 The batched Gaussian sweeps are checked against the per-config loop they
 replaced, which draws each config and calls the public one-config route.
 The increment covariance of the Cholesky sampler is checked against a
@@ -96,8 +96,8 @@ def naive_fgn_path(hurst, n, seed, tag=0, coord=0):
 
 
 def one_expression_fgn_autocovariance(n, hurst, gap):
-    """fGn autocovariance at lags 0..n as one numpy expression, the form the
-    sampler built before it built the array in place.
+    """fGn autocovariance at lags 0..n as one numpy expression, the form that
+    fixes the bits of every circulant path.
     """
     k = np.arange(n + 1, dtype=float)
     h2 = 2.0 * hurst

@@ -284,6 +284,13 @@ class TestEnergyAndOccupancy:
         assert out.out == "" and out.err == "error: radius_cells must be >= 1, got 0\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cloud.csv"]
 
+    def test_occupancy_radius_past_the_extent_has_no_interior(self, tmp_path, capsys):
+        # the probe built 2^41 offsets and ended in a MemoryError traceback
+        path = _cloud_csv(tmp_path, ["0.0,0.1", "0.5,0.2", "1.0,0.3"])
+        assert run(["occupancy", "--input", str(path), "--epsilon", "0.25",
+                    "--radius", str(2**40)]) == 0
+        assert json.loads(capsys.readouterr().out)["interior_cells"] == []
+
     def test_occupancy(self, tmp_path, capsys):
         path = tmp_path / "p.csv"
         run(["generate", "--hurst", "0.5", "--n", "2048", "--seed", "5",

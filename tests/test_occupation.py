@@ -2,6 +2,7 @@ import io
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -452,8 +453,9 @@ def occupied_images(draw):
 
     The cells are scattered at random, all in one cell, or the whole box
     with a few holes, so that every radius up to 3 (2 in d = 3) meets both
-    outcomes; or they are the holed box plus scattered cells 2^20 away along
-    every axis, a vanishing part of their bounding box.
+    outcomes, and larger radii pass the box's extent; or they are the holed
+    box plus scattered cells 2^20 away along every axis, a vanishing part of
+    their bounding box.
     """
     d = draw(st.integers(1, 3))
     side = {1: 9, 2: 7, 3: 5}[d]
@@ -481,7 +483,7 @@ class TestInteriorProperties:
     """Sparse erosion of the occupied cells against a dict-and-scan oracle."""
 
     @settings(max_examples=300, deadline=None)
-    @given(image=occupied_images(), radius=st.integers(0, 3))
+    @given(image=occupied_images(), radius=st.integers(0, 5))
     def test_interior_matches_oracle(self, image, radius):
         w, v = image
         origin = np.zeros(v.shape[1])
@@ -563,6 +565,23 @@ class TestInteriorProbe:
             interior_probe(self.hist((0,), (2**62 - 2,)), 1)
         with pytest.raises(BoxIndexOverflow):
             interior_probe(self.hist((0, 0), (2**31, 2**31)), 1)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_radius_past_the_extent_keeps_nothing_at_once(self, d):
+        # at 2^40 the offsets were built as a tuple (MemoryError) in d = 1 and
+        # the padded box raised BoxIndexOverflow in d = 2; 10^6 took seconds
+        h = occupation_histogram([0.5, 0.5], np.array([[0.0] * d, [1.0] * d]), 0.5)
+        for radius in (2**40, 10**6):
+            start = time.perf_counter()
+            assert interior_probe(h, radius).shape == (0, d)
+            assert time.perf_counter() - start < 1.0
+
+    def test_walk_stops_once_no_cell_is_left(self):
+        # the two cells span the cube's side exactly, and both go at the first
+        # offset: the other 2 * 10^6 - 1 are not walked
+        start = time.perf_counter()
+        assert interior_probe(self.hist((0,), (2 * 10**6,)), 10**6).shape == (0, 1)
+        assert time.perf_counter() - start < 1.0
 
 
 def test_import_loads_no_scipy():

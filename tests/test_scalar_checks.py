@@ -218,7 +218,8 @@ ARRAYS = {
     "energy times": (lambda v: energy_integral_mc(types.SimpleNamespace(
         times=v, weights=np.array([0.5, 0.5])), np.zeros((2, 1)), 0.5, 0.5), [0.25, 0.75], []),
     "energy weights": (lambda v: energy_integral_mc(types.SimpleNamespace(
-        times=np.array([0.25, 0.75]), weights=v), np.zeros((2, 1)), 0.5, 0.5), [0.5, 0.5], []),
+        times=np.array([0.25, 0.75]), weights=v), np.zeros((2, 1)), 0.5, 0.5), [0.5, 0.5],
+        [[-0.5, 1.5]]),
     "FractalSet intervals": (lambda v: FractalSet(v, 1, 0.5, "generalized-cantor"),
                              [[0, 0.25], [0.75, 1]], [[[-0.25, 0.5]], [[0.5, 1.5]], [[0.5, 0.25]]]),
     "FractalSet.contains times": (middle_thirds_cantor(2).contains, [0.25, 0.5, 1.5],
@@ -239,12 +240,12 @@ ARRAYS = {
         0.5, [0.0], np.array([[0], [1]]), v), [0.25, 0.75], [[-0.5, 1.5]]),
     "drifted_image drift": (lambda v: drifted_image(_PATH, v, _PAIR), [[0, 0.5, 0.25, 1]], []),
     "occupation_histogram weights": (lambda v: occupation_histogram(v, _V, 0.5), [0.25, 0.75],
-                                     []),
+                                     [[-0.5, 1.5]]),
     "occupation_histogram values": (lambda v: occupation_histogram(_W, v, 0.5), [[0], [1]],
                                     [[], [[], []]]),
     "occupation_histogram origin": (lambda v: occupation_histogram(_W, _V, 0.5, v), [0], []),
     "l2_density_diagnostic weights": (lambda v: l2_density_diagnostic([_V], v, [0.5, 0.25]),
-                                      [0.25, 0.75], []),
+                                      [0.25, 0.75], [[-0.5, 1.5]]),
     "l2_density_diagnostic images": (lambda v: l2_density_diagnostic([v], _W, [0.5, 0.25]),
                                      [[0], [1]], [[], [[], []]]),
     "path_from_json values": (lambda v: path_from_json({**_DOC, "values": v}),
