@@ -96,6 +96,8 @@ def _read_cloud_csv(path):
 
 
 def _cmd_generate(args):
+    if args.seed2 is not None and args.alpha_p is None:
+        raise ConfigError("--seed2 applies only with --alpha-p")
     grid = TimeGrid.regular(args.n)
     if args.alpha_p is not None:
         path = generate_mixed_path(
@@ -214,7 +216,7 @@ def build_parser():
     p.add_argument("--d", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--seed2", type=int, default=None,
-                   help="second seed for the mixed process")
+                   help="second seed for the mixed process (needs --alpha-p)")
     p.add_argument("--out", default="path.csv")
     p.add_argument("--meta", default=None, help="write the JSON envelope here")
     p.set_defaults(func=_cmd_generate)

@@ -101,7 +101,9 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 
-_SET_KEYS = {"kind", "generation", "m", "r", "dim"}
+#: per set kind, the keys its spec may give besides ``kind``
+_SET_KEYS = {"full": (), "full-interval": (), "middle-thirds": ("generation",),
+             "generalized-cantor": ("generation", "m", "r", "dim")}
 
 #: the values each word-valued cell key may take, its default first
 _CELL_CHOICES = {"check": ("bounded", "slope"), "path": ("fbm", "constant"),
@@ -228,6 +230,9 @@ def _parse_cell(kind, cell):
     if cell.get("alpha_p") is not None and "drift" in cell:
         raise ConfigError(f"{kind} cell {cell} has both alpha_p and drift: "
                           "the mixed path is drawn without a drift")
+    if cell.get("path") == "constant" and "drift" in cell:
+        raise ConfigError(f"{kind} cell {cell} has both path constant and drift: "
+                          "the constant path is 0, with no drift")
     if spec.cell_rule:
         spec.cell_rule(parsed)
     return parsed
@@ -335,20 +340,23 @@ def build_set(spec):
     its numbers by the constructor it names."""
     if not isinstance(spec, dict):
         raise ConfigError(f"set must be a JSON object, got {spec!r}")
-    unknown = set(spec) - _SET_KEYS
-    if unknown:
-        raise ConfigError(f"unknown set keys: {sorted(unknown)}")
     kind = spec.get("kind", "full")
+    if not isinstance(kind, str) or kind not in _SET_KEYS:
+        raise ConfigError(f"unknown set kind {kind!r}")
+    unknown = set(spec) - {"kind", *_SET_KEYS[kind]}
+    if unknown:
+        raise ConfigError(f"unknown set keys {sorted(unknown)} for set kind {kind!r} "
+                          f"(allowed: {['kind', *_SET_KEYS[kind]]})")
+    if "r" in spec and "dim" in spec:
+        raise ConfigError(f"set kind {kind!r} takes r or dim, not both")
     k, m = spec.get("generation", 8), spec.get("m", 2)
     if kind in ("full", "full-interval"):
         return full_interval()
     if kind == "middle-thirds":
         return middle_thirds_cantor(k)
-    if kind == "generalized-cantor":
-        if "dim" in spec:
-            return cantor_with_dimension(spec["dim"], k, m)
-        return generalized_cantor(m, spec.get("r"), k)
-    raise ConfigError(f"unknown set kind {kind!r}")
+    if "dim" in spec:
+        return cantor_with_dimension(spec["dim"], k, m)
+    return generalized_cantor(m, spec.get("r"), k)
 
 
 def lipschitz_drift(grid, d):

@@ -90,10 +90,9 @@ def _conditional_variances(cov):
 
     The conditioning blocks are diagonalised by one eigh over the stack;
     raises SingularConditioning when a block's smallest eigenvalue is at most
-    SINGULARITY_RTOL times its trace.  With m = 0 this is Var(X_0).
+    SINGULARITY_RTOL times its trace.  With m = 0 the blocks are empty and
+    this is Var(X_0).
     """
-    if cov.shape[1] == 1:
-        return cov[:, 0, 0].tolist()
     block = cov[:, 1:, 1:]
     w, v = np.linalg.eigh(block)
     tol = SINGULARITY_RTOL * np.trace(block, axis1=1, axis2=2)
@@ -101,7 +100,7 @@ def _conditional_variances(cov):
     cross = np.ascontiguousarray(cov[:, 1:, 0])
     out = []
     for var, c, wk, vk, tk in zip(cov[:, 0, 0], cross, w, v, tol):
-        if wk.min() <= tk:
+        if np.any(wk <= tk):
             raise SingularConditioning(f"conditioning block is singular beyond tolerance "
                                        f"(min eig {wk.min():.3e}, tol {tk:.3e})")
         out.append(max(float(var - c @ (vk @ ((vk.T @ c) / wk))), 0.0))
@@ -268,12 +267,17 @@ def _sorted_draw(rng, size, lo, hi, min_gap):
             return t
 
 
-def _stacks(rows, sizes):
-    """Per size n in ``sizes``: the indices of the rows of that size and the
-    (k, n) stack of their first n entries."""
-    for n in np.unique(sizes).tolist():
-        idx = np.flatnonzero(sizes == n)
-        yield n, idx.tolist(), rows[idx, :n]
+def _per_draw(kernel, draws, *args):
+    """``kernel``'s result for each list in ``draws``, in draw order: the
+    lists of one length go through ``kernel(stack, *args)`` as one stack."""
+    groups = {}
+    for i, row in enumerate(draws):
+        groups.setdefault(len(row), []).append(i)
+    out = [None] * len(draws)
+    for _, idx in sorted(groups.items()):
+        for i, value in zip(idx, kernel(np.array([draws[i] for i in idx]), *args)):
+            out[i] = value
+    return out
 
 
 def detcov_margin_sweep(n_configs, hurst_values=(0.2, 0.5, 0.8), max_points=5, seed=0):
@@ -283,33 +287,24 @@ def detcov_margin_sweep(n_configs, hurst_values=(0.2, 0.5, 0.8), max_points=5, s
     number of times n, and the margin.  The times are sorted, so every
     margin obeys kappa_H^(n-1) <= margin <= 1 (see verify_detcov_lower_bound).
 
-    Every config is drawn first, in the order of the per-config loop; the
-    configs of one H and one n then go through verify_detcov_lower_bound's
-    kernel as one stack.  Raises ConfigError unless ``n_configs`` and
-    ``max_points`` are whole numbers >= 1 and ``hurst_values`` is a
-    non-empty sequence of numbers in (0, 1).
+    The configs are drawn in the order of the per-config loop; the configs
+    of one H and one n go through verify_detcov_lower_bound's kernel as one
+    stack.  Raises ConfigError unless ``n_configs`` and ``max_points`` are
+    whole numbers >= 1 and ``hurst_values`` is a non-empty sequence of
+    numbers in (0, 1).
     """
     n_configs, max_points, lo, hi = _validate_sweep(n_configs, max_points, (0.01, 1.0), 1e-4)
     hursts = [validate_hurst(h, "hurst_values")
               for h in validate_reals(hurst_values, "hurst_values").tolist()]
     rng = philox_stream(seed, (5, 0))
-    times = np.empty((len(hursts) * n_configs, max_points))
-    sizes = np.empty(len(times), dtype=int)
-    for i in range(len(times)):
-        n = sizes[i] = int(rng.integers(1, max_points + 1))
+    records = []
+    for h in hursts:
         # the min gap keeps the determinant ratio numerically trustworthy
-        times[i, :n] = _sorted_draw(rng, n, lo, hi, 1e-4)
-    records = [None] * len(times)
-    for base, h in zip(range(0, len(times), n_configs), hursts):
-        block = slice(base, base + n_configs)
-        for n, idx, stack in _stacks(times[block], sizes[block]):
-            for i, t, margin in zip(idx, stack.tolist(), _detcov_margins(stack, h)):
-                records[base + i] = {
-                    "config": _config_hash({"H": h, "times": t}),
-                    "hurst": h,
-                    "n": n,
-                    "margin": margin,
-                }
+        draws = [_sorted_draw(rng, int(rng.integers(1, max_points + 1)), lo, hi, 1e-4)
+                 for _ in range(n_configs)]
+        records += [{"config": _config_hash({"H": h, "times": t}), "hurst": h,
+                     "n": len(t), "margin": margin}
+                    for t, margin in zip(draws, _per_draw(_detcov_margins, draws, h))]
     return records
 
 
@@ -337,21 +332,14 @@ def lnd_margin_sweep(
     hurst = validate_hurst(hurst)
     alpha_p = validate_hurst(alpha_p, "alpha_p")
     rng = philox_stream(seed, (5, 1))
-    points = np.empty((n_configs, max_points + 1))   # u, then the conditioning times
-    sizes = np.empty(n_configs, dtype=int)
-    for i in range(n_configs):
+    points = []   # per config: u, then the conditioning times
+    for _ in range(n_configs):
         n = int(rng.integers(1, max_points + 1))
         t = _sorted_draw(rng, n + 1, lo, hi, 1e-5)
         u = t.pop(int(rng.integers(0, n + 1)))
-        points[i, :n + 1] = [u, *t]
-        sizes[i] = n + 1
-    records = [None] * n_configs
-    for size, idx, stack in _stacks(points, sizes):
-        for i, (u, *times), ratio in zip(idx, stack.tolist(), _lnd_ratios(stack, hurst, alpha_p)):
-            records[i] = {
-                "config": _config_hash({"H": hurst, "a": alpha_p, "u": u, "times": times}),
-                "u": u,
-                "n": size - 1,
-                "ratio": ratio,
-            }
-    return records, min(r["ratio"] for r in records)
+        points.append([u, *t])
+    ratios = _per_draw(_lnd_ratios, points, hurst, alpha_p)
+    records = [{"config": _config_hash({"H": hurst, "a": alpha_p, "u": u, "times": times}),
+                "u": u, "n": len(times), "ratio": ratio}
+               for (u, *times), ratio in zip(points, ratios)]
+    return records, min(ratios)

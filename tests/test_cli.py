@@ -16,6 +16,7 @@ from parafbm import estimators, experiments
 from parafbm.cli import cli_main, parse_delta_spec
 from parafbm.errors import ConfigError
 from parafbm.experiments import ExperimentConfig
+from parafbm.fbm import TimeGrid, generate_mixed_path, path_to_csv
 
 
 def run(argv):
@@ -93,6 +94,24 @@ class TestGenerate:
         out = tmp_path / "z.csv"
         assert run(["generate", "--hurst", "0.7", "--alpha-p", "0.3",
                     "--n", "128", "--seed", "2", "--out", str(out)]) == 0
+
+    def test_seed2_is_the_mixed_path_second_seed(self, tmp_path):
+        out = tmp_path / "z.csv"
+        assert run(["generate", "--hurst", "0.7", "--alpha-p", "0.3", "--n", "64", "--d", "2",
+                    "--seed", "2", "--seed2", "9", "--out", str(out)]) == 0
+        want = io.StringIO(newline="")
+        path_to_csv(generate_mixed_path(0.7, 0.3, TimeGrid.regular(64), d=2,
+                                        seed_pair=(2, 9)), want)
+        assert out.read_bytes().decode() == want.getvalue()
+
+    def test_seed2_without_alpha_p_exit_1(self, tmp_path, capsys):
+        # it was ignored, and the plain fBm path written with exit 0
+        out = tmp_path / "p.csv"
+        assert run(["generate", "--hurst", "0.7", "--n", "64", "--seed2", "9",
+                    "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err.splitlines() == ["error: --seed2 applies only with --alpha-p"]
 
     def test_cross_process_determinism(self, tmp_path):
         # bit-identical output across separate interpreter processes
@@ -671,6 +690,7 @@ class TestExperimentCommand:
         ("interior", "radius_cells", 2.5, "radius_cells must be an integer"),
         ("interior", "epsilon", -0.1, "epsilon must be > 0, got -0.1"),
         ("interior", "set", {"kind": "foo"}, "unknown set kind 'foo'"),
+        ("interior", "set", {"dim": 0.5}, "unknown set keys ['dim'] for set kind 'full'"),
         # an OverflowError, a wait of minutes, and a run that failed in numpy
         pytest.param("interior", "set",
                      {"kind": "generalized-cantor", "dim": 0.5, "m": 10**400},

@@ -170,6 +170,27 @@ class TestBuildSet:
         with pytest.raises(ConfigError):
             build_set({"kind": "full", "typo": 1})
 
+    @pytest.mark.parametrize("spec, message", [
+        # all but the last built a set that ignored the key, the first one [0, 1]
+        ({"dim": 0.5}, "unknown set keys ['dim'] for set kind 'full'"),
+        ({"kind": "full", "generation": 3}, "unknown set keys ['generation'] for set kind 'full'"),
+        ({"kind": "full-interval", "m": 3}, "unknown set keys ['m'] for set kind 'full-interval'"),
+        ({"kind": "middle-thirds", "m": 3, "r": 0.1},
+         "unknown set keys ['m', 'r'] for set kind 'middle-thirds'"),
+        ({"kind": "middle-thirds", "dim": 0.5, "generation": 3},
+         "unknown set keys ['dim'] for set kind 'middle-thirds'"),
+        ({"kind": "generalized-cantor", "r": 0.2, "dim": 0.4, "generation": 3},
+         "set kind 'generalized-cantor' takes r or dim, not both"),
+        ({"kind": "generalized-cantor", "dim": 0.4, "typo": 1},
+         "unknown set keys ['typo'] for set kind 'generalized-cantor'"),
+    ])
+    def test_keys_the_kind_does_not_read_are_refused_at_load(self, spec, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            build_set(spec)
+        for kind in ("dim-formula", "occupation-l2", "interior"):
+            with pytest.raises(ConfigError, match=re.escape(message)):
+                _one_cell_config(kind, set=spec)
+
 
 class TestDimFormulaRun:
     def test_runs_and_reports(self, tmp_path):
@@ -880,10 +901,13 @@ def test_parsed_cell_equals_naive_values(case, data):
     cell = dict(cell)
     allowed = experiments._KIND_SPECS[kind].cell_optional
     for key, values in _OPTIONAL_VALUES.items():
-        # a mixed path takes no drift
-        if key in allowed and not (key == "drift" and cell.get("alpha_p") is not None):
-            if data.draw(st.booleans(), label=f"set {key}"):
-                cell[key] = data.draw(values, label=key)
+        # a mixed path and the constant path take no drift
+        if key == "drift" and (cell.get("alpha_p") is not None or cell.get("path") == "constant"):
+            continue
+        if key == "path" and "drift" in cell:
+            values = st.just("fbm")
+        if key in allowed and data.draw(st.booleans(), label=f"set {key}"):
+            cell[key] = data.draw(values, label=key)
     want = naive_cell_values(kind, cell)
     if want is None:   # a verdict no run can pass is refused, naming its key
         with pytest.raises(ConfigError, match="^(tolerance|threshold) must be >= 0"):
@@ -979,6 +1003,14 @@ class TestCellValues:
             _one_cell_config("theorem41", alpha_p=0.3, drift="lipschitz")
         _one_cell_config("theorem41", alpha_p=0.3)
         _one_cell_config("theorem41", drift="lipschitz")
+
+    @pytest.mark.parametrize("drift", ["zero", "lipschitz"])
+    def test_constant_path_with_drift_rejected(self, drift):
+        # the constant path is 0 before the drift is read: both rows were identical
+        with pytest.raises(ConfigError, match="both path constant and drift"):
+            _one_cell_config("occupation-l2", path="constant", check="slope", drift=drift)
+        _one_cell_config("occupation-l2", path="constant", check="slope")
+        _one_cell_config("occupation-l2", path="fbm", drift=drift)
 
     def test_interior_refuses_alpha_p(self):
         with pytest.raises(ConfigError, match="unknown interior cell key 'alpha_p'"):

@@ -524,8 +524,9 @@ class TestHalfSpectrumSampler:
         hurst=st.one_of(st.sampled_from([0.25, 0.5, 0.75]), st.floats(0.01, 0.99)),
     )
     def test_root_and_autocovariance_bit_equal_to_one_expression(self, n, hurst):
-        # h2 = 0.5, 1 and 1.5 take numpy's fast scalar-power routes, which
-        # the in-place ** must take as the expression's ** does
+        # the oracle pins the current bits, so that a rewrite of the
+        # autocovariance (ROADMAP item 1) shows each bit it moves; h2 = 0.5, 1
+        # and 1.5 take numpy's fast scalar-power routes
         want_acov = one_expression_fgn_autocovariance(n, hurst, 1.0 / n)
         got_acov = fbm._fgn_autocovariance(n, hurst, 1.0 / n)
         assert np.array_equal(got_acov.view(np.uint64), want_acov.view(np.uint64))

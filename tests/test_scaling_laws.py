@@ -8,19 +8,22 @@ no oracle: the law itself is the reference.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parafbm.estimators import GraphCloud, parabolic_box_count
-from parafbm.occupation import occupation_histogram
+from parafbm.estimators import GraphCloud, energy_integral_mc, parabolic_box_count
+from parafbm.fractals import WeightedTimeSet
+from parafbm.occupation import l2_density_diagnostic, occupation_histogram
 
 
 @st.composite
-def dyadic_points(draw, max_n=64):
-    """n points in d = 1..3: times k / 2^12 in [0, 1), values k / 2^6 in [-64, 64]."""
+def dyadic_points(draw, min_n=1, max_n=64, distinct=False):
+    """n points in d = 1..3: times k / 2^12 in [0, 1), values k / 2^6 in [-64, 64];
+    with ``distinct`` no two share a time, so no two coincide."""
     d = draw(st.integers(1, 3))
-    n = draw(st.integers(1, max_n))
-    times = draw(st.lists(st.integers(0, 2**12 - 1), min_size=n, max_size=n))
+    n = draw(st.integers(min_n, max_n))
+    times = draw(st.lists(st.integers(0, 2**12 - 1), min_size=n, max_size=n, unique=distinct))
     values = draw(st.lists(st.integers(-2**12, 2**12), min_size=n * d, max_size=n * d))
     return np.array(times) / 2**12, np.reshape(values, (n, d)) / 2**6
 
@@ -44,3 +47,29 @@ def test_histogram_is_invariant_under_doubled_values_and_cell(points, eps):
     h2 = occupation_histogram(w, 2 * x, 2 * eps / 2**6)
     assert np.array_equal(h2.index, h.index)
     assert np.array_equal(h2.mass.view(np.uint64), h.mass.view(np.uint64))
+
+
+@settings(max_examples=40, deadline=None)
+@given(points=dyadic_points(min_n=2, max_n=32, distinct=True))
+def test_energy_scales_by_4_under_parabolic_scaling(points):
+    # rho_H halves under (t/4, x/2) at H = 1/2, so at gamma = 1 each rho^(-2) term is 4x
+    t, x = points
+    w = WeightedTimeSet(t, np.full(len(t), 1.0 / len(t)))
+    scaled = WeightedTimeSet(t / 4, w.weights)
+    energy = energy_integral_mc(w, x, gamma=1.0, hurst=0.5)
+    assert energy_integral_mc(scaled, x / 2, gamma=1.0, hurst=0.5) == pytest.approx(
+        4 * energy, rel=1e-13)
+
+
+@settings(max_examples=40, deadline=None)
+@given(points=dyadic_points(), exps=st.lists(st.integers(-6, 8), min_size=2, max_size=6,
+                                             unique=True))
+def test_l2_diagnostic_scales_by_2_to_minus_d_under_doubling(points, exps):
+    # doubling images and radii keeps every pair count, and r^-d gains 2^-d
+    _, x = points
+    w = np.full(len(x), 1.0 / len(x))
+    radii = 2.0 ** -np.sort(exps)
+    values = l2_density_diagnostic([x], w, radii)
+    doubled = l2_density_diagnostic([2 * x], w, 2 * radii)
+    want = values * 2.0 ** -x.shape[1]
+    assert np.array_equal(doubled.view(np.uint64), want.view(np.uint64))
